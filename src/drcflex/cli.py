@@ -20,7 +20,6 @@ from pathlib import Path
 from .costs import FULLY_FLEXIBLE, SEMI_FLEXIBLE, DesignSolution, InfeasibleDesignError
 from .expectations import YANG_TOUR_LAW, TourLengthLaw
 from .experiments import (
-    BracketError,
     SweepSpec,
     default_scenario_grid,
     find_critical_density,
@@ -297,9 +296,6 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleDesignError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except BracketError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1

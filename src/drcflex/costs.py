@@ -13,6 +13,13 @@ k*(Q+1, S) * sqrt((Q+1)*l*w).  Under semi-flexible routing buses sweep fixed
 serpentine paths of swath width w0 and patrons walk to the passing bus, so
 waiting drops (no share of the collection tour) while the vehicle path
 acquires the fixed lw/w0 + w0/2 sweep.
+
+One kernel, ``zone_books``, computes every book of one zone and direction
+for either strategy, at one headway or at a whole array of them: the
+optimizer scans a zone's headways in a single call and refines on the same
+kernel at scalar H.  The FF tour terms share one exp(beta4*(mu+1)**beta5)
+factor per call.  ``zone_cost_terms`` and the per-book functions
+(``ff_wait_cost_zone`` and the rest) are views of it.
 """
 
 from __future__ import annotations
@@ -21,7 +28,9 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Any, Iterator, Literal, NamedTuple
+
+import numpy as np
 
 from .expectations import TourLengthLaw, as_tour_law
 from .params import ScenarioParams, ZoneGrid, ZoneIndex, line_haul_distance
@@ -39,6 +48,10 @@ DIRECTIONS: tuple[Direction, Direction] = ("outbound", "inbound")
 # expectation; callers are warned once.  For TABLE1_MODEL the error leaves
 # the 2% band below mean 1.75 (tour-length term) and 1.86 (rider-weighted
 # term) and reaches 15% at mean 0.75; from mean 2 to 12 it stays under 1.9%.
+# expectations.expected_ff_wait_kernel, their difference, is less accurate:
+# -2.16% at mean 2.0, -1.99% at 2.11, -1.85% at 2.2.  So zones at means 2.0
+# to 2.11 are within 2% on both moments but not on their difference.  The
+# flag stays at 2.0 because the base FF optimum's H_min zones sit at mean 2.0.
 LOW_OCCUPANCY_MEAN = 2.0
 
 
@@ -181,60 +194,112 @@ class CostBreakdown:
 
 
 # ---------------------------------------------------------------------------
-# Shared per-zone quantities
+# The cost kernel
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _ZoneEnv:
-    lam: float  # demand density for the direction (patrons/h/km^2)
-    H: float  # dispatch headway for the direction (h)
-    tau: float  # per-patron dwell time for the direction (h)
-    mu: float  # mean occupancy per dispatch
-    q2: float  # E[Q^2] = mu^2 + mu
-    D: float  # line-haul distance (km)
-    s: float  # sqrt(zone area) (km)
-    S: float  # zone aspect ratio
-    area: float
+class ZoneBooks(NamedTuple):
+    """One zone-direction's hourly books, each a float or an array over H.
+
+    ``wait`` is C_W outbound and 0 inbound; ``dist`` and ``time`` are this
+    direction's shares of the agency books C_vk and C_vh.  Without a strategy
+    the kernel fills only the strategy-free books and leaves the rest None.
+    """
+
+    wait: Any
+    tour: Any  # C_Tp or C_Td
+    line_haul: Any  # C_Lp or C_Ld
+    transfer: Any  # C_Rp or C_Rd
+    dist: Any
+    time: Any
+
+    @property
+    def total(self):
+        """Every book that depends on this direction's headway."""
+        return self.wait + self.tour + self.line_haul + self.transfer + self.dist + self.time
 
 
-def _zone_env(
-    params: ScenarioParams, grid: ZoneGrid, zd: ZoneDesign, direction: Direction
-) -> _ZoneEnv:
-    lam = params.lambda_p if direction == "outbound" else params.lambda_d
-    tau = params.tau_p if direction == "outbound" else params.tau_d
-    H = zd.headway(direction)
-    area = grid.l * grid.w
-    mu = lam * H * area
-    return _ZoneEnv(
-        lam=lam,
-        H=H,
-        tau=tau,
-        mu=mu,
-        q2=mu * mu + mu,
-        D=line_haul_distance(grid, zd.z),
-        s=math.sqrt(area),
-        S=grid.S,
-        area=area,
-    )
+def zone_books(
+    params: ScenarioParams,
+    grid: ZoneGrid,
+    D: float,
+    H,
+    direction: Direction,
+    strategy: str | None,
+    model: KStarModel | TourLengthLaw | None = None,
+    w0: float | None = None,
+    K: int = 1,
+    gamma=1,
+) -> ZoneBooks:
+    """The books of a zone at line-haul distance D for one direction.
+
+    ``H`` is the direction's headway: a scalar, or an array to evaluate every
+    book at many headways in one call (``gamma``, the inbound sync multiple,
+    broadcasts with it).  Scalars are computed as Python floats with libm;
+    arrays, 0-d ones included, with numpy ufuncs, which may differ from libm
+    by an ulp.  ``K`` matters only to the agency books.
+    """
+    if not isinstance(H, np.ndarray):
+        H = float(H)
+    outbound = direction == "outbound"
+    tau = params.tau_p if outbound else params.tau_d
+    area = grid.area
+    mu = (params.lambda_p if outbound else params.lambda_d) * H * area
+    q2 = mu * mu + mu
+    v = params.v_l
+    line_haul = D / (H * v) * mu
+    if outbound:
+        per_patron = params.t_ft + params.H_t / 2.0
+        queue = params.tau_a
+    else:
+        per_patron = params.t_tf + (gamma - 1) * H / (2.0 * gamma)
+        queue = params.tau_b
+    transfer = mu / H * per_patron + queue / (2.0 * H) * q2
+    if strategy is None:
+        return ZoneBooks(None, None, line_haul, transfer, None, None)
+    if strategy == FULLY_FLEXIBLE:
+        s = math.sqrt(area)
+        tour_units, rider_units = as_tour_law(model).tour_units(mu, grid.S)
+        half_tour = rider_units * s / (2.0 * H * v)
+        tour = half_tour + tau / (2.0 * H) * q2
+        wait = params.alpha * (mu / 2.0 + half_tour + params.tau_p / (2.0 * H) * q2) if outbound else 0.0
+        dist_per_h = (D + tour_units * s) / H
+    elif strategy == SEMI_FLEXIBLE:
+        if w0 is None or w0 <= 0:
+            raise ValueError("swath width must be positive")
+        wait = params.alpha / H * mu * (H / 2.0 + w0 / (3.0 * v)) if outbound else 0.0
+        sweep = area / (v * w0) + w0 / (2.0 * v)
+        tour = (sweep * mu + (w0 / (3.0 * v) + tau) * q2) / (2.0 * H)
+        dist_per_h = (area / w0 + w0 / 2.0 + D + mu * w0 / 3.0) / H
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    dist = params.pi_v(K) / params.theta * dist_per_h
+    time = params.pi_m(K) / params.theta * (dist_per_h / v + tau * mu / H)
+    return ZoneBooks(wait, tour, line_haul, transfer, dist, time)
 
 
-# ---------------------------------------------------------------------------
-# Fully-flexible components
-# ---------------------------------------------------------------------------
-
-
-def ff_wait_cost_zone(
+def _books(
     params: ScenarioParams,
     grid: ZoneGrid,
     zd: ZoneDesign,
-    model: KStarModel | TourLengthLaw,
+    direction: Direction,
+    strategy: str | None = None,
+    model: KStarModel | TourLengthLaw | None = None,
+    w0: float | None = None,
+    K: int = 1,
+) -> ZoneBooks:
+    D = line_haul_distance(grid, zd.z)
+    return zone_books(params, grid, D, zd.headway(direction), direction, strategy, model, w0, K, zd.gamma)
+
+
+# The per-book functions below are views of the kernel.
+
+
+def ff_wait_cost_zone(
+    params: ScenarioParams, grid: ZoneGrid, zd: ZoneDesign, model: KStarModel | TourLengthLaw
 ) -> float:
     """Discounted at-home waiting: half headway, half tour, boarding queue."""
-    e = _zone_env(params, grid, zd, "outbound")
-    law = as_tour_law(model)
-    half_tour = law.rider_tour_units(e.mu, e.S) * e.s / (2.0 * e.H * params.v_l)
-    return params.alpha * (e.mu / 2.0 + half_tour + params.tau_p / (2.0 * e.H) * e.q2)
+    return _books(params, grid, zd, "outbound", FULLY_FLEXIBLE, model).wait
 
 
 def ff_local_tour_cost_zone(
@@ -245,32 +310,21 @@ def ff_local_tour_cost_zone(
     direction: Direction,
 ) -> float:
     """In-vehicle share of the collection tour: half the tour plus dwells."""
-    e = _zone_env(params, grid, zd, direction)
-    law = as_tour_law(model)
-    half_tour = law.rider_tour_units(e.mu, e.S) * e.s / (2.0 * e.H * params.v_l)
-    return half_tour + e.tau / (2.0 * e.H) * e.q2
+    return _books(params, grid, zd, direction, FULLY_FLEXIBLE, model).tour
 
 
 def line_haul_cost_zone(
     params: ScenarioParams, grid: ZoneGrid, zd: ZoneDesign, direction: Direction
 ) -> float:
     """Riding between the zone and the terminal: D/v per patron."""
-    e = _zone_env(params, grid, zd, direction)
-    return e.D / (e.H * params.v_l) * e.mu
+    return _books(params, grid, zd, direction).line_haul
 
 
 def transfer_cost_zone(
     params: ScenarioParams, grid: ZoneGrid, zd: ZoneDesign, direction: Direction
 ) -> float:
     """Terminal transfer: walk, trunk-sync wait, and the boarding queue."""
-    e = _zone_env(params, grid, zd, direction)
-    if direction == "outbound":
-        per_patron = params.t_ft + params.H_t / 2.0
-        queue = params.tau_a
-    else:
-        per_patron = params.t_tf + (zd.gamma - 1) * zd.H_d / (2.0 * zd.gamma)
-        queue = params.tau_b
-    return e.mu / e.H * per_patron + queue / (2.0 * e.H) * e.q2
+    return _books(params, grid, zd, direction).transfer
 
 
 def ff_agency_cost_direction(
@@ -282,46 +336,19 @@ def ff_agency_cost_direction(
     direction: Direction,
 ) -> tuple[float, float]:
     """One direction's (distance cost, time cost) for one zone."""
-    law = as_tour_law(model)
-    e = _zone_env(params, grid, zd, direction)
-    dist_per_h = (e.D + law.mean_tour_units(e.mu, e.S) * e.s) / e.H
-    dist_cost = params.pi_v(K) / params.theta * dist_per_h
-    time_cost = params.pi_m(K) / params.theta * (dist_per_h / params.v_l + e.tau * e.mu / e.H)
-    return dist_cost, time_cost
-
-
-def ff_agency_cost_zone(
-    params: ScenarioParams,
-    grid: ZoneGrid,
-    zd: ZoneDesign,
-    model: KStarModel | TourLengthLaw,
-    K: int,
-) -> tuple[float, float]:
-    """(distance cost, time cost) across both directions for one zone."""
-    parts = [ff_agency_cost_direction(params, grid, zd, model, K, d) for d in DIRECTIONS]
-    return sum(p[0] for p in parts), sum(p[1] for p in parts)
-
-
-# ---------------------------------------------------------------------------
-# Semi-flexible components
-# ---------------------------------------------------------------------------
+    return _books(params, grid, zd, direction, FULLY_FLEXIBLE, model, K=K)[4:]
 
 
 def sf_wait_cost_zone(params: ScenarioParams, grid: ZoneGrid, zd: ZoneDesign, w0: float) -> float:
     """Curbside waiting: half headway plus the bus's lateral approach."""
-    if w0 <= 0:
-        raise ValueError("swath width must be positive")
-    e = _zone_env(params, grid, zd, "outbound")
-    return params.alpha / e.H * e.mu * (e.H / 2.0 + w0 / (3.0 * params.v_l))
+    return _books(params, grid, zd, "outbound", SEMI_FLEXIBLE, w0=w0).wait
 
 
 def sf_local_tour_cost_zone(
     params: ScenarioParams, grid: ZoneGrid, zd: ZoneDesign, w0: float, direction: Direction
 ) -> float:
     """In-vehicle time on the serpentine: half the sweep, detours, dwells."""
-    e = _zone_env(params, grid, zd, direction)
-    sweep = e.area / (params.v_l * w0) + w0 / (2.0 * params.v_l)
-    return (sweep * e.mu + (w0 / (3.0 * params.v_l) + e.tau) * e.q2) / (2.0 * e.H)
+    return _books(params, grid, zd, direction, SEMI_FLEXIBLE, w0=w0).tour
 
 
 def sf_agency_cost_direction(
@@ -333,19 +360,7 @@ def sf_agency_cost_direction(
     direction: Direction,
 ) -> tuple[float, float]:
     """One direction's (distance cost, time cost) for one zone."""
-    e = _zone_env(params, grid, zd, direction)
-    dist_per_h = (e.area / w0 + w0 / 2.0 + e.D + e.mu * w0 / 3.0) / e.H
-    dist_cost = params.pi_v(K) / params.theta * dist_per_h
-    time_cost = params.pi_m(K) / params.theta * (dist_per_h / params.v_l + e.tau * e.mu / e.H)
-    return dist_cost, time_cost
-
-
-def sf_agency_cost_zone(
-    params: ScenarioParams, grid: ZoneGrid, zd: ZoneDesign, w0: float, K: int
-) -> tuple[float, float]:
-    """(distance cost, time cost) across both directions for one zone."""
-    parts = [sf_agency_cost_direction(params, grid, zd, w0, K, d) for d in DIRECTIONS]
-    return sum(p[0] for p in parts), sum(p[1] for p in parts)
+    return _books(params, grid, zd, direction, SEMI_FLEXIBLE, w0=w0, K=K)[4:]
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +370,8 @@ def sf_agency_cost_zone(
 
 def mean_occupancy(params: ScenarioParams, grid: ZoneGrid, zd: ZoneDesign, direction: Direction) -> float:
     """Expected patrons per dispatch for one zone and direction."""
-    return _zone_env(params, grid, zd, direction).mu
+    lam = params.lambda_p if direction == "outbound" else params.lambda_d
+    return lam * zd.headway(direction) * grid.area
 
 
 def capacity_ok(mu: float, K: int) -> bool:
@@ -422,30 +438,19 @@ def zone_cost_terms(
     w0: float | None = None,
 ) -> ZoneCostTerms:
     """All nine hourly books for one zone under the given strategy."""
-    if strategy == FULLY_FLEXIBLE:
-        c_w = ff_wait_cost_zone(params, grid, zd, model)
-        c_tp = ff_local_tour_cost_zone(params, grid, zd, model, "outbound")
-        c_td = ff_local_tour_cost_zone(params, grid, zd, model, "inbound")
-        c_vk, c_vh = ff_agency_cost_zone(params, grid, zd, model, K)
-    elif strategy == SEMI_FLEXIBLE:
-        if w0 is None:
-            raise InfeasibleDesignError("swath_width", zd.z, "semi-flexible cost needs w0")
-        c_w = sf_wait_cost_zone(params, grid, zd, w0)
-        c_tp = sf_local_tour_cost_zone(params, grid, zd, w0, "outbound")
-        c_td = sf_local_tour_cost_zone(params, grid, zd, w0, "inbound")
-        c_vk, c_vh = sf_agency_cost_zone(params, grid, zd, w0, K)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == SEMI_FLEXIBLE and w0 is None:
+        raise InfeasibleDesignError("swath_width", zd.z, "semi-flexible cost needs w0")
+    out, inb = (_books(params, grid, zd, d, strategy, model, w0, K) for d in DIRECTIONS)
     return ZoneCostTerms(
-        C_W=c_w,
-        C_Tp=c_tp,
-        C_Td=c_td,
-        C_Lp=line_haul_cost_zone(params, grid, zd, "outbound"),
-        C_Ld=line_haul_cost_zone(params, grid, zd, "inbound"),
-        C_Rp=transfer_cost_zone(params, grid, zd, "outbound"),
-        C_Rd=transfer_cost_zone(params, grid, zd, "inbound"),
-        C_vk=c_vk,
-        C_vh=c_vh,
+        C_W=out.wait,
+        C_Tp=out.tour,
+        C_Td=inb.tour,
+        C_Lp=out.line_haul,
+        C_Ld=inb.line_haul,
+        C_Rp=out.transfer,
+        C_Rd=inb.transfer,
+        C_vk=out.dist + inb.dist,
+        C_vh=out.time + inb.time,
     )
 
 

@@ -12,6 +12,7 @@ solved once.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import time
 import warnings
@@ -30,15 +31,19 @@ from .costs import (
     InfeasibleDesignError,
     LowOccupancyWarning,
     ZoneDesign,
+    mean_occupancy,
+    total_generalized_cost,
+    zone_books,
+)
+# The per-book views stay bound here: perfbench/tracer.py wraps them by name.
+from .costs import (  # noqa: F401
     ff_agency_cost_direction,
     ff_local_tour_cost_zone,
     ff_wait_cost_zone,
     line_haul_cost_zone,
-    mean_occupancy,
     sf_agency_cost_direction,
     sf_local_tour_cost_zone,
     sf_wait_cost_zone,
-    total_generalized_cost,
     transfer_cost_zone,
 )
 from .expectations import TourLengthLaw, as_tour_law
@@ -135,63 +140,12 @@ def headway_cap_from_capacity(lam: float, l: float, w: float, K: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _outbound_zone_cost(
-    params: ScenarioParams,
-    grid: ZoneGrid,
-    z: ZoneIndex,
-    K: int,
-    strategy: str,
-    model: KStarModel | TourLengthLaw,
-    w0: float | None,
-    H_p: float,
-) -> float:
-    """All cost books that depend on this zone's outbound headway."""
-    zd = ZoneDesign(z=z, H_p=H_p, H_d=params.H_t, gamma=1)  # inbound side unused
-    if strategy == FULLY_FLEXIBLE:
-        user = ff_wait_cost_zone(params, grid, zd, model) + ff_local_tour_cost_zone(
-            params, grid, zd, model, "outbound"
-        )
-        vk, vh = ff_agency_cost_direction(params, grid, zd, model, K, "outbound")
-    else:
-        user = sf_wait_cost_zone(params, grid, zd, w0) + sf_local_tour_cost_zone(
-            params, grid, zd, w0, "outbound"
-        )
-        vk, vh = sf_agency_cost_direction(params, grid, zd, w0, K, "outbound")
-    return (
-        user
-        + line_haul_cost_zone(params, grid, zd, "outbound")
-        + transfer_cost_zone(params, grid, zd, "outbound")
-        + vk
-        + vh
-    )
-
-
-def _inbound_zone_cost(
-    params: ScenarioParams,
-    grid: ZoneGrid,
-    z: ZoneIndex,
-    K: int,
-    strategy: str,
-    model: KStarModel | TourLengthLaw,
-    w0: float | None,
-    H_d: float,
-    gamma: int,
-) -> float:
-    """All cost books that depend on this zone's inbound headway."""
-    zd = ZoneDesign(z=z, H_p=params.H_max, H_d=H_d, gamma=gamma)  # outbound side unused
-    if strategy == FULLY_FLEXIBLE:
-        user = ff_local_tour_cost_zone(params, grid, zd, model, "inbound")
-        vk, vh = ff_agency_cost_direction(params, grid, zd, model, K, "inbound")
-    else:
-        user = sf_local_tour_cost_zone(params, grid, zd, w0, "inbound")
-        vk, vh = sf_agency_cost_direction(params, grid, zd, w0, K, "inbound")
-    return (
-        user
-        + line_haul_cost_zone(params, grid, zd, "inbound")
-        + transfer_cost_zone(params, grid, zd, "inbound")
-        + vk
-        + vh
-    )
+@functools.lru_cache(maxsize=None)
+def _unit_starts(n_starts: int) -> np.ndarray:
+    """The fixed-seed extra scan points on [0, 1), shared by every zone."""
+    starts = np.random.default_rng(0xD5C0).random(n_starts)
+    starts.flags.writeable = False
+    return starts
 
 
 def optimize_zone_headway(
@@ -209,7 +163,8 @@ def optimize_zone_headway(
 
     A coarse scan seeds bracketed refinements around every local dip plus
     n_starts additional interior points, guarding against multimodality of
-    the expansion-based objective.
+    the expansion-based objective.  The objective is every book that depends
+    on the outbound headway; the scan evaluates it in one kernel call.
     """
     lo = params.H_min
     hi = params.H_max
@@ -221,31 +176,29 @@ def optimize_zone_headway(
             z,
             f"outbound headway cap {hi:.6f} h below the minimum headway {lo:.6f} h",
         )
+    D = line_haul_distance(grid, z)
+
+    def f(H):
+        return zone_books(params, grid, D, H, "outbound", strategy, model, w0_opt, K).total
+
     if hi - lo <= HEADWAY_TOL_H:
-        H = lo
-        return H, _outbound_zone_cost(params, grid, z, K, strategy, model, w0_opt, H)
-
-    def f(H: float) -> float:
-        return _outbound_zone_cost(params, grid, z, K, strategy, model, w0_opt, H)
-
-    rng = np.random.default_rng(0xD5C0)
+        return lo, f(lo)
     grid_pts = np.linspace(lo, hi, max(2 * n_starts, 24))
-    starts = np.concatenate([grid_pts, lo + (hi - lo) * rng.random(n_starts)])
+    starts = np.concatenate([grid_pts, lo + (hi - lo) * _unit_starts(n_starts)])
     starts.sort()
-    vals = np.array([f(H) for H in starts])
-    best_H, best_val = float(starts[int(vals.argmin())]), float(vals.min())
+    vals = f(starts)
+    i_best = int(vals.argmin())
+    best_H, best_val = float(starts[i_best]), float(vals[i_best])
     # refine around every local dip of the scan
-    for i in range(len(starts)):
-        left = vals[i - 1] if i > 0 else math.inf
-        right = vals[i + 1] if i + 1 < len(starts) else math.inf
-        if vals[i] <= left and vals[i] <= right:
-            a = starts[i - 1] if i > 0 else lo
-            b = starts[i + 1] if i + 1 < len(starts) else hi
-            res = minimize_scalar(
-                f, bounds=(float(a), float(b)), method="bounded", options={"xatol": HEADWAY_TOL_H / 2}
-            )
-            if res.fun < best_val:
-                best_H, best_val = float(res.x), float(res.fun)
+    padded = np.concatenate(([math.inf], vals, [math.inf]))
+    for i in np.flatnonzero((vals <= padded[:-2]) & (vals <= padded[2:])):
+        a = starts[i - 1] if i > 0 else lo
+        b = starts[i + 1] if i + 1 < len(starts) else hi
+        res = minimize_scalar(
+            f, bounds=(float(a), float(b)), method="bounded", options={"xatol": HEADWAY_TOL_H / 2}
+        )
+        if res.fun < best_val:
+            best_H, best_val = float(res.x), float(res.fun)
     return best_H, best_val
 
 
@@ -261,26 +214,26 @@ def optimize_zone_gamma(
     enforce_capacity: bool = True,
 ) -> tuple[int, float, float]:
     """Enumerate the trunk-sync multiple; return (gamma, H_d, inbound cost)."""
-    lo = max(params.H_min, params.H_t)
-    best: tuple[int, float, float] | None = None
-    for gamma in sorted(gamma_range):
-        H_d = gamma * params.H_t
-        if H_d < lo - 1e-12 or H_d > params.H_max + 1e-12:
-            continue
-        if enforce_capacity:
-            mu = params.lambda_d * H_d * grid.l * grid.w
-            if mu + 2.0 * math.sqrt(mu) > K + 1e-12:
-                continue
-        cost = _inbound_zone_cost(params, grid, z, K, strategy, model, w0_opt, H_d, gamma)
-        if best is None or cost < best[2] - TIE_REL * max(1.0, abs(best[2])):
-            best = (gamma, H_d, cost)
-    if best is None:
+    gammas = np.array(sorted(gamma_range))
+    H_d = gammas * params.H_t
+    ok = (H_d >= max(params.H_min, params.H_t) - 1e-12) & (H_d <= params.H_max + 1e-12)
+    if enforce_capacity:
+        mu = params.lambda_d * H_d * grid.l * grid.w
+        ok &= mu + 2.0 * np.sqrt(mu) <= K + 1e-12
+    if not ok.any():
         raise InfeasibleDesignError(
             "inbound_sync",
             z,
             f"no feasible trunk-sync multiple in {tuple(gamma_range)} for K={K}",
         )
-    return best
+    gammas, H_d = gammas[ok], H_d[ok]
+    D = line_haul_distance(grid, z)
+    costs = zone_books(params, grid, D, H_d, "inbound", strategy, model, w0_opt, K, gammas).total
+    best = 0
+    for i in range(1, len(costs)):
+        if costs[i] < costs[best] - TIE_REL * max(1.0, abs(costs[best])):
+            best = i
+    return int(gammas[best]), float(H_d[best]), float(costs[best])
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +409,7 @@ class StrategyComparison:
                 writer.writerow(row)
 
 
-def _mean_zone_stat(params, design, fn) -> float:
+def _mean_zone_stat(design, fn) -> float:
     vals = [fn(zd) for zd in design.zones]
     return sum(vals) / len(vals)
 
@@ -508,10 +461,10 @@ def _strategy_metrics(
         "grid_m_by_n": f"{grid.M}x{grid.N}",
         "vehicle_capacity": design.K,
         "swath_width_km": design.w0 if design.w0 is not None else "",
-        "mean_outbound_headway_min": _mean_zone_stat(params, design, lambda zd: zd.H_p) * 60.0,
-        "mean_inbound_headway_min": _mean_zone_stat(params, design, lambda zd: zd.H_d) * 60.0,
-        "mean_outbound_occupancy": _mean_zone_stat(params, design, lambda zd: occ(zd, "outbound")),
-        "mean_inbound_occupancy": _mean_zone_stat(params, design, lambda zd: occ(zd, "inbound")),
+        "mean_outbound_headway_min": _mean_zone_stat(design, lambda zd: zd.H_p) * 60.0,
+        "mean_inbound_headway_min": _mean_zone_stat(design, lambda zd: zd.H_d) * 60.0,
+        "mean_outbound_occupancy": _mean_zone_stat(design, lambda zd: occ(zd, "outbound")),
+        "mean_inbound_occupancy": _mean_zone_stat(design, lambda zd: occ(zd, "inbound")),
         "mean_outbound_tour_coefficient": k_out,
         "mean_inbound_tour_coefficient": k_in,
         "mean_outbound_tour_length_km": tour_out,

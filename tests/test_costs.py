@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drcflex import (
     FULLY_FLEXIBLE,
@@ -15,11 +19,15 @@ from drcflex import (
     TABLE1_MODEL,
     ZoneIndex,
     make_grid,
+    table2_params,
     total_generalized_cost,
 )
 from drcflex.costs import (
+    DIRECTIONS,
     LOW_OCCUPANCY_MEAN,
+    STRATEGIES,
     LowOccupancyWarning,
+    ZoneBooks,
     ZoneCostTerms,
     ZoneDesign,
     capacity_ok,
@@ -31,9 +39,12 @@ from drcflex.costs import (
     sf_wait_cost_zone,
     transfer_cost_zone,
     validate_design,
+    zone_books,
     zone_cost_terms,
 )
 from drcflex.expectations import as_tour_law
+from drcflex.params import line_haul_distance
+from drcflex.tourlength import feasible_swath_widths
 
 FIVE_MIN = 5 / 60
 
@@ -317,3 +328,154 @@ class TestLowOccupancyWarning:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 total_generalized_cost(table2, design, TABLE1_MODEL)
+
+
+# ---------------------------------------------------------------------------
+# The kernel against an independent scalar transcription of the books
+# ---------------------------------------------------------------------------
+
+BASE = table2_params()
+
+
+def weibull_moment(mu: float, a: float) -> float:
+    """Second-order E[X**a * exp(b4 * X**b5)], X = Q + 1, Var X = mu.
+
+    Derived as g(x) = exp(h(x)), h = a*ln(x) + b4*x**b5, so that
+    g'' = g * (h'' + h'**2), and E[g(X)] ~= g(mu+1) + g''(mu+1) * mu / 2.
+    """
+    m = TABLE1_MODEL
+    x = mu + 1.0
+    dh = a / x + m.beta4 * m.beta5 * x ** (m.beta5 - 1.0)
+    d2h = -a / x**2 + m.beta4 * m.beta5 * (m.beta5 - 1.0) * x ** (m.beta5 - 2.0)
+    g = x**a * math.exp(m.beta4 * x**m.beta5)
+    return g * (1.0 + (d2h + dh * dh) * mu / 2.0)
+
+
+def scalar_books(p, grid, D, H, direction, strategy, w0, K, gamma) -> dict[str, float]:
+    """One zone-direction's books, written out from the model's formulas."""
+    outbound = direction == "outbound"
+    lam = p.lambda_p if outbound else p.lambda_d
+    tau = p.tau_p if outbound else p.tau_d
+    A = grid.l * grid.w
+    mu = lam * A * H
+    EQ2 = mu + mu**2
+    v = p.v_l
+    riders = lam * A  # patrons per hour
+    if outbound:
+        transfer = riders * (p.t_ft + p.H_t / 2.0) + p.tau_a * EQ2 / (2.0 * H)
+    else:
+        transfer = riders * (p.t_tf + (gamma - 1) * H / (2.0 * gamma)) + p.tau_b * EQ2 / (2.0 * H)
+    if strategy == FULLY_FLEXIBLE:
+        m = TABLE1_MODEL
+        c = (m.beta1 * grid.S + m.beta2) * math.sqrt(A)
+        a = m.beta3 + 0.5
+        tour_km = c * weibull_moment(mu, a)  # E[L(Q+1)]
+        rider_km = c * (weibull_moment(mu, a + 1.0) - weibull_moment(mu, a))  # E[Q L(Q+1)]
+        wait = p.alpha * (mu / 2.0 + rider_km / (2.0 * v * H) + p.tau_p * EQ2 / (2.0 * H))
+        tour = rider_km / (2.0 * v * H) + tau * EQ2 / (2.0 * H)
+        veh_km = (D + tour_km) / H
+    else:
+        wait = p.alpha * riders * (H / 2.0 + w0 / (3.0 * v))
+        tour = ((A / w0 + w0 / 2.0) / v * mu + (w0 / (3.0 * v) + tau) * EQ2) / (2.0 * H)
+        veh_km = (A / w0 + w0 / 2.0 + D + mu * w0 / 3.0) / H
+    return {
+        "wait": wait if outbound else 0.0,
+        "tour": tour,
+        "line_haul": riders * D / v,
+        "transfer": transfer,
+        "dist": p.pi_v(K) / p.theta * veh_km,
+        "time": p.pi_m(K) / p.theta * (veh_km / v + tau * riders),
+    }
+
+
+# every distinct (grid, D, w0) of the 1x1 to 3x6 grids, per strategy
+KERNEL_CASES = {
+    strategy: [
+        (grid, D, w0)
+        for grid in (make_grid(BASE, M, N) for M in range(1, 4) for N in range(1, 7))
+        for D in sorted({line_haul_distance(grid, z) for z in grid.zones()})
+        for w0 in (
+            [c.w0 for c in feasible_swath_widths(grid.l, grid.w)]
+            if strategy == SEMI_FLEXIBLE
+            else [None]
+        )
+    ]
+    for strategy in STRATEGIES
+}
+
+
+class TestKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        H=st.lists(st.floats(BASE.H_min, BASE.H_max), min_size=1, max_size=6),
+        K=st.integers(1, 20),
+        gamma=st.integers(1, 5),
+        direction=st.sampled_from(DIRECTIONS),
+        strategy=st.sampled_from(STRATEGIES),
+    )
+    def test_matches_scalar_transcription(self, H, K, gamma, direction, strategy) -> None:
+        H = np.array(H)
+        for grid, D, w0 in KERNEL_CASES[strategy]:
+            got = zone_books(BASE, grid, D, H, direction, strategy, TABLE1_MODEL, w0, K, gamma)
+            at_float = zone_books(
+                BASE, grid, D, float(H[0]), direction, strategy, TABLE1_MODEL, w0, K, gamma
+            )
+            want = [scalar_books(BASE, grid, D, float(h), direction, strategy, w0, K, gamma) for h in H]
+            for field in ZoneBooks._fields:
+                expected = np.array([w[field] for w in want])
+                actual = np.broadcast_to(getattr(got, field), H.shape)
+                np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=0, err_msg=field)
+                assert getattr(at_float, field) == pytest.approx(expected[0], rel=1e-12, abs=0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        H=st.lists(st.floats(BASE.H_min, BASE.H_max), min_size=2, max_size=8),
+        gamma=st.lists(st.integers(1, 5), min_size=1, max_size=1),
+        direction=st.sampled_from(DIRECTIONS),
+        strategy=st.sampled_from(STRATEGIES),
+        case=st.integers(0, 10_000),
+    )
+    def test_vector_call_equals_elementwise_calls(self, H, gamma, direction, strategy, case) -> None:
+        grid, D, w0 = KERNEL_CASES[strategy][case % len(KERNEL_CASES[strategy])]
+        H = np.array(H)
+        g = np.array(gamma * len(H))
+        vector = zone_books(BASE, grid, D, H, direction, strategy, TABLE1_MODEL, w0, 9, g)
+        for i, h in enumerate(H):
+            point = zone_books(
+                BASE, grid, D, np.asarray(h), direction, strategy, TABLE1_MODEL, w0, 9, np.asarray(g[i])
+            )
+            for field in ZoneBooks._fields:
+                assert np.broadcast_to(getattr(vector, field), H.shape)[i] == getattr(point, field)
+        assert np.array_equal(
+            vector.total,
+            [zone_books(BASE, grid, D, np.asarray(h), direction, strategy, TABLE1_MODEL, w0, 9, gamma[0]).total for h in H],
+        )
+
+    @pytest.mark.parametrize("strategy, w0", [(FULLY_FLEXIBLE, None), (SEMI_FLEXIBLE, 0.5)])
+    def test_zone_cost_terms_reads_both_directions(self, strategy: str, w0) -> None:
+        grid = make_grid(BASE, 2, 2)
+        zd = ZoneDesign(z=ZoneIndex(2, 1), H_p=0.07, H_d=2 * BASE.H_t, gamma=2)
+        D = line_haul_distance(grid, zd.z)
+        out = scalar_books(BASE, grid, D, zd.H_p, "outbound", strategy, w0, 8, 1)
+        inb = scalar_books(BASE, grid, D, zd.H_d, "inbound", strategy, w0, 8, 2)
+        terms = zone_cost_terms(BASE, grid, zd, strategy, 8, TABLE1_MODEL, w0)
+        want = {
+            "C_W": out["wait"],
+            "C_Tp": out["tour"],
+            "C_Td": inb["tour"],
+            "C_Lp": out["line_haul"],
+            "C_Ld": inb["line_haul"],
+            "C_Rp": out["transfer"],
+            "C_Rd": inb["transfer"],
+            "C_vk": out["dist"] + inb["dist"],
+            "C_vh": out["time"] + inb["time"],
+        }
+        for field in ZoneCostTerms.FIELDS:
+            assert getattr(terms, field) == pytest.approx(want[field], rel=1e-12, abs=0), field
+
+    def test_rejects_missing_swath_and_unknown_strategy(self) -> None:
+        grid = make_grid(BASE, 1, 1)
+        with pytest.raises(ValueError, match="swath width"):
+            zone_books(BASE, grid, 0.0, 0.1, "outbound", SEMI_FLEXIBLE, w0=None)
+        with pytest.raises(ValueError, match="unknown strategy"):
+            zone_books(BASE, grid, 0.0, 0.1, "outbound", "fixed_route", TABLE1_MODEL)

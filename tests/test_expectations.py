@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from drcflex import TABLE1_MODEL, KStarModel
 from drcflex.expectations import (
@@ -82,6 +83,34 @@ class TestWeibullPower:
         assert kernel == pytest.approx(ref, rel=0.02)
 
 
+def poisson_sum(mean: float, f) -> float:
+    """E[f(Q)] as a pmf sum truncated far beyond the mean, for Q ~ Poisson(mean)."""
+    q = np.arange(int(mean + 40.0 * math.sqrt(mean + 1.0) + 60.0))
+    return float(np.sum(poisson.pmf(q, mean) * f(q)))
+
+
+class TestWaitKernelBand:
+    """The wait kernel is a difference of two moments, so it is less accurate
+    than either: -2.16% at mean 2.0, -1.99% at 2.11, -1.85% at 2.2."""
+
+    @pytest.mark.parametrize("mean", [2.2, 2.5, 3.0, 10 / 3, 4.0, 6.0, 8.0, 12.0, 20.0])
+    def test_within_two_percent_from_mean_2_2(self, mean: float) -> None:
+        base = weibull_f(TABLE1_MODEL, TOUR_LENGTH_OFFSET)
+        exact = poisson_sum(mean, lambda q: q * base(q))
+        got = expected_ff_wait_kernel(OccupancyLaw(mean), TABLE1_MODEL)
+        assert got == pytest.approx(exact, rel=0.02)
+
+    def test_at_mean_2_only_the_difference_leaves_the_band(self) -> None:
+        law = OccupancyLaw(2.0)
+        for offset in (TOUR_LENGTH_OFFSET, RIDER_WEIGHTED_OFFSET):
+            exact = poisson_sum(2.0, weibull_f(TABLE1_MODEL, offset))
+            assert expected_weibull_power(law, TABLE1_MODEL, offset) == pytest.approx(exact, rel=0.02)
+        base = weibull_f(TABLE1_MODEL, TOUR_LENGTH_OFFSET)
+        exact = poisson_sum(2.0, lambda q: q * base(q))
+        error = expected_ff_wait_kernel(law, TABLE1_MODEL) / exact - 1.0
+        assert -0.022 < error < -0.02
+
+
 class TestWeibullTourLaw:
     def test_deterministic_length_hand_value(self) -> None:
         # (0.1102 + 1.4569) * 4**(-0.1472 + 0.5) * exp(-2.5508 * 4**-2.6396)
@@ -100,6 +129,23 @@ class TestWeibullTourLaw:
             OccupancyLaw(mu), TABLE1_MODEL, TOUR_LENGTH_OFFSET
         )
         assert law.mean_tour_units(mu, S) == pytest.approx(expected, abs=1e-15)
+
+
+class TestTourUnits:
+    @pytest.mark.parametrize("law", [WeibullTourLaw(TABLE1_MODEL), YANG_TOUR_LAW])
+    def test_pairs_the_two_expectations(self, law) -> None:
+        for mu, S in ((0.4, 1.0), (10 / 3, 1.5), (9.0, 3.0)):
+            mean, rider = law.tour_units(mu, S)
+            assert mean == law.mean_tour_units(mu, S)
+            assert rider == law.rider_tour_units(mu, S)
+
+    @pytest.mark.parametrize("law", [WeibullTourLaw(TABLE1_MODEL), YANG_TOUR_LAW])
+    def test_takes_arrays(self, law) -> None:
+        mu = np.array([0.4, 10 / 3, 9.0])
+        mean, rider = law.tour_units(mu, 2.0)
+        for i, m in enumerate(mu):
+            assert mean[i] == pytest.approx(law.mean_tour_units(float(m), 2.0), rel=1e-14)
+            assert rider[i] == pytest.approx(law.rider_tour_units(float(m), 2.0), rel=1e-14)
 
 
 class TestPolynomialTourLaw:

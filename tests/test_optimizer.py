@@ -20,7 +20,8 @@ from drcflex import (
     search_design,
     total_generalized_cost,
 )
-from drcflex.costs import LowOccupancyWarning, ZoneDesign
+from drcflex.costs import LowOccupancyWarning, ZoneDesign, zone_books
+from drcflex.params import line_haul_distance
 from drcflex.optimizer import (
     METRIC_LABELS,
     headway_cap_from_capacity,
@@ -46,19 +47,21 @@ class TestHeadwayCap:
 
 class TestZoneHeadway:
     def test_beats_dense_grid(self, table2: ScenarioParams) -> None:
-        from drcflex.optimizer import _outbound_zone_cost
-
-        grid = make_grid(table2, 2, 2)
-        z = ZoneIndex(2, 2)
-        H, cost = optimize_zone_headway(table2, grid, z, 8, FULLY_FLEXIBLE, TABLE1_MODEL)
-        lo = table2.H_min
-        hi = min(table2.H_max, headway_cap_from_capacity(table2.lambda_p, grid.l, grid.w, 8))
-        assert lo - 1e-12 <= H <= hi + 1e-12
-        dense = [
-            _outbound_zone_cost(table2, grid, z, 8, FULLY_FLEXIBLE, TABLE1_MODEL, None, float(Hg))
-            for Hg in np.linspace(lo, hi, 2000)
-        ]
-        assert cost <= min(dense) + 1e-9
+        # (strategy, grid M x N, K, w0, zone): the zone farthest from the
+        # terminal in each base optimum's grid
+        cases = [(FULLY_FLEXIBLE, 2, 2, 8, None, (2, 2)), (SEMI_FLEXIBLE, 1, 4, 9, 0.5, (1, 4))]
+        for strategy, M, N, K, w0, zone in cases:
+            grid = make_grid(table2, M, N)
+            z = ZoneIndex(*zone)
+            H, cost = optimize_zone_headway(table2, grid, z, K, strategy, TABLE1_MODEL, w0_opt=w0)
+            lo = table2.H_min
+            hi = min(table2.H_max, headway_cap_from_capacity(table2.lambda_p, grid.l, grid.w, K))
+            assert lo - 1e-12 <= H <= hi + 1e-12
+            D = line_haul_distance(grid, z)
+            dense = zone_books(
+                table2, grid, D, np.linspace(lo, hi, 2000), "outbound", strategy, TABLE1_MODEL, w0, K
+            ).total
+            assert cost <= dense.min() + 1e-9
 
     def test_capacity_makes_zone_infeasible(self, table2: ScenarioParams) -> None:
         grid = make_grid(table2, 2, 2)
