@@ -34,7 +34,7 @@ import numpy as np
 
 from .expectations import TourLengthLaw, as_tour_law
 from .params import ScenarioParams, ZoneGrid, ZoneIndex, line_haul_distance
-from .tourlength import KStarModel, feasible_swath_widths
+from .tourlength import TABLE1_MODEL, KStarModel, feasible_swath_widths
 
 FULLY_FLEXIBLE = "fully_flexible"
 SEMI_FLEXIBLE = "semi_flexible"
@@ -202,8 +202,7 @@ class ZoneBooks(NamedTuple):
     """One zone-direction's hourly books, each a float or an array over H.
 
     ``wait`` is C_W outbound and 0 inbound; ``dist`` and ``time`` are this
-    direction's shares of the agency books C_vk and C_vh.  Without a strategy
-    the kernel fills only the strategy-free books and leaves the rest None.
+    direction's shares of the agency books C_vk and C_vh.
     """
 
     wait: Any
@@ -225,7 +224,7 @@ def zone_books(
     D: float,
     H,
     direction: Direction,
-    strategy: str | None,
+    strategy: str,
     model: KStarModel | TourLengthLaw | None = None,
     w0: float | None = None,
     K: int = 1,
@@ -237,7 +236,8 @@ def zone_books(
     book at many headways in one call (``gamma``, the inbound sync multiple,
     broadcasts with it).  Scalars are computed as Python floats with libm;
     arrays, 0-d ones included, with numpy ufuncs, which may differ from libm
-    by an ulp.  ``K`` matters only to the agency books.
+    by an ulp.  ``model`` is needed only for fully flexible routing and
+    ``w0`` only for semi-flexible; ``K`` matters only to the agency books.
     """
     if not isinstance(H, np.ndarray):
         H = float(H)
@@ -255,8 +255,6 @@ def zone_books(
         per_patron = params.t_tf + (gamma - 1) * H / (2.0 * gamma)
         queue = params.tau_b
     transfer = mu / H * per_patron + queue / (2.0 * H) * q2
-    if strategy is None:
-        return ZoneBooks(None, None, line_haul, transfer, None, None)
     if strategy == FULLY_FLEXIBLE:
         s = math.sqrt(area)
         tour_units, rider_units = as_tour_law(model).tour_units(mu, grid.S)
@@ -283,7 +281,7 @@ def _books(
     grid: ZoneGrid,
     zd: ZoneDesign,
     direction: Direction,
-    strategy: str | None = None,
+    strategy: str,
     model: KStarModel | TourLengthLaw | None = None,
     w0: float | None = None,
     K: int = 1,
@@ -292,7 +290,9 @@ def _books(
     return zone_books(params, grid, D, zd.headway(direction), direction, strategy, model, w0, K, zd.gamma)
 
 
-# The per-book functions below are views of the kernel.
+# The per-book functions below are views of the kernel.  Line-haul and
+# transfer books depend on neither the strategy nor the tour law, so their
+# views read any one strategy's books.
 
 
 def ff_wait_cost_zone(
@@ -317,14 +317,14 @@ def line_haul_cost_zone(
     params: ScenarioParams, grid: ZoneGrid, zd: ZoneDesign, direction: Direction
 ) -> float:
     """Riding between the zone and the terminal: D/v per patron."""
-    return _books(params, grid, zd, direction).line_haul
+    return _books(params, grid, zd, direction, FULLY_FLEXIBLE, TABLE1_MODEL).line_haul
 
 
 def transfer_cost_zone(
     params: ScenarioParams, grid: ZoneGrid, zd: ZoneDesign, direction: Direction
 ) -> float:
     """Terminal transfer: walk, trunk-sync wait, and the boarding queue."""
-    return _books(params, grid, zd, direction).transfer
+    return _books(params, grid, zd, direction, FULLY_FLEXIBLE, TABLE1_MODEL).transfer
 
 
 def ff_agency_cost_direction(

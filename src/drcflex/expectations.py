@@ -151,14 +151,14 @@ class WeibullTourLaw:
         return self.model.beta1 * S + self.model.beta2
 
     def mean_tour_units(self, mu: float, S: float) -> float:
-        return self._size_factor(S) * expected_weibull_power(
-            OccupancyLaw(mu), self.model, TOUR_LENGTH_OFFSET
-        )
+        return self.tour_units(mu, S)[0]
 
     def rider_tour_units(self, mu: float, S: float) -> float:
-        return self._size_factor(S) * expected_ff_wait_kernel(OccupancyLaw(mu), self.model)
+        return self.tour_units(mu, S)[1]
 
     def tour_units(self, mu, S: float) -> tuple:
+        # expected_weibull_power and expected_ff_wait_kernel scaled by the
+        # size factor, sharing one growth factor
         m = self.model
         growth = _exp(m.beta4 * _pow(mu + 1.0, m.beta5))
         tour = _second_order(mu, m.beta3 + TOUR_LENGTH_OFFSET, m.beta4, m.beta5, growth)

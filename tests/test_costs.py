@@ -479,3 +479,7 @@ class TestKernel:
             zone_books(BASE, grid, 0.0, 0.1, "outbound", SEMI_FLEXIBLE, w0=None)
         with pytest.raises(ValueError, match="unknown strategy"):
             zone_books(BASE, grid, 0.0, 0.1, "outbound", "fixed_route", TABLE1_MODEL)
+        zd = ZoneDesign(ZoneIndex(1, 1), 0.1, BASE.H_t, 1)
+        for strategy in ("fixed_route", None):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                zone_cost_terms(BASE, grid, zd, strategy, 9, TABLE1_MODEL)

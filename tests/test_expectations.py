@@ -132,12 +132,15 @@ class TestWeibullTourLaw:
 
 
 class TestTourUnits:
-    @pytest.mark.parametrize("law", [WeibullTourLaw(TABLE1_MODEL), YANG_TOUR_LAW])
-    def test_pairs_the_two_expectations(self, law) -> None:
+    def test_weibull_scales_the_two_references(self) -> None:
+        law = WeibullTourLaw(TABLE1_MODEL)
         for mu, S in ((0.4, 1.0), (10 / 3, 1.5), (9.0, 3.0)):
+            size = TABLE1_MODEL.beta1 * S + TABLE1_MODEL.beta2
             mean, rider = law.tour_units(mu, S)
-            assert mean == law.mean_tour_units(mu, S)
-            assert rider == law.rider_tour_units(mu, S)
+            assert mean == size * expected_weibull_power(
+                OccupancyLaw(mu), TABLE1_MODEL, TOUR_LENGTH_OFFSET
+            )
+            assert rider == size * expected_ff_wait_kernel(OccupancyLaw(mu), TABLE1_MODEL)
 
     @pytest.mark.parametrize("law", [WeibullTourLaw(TABLE1_MODEL), YANG_TOUR_LAW])
     def test_takes_arrays(self, law) -> None:
