@@ -195,22 +195,22 @@ def _heuristic_closed_tour(dist: np.ndarray) -> tuple[float, list[int]]:
 
 def _closed_tour_through_depot(
     points: np.ndarray, depot: np.ndarray
-) -> tuple[float, np.ndarray, bool]:
-    """Tour length, pickup positions along the tour, and a heuristic flag.
+) -> tuple[float, np.ndarray, np.ndarray, bool]:
+    """Tour length, pickup positions along the tour, visit order, and a heuristic flag.
 
     ``points`` are the batch's local coordinates; the tour is the exact
     shortest cycle through the dispatch point and every stop.  Returns the
     cumulative distance from the dispatch point to each stop in visiting
-    order as (position, input index) rows.
+    order, and the input index of each of those stops.
     """
     q = len(points)
     if q == 0:
-        return 0.0, np.empty((0, 2)), False
+        return 0.0, np.empty(0), np.empty(0, dtype=int), False
     nodes = np.vstack([depot, points])
     heuristic = False
     if q == 1:
         d = abs(points[0, 0] - depot[0]) + abs(points[0, 1] - depot[1])
-        return 2.0 * d, np.array([[d, 0.0]]), False
+        return 2.0 * d, np.array([d]), np.zeros(1, dtype=int), False
     if q + 1 <= MAX_EXACT_POINTS:
         ps = PointSet(nodes)
         length, order = exact_tour(ps, "closed_cycle")
@@ -219,14 +219,10 @@ def _closed_tour_through_depot(
         length, order = _heuristic_closed_tour(diff)
         heuristic = True
     # cumulative distance from the dispatch point to each visited stop
-    pos = 0.0
-    out = np.empty((q, 2))
-    for i in range(1, len(order)):
-        a, b = nodes[order[i - 1]], nodes[order[i]]
-        pos += abs(a[0] - b[0]) + abs(a[1] - b[1])
-        out[i - 1, 0] = pos
-        out[i - 1, 1] = order[i] - 1  # input index of the point
-    return float(length), out, heuristic
+    path = nodes.take(order, axis=0)
+    steps = np.abs(path[1:] - path[:-1])
+    positions = np.add.accumulate(steps[:, 0] + steps[:, 1])
+    return float(length), positions, np.subtract(order[1:], 1), heuristic
 
 
 def _ff_zone_direction(
@@ -263,7 +259,7 @@ def _ff_zone_direction(
         if q > K:
             tally.overcapacity_events += 1
         depot = rng.random(2) * zone_scale
-        length, visits, heuristic = _closed_tour_through_depot(xy[sel], depot)
+        length, positions, visited, heuristic = _closed_tour_through_depot(xy[sel], depot)
         if heuristic:
             tally.heuristic_dispatches += 1
         tally.tours.append(length)
@@ -274,11 +270,9 @@ def _ff_zone_direction(
         tally.served += q
         dispatch_time = (j + 1) * H_sched
         t_batch = t[sel]
-        positions = visits[:, 0]  # distance along the tour, visiting order
-        input_idx = visits[:, 1].astype(int)
         ranks = np.arange(1, q + 1, dtype=float)  # visit order 1..q
         if direction == "outbound":
-            waits = (dispatch_time - t_batch[input_idx]) + positions / v + (ranks - 0.5) * tau
+            waits = (dispatch_time - t_batch[visited]) + positions / v + (ranks - 0.5) * tau
             inveh = (length - positions) / v + (q - ranks + 0.5) * tau + D / v
             tally.wait_h += float(waits.sum())
             tally.invehicle_h += float(inveh.sum())

@@ -1,10 +1,11 @@
 """Exact shortest-tour solvers under the Manhattan metric.
 
-Two entry points cover every consumer in the package: a scalar Held-Karp
-dynamic program that also reports the visit order (used by the simulator for
-per-patron timing), and a batched length-only variant used by the tour-length
-calibration, which solves hundreds of instances per Python-level loop pass.
-A permutation brute force provides the independent cross-check for tests.
+One Held-Karp core steps through subset sizes k = 2..q-1 (the level order of
+Held & Karp, 1962), each step a few numpy calls over every (subset, last
+node) pair of that size, batched over B instances.  The tour-length
+calibration uses it through ``closed_tour_lengths_batch`` (lengths only);
+the simulator through ``exact_tour`` (B = 1, with the visit order read from
+argmin parents).  A permutation brute force is the independent cross-check.
 
 Open tours with free endpoints are reduced to closed tours through a virtual
 depot at zero distance from every point, so one DP core serves both modes.
@@ -12,6 +13,7 @@ depot at zero distance from every point, so one DP core serves both modes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,6 +27,10 @@ MAX_EXACT_POINTS = 20  # 2^(q-1) DP states; beyond this the DP is impractical
 MAX_BRUTE_POINTS = 9
 
 _MODES = ("closed_cycle", "open_path")
+
+# Bytes of candidate values one layer step holds at a time: larger layers are
+# solved in cache-sized pieces, which also caps the temporaries' memory.
+_CHUNK_BYTES = 1 << 19
 
 
 class TourSizeError(ValueError):
@@ -57,73 +63,90 @@ class PointSet:
         return len(self.points)
 
 
-def manhattan_matrix(points: Sequence[tuple[float, float]]) -> list[list[float]]:
-    """Pairwise rectilinear distances as a plain nested list."""
-    return [[abs(ax - bx) + abs(ay - by) for bx, by in points] for ax, ay in points]
-
-
 def _check_mode(mode: str) -> None:
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
-def _held_karp_closed(dist: list[list[float]]) -> tuple[float, list[int]]:
-    """Exact closed tour via bitmask DP; returns (length, visit order from node 0)."""
-    q = len(dist)
-    if q == 2:
-        return 2.0 * dist[0][1], [0, 1]
-    n = q - 1  # free nodes 1..q-1; node 0 is the fixed start
-    full = 1 << n
-    INF = math.inf
-    dp = [[INF] * n for _ in range(full)]
-    parent = [[-1] * n for _ in range(full)]
-    d0 = dist[0]
-    for j in range(n):
-        dp[1 << j][j] = d0[j + 1]
-    for mask in range(1, full):
-        if mask & (mask - 1) == 0:
-            continue
-        row = dp[mask]
-        par = parent[mask]
-        rem = mask
-        while rem:
-            jb = rem & -rem
-            j = jb.bit_length() - 1
-            rem ^= jb
-            prev = dp[mask ^ jb]
-            dj = dist[j + 1]
-            best = INF
-            arg = -1
-            sub = mask ^ jb
-            while sub:
-                ib = sub & -sub
-                i = ib.bit_length() - 1
-                sub ^= ib
-                cand = prev[i] + dj[i + 1]
-                if cand < best:
-                    best = cand
-                    arg = i
-            row[j] = best
-            par[j] = arg
-    best = INF
-    arg = -1
-    last_row = dp[full - 1]
-    for j in range(n):
-        cand = last_row[j] + dist[j + 1][0]
-        if cand < best:
-            best = cand
-            arg = j
+@functools.cache
+def _layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Index tables of the subset sizes k = 2..n over the free nodes 1..n.
+
+    Subsets of each size are taken in increasing bitmask order, and a size's
+    pairs (subset S, last node j) run over the members j of S in increasing
+    order, so pair p of the r-th subset has index r*k + p.  Per size: the
+    (P, k-1) int16 rows i*q + j of d(i, j) for the candidates i in S - j, the
+    (P,) int16 last nodes j, and the (P,) int32 ranks of S - j one size down.
+    Built on first use and kept: n(n-1)2^(n-2) candidates, 120 MB of tables
+    at n = 19.
+    """
+    q = n + 1
+    masks = np.arange(1 << n)
+    size = sum((masks >> b) & 1 for b in range(n))
+    by_size = np.argsort(size, kind="stable")  # sizes ascending, masks ascending within
+    starts = np.concatenate(([0], np.cumsum(np.bincount(size, minlength=n + 1))))
+    rank = np.empty(1 << n, dtype=np.int32)
+    rank[by_size] = np.arange(1 << n) - starts[size[by_size]]
+    below = np.arange(1, q, dtype=np.int16)[:, None]  # the members of the size-1 subsets
+    layers = []
+    for k in range(2, n + 1):
+        subsets = by_size[starts[k]:starts[k + 1]]
+        members = np.nonzero((subsets[:, None] >> np.arange(n)) & 1)[1].reshape(-1, k)
+        prev = rank[subsets[:, None] ^ (1 << members)].ravel()
+        last = (members.ravel() + 1).astype(np.int16)
+        layer = (below[prev] * q + last[:, None], last, prev)
+        for table in layer:
+            table.flags.writeable = False
+        layers.append(layer)
+        below = last.reshape(-1, k)
+    return tuple(layers)
+
+
+def _held_karp(dist: np.ndarray, visit_order: bool = False) -> tuple[np.ndarray, list[int] | None]:
+    """Shortest closed tours from node 0 over a (q, q, B) distance array, q >= 2.
+
+    Returns the B tour lengths and, with ``visit_order`` (B = 1 only), the
+    visit order from node 0, read back from int8 argmin parents.  Each
+    candidate is ``dp[S - j, i] + d(i, j)`` over i in S - j, and ties go to
+    the smallest i.
+    """
+    q, B = dist.shape[0], dist.shape[2]
+    d = dist.reshape(q * q, B)  # row i*q + j holds d(i, j) of every instance
+    dp = d[1:q]  # size 1: the leg from node 0 to each free node
+    layers = _layers(q - 1)
+    parents = []
+    for edges, _, prev in layers:
+        pairs, width = edges.shape
+        dp_below = dp.reshape(len(dp) // width, width, B)
+        dp = np.empty((pairs, B), dtype=d.dtype)
+        par = np.empty(pairs, dtype=np.int8)
+        step = max(1, _CHUNK_BYTES // (width * max(B, 1) * d.itemsize))
+        for lo in range(0, pairs, step):
+            hi = lo + step
+            cand = dp_below[prev[lo:hi]]
+            cand += d[edges[lo:hi]]
+            if visit_order:
+                # One instance: an argmin along each pair's contiguous
+                # candidates is several times faster than a min reduction.
+                best = cand.reshape(-1, width).argmin(axis=1)
+                par[lo:hi] = best
+                best += np.arange(0, best.size * width, width)
+                cand.take(best, out=dp[lo:hi, 0])
+            else:
+                cand.min(axis=1, out=dp[lo:hi])
+        parents.append(par)
+    finish = dp + d[q::q]  # close the tour: d(j, 0)
+    if not visit_order:
+        return finish.min(axis=0), None
+    pair = int(finish.argmin())
+    length = finish[pair]
     order = []
-    mask = full - 1
-    j = arg
-    while j >= 0:
-        order.append(j + 1)
-        nj = parent[mask][j]
-        mask ^= 1 << j
-        j = nj
-    order.append(0)
+    for (edges, last, prev), par in zip(layers[::-1], parents[::-1]):
+        order.append(int(last[pair]))
+        pair = int(prev[pair]) * edges.shape[1] + int(par[pair])
+    order += [pair + 1, 0]
     order.reverse()
-    return best, order
+    return length, order
 
 
 def exact_tour(ps: PointSet, mode: TourMode = "closed_cycle") -> tuple[float, list[int]]:
@@ -133,19 +156,16 @@ def exact_tour(ps: PointSet, mode: TourMode = "closed_cycle") -> tuple[float, li
     ``open_path`` leaves both endpoints free.
     """
     _check_mode(mode)
-    pts = ps.points
-    if mode == "closed_cycle":
-        return _held_karp_closed(manhattan_matrix(pts))
-    # Free-endpoint path == closed tour through a virtual depot at distance 0
-    # from everything; drop the depot from the resulting cycle.
-    dist = manhattan_matrix(pts)
-    aug = [[0.0] * (len(pts) + 1)]
-    for row in dist:
-        aug.append([0.0] + row)
-    length, cycle = _held_karp_closed(aug)
-    at = cycle.index(0)
-    path = [v - 1 for v in cycle[at + 1:] + cycle[:at]]
-    return length, path
+    pts = np.array(ps.points)
+    dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    if mode == "open_path":
+        # Free-endpoint path == closed tour through a virtual depot (node 0)
+        # at distance 0 from everything; the depot is dropped from the cycle.
+        dist = np.pad(dist, ((1, 0), (1, 0)))
+    length, order = _held_karp(dist[:, :, None], visit_order=True)
+    if mode == "open_path":
+        order = [v - 1 for v in order[1:]]
+    return float(length[0]), order
 
 
 def exact_tour_length(ps: PointSet, mode: TourMode = "closed_cycle") -> float:
@@ -176,16 +196,16 @@ def brute_force_tour_length(ps: PointSet, mode: TourMode = "closed_cycle") -> fl
 def closed_tour_lengths_batch(points: np.ndarray, dtype=np.float64) -> np.ndarray:
     """Exact closed-tour lengths for a batch of same-size instances.
 
-    ``points`` has shape (B, q, 2); returns (B,) lengths.  The DP state table
-    is shared across the batch so the per-mask Python overhead is amortized,
-    which is what makes the calibration's half-million tours affordable.
-    ``dtype`` controls the DP table precision; float32 halves the table
-    (B * 2^(q-1) * (q-1) entries) at a ~1e-6 relative accuracy cost.
+    ``points`` has shape (B, q, 2); returns (B,) lengths.  Each layer step of
+    the DP runs over the whole batch at once, which is what makes the
+    calibration's half-million tours affordable.  ``dtype`` sets the DP
+    precision; float32 halves the DP's memory at a ~1e-6 relative accuracy
+    cost.
     """
     points = np.asarray(points, dtype=dtype)
     if points.ndim != 3 or points.shape[2] != 2:
         raise ValueError("expected points of shape (B, q, 2)")
-    B, q = points.shape[0], points.shape[1]
+    q = points.shape[1]
     if q < 2:
         raise ValueError("need at least 2 points per instance")
     if q > MAX_EXACT_POINTS:
@@ -195,22 +215,4 @@ def closed_tour_lengths_batch(points: np.ndarray, dtype=np.float64) -> np.ndarra
         return 2.0 * dist[:, 0, 1]
     if q == 3:
         return dist[:, 0, 1] + dist[:, 1, 2] + dist[:, 2, 0]
-    n = q - 1
-    full = 1 << n
-    dp = np.full((B, full, n), np.inf, dtype=dtype)
-    for j in range(n):
-        dp[:, 1 << j, j] = dist[:, 0, j + 1]
-    to_j = dist[:, 1:, :]  # to_j[:, i, j+1] = d(i+1, j+1)
-    for mask in range(1, full):
-        if mask & (mask - 1) == 0:
-            continue
-        dpm = dp[:, mask]
-        rem = mask
-        while rem:
-            jb = rem & -rem
-            j = jb.bit_length() - 1
-            rem ^= jb
-            cand = dp[:, mask ^ jb] + to_j[:, :, j + 1]
-            dpm[:, j] = cand.min(axis=1)
-    finish = dp[:, full - 1] + dist[:, 1:, 0]
-    return finish.min(axis=1)
+    return _held_karp(dist.transpose(1, 2, 0))[0]

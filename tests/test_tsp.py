@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drcflex import tsp
 from drcflex.tsp import (
     MAX_BRUTE_POINTS,
     MAX_EXACT_POINTS,
@@ -64,6 +65,54 @@ class TestFixedInstances:
             for a, b in zip(order, order[1:])
         )
         assert walked == pytest.approx(length)
+
+
+def walked_length(ps: PointSet, order: list[int], closed: bool) -> float:
+    """Manhattan length along ``order``, summed leg by leg from its start."""
+    pts = ps.points
+    legs = list(zip(order, order[1:] + order[:1] if closed else order[1:]))
+    total = 0.0
+    for a, b in legs:
+        total += abs(pts[a][0] - pts[b][0]) + abs(pts[a][1] - pts[b][1])
+    return total
+
+
+class TestVisitOrders:
+    @pytest.mark.parametrize("mode", ["closed_cycle", "open_path"])
+    def test_orders_are_tours_of_the_reported_length(self, mode: str) -> None:
+        # The DP adds the legs in visiting order from the start, so walking
+        # the order reproduces the reported length bit for bit.
+        rng = np.random.default_rng(21)
+        for q in range(2, 15):
+            for _ in range(3 if q < 12 else 1):
+                ps = random_points(rng, q)
+                length, order = exact_tour(ps, mode)
+                assert sorted(order) == list(range(q))
+                if mode == "closed_cycle":
+                    assert order[0] == 0
+                assert walked_length(ps, order, mode == "closed_cycle") == length, f"q={q}"
+
+    # Lengths and orders of three fixed instances, as the pure-Python
+    # bitmask Held-Karp solver reported them before the layered core
+    # replaced it.
+    PINNED = {
+        5: (6.057364757227699, [0, 2, 4, 3, 1], 4.459897732146439, [2, 4, 3, 1, 0]),
+        10: (
+            8.861616528660742, [0, 9, 8, 2, 1, 7, 3, 5, 6, 4],
+            7.029204643757746, [8, 9, 0, 4, 6, 5, 3, 7, 2, 1],
+        ),
+        14: (
+            8.925369718639518, [0, 6, 13, 7, 2, 9, 5, 11, 10, 12, 3, 1, 8, 4],
+            7.318940413696589, [8, 1, 3, 12, 10, 11, 5, 4, 0, 6, 9, 2, 7, 13],
+        ),
+    }
+
+    @pytest.mark.parametrize("q", sorted(PINNED))
+    def test_pinned_instances(self, q: int) -> None:
+        ps = PointSet(np.random.default_rng(1000 + q).random((q, 2)) * 2.0)
+        closed_len, closed_order, open_len, open_order = self.PINNED[q]
+        assert exact_tour(ps, "closed_cycle") == (closed_len, closed_order)
+        assert exact_tour(ps, "open_path") == (open_len, open_order)
 
 
 class TestAgainstBruteForce:
@@ -134,13 +183,35 @@ class TestInvariances:
 
 
 class TestBatchSolver:
-    def test_matches_scalar_solver(self) -> None:
+    @pytest.mark.parametrize(
+        "dtype, tol", [(np.float64, 1e-9), (np.float32, 1e-5)], ids=["float64", "float32"]
+    )
+    def test_matches_brute_force(self, dtype, tol: float) -> None:
         rng = np.random.default_rng(77)
-        for q in (2, 3, 5, 8, 11):
-            pts = rng.random((40, q, 2)) * 3.0
+        for q in (2, 3, 4, 6, 9):
+            pts = rng.random((20, q, 2)) * 3.0
+            batch = closed_tour_lengths_batch(pts, dtype=dtype)
+            brute = [brute_force_tour_length(PointSet(p)) for p in pts]
+            np.testing.assert_allclose(batch, brute, rtol=tol, atol=tol)
+
+    def test_rows_equal_single_tours_bit_for_bit(self) -> None:
+        # q = 3 is left out: its closed form adds the three legs in one
+        # direction, where the DP may pick the other direction's sum.
+        rng = np.random.default_rng(78)
+        for q in (2, 4, 7, 10, 12):
+            pts = rng.random((20, q, 2)) * 2.0
             batch = closed_tour_lengths_batch(pts)
-            scalar = [exact_tour_length(PointSet(p)) for p in pts]
-            np.testing.assert_allclose(batch, scalar, atol=1e-9)
+            single = [exact_tour_length(PointSet(p)) for p in pts]
+            assert batch.tolist() == single, f"q={q}"
+
+    def test_layer_pieces_do_not_change_results(self, monkeypatch) -> None:
+        rng = np.random.default_rng(79)
+        pts = rng.random((9, 11, 2))
+        whole = closed_tour_lengths_batch(pts)
+        tours = [exact_tour(PointSet(p), mode) for p in pts[:3] for mode in ("closed_cycle", "open_path")]
+        monkeypatch.setattr(tsp, "_CHUNK_BYTES", 64)
+        assert closed_tour_lengths_batch(pts).tolist() == whole.tolist()
+        assert [exact_tour(PointSet(p), mode) for p in pts[:3] for mode in ("closed_cycle", "open_path")] == tours
 
     def test_float32_dp_is_close(self) -> None:
         rng = np.random.default_rng(8)
@@ -156,6 +227,7 @@ class TestBatchSolver:
             closed_tour_lengths_batch(np.zeros((4, 1, 2)))
         with pytest.raises(TourSizeError):
             closed_tour_lengths_batch(np.zeros((1, MAX_EXACT_POINTS + 1, 2)))
+        assert closed_tour_lengths_batch(np.zeros((0, 6, 2))).shape == (0,)
 
 
 class TestSizeLimits:
