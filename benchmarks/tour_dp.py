@@ -41,6 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SINGLE_Q = (9, 12, 14, 16)
 BATCH_Q = (10, 12)
 BATCH_SIZE = 250
+SEED = 0
 
 
 def cpu_model() -> str:
@@ -118,7 +119,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", required=True, help="entry name, e.g. parent or change")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree holding drcflex/")
     parser.add_argument("--repeats", type=int, default=7)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--single", default=",".join(map(str, SINGLE_Q)),
                         help="comma-separated q values for the one-tour timings")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_layers.json")
@@ -133,14 +133,14 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(src))
     from drcflex import tsp
 
-    results = measure(tsp, args.repeats, single_q, args.seed)
+    results = measure(tsp, args.repeats, single_q, SEED)
     entry = {
         "label": args.label,
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "git_commit": git_commit(src),
         "source_sha256": source_digest(src),
         "repeats": args.repeats,
-        "seed": args.seed,
+        "seed": SEED,
         "machine": {
             "nproc": os.cpu_count(),
             "cpu_affinity": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
