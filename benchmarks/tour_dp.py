@@ -5,8 +5,8 @@ points, and ``closed_tour_lengths_batch`` on B = 250 float32 tours at
 q = 10 and 12.  Each figure is the median of ``--repeats`` timed calls on
 fresh seeded instances, after one untimed call that builds any lazy tables
 (its time is kept as ``first_ms``).  The entry, with the machine facts, is
-written into ``BENCH_layers.json`` under ``--label``, replacing an entry of
-the same label.
+written into ``BENCH_layers.json`` as layer ``tour_dp`` under ``--label``,
+replacing an entry of the same layer and label.
 
 Run it from the repository root::
 
@@ -72,6 +72,28 @@ def source_digest(src: Path) -> str:
     return digest.hexdigest()
 
 
+def machine() -> dict:
+    return {
+        "nproc": os.cpu_count(),
+        "cpu_affinity": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+        "cpu_model": cpu_model(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "loadavg": list(os.getloadavg()) if hasattr(os, "getloadavg") else None,
+    }
+
+
+def write_entry(out: Path, entry: dict) -> None:
+    """Put ``entry`` into the layer-benchmark file, replacing its layer and label."""
+    doc = {"benchmark": "layer benchmarks: tour DP, simulator", "entries": []}
+    if out.exists():
+        doc = json.loads(out.read_text())
+    key = (entry["layer"], entry["label"])
+    doc["entries"] = [e for e in doc["entries"] if (e["layer"], e["label"]) != key] + [entry]
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {entry['layer']} entry {entry['label']!r} to {out}")
+
+
 def time_calls(call, make_input, repeats: int) -> tuple[float, float]:
     """(first call, median of the timed calls) in seconds."""
     t0 = time.perf_counter()
@@ -135,28 +157,17 @@ def main(argv: list[str] | None = None) -> int:
 
     results = measure(tsp, args.repeats, single_q, SEED)
     entry = {
+        "layer": "tour_dp",
         "label": args.label,
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "git_commit": git_commit(src),
         "source_sha256": source_digest(src),
         "repeats": args.repeats,
         "seed": SEED,
-        "machine": {
-            "nproc": os.cpu_count(),
-            "cpu_affinity": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
-            "cpu_model": cpu_model(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "loadavg": list(os.getloadavg()) if hasattr(os, "getloadavg") else None,
-        },
+        "machine": machine(),
         **results,
     }
-    doc = {"benchmark": "tour DP, one tour and batched", "entries": []}
-    if args.out.exists():
-        doc = json.loads(args.out.read_text())
-    doc["entries"] = [e for e in doc["entries"] if e["label"] != args.label] + [entry]
-    args.out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote entry {args.label!r} to {args.out}")
+    write_entry(args.out, entry)
     return 0
 
 

@@ -18,10 +18,10 @@ were calibrated on.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,10 +39,18 @@ from .costs import (
 from .expectations import TourLengthLaw, as_tour_law
 from .params import ScenarioParams, ZoneGrid, line_haul_distance
 from .tourlength import KStarModel, feasible_swath_widths
-from .tsp import MAX_EXACT_POINTS, PointSet, exact_tour
+from .tsp import MAX_EXACT_POINTS, closed_tours_batch
+# Bound here only for perfbench/tracer.py, which wraps it by name; the
+# simulator solves its tours with closed_tours_batch.
+from .tsp import exact_tour  # noqa: F401
 
 VALIDATION_SE_TARGET = 0.05  # standard error of mean GC, min/patron
 MAX_VALIDATION_RUNS = 100_000
+# Runs per validation chunk: enough to amortize the batched tour DP over many
+# windows, few enough that a chunk's requests stay a few MB (one 450-run
+# chunk raised peak RSS by 20-25 MB) and few runs past the stopping point are
+# simulated.
+_CHUNK_RUNS = 32
 
 TABLE_ROW_LABELS = (
     "Errors in GC",
@@ -89,46 +97,65 @@ def generate_demand(
 
 
 # ---------------------------------------------------------------------------
-# Per-run accounting
+# Spans and per-span accounting
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Tally:
-    """Raw totals for one zone-direction span (hours, km, counts)."""
+class _Spans(NamedTuple):
+    """Zone-directions to serve over whole headways, run by run, then zone by
+    zone with outbound first.  Requests (local xy, time from the span's start)
+    and per-window staging draws are concatenated in span order.
+    """
 
-    span_h: float = 0.0
-    wait_h: float = 0.0
-    invehicle_h: float = 0.0
-    transfer_h: float = 0.0
-    dist_km: float = 0.0
-    veh_time_h: float = 0.0
-    pickup_loss_h: float = 0.0
-    dropoff_loss_h: float = 0.0
-    tours: list = field(default_factory=list)
-    dispatches: int = 0
-    served: int = 0
-    occupancy_sum: float = 0.0
-    overcapacity_events: int = 0
-    heuristic_dispatches: int = 0
+    zone: np.ndarray  # index into design.zones
+    outbound: np.ndarray
+    H_sched: np.ndarray
+    n_windows: np.ndarray
+    n_points: np.ndarray
+    xy: np.ndarray
+    t: np.ndarray
+    staging: np.ndarray
 
-    def merge(self, other: "_Tally") -> None:
-        for name in (
-            "wait_h",
-            "invehicle_h",
-            "transfer_h",
-            "dist_km",
-            "veh_time_h",
-            "pickup_loss_h",
-            "dropoff_loss_h",
-            "dispatches",
-            "served",
-            "occupancy_sum",
-            "overcapacity_events",
-            "heuristic_dispatches",
-        ):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.tours.extend(other.tours)
+
+def _spans(rows: list[tuple]) -> _Spans:
+    """Pack (zone, outbound, H_sched, n_windows, xy, t, staging) rows."""
+    zone, outbound, H_sched, n_windows, xy, t, staging = zip(*rows)
+    per_span = (zone, outbound, H_sched, n_windows, [len(a) for a in t])
+    return _Spans(*map(np.array, per_span), *map(np.concatenate, (xy, t, staging)))
+
+
+def _staging(design: DesignSolution, rng: np.random.Generator, n_windows: int) -> np.ndarray:
+    """One span's per-window draws, in the order the dispatches use them."""
+    if design.strategy == FULLY_FLEXIBLE:
+        return rng.random((n_windows, 2)) * np.array([design.grid.l, design.grid.w])
+    return rng.random(n_windows) * design.w0
+
+
+class _Tally(NamedTuple):
+    """Raw totals (hours, km, counts) per span, or merged.  ``loss_h`` is the
+    dwell lost at pick-ups (outbound) or drop-offs (inbound).
+    """
+
+    wait_h: np.ndarray
+    invehicle_h: np.ndarray
+    transfer_h: np.ndarray
+    dist_km: np.ndarray
+    veh_time_h: np.ndarray
+    loss_h: np.ndarray
+    tour_km: np.ndarray
+    dispatches: np.ndarray
+    served: np.ndarray
+    overcapacity_events: np.ndarray
+    heuristic_dispatches: np.ndarray
+
+
+_BOOKS = 7  # the float fields of _Tally, summed in window order
+
+
+def _merged(tally: _Tally, spans: np.ndarray) -> _Tally:
+    """The selected spans' totals, added one span at a time (sum() adds pairwise)."""
+    books = (float(np.add.accumulate(f[spans])[-1]) for f in tally[:_BOOKS])
+    return _Tally(*books, *(int(f[spans].sum()) for f in tally[_BOOKS:]))
 
 
 @dataclass(frozen=True)
@@ -162,6 +189,41 @@ def _gc_hours(params: ScenarioParams, K: int, out: _Tally, inb: _Tally) -> float
     return user + params.pi_v(K) / params.theta * dist + params.pi_m(K) / params.theta * veh_time
 
 
+def _serve(
+    params: ScenarioParams, design: DesignSolution, spans: _Spans
+) -> tuple[_Tally, np.ndarray]:
+    """Dispatch every window of every span: per-span totals and per-window tours.
+
+    Each window's books are added to its span's totals in window order, so
+    the totals do not depend on how many spans are served together.
+    """
+    ff = design.strategy == FULLY_FLEXIBLE
+    n_w = spans.n_windows
+    D = np.array([line_haul_distance(design.grid, zd.z) for zd in design.zones])[spans.zone]
+    tau = np.where(spans.outbound, params.tau_p, params.tau_d)
+    tour, q, wait, inveh = (_ff_windows if ff else _sf_windows)(params, design, spans, D, tau)
+    sync = np.array([(zd.gamma - 1) * zd.H_d / (2.0 * zd.gamma) for zd in design.zones])
+    rate = np.where(spans.outbound, params.t_ft + params.H_t / 2.0, params.t_tf + sync[spans.zone])
+    dwell = np.where(spans.outbound, params.tau_a, params.tau_b)
+    qf = q.astype(float)
+    tau_w = np.repeat(tau, n_w)
+    dist = np.repeat(D, n_w) + tour
+    veh = dist / params.v_l + qf * tau_w
+    transfer = qf * np.repeat(rate, n_w) + np.repeat(dwell, n_w) * qf * qf / 2.0
+    loss = tau_w * qf * qf
+    loss[np.repeat(~spans.outbound | (not ff), n_w)] /= 2.0  # FF pick-ups lose the whole dwell
+    first = np.cumsum(n_w) - n_w
+    totals = np.zeros((_BOOKS, len(n_w)))
+    for j in range(int(n_w.max())):  # add each span's j-th window
+        live = np.flatnonzero(n_w > j)
+        for total, book in zip(totals, (wait, inveh, transfer, dist, veh, loss, tour)):
+            total[live] += book[first[live] + j]
+    span_of = np.repeat(np.arange(len(n_w)), n_w)
+    flagged = (q > design.K, ff & (q >= MAX_EXACT_POINTS))  # overcapacity, heuristic tour
+    overcapacity, heuristic = (np.bincount(span_of[f], minlength=len(n_w)) for f in flagged)
+    return _Tally(*totals, n_w, spans.n_points, overcapacity, heuristic), tour
+
+
 # ---------------------------------------------------------------------------
 # Fully-flexible dispatch mechanics
 # ---------------------------------------------------------------------------
@@ -193,51 +255,15 @@ def _heuristic_closed_tour(dist: np.ndarray) -> tuple[float, list[int]]:
     return float(length), order
 
 
-def _closed_tour_through_depot(
-    points: np.ndarray, depot: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, bool]:
-    """Tour length, pickup positions along the tour, visit order, and a heuristic flag.
+def _ff_windows(
+    params: ScenarioParams, design: DesignSolution, spans: _Spans, D: np.ndarray, tau: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Tour and account every fully flexible window of the spans.
 
-    ``points`` are the batch's local coordinates; the tour is the exact
-    shortest cycle through the dispatch point and every stop.  Returns the
-    cumulative distance from the dispatch point to each stop in visiting
-    order, and the input index of each of those stops.
-    """
-    q = len(points)
-    if q == 0:
-        return 0.0, np.empty(0), np.empty(0, dtype=int), False
-    nodes = np.vstack([depot, points])
-    heuristic = False
-    if q == 1:
-        d = abs(points[0, 0] - depot[0]) + abs(points[0, 1] - depot[1])
-        return 2.0 * d, np.array([d]), np.zeros(1, dtype=int), False
-    if q + 1 <= MAX_EXACT_POINTS:
-        ps = PointSet(nodes)
-        length, order = exact_tour(ps, "closed_cycle")
-    else:
-        diff = np.abs(nodes[:, None, :] - nodes[None, :, :]).sum(axis=2)
-        length, order = _heuristic_closed_tour(diff)
-        heuristic = True
-    # cumulative distance from the dispatch point to each visited stop
-    path = nodes.take(order, axis=0)
-    steps = np.abs(path[1:] - path[:-1])
-    positions = np.add.accumulate(steps[:, 0] + steps[:, 1])
-    return float(length), positions, np.subtract(order[1:], 1), heuristic
-
-
-def _ff_zone_direction(
-    params: ScenarioParams,
-    grid: ZoneGrid,
-    zd: ZoneDesign,
-    K: int,
-    direction: Direction,
-    xy: np.ndarray,
-    t: np.ndarray,
-    H_sched: float,
-    n_windows: int,
-    rng: np.random.Generator,
-) -> _Tally:
-    """Batch, tour, and account one zone-direction over n_windows headways.
+    Returns per window: the tour length, the load q, and the summed waits
+    and in-vehicle times of its riders.  Windows are solved grouped by q,
+    one batched exact DP per group, and each group's riders are accounted
+    as one (windows, q) array; q >= 20 falls back to a heuristic per window.
 
     The dispatch point is drawn uniformly in the zone per dispatch (the
     vehicle's staging position when the window closes is unmodeled), which
@@ -245,46 +271,40 @@ def _ff_zone_direction(
     calibrated on: an exact cycle through q + 1 exchangeable points.  An
     anchored dispatch corner would bias realized tours by over 20%.
     """
-    tally = _Tally(span_h=n_windows * H_sched)
-    D = line_haul_distance(grid, zd.z)
-    v = params.v_l
-    tau = params.tau_p if direction == "outbound" else params.tau_d
-    window = np.minimum((t / H_sched).astype(int), n_windows - 1)
-    zone_scale = np.array([grid.l, grid.w])
-    for j in range(n_windows):
-        sel = window == j
-        q = int(sel.sum())
-        tally.dispatches += 1
-        tally.occupancy_sum += q
-        if q > K:
-            tally.overcapacity_events += 1
-        depot = rng.random(2) * zone_scale
-        length, positions, visited, heuristic = _closed_tour_through_depot(xy[sel], depot)
-        if heuristic:
-            tally.heuristic_dispatches += 1
-        tally.tours.append(length)
-        tally.dist_km += D + length
-        tally.veh_time_h += (D + length) / v + q * tau
-        if q == 0:
-            continue
-        tally.served += q
-        dispatch_time = (j + 1) * H_sched
-        t_batch = t[sel]
-        ranks = np.arange(1, q + 1, dtype=float)  # visit order 1..q
-        if direction == "outbound":
-            waits = (dispatch_time - t_batch[visited]) + positions / v + (ranks - 0.5) * tau
-            inveh = (length - positions) / v + (q - ranks + 0.5) * tau + D / v
-            tally.wait_h += float(waits.sum())
-            tally.invehicle_h += float(inveh.sum())
-            tally.transfer_h += q * (params.t_ft + params.H_t / 2.0) + params.tau_a * q * q / 2.0
-            tally.pickup_loss_h += tau * q * q
+    n_w, n_pts, v = spans.n_windows, spans.n_points, params.v_l
+    first = np.cumsum(n_w) - n_w  # each span's first window
+    local = np.minimum((spans.t / np.repeat(spans.H_sched, n_pts)).astype(int), np.repeat(n_w - 1, n_pts))
+    window = np.repeat(first, n_pts) + local
+    by_window = np.argsort(window, kind="stable")  # a window's requests keep their order
+    q = np.bincount(window, minlength=int(n_w.sum()))
+    start = np.cumsum(q) - q
+    span_of = np.repeat(np.arange(len(n_w)), n_w)
+    tour, wait, inveh = np.zeros(len(q)), np.zeros(len(q)), np.zeros(len(q))
+    for k in np.unique(q[q > 0]):
+        w = np.flatnonzero(q == k)
+        s = span_of[w, None]
+        stops = by_window[start[w, None] + np.arange(k)]
+        nodes = np.concatenate((spans.staging[w, None], spans.xy[stops]), axis=1)
+        if k < MAX_EXACT_POINTS:
+            length, order = closed_tours_batch(nodes)
         else:
-            inveh = D / v + positions / v + (ranks - 0.5) * tau
-            tally.invehicle_h += float(inveh.sum())
-            sync_wait = (zd.gamma - 1) * zd.H_d / (2.0 * zd.gamma)
-            tally.transfer_h += q * (params.t_tf + sync_wait) + params.tau_b * q * q / 2.0
-            tally.dropoff_loss_h += tau * q * q / 2.0
-    return tally
+            tours = [_heuristic_closed_tour(np.abs(n[:, None] - n[None]).sum(axis=2)) for n in nodes]
+            length, order = np.array([c[0] for c in tours]), np.array([c[1] for c in tours])
+        path = np.take_along_axis(nodes, order[:, :, None], axis=1)
+        steps = np.abs(path[:, 1:] - path[:, :-1])
+        positions = np.add.accumulate(steps[:, :, 0] + steps[:, :, 1], axis=1)
+        t_visit = spans.t[np.take_along_axis(stops, order[:, 1:] - 1, axis=1)]
+        dispatch = (w[:, None] - first[s] + 1) * spans.H_sched[s]
+        ranks = np.arange(1, k + 1, dtype=float)  # visit order 1..q
+        ride = (ranks - 0.5) * tau[s]
+        waits = (dispatch - t_visit) + positions / v + ride
+        ahead = (length[:, None] - positions) / v + (k - ranks + 0.5) * tau[s] + D[s] / v
+        behind = D[s] / v + positions / v + ride
+        out = spans.outbound[span_of[w]]
+        tour[w] = length
+        wait[w] = np.where(out, waits.sum(axis=1), 0.0)
+        inveh[w] = np.where(out, ahead.sum(axis=1), behind.sum(axis=1))
+    return tour, q, wait, inveh
 
 
 # ---------------------------------------------------------------------------
@@ -334,80 +354,65 @@ def _sf_progress(serp: _Serpentine, xy: np.ndarray) -> tuple[np.ndarray, np.ndar
     return progress, c
 
 
-def _sf_zone_direction(
-    params: ScenarioParams,
-    grid: ZoneGrid,
-    zd: ZoneDesign,
-    K: int,
-    w0: float,
-    direction: Direction,
-    xy: np.ndarray,
-    t: np.ndarray,
-    H_sched: float,
-    n_windows: int,
-    rng: np.random.Generator,
-) -> _Tally:
-    """Sweep buses through one zone-direction over n_windows headways."""
-    serp = _serpentine_for(grid, w0)
-    tally = _Tally(span_h=n_windows * H_sched)
-    D = line_haul_distance(grid, zd.z)
+def _sf_windows(
+    params: ScenarioParams, design: DesignSolution, spans: _Spans, D: np.ndarray, tau: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Sweep buses through every span's windows: tour, load, waits, in-vehicle times."""
     v = params.v_l
-    tau = params.tau_p if direction == "outbound" else params.tau_d
-    progress, lat = _sf_progress(serp, xy)
-
-    if direction == "outbound":
-        # hailing: served by the first bus whose sweep has not passed yet
-        passage_shift = progress / v
-        bus = np.ceil((t - passage_shift) / H_sched - 1e-12).astype(int)
-        bus = np.maximum(bus, 0)
-        nominal = bus * H_sched + passage_shift
-        window = bus % n_windows
-    else:
-        # boarding at the terminal: batched by departure windows
-        window = np.minimum((t / H_sched).astype(int), n_windows - 1)
-
-    end_fixed = serp.fixed_path + w0 / 2.0  # sweep, connections, end leg
-    for j in range(n_windows):
-        sel = np.flatnonzero(window == j)
-        q = len(sel)
-        tally.dispatches += 1
-        tally.occupancy_sum += q
-        if q > K:
-            tally.overcapacity_events += 1
-        order = sel[np.argsort(progress[sel], kind="stable")]
-        prev_c = rng.random() * w0
-        lateral_legs = np.empty(q)
-        for i, idx in enumerate(order):
-            lateral_legs[i] = abs(lat[idx] - prev_c)
-            prev_c = lat[idx]
-        tour = end_fixed + float(lateral_legs.sum())
-        tally.tours.append(tour)
-        tally.dist_km += D + tour
-        tally.veh_time_h += (D + tour) / v + q * tau
-        if q == 0:
-            continue
-        tally.served += q
-        ranks = np.arange(1, q + 1, dtype=float)
-        remaining_lat = (lateral_legs.sum() - np.cumsum(lateral_legs)) + lateral_legs / 2.0
-        remaining_fixed = end_fixed - progress[order]
-        if direction == "outbound":
-            waits = (nominal[order] - t[order]) + lateral_legs / v
-            inveh = remaining_fixed / v + remaining_lat / v + (q - ranks + 0.5) * tau + D / v
-            tally.wait_h += float(waits.sum())
-            tally.invehicle_h += float(inveh.sum())
-            tally.transfer_h += q * (params.t_ft + params.H_t / 2.0) + params.tau_a * q * q / 2.0
-            tally.pickup_loss_h += tau * q * q / 2.0
+    serp = _serpentine_for(design.grid, design.w0)
+    end_fixed = serp.fixed_path + design.w0 / 2.0  # sweep, connections, end leg
+    n_all = int(spans.n_windows.sum())
+    tours, wait, inveh = np.full(n_all, end_fixed), np.zeros(n_all), np.zeros(n_all)
+    loads = np.zeros(n_all, dtype=int)
+    p_end = np.cumsum(spans.n_points)
+    w_end = np.cumsum(spans.n_windows)
+    for s, (H_sched, n_windows) in enumerate(zip(spans.H_sched.tolist(), spans.n_windows.tolist())):
+        pts = slice(p_end[s] - spans.n_points[s], p_end[s])
+        xy, t = spans.xy[pts], spans.t[pts]
+        w_first = w_end[s] - n_windows
+        progress, lat = _sf_progress(serp, xy)
+        if spans.outbound[s]:
+            # hailing: served by the first bus whose sweep has not passed yet
+            passage_shift = progress / v
+            bus = np.ceil((t - passage_shift) / H_sched - 1e-12).astype(int)
+            bus = np.maximum(bus, 0)
+            nominal = bus * H_sched + passage_shift
+            window = bus % n_windows
         else:
-            inveh = (
-                D / v
-                + (progress[order] + np.cumsum(lateral_legs) - lateral_legs / 2.0) / v
-                + (ranks - 0.5) * tau
-            )
-            tally.invehicle_h += float(inveh.sum())
-            sync_wait = (zd.gamma - 1) * zd.H_d / (2.0 * zd.gamma)
-            tally.transfer_h += q * (params.t_tf + sync_wait) + params.tau_b * q * q / 2.0
-            tally.dropoff_loss_h += tau * q * q / 2.0
-    return tally
+            # boarding at the terminal: batched by departure windows
+            window = np.minimum((t / H_sched).astype(int), n_windows - 1)
+        by_sweep = np.lexsort((progress, window))  # by window, then along the sweep
+        bounds = np.cumsum(np.bincount(window, minlength=n_windows)).tolist()
+        lo = 0
+        for j, hi in enumerate(bounds):
+            order = by_sweep[lo:hi]
+            lo = hi
+            q = len(order)
+            if q == 0:
+                continue
+            prev_c = spans.staging[w_first + j]
+            lateral_legs = np.empty(q)
+            for i, idx in enumerate(order):
+                lateral_legs[i] = abs(lat[idx] - prev_c)
+                prev_c = lat[idx]
+            tour = end_fixed + float(lateral_legs.sum())
+            ranks = np.arange(1, q + 1, dtype=float)
+            if spans.outbound[s]:
+                remaining_lat = (lateral_legs.sum() - np.cumsum(lateral_legs)) + lateral_legs / 2.0
+                remaining_fixed = end_fixed - progress[order]
+                waits = (nominal[order] - t[order]) + lateral_legs / v
+                ride = remaining_fixed / v + remaining_lat / v + (q - ranks + 0.5) * tau[s] + D[s] / v
+                wait[w_first + j] = float(waits.sum())
+            else:
+                ride = (
+                    D[s] / v
+                    + (progress[order] + np.cumsum(lateral_legs) - lateral_legs / 2.0) / v
+                    + (ranks - 0.5) * tau[s]
+                )
+            tours[w_first + j] = tour
+            inveh[w_first + j] = float(ride.sum())
+            loads[w_first + j] = q
+    return tours, loads, wait, inveh
 
 
 # ---------------------------------------------------------------------------
@@ -441,43 +446,36 @@ def _simulate_region(
 ) -> SimRun:
     """Serve a given region realization; schedule stretched to whole windows."""
     grid = design.grid
-    out_by_zone = _zone_slices(params, grid, demand.outbound)
-    in_by_zone = _zone_slices(params, grid, demand.inbound)
-    out_tally = _Tally()
-    in_tally = _Tally()
     horizon = demand.horizon
-    for zd in design.zones:
-        key = (zd.z.m, zd.z.n)
-        for direction, (xy, t), tally in (
-            ("outbound", out_by_zone[key], out_tally),
-            ("inbound", in_by_zone[key], in_tally),
-        ):
-            H = zd.headway(direction)
-            n_w = max(1, round(horizon / H))
-            H_sched = horizon / n_w
-            if design.strategy == FULLY_FLEXIBLE:
-                zt = _ff_zone_direction(
-                    params, grid, zd, design.K, direction, xy, t, H_sched, n_w, rng
-                )
-            else:
-                zt = _sf_zone_direction(
-                    params, grid, zd, design.K, design.w0, direction, xy, t, H_sched, n_w, rng
-                )
-            tally.merge(zt)
-    gc = _gc_hours(params, design.K, out_tally, in_tally) / horizon
+    by_zone = {
+        "outbound": _zone_slices(params, grid, demand.outbound),
+        "inbound": _zone_slices(params, grid, demand.inbound),
+    }
+    rows = []
+    for i, zd in enumerate(design.zones):
+        for direction in DIRECTIONS:
+            xy, t = by_zone[direction][(zd.z.m, zd.z.n)]
+            n_w = max(1, round(horizon / zd.headway(direction)))
+            rows.append((i, direction == "outbound", horizon / n_w, n_w, xy, t, _staging(design, rng, n_w)))
+    spans = _spans(rows)
+    tally, tours = _serve(params, design, spans)
+    out = _merged(tally, spans.outbound)
+    inb = _merged(tally, ~spans.outbound)
+    outbound_windows = np.repeat(spans.outbound, spans.n_windows)
+    gc = _gc_hours(params, design.K, out, inb) / horizon
     patrons = (params.lambda_p + params.lambda_d) * params.L * params.W
     return SimRun(
         gc_hours=gc,
         gc_min_per_patron=gc * 60.0 / patrons,
         horizon=horizon,
-        tours_out=tuple(out_tally.tours),
-        tours_in=tuple(in_tally.tours),
-        pickup_loss_h=out_tally.pickup_loss_h / horizon,
-        dropoff_loss_h=in_tally.dropoff_loss_h / horizon,
-        overcapacity_events=out_tally.overcapacity_events + in_tally.overcapacity_events,
-        dispatches=out_tally.dispatches + in_tally.dispatches,
-        served=out_tally.served + in_tally.served,
-        heuristic_dispatches=out_tally.heuristic_dispatches + in_tally.heuristic_dispatches,
+        tours_out=tuple(tours[outbound_windows].tolist()),
+        tours_in=tuple(tours[~outbound_windows].tolist()),
+        pickup_loss_h=out.loss_h / horizon,
+        dropoff_loss_h=inb.loss_h / horizon,
+        overcapacity_events=out.overcapacity_events + inb.overcapacity_events,
+        dispatches=out.dispatches + inb.dispatches,
+        served=out.served + inb.served,
+        heuristic_dispatches=out.heuristic_dispatches + inb.heuristic_dispatches,
     )
 
 
@@ -523,7 +521,6 @@ def simulate_sf_hour(
 @dataclass(frozen=True)
 class ValidationReport:
     n_runs: int
-    converged: bool
     analytic_gc_min_per_patron: float
     sim_gc_min_per_patron: float
     sim_gc_std: float  # across runs, min/patron
@@ -551,13 +548,6 @@ class ValidationReport:
             (TABLE_ROW_LABELS[4], self.dropoff_loss_error_pct),
             (TABLE_ROW_LABELS[5], self.overcapacity_pct),
         )
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "Average", "Maximum"])
-            for label, value in self.rows():
-                writer.writerow([label, f"{value:.4f}", f"{value:.4f}"])
 
 
 def _analytic_references(
@@ -617,7 +607,9 @@ def run_validation(
 
     Every zone-direction is simulated over its own whole number of headways
     (round(1/H) windows) per run, so realized rates are directly comparable
-    to the hourly analytical model.
+    to the hourly analytical model.  Run r draws from its own
+    ``SeedSequence((seed, r))`` stream.  Runs are served ``_CHUNK_RUNS`` at a
+    time; the report equals that of serving them one at a time.
     """
     validate_design(params, design)
     with warnings.catch_warnings():
@@ -626,90 +618,69 @@ def run_validation(
     refs = _analytic_references(params, design, model)
     grid = design.grid
     patrons = (params.lambda_p + params.lambda_d) * params.L * params.W
+    zone_scale = np.array([grid.l, grid.w])
+    layout = []  # one run's spans: (zone, direction, arrival rate, headway, windows)
+    for i, zd in enumerate(design.zones):
+        for direction in DIRECTIONS:
+            lam = params.lambda_p if direction == "outbound" else params.lambda_d
+            H = zd.headway(direction)
+            layout.append((i, direction, lam, H, max(1, round(1.0 / H))))
+    outbound = np.array([direction == "outbound" for _, direction, _, _, _ in layout])
+    scale = np.array([1.0 / (n_w * H) for _, _, _, H, n_w in layout])  # per hour of span
+    c_dist = params.pi_v(design.K) / params.theta
+    c_time = params.pi_m(design.K) / params.theta
+
+    def draw(run: int) -> list[tuple]:
+        rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
+        rows = []
+        for i, direction, lam, H, n_w in layout:
+            span = n_w * H
+            n = rng.poisson(lam * grid.l * grid.w * span)
+            xy = rng.random((n, 2)) * zone_scale
+            t = rng.random(n) * span
+            rows.append((i, direction == "outbound", H, n_w, xy, t, _staging(design, rng, n_w)))
+        return rows
 
     gcs: list[float] = []
-    tours_out_sum = 0.0
-    tours_out_n = 0
-    tours_in_sum = 0.0
-    tours_in_n = 0
-    pickup_sum = 0.0
-    dropoff_sum = 0.0
-    overcap = 0
-    dispatches = 0
-    occ_out_sum = 0.0
-    occ_out_n = 0
-    occ_in_sum = 0.0
-    occ_in_n = 0
-    heuristic = 0
-
+    kept = []  # per chunk, the span totals of its runs up to the stopping run
     run = 0
-    while True:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
-        gc_hourly = 0.0
-        for zd in design.zones:
-            for direction in DIRECTIONS:
-                lam = params.lambda_p if direction == "outbound" else params.lambda_d
-                H = zd.headway(direction)
-                n_w = max(1, round(1.0 / H))
-                span = n_w * H
-                n = rng.poisson(lam * grid.l * grid.w * span)
-                xy = rng.random((n, 2)) * np.array([grid.l, grid.w])
-                t = rng.random(n) * span
-                if design.strategy == FULLY_FLEXIBLE:
-                    zt = _ff_zone_direction(
-                        params, grid, zd, design.K, direction, xy, t, H, n_w, rng
+    converged = False
+    while not converged:
+        spans = _spans([row for r in range(run, run + _CHUNK_RUNS) for row in draw(r)])
+        tally = _Tally(*(f.reshape(_CHUNK_RUNS, len(layout)) for f in _serve(params, design, spans)[0]))
+        waits = params.alpha * tally.wait_h * scale
+        books = tally.invehicle_h + tally.transfer_h + c_dist * tally.dist_km + c_time * tally.veh_time_h
+        rest = books * scale
+        gc = np.zeros(_CHUNK_RUNS)
+        for s, is_out in enumerate(outbound):  # zone-directions in order, as hourly rates
+            if is_out:
+                gc = gc + waits[:, s]
+            gc = gc + rest[:, s]
+        for used, gc_run in enumerate((gc * 60.0 / patrons).tolist(), start=1):
+            gcs.append(gc_run)
+            run += 1
+            if run >= min_runs:
+                std = float(np.asarray(gcs).std(ddof=1))
+                se = std / math.sqrt(run)
+                if se < VALIDATION_SE_TARGET:
+                    converged = True
+                    break
+                if run >= MAX_VALIDATION_RUNS:
+                    raise ValidationConvergenceError(
+                        f"mean GC standard error {se:.4f} min/patron above "
+                        f"{VALIDATION_SE_TARGET} after {run} runs (per-run std {std:.4f})"
                     )
-                else:
-                    zt = _sf_zone_direction(
-                        params, grid, zd, design.K, design.w0, direction, xy, t, H, n_w, rng
-                    )
-                # hourly-rate contributions use this zone-direction's own span
-                scale = 1.0 / zt.span_h
-                if direction == "outbound":
-                    gc_hourly += params.alpha * zt.wait_h * scale
-                    pickup_sum += zt.pickup_loss_h * scale
-                    tours_out_sum += sum(zt.tours)
-                    tours_out_n += len(zt.tours)
-                    occ_out_sum += zt.occupancy_sum
-                    occ_out_n += zt.dispatches
-                else:
-                    dropoff_sum += zt.dropoff_loss_h * scale
-                    tours_in_sum += sum(zt.tours)
-                    tours_in_n += len(zt.tours)
-                    occ_in_sum += zt.occupancy_sum
-                    occ_in_n += zt.dispatches
-                gc_hourly += (
-                    zt.invehicle_h
-                    + zt.transfer_h
-                    + params.pi_v(design.K) / params.theta * zt.dist_km
-                    + params.pi_m(design.K) / params.theta * zt.veh_time_h
-                ) * scale
-                overcap += zt.overcapacity_events
-                dispatches += zt.dispatches
-                heuristic += zt.heuristic_dispatches
-        gcs.append(gc_hourly * 60.0 / patrons)
-        run += 1
-        if run >= min_runs:
-            arr = np.asarray(gcs)
-            se = float(arr.std(ddof=1)) / math.sqrt(run)
-            if se < VALIDATION_SE_TARGET:
-                break
-            if run >= MAX_VALIDATION_RUNS:
-                raise ValidationConvergenceError(
-                    f"mean GC standard error {se:.4f} min/patron above "
-                    f"{VALIDATION_SE_TARGET} after {run} runs "
-                    f"(per-run std {float(arr.std(ddof=1)):.4f})"
-                )
+        kept.append(_Tally(*(f[:used] for f in tally._replace(loss_h=tally.loss_h * scale))))
 
+    tally = _Tally(*(np.concatenate(f).ravel() for f in zip(*kept)))  # hourly-rate losses
+    out = _merged(tally, np.tile(outbound, run))
+    inb = _merged(tally, np.tile(~outbound, run))
     arr = np.asarray(gcs)
     sim_gc = float(arr.mean())
-    sim_tour_out = tours_out_sum / tours_out_n
-    sim_tour_in = tours_in_sum / tours_in_n
-    sim_pickup = pickup_sum / run
-    sim_dropoff = dropoff_sum / run
+    sim_tour_out = out.tour_km / out.dispatches
+    sim_tour_in = inb.tour_km / inb.dispatches
     return ValidationReport(
         n_runs=run,
-        converged=True,
         analytic_gc_min_per_patron=analytic.gc_per_patron_min,
         sim_gc_min_per_patron=sim_gc,
         sim_gc_std=float(arr.std(ddof=1)),
@@ -717,14 +688,16 @@ def run_validation(
         gc_error_pct=_pct_error(analytic.gc_per_patron_min, sim_gc),
         outbound_tour_error_pct=_pct_error(refs["tour_out"], sim_tour_out),
         inbound_tour_error_pct=_pct_error(refs["tour_in"], sim_tour_in),
-        pickup_loss_error_pct=_pct_error(refs["pickup_loss"], sim_pickup),
-        dropoff_loss_error_pct=_pct_error(refs["dropoff_loss"], sim_dropoff),
-        overcapacity_pct=overcap / dispatches * 100.0,
+        pickup_loss_error_pct=_pct_error(refs["pickup_loss"], out.loss_h / run),
+        dropoff_loss_error_pct=_pct_error(refs["dropoff_loss"], inb.loss_h / run),
+        overcapacity_pct=(out.overcapacity_events + inb.overcapacity_events)
+        / (out.dispatches + inb.dispatches)
+        * 100.0,
         analytic_outbound_tour_km=refs["tour_out"],
         sim_outbound_tour_km=sim_tour_out,
         analytic_inbound_tour_km=refs["tour_in"],
         sim_inbound_tour_km=sim_tour_in,
-        mean_occupancy_out=occ_out_sum / occ_out_n,
-        mean_occupancy_in=occ_in_sum / occ_in_n,
-        heuristic_dispatches=heuristic,
+        mean_occupancy_out=out.served / out.dispatches,
+        mean_occupancy_in=inb.served / inb.dispatches,
+        heuristic_dispatches=out.heuristic_dispatches + inb.heuristic_dispatches,
     )

@@ -4,8 +4,9 @@ One Held-Karp core steps through subset sizes k = 2..q-1 (the level order of
 Held & Karp, 1962), each step a few numpy calls over every (subset, last
 node) pair of that size, batched over B instances.  The tour-length
 calibration uses it through ``closed_tour_lengths_batch`` (lengths only);
-the simulator through ``exact_tour`` (B = 1, with the visit order read from
-argmin parents).  A permutation brute force is the independent cross-check.
+the simulator through ``closed_tours_batch`` (lengths and visit orders, read
+from argmin parents), of which ``exact_tour`` is the B = 1 use.  A
+permutation brute force is the independent cross-check.
 
 Open tours with free endpoints are reduced to closed tours through a virtual
 depot at zero distance from every point, so one DP core serves both modes.
@@ -31,6 +32,9 @@ _MODES = ("closed_cycle", "open_path")
 # Bytes of candidate values one layer step holds at a time: larger layers are
 # solved in cache-sized pieces, which also caps the temporaries' memory.
 _CHUNK_BYTES = 1 << 19
+# Bytes the distance rows and two live layers of one batched visit-order DP
+# call may hold; ``closed_tours_batch`` splits larger batches into several calls.
+_BATCH_BYTES = 1 << 20
 
 
 class TourSizeError(ValueError):
@@ -102,11 +106,11 @@ def _layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     return tuple(layers)
 
 
-def _held_karp(dist: np.ndarray, visit_order: bool = False) -> tuple[np.ndarray, list[int] | None]:
+def _held_karp(dist: np.ndarray, visit_order: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """Shortest closed tours from node 0 over a (q, q, B) distance array, q >= 2.
 
-    Returns the B tour lengths and, with ``visit_order`` (B = 1 only), the
-    visit order from node 0, read back from int8 argmin parents.  Each
+    Returns the B tour lengths and, with ``visit_order``, the (B, q) visit
+    orders from node 0, read back from (pairs, B) int8 argmin parents.  Each
     candidate is ``dp[S - j, i] + d(i, j)`` over i in S - j, and ties go to
     the smallest i.
     """
@@ -119,34 +123,36 @@ def _held_karp(dist: np.ndarray, visit_order: bool = False) -> tuple[np.ndarray,
         pairs, width = edges.shape
         dp_below = dp.reshape(len(dp) // width, width, B)
         dp = np.empty((pairs, B), dtype=d.dtype)
-        par = np.empty(pairs, dtype=np.int8)
+        if visit_order:
+            par = np.empty((pairs, B), dtype=np.int8)
+            parents.append(par)
         step = max(1, _CHUNK_BYTES // (width * max(B, 1) * d.itemsize))
+        if visit_order:  # flat index of candidate 0 of each (pair, instance) in a piece
+            first = np.arange(0, min(step, pairs) * width * B, width * B)[:, None] + np.arange(B)
         for lo in range(0, pairs, step):
             hi = lo + step
             cand = dp_below[prev[lo:hi]]
             cand += d[edges[lo:hi]]
             if visit_order:
-                # One instance: an argmin along each pair's contiguous
-                # candidates is several times faster than a min reduction.
-                best = cand.reshape(-1, width).argmin(axis=1)
+                best = cand.argmin(axis=1)
                 par[lo:hi] = best
-                best += np.arange(0, best.size * width, width)
-                cand.take(best, out=dp[lo:hi, 0])
+                best *= B
+                best += first[: len(best)]
+                cand.take(best, out=dp[lo:hi])
             else:
                 cand.min(axis=1, out=dp[lo:hi])
-        parents.append(par)
     finish = dp + d[q::q]  # close the tour: d(j, 0)
     if not visit_order:
         return finish.min(axis=0), None
-    pair = int(finish.argmin())
-    length = finish[pair]
-    order = []
-    for (edges, last, prev), par in zip(layers[::-1], parents[::-1]):
-        order.append(int(last[pair]))
-        pair = int(prev[pair]) * edges.shape[1] + int(par[pair])
-    order += [pair + 1, 0]
-    order.reverse()
-    return length, order
+    batch = np.arange(B)
+    pair = finish.argmin(axis=0)
+    length = finish[pair, batch]
+    orders = np.zeros((B, q), dtype=np.intp)
+    for k, (edges, last, prev), par in zip(range(q - 1, 1, -1), layers[::-1], parents[::-1]):
+        orders[:, k] = last[pair]
+        pair = prev[pair] * edges.shape[1] + par[pair, batch]
+    orders[:, 1] = pair + 1
+    return length, orders
 
 
 def exact_tour(ps: PointSet, mode: TourMode = "closed_cycle") -> tuple[float, list[int]]:
@@ -162,7 +168,8 @@ def exact_tour(ps: PointSet, mode: TourMode = "closed_cycle") -> tuple[float, li
         # Free-endpoint path == closed tour through a virtual depot (node 0)
         # at distance 0 from everything; the depot is dropped from the cycle.
         dist = np.pad(dist, ((1, 0), (1, 0)))
-    length, order = _held_karp(dist[:, :, None], visit_order=True)
+    length, orders = _held_karp(dist[:, :, None], visit_order=True)
+    order = orders[0].tolist()
     if mode == "open_path":
         order = [v - 1 for v in order[1:]]
     return float(length[0]), order
@@ -216,3 +223,23 @@ def closed_tour_lengths_batch(points: np.ndarray, dtype=np.float64) -> np.ndarra
     if q == 3:
         return dist[:, 0, 1] + dist[:, 1, 2] + dist[:, 2, 0]
     return _held_karp(dist.transpose(1, 2, 0))[0]
+
+
+def closed_tours_batch(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact closed tours and visit orders for a batch of same-size instances.
+
+    ``points`` has shape (B, q, 2), q >= 2; returns the (B,) lengths and the
+    (B, q) visit orders from point 0, each row equal to ``exact_tour`` on that
+    instance.  Each DP call takes as many instances as keep its distance rows
+    and two live layers within ``_BATCH_BYTES``.
+    """
+    B, q = points.shape[:2]
+    widest = max((len(last) for _, last, _ in _layers(q - 1)), default=q - 1)
+    step = max(1, _BATCH_BYTES // ((q * q + 2 * widest) * 8))
+    lengths = np.empty(B)
+    orders = np.empty((B, q), dtype=np.intp)
+    for lo in range(0, B, step):
+        x, y = np.asarray(points[lo:lo + step], dtype=np.float64).T  # each (q, b)
+        dist = np.abs(x[:, None] - x[None]) + np.abs(y[:, None] - y[None])
+        lengths[lo:lo + step], orders[lo:lo + step] = _held_karp(dist, visit_order=True)
+    return lengths, orders

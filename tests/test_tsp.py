@@ -15,6 +15,7 @@ from drcflex.tsp import (
     TourSizeError,
     brute_force_tour_length,
     closed_tour_lengths_batch,
+    closed_tours_batch,
     exact_tour,
     exact_tour_length,
 )
@@ -203,6 +204,20 @@ class TestBatchSolver:
             batch = closed_tour_lengths_batch(pts)
             single = [exact_tour_length(PointSet(p)) for p in pts]
             assert batch.tolist() == single, f"q={q}"
+
+    def test_visit_orders_equal_single_tours_bit_for_bit(self, monkeypatch) -> None:
+        # Integer-grid instances have many equal-length tours, so they check
+        # that every row breaks ties as a single tour does.
+        rng = np.random.default_rng(80)
+        for q in range(2, 15):
+            for pts in (rng.random((12, q, 2)) * 2.0, rng.integers(0, 3, (12, q, 2)).astype(float)):
+                lengths, orders = closed_tours_batch(pts)
+                single = [exact_tour(PointSet(p)) for p in pts]
+                assert [(l, o) for l, o in zip(lengths.tolist(), orders.tolist())] == single, f"q={q}"
+                monkeypatch.setattr(tsp, "_BATCH_BYTES", 1)  # one instance per DP call
+                split = closed_tours_batch(pts)
+                monkeypatch.undo()
+                assert split[0].tolist() == lengths.tolist() and split[1].tolist() == orders.tolist()
 
     def test_layer_pieces_do_not_change_results(self, monkeypatch) -> None:
         rng = np.random.default_rng(79)
