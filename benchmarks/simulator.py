@@ -8,7 +8,7 @@ the exact visit-order tours the fully flexible simulator solves, on B = 1000
 seeded instances of q = 4, 6 and 8 points: with ``tsp.closed_tours_batch``
 where the source tree has it, else with one ``tsp.exact_tour`` call per
 instance, the per-dispatch path the simulator took before.  Each figure is the
-median of ``--repeats`` timed calls after one untimed call.  The entry, with
+median of ``REPEATS`` timed calls after one untimed call.  The entry, with
 the machine facts, is written into ``BENCH_layers.json`` as layer
 ``simulator`` under ``--label``, replacing an entry of the same layer and
 label.
@@ -16,7 +16,7 @@ label.
 Run it from the repository root::
 
     python benchmarks/simulator.py --label change
-    git archive <commit> src | tar -x -C /tmp/parent
+    git clone -q . /tmp/parent && git -C /tmp/parent checkout -q <commit>
     python benchmarks/simulator.py --label parent --src /tmp/parent/src
 
 Only the standard library, numpy and the package's own dependencies are used.
@@ -37,6 +37,7 @@ import numpy as np
 
 SEED = 0
 MIN_RUNS = 300
+REPEATS = 5
 TOUR_Q = (4, 6, 8)
 TOUR_BATCH = 1000
 BASE_OPTIMA = {"ff": (2, 2, 8), "sf": (1, 4, 9)}  # (M, N, K) of the perfbench references
@@ -92,11 +93,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--label", required=True, help="entry name, e.g. parent or change")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree holding drcflex/")
-    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_layers.json")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
     src = args.src.resolve()
     if not (src / "drcflex" / "simulator.py").is_file():
         parser.error(f"no drcflex/simulator.py under {src}")
@@ -104,14 +102,14 @@ def main(argv: list[str] | None = None) -> int:
     import drcflex
     from drcflex import tsp
 
-    results = measure(drcflex, tsp, args.repeats)
+    results = measure(drcflex, tsp, REPEATS)
     write_entry(args.out, {
         "layer": "simulator",
         "label": args.label,
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "git_commit": git_commit(src),
         "source_sha256": source_digest(src),
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "seed": SEED,
         "machine": machine(),
         **results,

@@ -11,7 +11,7 @@ replacing an entry of the same layer and label.
 Run it from the repository root::
 
     python benchmarks/tour_dp.py --label change
-    git archive <commit> src | tar -x -C /tmp/parent
+    git clone -q . /tmp/parent && git -C /tmp/parent checkout -q <commit>
     python benchmarks/tour_dp.py --label parent --src /tmp/parent/src
 
 ``--src`` selects the source tree the DP is imported from, so two commits
@@ -55,13 +55,18 @@ def cpu_model() -> str:
 
 
 def git_commit(src: Path) -> str:
+    """HEAD of the repository holding ``src``, suffixed ``-dirty`` if ``src`` differs from it."""
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=src, capture_output=True, text=True, check=True
+        ).stdout.strip()
+
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=src, capture_output=True, text=True, check=True
-        )
+        head, status = git("rev-parse", "HEAD"), git("status", "--porcelain", "--", ".")
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
-    return out.stdout.strip()
+    return head + "-dirty" if status else head
 
 
 def source_digest(src: Path) -> str:

@@ -32,8 +32,8 @@ _MODES = ("closed_cycle", "open_path")
 # Bytes of candidate values one layer step holds at a time: larger layers are
 # solved in cache-sized pieces, which also caps the temporaries' memory.
 _CHUNK_BYTES = 1 << 19
-# Bytes the distance rows and two live layers of one batched visit-order DP
-# call may hold; ``closed_tours_batch`` splits larger batches into several calls.
+# Bytes of distance rows, two live layers and int8 parents one batched
+# visit-order DP call may hold (from q = 16 one instance alone exceeds it).
 _BATCH_BYTES = 1 << 20
 
 
@@ -230,12 +230,12 @@ def closed_tours_batch(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``points`` has shape (B, q, 2), q >= 2; returns the (B,) lengths and the
     (B, q) visit orders from point 0, each row equal to ``exact_tour`` on that
-    instance.  Each DP call takes as many instances as keep its distance rows
-    and two live layers within ``_BATCH_BYTES``.
+    instance.  Each DP call takes as many instances as keep its distance rows,
+    two live layers and parents within ``_BATCH_BYTES``, and at least one.
     """
     B, q = points.shape[:2]
-    widest = max((len(last) for _, last, _ in _layers(q - 1)), default=q - 1)
-    step = max(1, _BATCH_BYTES // ((q * q + 2 * widest) * 8))
+    pairs = [len(last) for _, last, _ in _layers(q - 1)]
+    step = max(1, _BATCH_BYTES // ((q * q + 2 * max(pairs, default=q - 1)) * 8 + sum(pairs)))
     lengths = np.empty(B)
     orders = np.empty((B, q), dtype=np.intp)
     for lo in range(0, B, step):
