@@ -118,7 +118,7 @@ def measure(tsp, repeats: int, single_q: tuple[int, ...], seed: int) -> dict:
     for q in single_q:
         rng = np.random.default_rng((seed, q))
         first, med = time_calls(
-            lambda ps: tsp.exact_tour(ps, "closed_cycle"),
+            tsp.exact_tour,
             lambda: tsp.PointSet(rng.random((q, 2))),
             repeats,
         )

@@ -255,6 +255,29 @@ def _heuristic_closed_tour(dist: np.ndarray) -> tuple[float, list[int]]:
     return float(length), order
 
 
+def _load_groups(
+    spans: _Spans, local: np.ndarray, minor: np.ndarray | None = None
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Group every window of the spans by its load q.
+
+    ``local`` is each request's window within its span.  Returns the load of
+    every window and, per distinct q > 0, the windows of that load, their
+    spans (as a column) and their (windows, q) requests.  A window's
+    requests are ordered by ``minor`` when given, else kept in span order.
+    """
+    n_w = spans.n_windows
+    window = np.repeat(np.cumsum(n_w) - n_w, spans.n_points) + local
+    by_window = np.lexsort((window,) if minor is None else (minor, window))
+    q = np.bincount(window, minlength=int(n_w.sum()))
+    start = np.cumsum(q) - q
+    span_of = np.repeat(np.arange(len(n_w)), n_w)
+    groups = []
+    for k in np.unique(q[q > 0]):
+        w = np.flatnonzero(q == k)
+        groups.append((w, span_of[w, None], by_window[start[w, None] + np.arange(k)]))
+    return q, groups
+
+
 def _ff_windows(
     params: ScenarioParams, design: DesignSolution, spans: _Spans, D: np.ndarray, tau: np.ndarray
 ) -> tuple[np.ndarray, ...]:
@@ -274,16 +297,10 @@ def _ff_windows(
     n_w, n_pts, v = spans.n_windows, spans.n_points, params.v_l
     first = np.cumsum(n_w) - n_w  # each span's first window
     local = np.minimum((spans.t / np.repeat(spans.H_sched, n_pts)).astype(int), np.repeat(n_w - 1, n_pts))
-    window = np.repeat(first, n_pts) + local
-    by_window = np.argsort(window, kind="stable")  # a window's requests keep their order
-    q = np.bincount(window, minlength=int(n_w.sum()))
-    start = np.cumsum(q) - q
-    span_of = np.repeat(np.arange(len(n_w)), n_w)
+    q, groups = _load_groups(spans, local)
     tour, wait, inveh = np.zeros(len(q)), np.zeros(len(q)), np.zeros(len(q))
-    for k in np.unique(q[q > 0]):
-        w = np.flatnonzero(q == k)
-        s = span_of[w, None]
-        stops = by_window[start[w, None] + np.arange(k)]
+    for w, s, stops in groups:
+        k = stops.shape[1]
         nodes = np.concatenate((spans.staging[w, None], spans.xy[stops]), axis=1)
         if k < MAX_EXACT_POINTS:
             length, order = closed_tours_batch(nodes)
@@ -300,7 +317,7 @@ def _ff_windows(
         waits = (dispatch - t_visit) + positions / v + ride
         ahead = (length[:, None] - positions) / v + (k - ranks + 0.5) * tau[s] + D[s] / v
         behind = D[s] / v + positions / v + ride
-        out = spans.outbound[span_of[w]]
+        out = spans.outbound[s[:, 0]]
         tour[w] = length
         wait[w] = np.where(out, waits.sum(axis=1), 0.0)
         inveh[w] = np.where(out, ahead.sum(axis=1), behind.sum(axis=1))
@@ -330,13 +347,8 @@ class _Serpentine:
 def _serpentine_for(grid: ZoneGrid, w0: float) -> _Serpentine:
     for cfg in feasible_swath_widths(grid.l, grid.w):
         if abs(cfg.w0 - w0) < 1e-9:
-            strip_len = grid.l if cfg.along == "l" else grid.w
-            return _Serpentine(
-                w0=cfg.w0,
-                n_strips=cfg.n_strips,
-                strip_len=strip_len,
-                along_l=cfg.along == "l",
-            )
+            along_l = cfg.along == "l"
+            return _Serpentine(cfg.w0, cfg.n_strips, grid.l if along_l else grid.w, along_l)
     raise ValueError(f"w0={w0} is not a feasible swath width for zone {grid.l} x {grid.w}")
 
 
@@ -357,62 +369,45 @@ def _sf_progress(serp: _Serpentine, xy: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _sf_windows(
     params: ScenarioParams, design: DesignSolution, spans: _Spans, D: np.ndarray, tau: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """Sweep buses through every span's windows: tour, load, waits, in-vehicle times."""
-    v = params.v_l
+    """Sweep buses through every semi-flexible window of the spans.
+
+    Returns per window: the tour length, the load q, and the summed waits
+    and in-vehicle times of its riders.  Every request's sweep progress,
+    lateral offset and window are computed in one pass: an outbound request
+    hails the first bus whose sweep has not yet passed it, an inbound one
+    boards at the terminal in its departure window.  Windows are then
+    grouped by q, and each group is one (windows, q) array of requests in
+    sweep order: the lateral legs run from the window's staging offset
+    through its riders' offsets, the tour adds them to the fixed sweep, and
+    the rides and waits take running sums of the legs along each row.
+    """
+    v, n_pts = params.v_l, spans.n_points
     serp = _serpentine_for(design.grid, design.w0)
     end_fixed = serp.fixed_path + design.w0 / 2.0  # sweep, connections, end leg
-    n_all = int(spans.n_windows.sum())
-    tours, wait, inveh = np.full(n_all, end_fixed), np.zeros(n_all), np.zeros(n_all)
-    loads = np.zeros(n_all, dtype=int)
-    p_end = np.cumsum(spans.n_points)
-    w_end = np.cumsum(spans.n_windows)
-    for s, (H_sched, n_windows) in enumerate(zip(spans.H_sched.tolist(), spans.n_windows.tolist())):
-        pts = slice(p_end[s] - spans.n_points[s], p_end[s])
-        xy, t = spans.xy[pts], spans.t[pts]
-        w_first = w_end[s] - n_windows
-        progress, lat = _sf_progress(serp, xy)
-        if spans.outbound[s]:
-            # hailing: served by the first bus whose sweep has not passed yet
-            passage_shift = progress / v
-            bus = np.ceil((t - passage_shift) / H_sched - 1e-12).astype(int)
-            bus = np.maximum(bus, 0)
-            nominal = bus * H_sched + passage_shift
-            window = bus % n_windows
-        else:
-            # boarding at the terminal: batched by departure windows
-            window = np.minimum((t / H_sched).astype(int), n_windows - 1)
-        by_sweep = np.lexsort((progress, window))  # by window, then along the sweep
-        bounds = np.cumsum(np.bincount(window, minlength=n_windows)).tolist()
-        lo = 0
-        for j, hi in enumerate(bounds):
-            order = by_sweep[lo:hi]
-            lo = hi
-            q = len(order)
-            if q == 0:
-                continue
-            prev_c = spans.staging[w_first + j]
-            lateral_legs = np.empty(q)
-            for i, idx in enumerate(order):
-                lateral_legs[i] = abs(lat[idx] - prev_c)
-                prev_c = lat[idx]
-            tour = end_fixed + float(lateral_legs.sum())
-            ranks = np.arange(1, q + 1, dtype=float)
-            if spans.outbound[s]:
-                remaining_lat = (lateral_legs.sum() - np.cumsum(lateral_legs)) + lateral_legs / 2.0
-                remaining_fixed = end_fixed - progress[order]
-                waits = (nominal[order] - t[order]) + lateral_legs / v
-                ride = remaining_fixed / v + remaining_lat / v + (q - ranks + 0.5) * tau[s] + D[s] / v
-                wait[w_first + j] = float(waits.sum())
-            else:
-                ride = (
-                    D[s] / v
-                    + (progress[order] + np.cumsum(lateral_legs) - lateral_legs / 2.0) / v
-                    + (ranks - 0.5) * tau[s]
-                )
-            tours[w_first + j] = tour
-            inveh[w_first + j] = float(ride.sum())
-            loads[w_first + j] = q
-    return tours, loads, wait, inveh
+    progress, lat = _sf_progress(serp, spans.xy)
+    H_sched, n_windows = np.repeat(spans.H_sched, n_pts), np.repeat(spans.n_windows, n_pts)
+    passage = progress / v
+    bus = np.maximum(np.ceil((spans.t - passage) / H_sched - 1e-12).astype(int), 0)
+    nominal = bus * H_sched + passage
+    depart = np.minimum((spans.t / H_sched).astype(int), n_windows - 1)
+    local = np.where(np.repeat(spans.outbound, n_pts), bus % n_windows, depart)
+    q, groups = _load_groups(spans, local, minor=progress)
+    tour, wait, inveh = np.full(len(q), end_fixed), np.zeros(len(q)), np.zeros(len(q))
+    for w, s, stops in groups:
+        k = stops.shape[1]
+        c = lat[stops]
+        legs = np.abs(c - np.concatenate((spans.staging[w, None], c[:, :-1]), axis=1))
+        lateral, swept = legs.sum(axis=1), np.cumsum(legs, axis=1)
+        ranks = np.arange(1, k + 1, dtype=float)  # sweep order 1..q
+        remaining_lat = (lateral[:, None] - swept) + legs / 2.0
+        waits = (nominal[stops] - spans.t[stops]) + legs / v
+        ahead = (end_fixed - progress[stops]) / v + remaining_lat / v + (k - ranks + 0.5) * tau[s] + D[s] / v
+        behind = D[s] / v + (progress[stops] + swept - legs / 2.0) / v + (ranks - 0.5) * tau[s]
+        out = spans.outbound[s[:, 0]]
+        tour[w] = end_fixed + lateral
+        wait[w] = np.where(out, waits.sum(axis=1), 0.0)
+        inveh[w] = np.where(out, ahead.sum(axis=1), behind.sum(axis=1))
+    return tour, q, wait, inveh
 
 
 # ---------------------------------------------------------------------------

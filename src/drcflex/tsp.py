@@ -7,9 +7,6 @@ calibration uses it through ``closed_tour_lengths_batch`` (lengths only);
 the simulator through ``closed_tours_batch`` (lengths and visit orders, read
 from argmin parents), of which ``exact_tour`` is the B = 1 use.  A
 permutation brute force is the independent cross-check.
-
-Open tours with free endpoints are reduced to closed tours through a virtual
-depot at zero distance from every point, so one DP core serves both modes.
 """
 
 from __future__ import annotations
@@ -18,16 +15,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-TourMode = Literal["closed_cycle", "open_path"]
-
 MAX_EXACT_POINTS = 20  # 2^(q-1) DP states; beyond this the DP is impractical
 MAX_BRUTE_POINTS = 9
-
-_MODES = ("closed_cycle", "open_path")
 
 # Bytes of candidate values one layer step holds at a time: larger layers are
 # solved in cache-sized pieces, which also caps the temporaries' memory.
@@ -67,11 +60,6 @@ class PointSet:
         return len(self.points)
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-
-
 @functools.cache
 def _layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Index tables of the subset sizes k = 2..n over the free nodes 1..n.
@@ -82,7 +70,7 @@ def _layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     (P, k-1) int16 rows i*q + j of d(i, j) for the candidates i in S - j, the
     (P,) int16 last nodes j, and the (P,) int32 ranks of S - j one size down.
     Built on first use and kept for the process, one entry per n: 11 MB at n = 16,
-    120 MB at n = 19, 260 MB at n = 20 (an open path on 20 points, padded by the depot).
+    120 MB at n = 19.
     """
     q = n + 1
     masks = np.arange(1 << n)
@@ -155,48 +143,31 @@ def _held_karp(dist: np.ndarray, visit_order: bool = False) -> tuple[np.ndarray,
     return length, orders
 
 
-def exact_tour(ps: PointSet, mode: TourMode = "closed_cycle") -> tuple[float, list[int]]:
-    """Optimal tour length and visit order.
-
-    ``closed_cycle`` returns to the first point of the reported order;
-    ``open_path`` leaves both endpoints free.
-    """
-    _check_mode(mode)
+def exact_tour(ps: PointSet) -> tuple[float, list[int]]:
+    """Optimal closed tour length and visit order, starting at point 0."""
     pts = np.array(ps.points)
     dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
-    if mode == "open_path":
-        # Free-endpoint path == closed tour through a virtual depot (node 0)
-        # at distance 0 from everything; the depot is dropped from the cycle.
-        dist = np.pad(dist, ((1, 0), (1, 0)))
     length, orders = _held_karp(dist[:, :, None], visit_order=True)
-    order = orders[0].tolist()
-    if mode == "open_path":
-        order = [v - 1 for v in order[1:]]
-    return float(length[0]), order
+    return float(length[0]), orders[0].tolist()
 
 
-def exact_tour_length(ps: PointSet, mode: TourMode = "closed_cycle") -> float:
-    """Length of the optimal tour over ``ps`` under the Manhattan metric."""
-    return exact_tour(ps, mode)[0]
+def exact_tour_length(ps: PointSet) -> float:
+    """Length of the optimal closed tour over ``ps`` under the Manhattan metric."""
+    return exact_tour(ps)[0]
 
 
-def brute_force_tour_length(ps: PointSet, mode: TourMode = "closed_cycle") -> float:
-    """Exhaustive-permutation optimum; independent of the DP solver.
+def brute_force_tour_length(ps: PointSet) -> float:
+    """Exhaustive-permutation closed-tour optimum; independent of the DP solver.
 
-    Only feasible for q <= 9 (8! orderings after fixing the closed-tour start).
+    Only feasible for q <= 9 (8! orderings after fixing the start).
     """
-    _check_mode(mode)
     q = len(ps)
     if q > MAX_BRUTE_POINTS:
         raise TourSizeError(q, MAX_BRUTE_POINTS, "brute_force_tour_length")
     pts = np.asarray(ps.points)
     dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
-    if mode == "closed_cycle":
-        perms = np.array([(0,) + p for p in itertools.permutations(range(1, q))])
-        lengths = dist[perms, np.roll(perms, -1, axis=1)].sum(axis=1)
-    else:
-        perms = np.array(list(itertools.permutations(range(q))))
-        lengths = dist[perms[:, :-1], perms[:, 1:]].sum(axis=1)
+    perms = np.array([(0,) + p for p in itertools.permutations(range(1, q))])
+    lengths = dist[perms, np.roll(perms, -1, axis=1)].sum(axis=1)
     return float(lengths.min())
 
 

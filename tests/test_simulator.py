@@ -53,6 +53,21 @@ def sf_design(table2: ScenarioParams) -> DesignSolution:
 
 
 @pytest.fixture()
+def sf_2x1_design(table2: ScenarioParams) -> DesignSolution:
+    # 2 km x 1 km zones swept in two strips along l
+    return uniform_design(table2, 2, 1, 12, strategy=SEMI_FLEXIBLE, w0=0.5)
+
+
+@pytest.fixture()
+def sf_dense_design(table2: ScenarioParams) -> DesignSolution:
+    # sf_2x1_design at ten-minute headways: about 13 stops per window, so most
+    # windows' sums over their riders are 9 terms or longer
+    grid = make_grid(table2, 2, 1)
+    zones = tuple(ZoneDesign(z=z, H_p=2 * FIVE_MIN, H_d=2 * FIVE_MIN, gamma=2) for z in grid.zones())
+    return DesignSolution(strategy=SEMI_FLEXIBLE, grid=grid, K=22, zones=zones, w0=0.5)
+
+
+@pytest.fixture()
 def sf_line_design(table2: ScenarioParams) -> DesignSolution:
     # single-strip zones, where the swath tour model is essentially exact
     return uniform_design(table2, 1, 4, 8, strategy=SEMI_FLEXIBLE, w0=0.5)
@@ -187,7 +202,7 @@ class TestFullyFlexibleTours:
             for j in range(12):
                 stops = xyt[window == j][:, :2]
                 if len(stops) >= 2:
-                    bound = exact_tour_length(PointSet(stops), "closed_cycle")
+                    bound = exact_tour_length(PointSet(stops))
                     assert tours[j] >= bound - 1e-9
                 elif len(stops) == 0:
                     assert tours[j] == 0.0
@@ -236,6 +251,37 @@ class TestFullyFlexibleTours:
 
 
 class TestSemiFlexibleTours:
+    # simulate_sf_hour on sf_dense_design with demand seed 5 and staging seed
+    # 2, recorded from the sweep that walked each window's riders one at a
+    # time, before windows were grouped by load.
+    PINNED_HOUR = {
+        "gc_hours": 147.90662624912395,
+        "gc_min_per_patron": 27.73249242171074,
+        "horizon": 1.0,
+        "tours_out": (
+            9.40029682105069, 8.953823804242177, 8.616554509043457, 8.464868363763493,
+            6.190208484652881, 6.84354776627768, 6.673988911360186, 6.406856004122967,
+            5.818668558871302, 7.105508287904825, 6.796188283048053, 7.803507930359255,
+        ),
+        "tours_in": (
+            7.1430697373769085, 8.490773028239708, 5.688950504590313, 6.966572533989605,
+            8.364541524243748, 7.515279033566948, 6.656477728214906, 6.358696276519529,
+            6.947802624531221, 6.633365830417607, 7.81397314475882, 8.343601992878371,
+        ),
+        "pickup_loss_h": 11.425,
+        "dropoff_loss_h": 11.857222222222221,
+        "overcapacity_events": 2,
+        "dispatches": 24,
+        "served": 355,
+        "heuristic_dispatches": 0,
+    }
+
+    def test_hour_pinned_field_for_field(
+        self, table2: ScenarioParams, sf_dense_design: DesignSolution
+    ) -> None:
+        run = simulate_sf_hour(table2, sf_dense_design, generate_demand(table2, rng_seed=5), rng_seed=2)
+        assert dataclasses.asdict(run) == self.PINNED_HOUR
+
     def test_lateral_detours_average_a_third_of_the_width(
         self, strip_params: ScenarioParams, strip_design: DesignSolution
     ) -> None:
@@ -276,9 +322,11 @@ class TestRunValidation:
         assert report.gc_error_pct < 3.0
         assert report.outbound_tour_error_pct < 3.0
 
-    # Reports at min_runs=50, seed=11, recorded from the simulator that served
-    # one run and one window at a time, before runs were served in chunks and
-    # tours solved in batches by stop count.
+    # Reports at min_runs=50, seed=11.  "ff" and "sf_line" were recorded from
+    # the simulator that served one run and one window at a time, before runs
+    # were served in chunks and tours solved in batches by stop count; the
+    # other SF designs from the sweep that walked each window's riders one at
+    # a time, before windows were grouped by load.
     PINNED = {
         "ff": {
             "n_runs": 408,
@@ -318,6 +366,66 @@ class TestRunValidation:
             "sim_inbound_tour_km": 2.806457241482298,
             "mean_occupancy_out": 3.3286090458488227,
             "mean_occupancy_in": 3.334495043370508,
+            "heuristic_dispatches": 0,
+        },
+        "sf": {
+            "n_runs": 328,
+            "analytic_gc_min_per_patron": 18.94083455555556,
+            "sim_gc_min_per_patron": 20.29988343807676,
+            "sim_gc_std": 0.9044891808574343,
+            "sim_gc_se": 0.049942060280137174,
+            "gc_error_pct": 6.694860523051139,
+            "outbound_tour_error_pct": 15.09801779103408,
+            "inbound_tour_error_pct": 15.00943245676558,
+            "pickup_loss_error_pct": 0.6877416688803173,
+            "dropoff_loss_error_pct": 0.5372873912826125,
+            "overcapacity_pct": 0.666920731707317,
+            "analytic_outbound_tour_km": 2.8055555555555554,
+            "sim_outbound_tour_km": 3.30446413918859,
+            "analytic_inbound_tour_km": 2.8055555555555554,
+            "sim_inbound_tour_km": 3.301019909213312,
+            "mean_occupancy_out": 3.328760162601626,
+            "mean_occupancy_in": 3.3205030487804876,
+            "heuristic_dispatches": 0,
+        },
+        "sf_2x1": {
+            "n_runs": 551,
+            "analytic_gc_min_per_patron": 20.391895611111114,
+            "sim_gc_min_per_patron": 21.425402667835307,
+            "sim_gc_std": 1.1730609797606109,
+            "sim_gc_se": 0.04997407789454474,
+            "gc_error_pct": 4.823746245272377,
+            "outbound_tour_error_pct": 8.584127677905622,
+            "inbound_tour_error_pct": 8.387462012943152,
+            "pickup_loss_error_pct": 1.9874835472015957,
+            "dropoff_loss_error_pct": 0.7562883237430565,
+            "overcapacity_pct": 2.268602540834846,
+            "analytic_outbound_tour_km": 5.361111111111111,
+            "sim_outbound_tour_km": 5.864529840312402,
+            "analytic_inbound_tour_km": 5.361111111111111,
+            "sim_inbound_tour_km": 5.851940388190682,
+            "mean_occupancy_out": 6.674606775559589,
+            "mean_occupancy_in": 6.642770719903206,
+            "heuristic_dispatches": 0,
+        },
+        "sf_dense": {
+            "n_runs": 1058,
+            "analytic_gc_min_per_patron": 23.345670722222224,
+            "sim_gc_min_per_patron": 24.232524809984845,
+            "sim_gc_std": 1.6260239315952192,
+            "sim_gc_se": 0.049990110800112626,
+            "gc_error_pct": 3.659767583925879,
+            "outbound_tour_error_pct": 7.245950319435815,
+            "inbound_tour_error_pct": 7.228132760672751,
+            "pickup_loss_error_pct": 0.5347780649167391,
+            "dropoff_loss_error_pct": 0.6384819489000927,
+            "overcapacity_pct": 0.9845620667926905,
+            "analytic_outbound_tour_km": 6.472222222222221,
+            "sim_outbound_tour_km": 6.977832498432055,
+            "analytic_inbound_tour_km": 6.472222222222221,
+            "sim_inbound_tour_km": 6.97649235142112,
+            "mean_occupancy_out": 13.369250157529931,
+            "mean_occupancy_in": 13.375866414618777,
             "heuristic_dispatches": 0,
         },
     }

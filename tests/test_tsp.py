@@ -31,22 +31,19 @@ def random_points(rng: np.random.Generator, q: int) -> PointSet:
 class TestFixedInstances:
     def test_two_points(self) -> None:
         ps = PointSet([(0.0, 0.0), (1.0, 2.0)])
-        assert exact_tour_length(ps, "closed_cycle") == pytest.approx(6.0)
-        assert exact_tour_length(ps, "open_path") == pytest.approx(3.0)
+        assert exact_tour_length(ps) == pytest.approx(6.0)
 
     def test_unit_square_perimeter(self) -> None:
         ps = PointSet([(0, 0), (1, 1), (0, 1), (1, 0)])
-        assert exact_tour_length(ps, "closed_cycle") == pytest.approx(4.0)
-        assert exact_tour_length(ps, "open_path") == pytest.approx(3.0)
+        assert exact_tour_length(ps) == pytest.approx(4.0)
 
     def test_collinear_points(self) -> None:
         ps = PointSet([(0.5, 0), (0, 0), (2, 0), (1, 0)])
-        assert exact_tour_length(ps, "open_path") == pytest.approx(2.0)
-        assert exact_tour_length(ps, "closed_cycle") == pytest.approx(4.0)
+        assert exact_tour_length(ps) == pytest.approx(4.0)
 
     def test_reported_order_is_consistent(self) -> None:
         ps = PointSet([(0, 0), (3, 0), (1, 0), (2, 0)])
-        length, order = exact_tour(ps, "closed_cycle")
+        length, order = exact_tour(ps)
         assert order[0] == 0
         assert sorted(order) == [0, 1, 2, 3]
         pts = ps.points
@@ -56,83 +53,60 @@ class TestFixedInstances:
         )
         assert walked == pytest.approx(length)
 
-    def test_open_path_order_visits_everything(self) -> None:
-        ps = PointSet([(0, 0), (1, 2), (2, 0), (0.5, 0.5)])
-        length, order = exact_tour(ps, "open_path")
-        assert sorted(order) == [0, 1, 2, 3]
-        pts = ps.points
-        walked = sum(
-            abs(pts[a][0] - pts[b][0]) + abs(pts[a][1] - pts[b][1])
-            for a, b in zip(order, order[1:])
-        )
-        assert walked == pytest.approx(length)
 
-
-def walked_length(ps: PointSet, order: list[int], closed: bool) -> float:
-    """Manhattan length along ``order``, summed leg by leg from its start."""
+def walked_length(ps: PointSet, order: list[int]) -> float:
+    """Manhattan length around ``order``, summed leg by leg from its start."""
     pts = ps.points
-    legs = list(zip(order, order[1:] + order[:1] if closed else order[1:]))
     total = 0.0
-    for a, b in legs:
+    for a, b in zip(order, order[1:] + order[:1]):
         total += abs(pts[a][0] - pts[b][0]) + abs(pts[a][1] - pts[b][1])
     return total
 
 
 class TestVisitOrders:
-    @pytest.mark.parametrize("mode", ["closed_cycle", "open_path"])
-    def test_orders_are_tours_of_the_reported_length(self, mode: str) -> None:
+    def test_orders_are_tours_of_the_reported_length(self) -> None:
         # The DP adds the legs in visiting order from the start, so walking
         # the order reproduces the reported length bit for bit.
         rng = np.random.default_rng(21)
         for q in range(2, 15):
             for _ in range(3 if q < 12 else 1):
                 ps = random_points(rng, q)
-                length, order = exact_tour(ps, mode)
+                length, order = exact_tour(ps)
                 assert sorted(order) == list(range(q))
-                if mode == "closed_cycle":
-                    assert order[0] == 0
-                assert walked_length(ps, order, mode == "closed_cycle") == length, f"q={q}"
+                assert order[0] == 0
+                assert walked_length(ps, order) == length, f"q={q}"
 
     # Lengths and orders of three fixed instances, as the pure-Python
     # bitmask Held-Karp solver reported them before the layered core
     # replaced it.
     PINNED = {
-        5: (6.057364757227699, [0, 2, 4, 3, 1], 4.459897732146439, [2, 4, 3, 1, 0]),
-        10: (
-            8.861616528660742, [0, 9, 8, 2, 1, 7, 3, 5, 6, 4],
-            7.029204643757746, [8, 9, 0, 4, 6, 5, 3, 7, 2, 1],
-        ),
-        14: (
-            8.925369718639518, [0, 6, 13, 7, 2, 9, 5, 11, 10, 12, 3, 1, 8, 4],
-            7.318940413696589, [8, 1, 3, 12, 10, 11, 5, 4, 0, 6, 9, 2, 7, 13],
-        ),
+        5: (6.057364757227699, [0, 2, 4, 3, 1]),
+        10: (8.861616528660742, [0, 9, 8, 2, 1, 7, 3, 5, 6, 4]),
+        14: (8.925369718639518, [0, 6, 13, 7, 2, 9, 5, 11, 10, 12, 3, 1, 8, 4]),
     }
 
     @pytest.mark.parametrize("q", sorted(PINNED))
     def test_pinned_instances(self, q: int) -> None:
         ps = PointSet(np.random.default_rng(1000 + q).random((q, 2)) * 2.0)
-        closed_len, closed_order, open_len, open_order = self.PINNED[q]
-        assert exact_tour(ps, "closed_cycle") == (closed_len, closed_order)
-        assert exact_tour(ps, "open_path") == (open_len, open_order)
+        assert exact_tour(ps) == self.PINNED[q]
 
 
 class TestAgainstBruteForce:
-    @pytest.mark.parametrize("mode", ["closed_cycle", "open_path"])
-    def test_matches_brute_force(self, mode: str) -> None:
+    def test_matches_brute_force(self) -> None:
         rng = np.random.default_rng(20)
         for trial in range(300):
             q = int(rng.integers(2, 8))
             ps = random_points(rng, q)
-            assert exact_tour_length(ps, mode) == pytest.approx(
-                brute_force_tour_length(ps, mode), abs=1e-9
+            assert exact_tour_length(ps) == pytest.approx(
+                brute_force_tour_length(ps), abs=1e-9
             ), f"trial {trial}"
 
     @given(point_lists)
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_force_hypothesis(self, pts: list[tuple[float, float]]) -> None:
         ps = PointSet(pts)
-        assert exact_tour_length(ps, "closed_cycle") == pytest.approx(
-            brute_force_tour_length(ps, "closed_cycle"), abs=1e-9
+        assert exact_tour_length(ps) == pytest.approx(
+            brute_force_tour_length(ps), abs=1e-9
         )
 
 
@@ -176,12 +150,6 @@ class TestInvariances:
             exact_tour_length(PointSet(pts)), abs=1e-9
         )
 
-    @given(point_lists)
-    @settings(max_examples=60, deadline=None)
-    def test_open_path_never_longer_than_cycle(self, pts) -> None:
-        ps = PointSet(pts)
-        assert exact_tour_length(ps, "open_path") <= exact_tour_length(ps, "closed_cycle") + 1e-12
-
 
 class TestBatchSolver:
     @pytest.mark.parametrize(
@@ -223,10 +191,10 @@ class TestBatchSolver:
         rng = np.random.default_rng(79)
         pts = rng.random((9, 11, 2))
         whole = closed_tour_lengths_batch(pts)
-        tours = [exact_tour(PointSet(p), mode) for p in pts[:3] for mode in ("closed_cycle", "open_path")]
+        tours = [exact_tour(PointSet(p)) for p in pts[:3]]
         monkeypatch.setattr(tsp, "_CHUNK_BYTES", 64)
         assert closed_tour_lengths_batch(pts).tolist() == whole.tolist()
-        assert [exact_tour(PointSet(p), mode) for p in pts[:3] for mode in ("closed_cycle", "open_path")] == tours
+        assert [exact_tour(PointSet(p)) for p in pts[:3]] == tours
 
     def test_float32_dp_is_close(self) -> None:
         rng = np.random.default_rng(8)
@@ -259,8 +227,3 @@ class TestSizeLimits:
         with pytest.raises(TourSizeError) as exc:
             brute_force_tour_length(ps)
         assert exc.value.limit == MAX_BRUTE_POINTS
-
-    def test_unknown_mode_rejected(self) -> None:
-        ps = PointSet([(0, 0), (1, 1)])
-        with pytest.raises(ValueError, match="mode"):
-            exact_tour_length(ps, "loop")  # type: ignore[arg-type]
