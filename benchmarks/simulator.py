@@ -4,14 +4,12 @@ Times ``drcflex.run_validation`` at the base-case optima (fully flexible:
 2 x 2 zones, K = 8; semi-flexible: 1 x 4 zones, K = 9, w0 = 0.5) with
 ``min_runs=MIN_RUNS`` and a fixed seed, and reports the wall time per
 simulated run (one simulated hour of every zone-direction).  It also times
-the exact visit-order tours the fully flexible simulator solves, on B = 1000
-seeded instances of q = 4, 6 and 8 points: with ``tsp.closed_tours_batch``
-where the source tree has it, else with one ``tsp.exact_tour`` call per
-instance, the per-dispatch path the simulator took before.  Each figure is the
-median of ``REPEATS`` timed calls after one untimed call.  The entry, with
-the machine facts, is written into ``BENCH_layers.json`` as layer
-``simulator`` under ``--label``, replacing an entry of the same layer and
-label.
+the exact visit-order tours the fully flexible simulator solves, one
+``tsp.closed_tours_batch`` call on B = 1000 seeded instances of q = 4, 6 and
+8 points.  Each figure is the median of ``REPEATS`` timed calls after one
+untimed call.  The entry, with the machine facts, is written into
+``BENCH_layers.json`` as layer ``simulator`` under ``--label``, replacing an
+entry of the same layer and label.
 
 Run it from the repository root::
 
@@ -69,21 +67,16 @@ def measure(drcflex, tsp, repeats: int) -> dict:
         )
         ms_per_run[label], runs[label] = sec / report.n_runs * 1e3, report.n_runs
         print(f"{label}: {ms_per_run[label]:8.3f} ms per run ({report.n_runs} runs)", flush=True)
-    batched = hasattr(tsp, "closed_tours_batch")
     tour_us = {}
     for q in TOUR_Q:
         pts = np.random.default_rng((SEED, q)).random((TOUR_BATCH, q, 2))
-        if batched:
-            sec, _ = median_time(lambda: tsp.closed_tours_batch(pts), repeats)
-        else:
-            sec, _ = median_time(lambda: [tsp.exact_tour(tsp.PointSet(p)) for p in pts], repeats)
+        sec, _ = median_time(lambda: tsp.closed_tours_batch(pts), repeats)
         tour_us[str(q)] = sec / TOUR_BATCH * 1e6
         print(f"tour q={q}: {tour_us[str(q)]:8.2f} us per tour", flush=True)
     return {
         "min_runs": MIN_RUNS,
         "runs": runs,
         "ms_per_run": ms_per_run,
-        "tour_path": "closed_tours_batch" if batched else "exact_tour per instance",
         "tour_batch": TOUR_BATCH,
         "tour_us": tour_us,
     }

@@ -19,7 +19,8 @@ for either strategy, at one headway or at a whole array of them: the
 optimizer scans a zone's headways in a single call and refines on the same
 kernel at scalar H.  The FF tour terms share one exp(beta4*(mu+1)**beta5)
 factor per call.  ``zone_cost_terms`` and the per-book functions
-(``ff_wait_cost_zone`` and the rest) are views of it.
+(``ff_wait_cost_zone`` and the rest) are views of it, and the simulator's
+validation reads its expected tour per dispatch.
 """
 
 from __future__ import annotations
@@ -202,7 +203,9 @@ class ZoneBooks(NamedTuple):
     """One zone-direction's hourly books, each a float or an array over H.
 
     ``wait`` is C_W outbound and 0 inbound; ``dist`` and ``time`` are this
-    direction's shares of the agency books C_vk and C_vh.
+    direction's shares of the agency books C_vk and C_vh.  ``tour_km``, the
+    expected vehicle tour per dispatch (km), is not a book and is not in
+    ``total``; validation compares it with the simulated tours.
     """
 
     wait: Any
@@ -211,6 +214,7 @@ class ZoneBooks(NamedTuple):
     transfer: Any  # C_Rp or C_Rd
     dist: Any
     time: Any
+    tour_km: Any
 
     @property
     def total(self):
@@ -261,19 +265,20 @@ def zone_books(
         half_tour = rider_units * s / (2.0 * H * v)
         tour = half_tour + tau / (2.0 * H) * q2
         wait = params.alpha * (mu / 2.0 + half_tour + params.tau_p / (2.0 * H) * q2) if outbound else 0.0
-        dist_per_h = (D + tour_units * s) / H
+        tour_km = tour_units * s
     elif strategy == SEMI_FLEXIBLE:
         if w0 is None or w0 <= 0:
             raise ValueError("swath width must be positive")
         wait = params.alpha / H * mu * (H / 2.0 + w0 / (3.0 * v)) if outbound else 0.0
         sweep = area / (v * w0) + w0 / (2.0 * v)
         tour = (sweep * mu + (w0 / (3.0 * v) + tau) * q2) / (2.0 * H)
-        dist_per_h = (area / w0 + w0 / 2.0 + D + mu * w0 / 3.0) / H
+        tour_km = area / w0 + w0 / 2.0 + mu * w0 / 3.0
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
+    dist_per_h = (D + tour_km) / H
     dist = params.pi_v(K) / params.theta * dist_per_h
     time = params.pi_m(K) / params.theta * (dist_per_h / v + tau * mu / H)
-    return ZoneBooks(wait, tour, line_haul, transfer, dist, time)
+    return ZoneBooks(wait, tour, line_haul, transfer, dist, time, tour_km)
 
 
 def _books(
@@ -336,7 +341,7 @@ def ff_agency_cost_direction(
     direction: Direction,
 ) -> tuple[float, float]:
     """One direction's (distance cost, time cost) for one zone."""
-    return _books(params, grid, zd, direction, FULLY_FLEXIBLE, model, K=K)[4:]
+    return _books(params, grid, zd, direction, FULLY_FLEXIBLE, model, K=K)[4:6]
 
 
 def sf_wait_cost_zone(params: ScenarioParams, grid: ZoneGrid, zd: ZoneDesign, w0: float) -> float:
@@ -360,7 +365,7 @@ def sf_agency_cost_direction(
     direction: Direction,
 ) -> tuple[float, float]:
     """One direction's (distance cost, time cost) for one zone."""
-    return _books(params, grid, zd, direction, SEMI_FLEXIBLE, w0=w0, K=K)[4:]
+    return _books(params, grid, zd, direction, SEMI_FLEXIBLE, w0=w0, K=K)[4:6]
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +379,12 @@ def mean_occupancy(params: ScenarioParams, grid: ZoneGrid, zd: ZoneDesign, direc
     return lam * zd.headway(direction) * grid.area
 
 
-def capacity_ok(mu: float, K: int) -> bool:
-    """Occupancy mean plus two standard deviations fits the vehicle."""
-    return mu + 2.0 * math.sqrt(mu) <= K + 1e-12
+def capacity_ok(mu, K: int):
+    """Occupancy mean plus two standard deviations fits the vehicle.
+
+    ``mu`` may be a float or an array; the result is a numpy bool or bool array.
+    """
+    return mu + 2.0 * np.sqrt(mu) <= K + 1e-12
 
 
 def validate_design(

@@ -18,6 +18,7 @@ from .costs import (
     SEMI_FLEXIBLE,
     STRATEGIES,
     InfeasibleDesignError,
+    mean_occupancy,
 )
 from .expectations import TourLengthLaw
 from .optimizer import OptimizationResult, SearchSpace, search_design
@@ -114,8 +115,6 @@ SWEEP_CSV_HEADER = (
 
 
 def _row_from_result(value: float, strategy: str, params: ScenarioParams, result: OptimizationResult) -> SweepRow:
-    from .costs import mean_occupancy  # local to avoid a cycle at import time
-
     design = result.best
     grid = design.grid
     zones = design.zones

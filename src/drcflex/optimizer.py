@@ -31,6 +31,7 @@ from .costs import (
     InfeasibleDesignError,
     LowOccupancyWarning,
     ZoneDesign,
+    capacity_ok,
     mean_occupancy,
     total_generalized_cost,
     zone_books,
@@ -218,8 +219,7 @@ def optimize_zone_gamma(
     H_d = gammas * params.H_t
     ok = (H_d >= max(params.H_min, params.H_t) - 1e-12) & (H_d <= params.H_max + 1e-12)
     if enforce_capacity:
-        mu = params.lambda_d * H_d * grid.l * grid.w
-        ok &= mu + 2.0 * np.sqrt(mu) <= K + 1e-12
+        ok &= capacity_ok(params.lambda_d * H_d * grid.area, K)
     if not ok.any():
         raise InfeasibleDesignError(
             "inbound_sync",

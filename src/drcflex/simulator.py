@@ -30,13 +30,12 @@ from .costs import (
     FULLY_FLEXIBLE,
     SEMI_FLEXIBLE,
     DesignSolution,
-    Direction,
-    ZoneDesign,
     mean_occupancy,
     total_generalized_cost,
     validate_design,
+    zone_books,
 )
-from .expectations import TourLengthLaw, as_tour_law
+from .expectations import TourLengthLaw
 from .params import ScenarioParams, ZoneGrid, line_haul_distance
 from .tourlength import KStarModel, feasible_swath_widths
 from .tsp import MAX_EXACT_POINTS, closed_tours_batch
@@ -545,46 +544,6 @@ class ValidationReport:
         )
 
 
-def _analytic_references(
-    params: ScenarioParams, design: DesignSolution, model: KStarModel | TourLengthLaw
-) -> dict[str, float]:
-    """Expected per-dispatch tours and hourly dwell losses per the cost model."""
-    law = as_tour_law(model)
-    grid = design.grid
-    area = grid.l * grid.w
-    s = math.sqrt(area)
-    tour_w = {d: 0.0 for d in DIRECTIONS}
-    tour_sum = {d: 0.0 for d in DIRECTIONS}
-    pickup = 0.0
-    dropoff = 0.0
-    for zd in design.zones:
-        for direction in DIRECTIONS:
-            H = zd.headway(direction)
-            mu = mean_occupancy(params, grid, zd, direction)
-            q2 = mu * mu + mu
-            n_w = max(1, round(1.0 / H))
-            if design.strategy == FULLY_FLEXIBLE:
-                tour = law.mean_tour_units(mu, grid.S) * s
-                loss = (params.tau_p if direction == "outbound" else params.tau_d) * q2 / H
-                if direction == "inbound":
-                    loss /= 2.0
-            else:
-                tour = mu * design.w0 / 3.0 + area / design.w0 + design.w0 / 2.0
-                loss = (params.tau_p if direction == "outbound" else params.tau_d) * q2 / (2.0 * H)
-            tour_w[direction] += n_w
-            tour_sum[direction] += n_w * tour
-            if direction == "outbound":
-                pickup += loss
-            else:
-                dropoff += loss
-    return {
-        "tour_out": tour_sum["outbound"] / tour_w["outbound"],
-        "tour_in": tour_sum["inbound"] / tour_w["inbound"],
-        "pickup_loss": pickup,
-        "dropoff_loss": dropoff,
-    }
-
-
 def _pct_error(analytic: float, simulated: float) -> float:
     if simulated == 0.0:
         return 0.0 if analytic == 0.0 else math.inf
@@ -610,16 +569,30 @@ def run_validation(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         analytic = total_generalized_cost(params, design, model)
-    refs = _analytic_references(params, design, model)
     grid = design.grid
     patrons = (params.lambda_p + params.lambda_d) * params.L * params.W
     zone_scale = np.array([grid.l, grid.w])
     layout = []  # one run's spans: (zone, direction, arrival rate, headway, windows)
+    # the model's references: tours per dispatch weighted by windows, hourly dwell losses
+    windows, tour_sum, loss = ({d: 0.0 for d in DIRECTIONS} for _ in range(3))
     for i, zd in enumerate(design.zones):
+        D = line_haul_distance(grid, zd.z)
         for direction in DIRECTIONS:
             lam = params.lambda_p if direction == "outbound" else params.lambda_d
             H = zd.headway(direction)
-            layout.append((i, direction, lam, H, max(1, round(1.0 / H))))
+            n_w = max(1, round(1.0 / H))
+            layout.append((i, direction, lam, H, n_w))
+            tour_km = zone_books(
+                params, grid, D, H, direction, design.strategy, model, design.w0, design.K, zd.gamma
+            ).tour_km
+            mu = mean_occupancy(params, grid, zd, direction)
+            tau = params.tau_p if direction == "outbound" else params.tau_d
+            whole = design.strategy == FULLY_FLEXIBLE and direction == "outbound"  # FF pick-ups
+            windows[direction] += n_w
+            tour_sum[direction] += n_w * tour_km
+            loss[direction] += tau * (mu * mu + mu) / (H if whole else 2.0 * H)
+    ref_tour_out = tour_sum["outbound"] / windows["outbound"]
+    ref_tour_in = tour_sum["inbound"] / windows["inbound"]
     outbound = np.array([direction == "outbound" for _, direction, _, _, _ in layout])
     scale = np.array([1.0 / (n_w * H) for _, _, _, H, n_w in layout])  # per hour of span
     c_dist = params.pi_v(design.K) / params.theta
@@ -681,16 +654,16 @@ def run_validation(
         sim_gc_std=float(arr.std(ddof=1)),
         sim_gc_se=float(arr.std(ddof=1)) / math.sqrt(run),
         gc_error_pct=_pct_error(analytic.gc_per_patron_min, sim_gc),
-        outbound_tour_error_pct=_pct_error(refs["tour_out"], sim_tour_out),
-        inbound_tour_error_pct=_pct_error(refs["tour_in"], sim_tour_in),
-        pickup_loss_error_pct=_pct_error(refs["pickup_loss"], out.loss_h / run),
-        dropoff_loss_error_pct=_pct_error(refs["dropoff_loss"], inb.loss_h / run),
+        outbound_tour_error_pct=_pct_error(ref_tour_out, sim_tour_out),
+        inbound_tour_error_pct=_pct_error(ref_tour_in, sim_tour_in),
+        pickup_loss_error_pct=_pct_error(loss["outbound"], out.loss_h / run),
+        dropoff_loss_error_pct=_pct_error(loss["inbound"], inb.loss_h / run),
         overcapacity_pct=(out.overcapacity_events + inb.overcapacity_events)
         / (out.dispatches + inb.dispatches)
         * 100.0,
-        analytic_outbound_tour_km=refs["tour_out"],
+        analytic_outbound_tour_km=ref_tour_out,
         sim_outbound_tour_km=sim_tour_out,
-        analytic_inbound_tour_km=refs["tour_in"],
+        analytic_inbound_tour_km=ref_tour_in,
         sim_inbound_tour_km=sim_tour_in,
         mean_occupancy_out=out.served / out.dispatches,
         mean_occupancy_in=inb.served / inb.dispatches,

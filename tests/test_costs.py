@@ -234,6 +234,8 @@ class TestCapacity:
         assert capacity_ok(4.0, 8)
         assert not capacity_ok(4.1, 8)
         assert capacity_ok(0.0, 1)
+        # arrays are judged element by element, as the search judges its gammas
+        np.testing.assert_array_equal(capacity_ok(np.array([0.0, 4.0, 4.1]), 8), [True, True, False])
 
 
 class TestValidateDesign:
@@ -378,6 +380,7 @@ def scalar_books(p, grid, D, H, direction, strategy, w0, K, gamma) -> dict[str, 
         wait = p.alpha * riders * (H / 2.0 + w0 / (3.0 * v))
         tour = ((A / w0 + w0 / 2.0) / v * mu + (w0 / (3.0 * v) + tau) * EQ2) / (2.0 * H)
         veh_km = (A / w0 + w0 / 2.0 + D + mu * w0 / 3.0) / H
+        tour_km = A / w0 + w0 / 2.0 + mu * w0 / 3.0
     return {
         "wait": wait if outbound else 0.0,
         "tour": tour,
@@ -385,6 +388,7 @@ def scalar_books(p, grid, D, H, direction, strategy, w0, K, gamma) -> dict[str, 
         "transfer": transfer,
         "dist": p.pi_v(K) / p.theta * veh_km,
         "time": p.pi_m(K) / p.theta * (veh_km / v + tau * riders),
+        "tour_km": tour_km,
     }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -443,6 +444,37 @@ class TestRunValidation:
         design = request.getfixturevalue(f"{design_name}_design")
         report = run_validation(table2, design, TABLE1_MODEL, min_runs=50, seed=11)
         assert dataclasses.asdict(report) == self.PINNED[design_name]
+
+    # SHA-256 over the (tour, q, wait, inveh) arrays of every call to each
+    # strategy's window accounting during run_validation(min_runs=50,
+    # seed=11), in call order.  The report pins above absorb last-bit changes
+    # in the per-window sums; these catch them.
+    PINNED_WINDOWS = {
+        "ff": ("_ff_windows", "9ea8b185bc1a1213162631e3fa8aa5a460c01fad083d4a9f5ace53f70354e67a"),
+        "sf": ("_sf_windows", "897848d25306881aeae944fa5c53255c1b27f01e19b19d3d6d00951de1bd7391"),
+    }
+
+    @pytest.mark.parametrize("design_name", sorted(PINNED_WINDOWS))
+    def test_window_books_pinned(
+        self, table2: ScenarioParams, request, design_name: str, monkeypatch
+    ) -> None:
+        from drcflex import TABLE1_MODEL
+        from drcflex import simulator
+
+        name, want = self.PINNED_WINDOWS[design_name]
+        windows = getattr(simulator, name)
+        digest = hashlib.sha256()
+
+        def hashed(*args):
+            books = windows(*args)
+            for book in books:
+                digest.update(book.tobytes())
+            return books
+
+        monkeypatch.setattr(simulator, name, hashed)
+        design = request.getfixturevalue(f"{design_name}_design")
+        run_validation(table2, design, TABLE1_MODEL, min_runs=50, seed=11)
+        assert digest.hexdigest() == want
 
     def test_deterministic_given_seed(self, table2: ScenarioParams, sf_design: DesignSolution) -> None:
         from drcflex import TABLE1_MODEL
