@@ -15,10 +15,11 @@ waiting drops (no share of the collection tour) while the vehicle path
 acquires the fixed lw/w0 + w0/2 sweep.
 
 One kernel, ``zone_books``, computes every book of one zone and direction
-for either strategy, at one headway or at a whole array of them: the
-optimizer scans a zone's headways in a single call and refines on the same
-kernel at scalar H.  The FF tour terms share one exp(beta4*(mu+1)**beta5)
-factor per call.  ``zone_cost_terms`` and the per-book functions
+for either strategy, at one headway or at a whole array of them, with D and
+K broadcasting against H: the optimizer scans the headways of every
+(K, distance) lane of a design group in a single call, and each step of its
+lane-parallel refinement is one more call.  The FF tour terms share one
+exp(beta4*(mu+1)**beta5) factor per call.  ``zone_cost_terms`` and the per-book functions
 (``ff_wait_cost_zone`` and the rest) are views of it, and the simulator's
 validation reads its expected tour per dispatch.
 """
@@ -237,8 +238,8 @@ def zone_books(
     """The books of a zone at line-haul distance D for one direction.
 
     ``H`` is the direction's headway: a scalar, or an array to evaluate every
-    book at many headways in one call (``gamma``, the inbound sync multiple,
-    broadcasts with it).  Scalars are computed as Python floats with libm;
+    book at many headways in one call (``D``, ``K`` and ``gamma``, the inbound
+    sync multiple, may be arrays that broadcast with it).  Scalars are computed as Python floats with libm;
     arrays, 0-d ones included, with numpy ufuncs, which may differ from libm
     by an ulp.  ``model`` is needed only for fully flexible routing and
     ``w0`` only for semi-flexible; ``K`` matters only to the agency books.

@@ -1,12 +1,16 @@
-"""Exhaustive design search with per-zone continuous headway optimization.
+"""Exhaustive design search with continuous headway optimization as one array program.
 
 The discrete variables (grid shape M x N, vehicle capacity K, and for
 semi-flexible routing the swath width w0) are enumerated exhaustively.  For
 each combination the generalized cost separates into independent per-zone,
-per-direction terms, so the outbound headway H_p is optimized by bracketed
-1-D minimization and the inbound sync multiple gamma by enumeration, zone by
-zone.  Zones sharing a line-haul distance have identical optima and are
-solved once.
+per-direction terms, and zones sharing a line-haul distance D have identical
+optima.  K enters those terms only through the agency cost rates and the
+capacity caps, so each (M, N, w0) group is solved once for every K: one lane
+per (K, distinct D).  One kernel call scans every lane's outbound headways, a
+lane-parallel port of scipy's bounded Brent refines every local dip of every
+lane at once, and one more call enumerates the inbound sync multiple gamma
+over (lanes, gamma).  ``optimize_zone_headway`` and ``optimize_zone_gamma``
+are the same solves for a single zone.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .costs import (
     FULLY_FLEXIBLE,
@@ -137,7 +140,90 @@ def headway_cap_from_capacity(lam: float, l: float, w: float, K: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Per-zone, per-direction objectives
+# Lane-parallel bounded Brent
+# ---------------------------------------------------------------------------
+
+# Brent's constants as scipy's minimize_scalar(method="bounded") states them.
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _bounded_brent(f, lo, hi, xatol: float, maxfun: int = 500):
+    """Minimize on many independent intervals at once by Brent's bounded method.
+
+    Lane i searches [lo[i], hi[i]] with the golden-section and parabolic
+    steps of Brent (1973, *Algorithms for Minimization without Derivatives*,
+    ch. 5) exactly as scipy's ``minimize_scalar(method="bounded")`` takes
+    them: the same constants, tolerances, acceptance test, sign rule and
+    update order, so every lane follows the path a scalar call would follow
+    on the same function values.  ``f(x, lanes)`` returns the objective at
+    ``x[j]`` for lane ``lanes[j]``.  Lanes drop out as they converge; all stop
+    after ``maxfun`` evaluations.  Returns arrays (x, fun, nfev).
+    """
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    lanes = np.arange(a.size)
+    xf = a + _GOLDEN_MEAN * (b - a)
+    fx = np.asarray(f(xf, lanes), dtype=float)
+    nfc, fulc, fnfc, ffulc = xf, xf, fx, fx
+    rat = e = np.zeros(a.size)
+    out_x, out_f, out_n = xf.copy(), fx.copy(), np.ones(a.size, dtype=int)
+    num = 1  # every running lane has made the same number of evaluations
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            xm = 0.5 * (a + b)
+            tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+            tol2 = 2.0 * tol1
+            run = np.abs(xf - xm) > (tol2 - 0.5 * (b - a))
+            if not run.all():
+                done = lanes[~run]
+                out_x[done], out_f[done], out_n[done] = xf[~run], fx[~run], num
+                if not run.any():
+                    break
+                a, b, xf, fx, nfc, fnfc, fulc, ffulc, rat, e, xm, tol1, tol2, lanes = (
+                    v[run] for v in (a, b, xf, fx, nfc, fnfc, fulc, ffulc, rat, e, xm, tol1, tol2, lanes)
+                )
+            # parabolic fit through the three best points
+            fit = np.abs(e) > tol1
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p = np.where(q > 0.0, -p, p)
+            q = np.abs(q)
+            accept = fit & (np.abs(p) < np.abs(0.5 * q * e)) & (p > q * (a - xf)) & (p < q * (b - xf))
+            e = np.where(fit, rat, e)
+            step = (p + 0.0) / q
+            x = xf + step
+            si = np.sign(xm - xf) + ((xm - xf) == 0)
+            step = np.where(((x - a) < tol2) | ((b - x) < tol2), tol1 * si, step)
+            # golden-section step wherever the parabola is not accepted
+            e = np.where(accept, e, np.where(xf >= xm, a - xf, b - xf))
+            rat = np.where(accept, step, _GOLDEN_MEAN * e)
+            si = np.sign(rat) + (rat == 0)
+            x = xf + si * np.maximum(np.abs(rat), tol1)
+            fu = np.asarray(f(x, lanes), dtype=float)
+            num += 1
+            lower = fu <= fx
+            right = x >= xf
+            a = np.where(lower == right, np.where(lower, xf, x), a)
+            b = np.where(lower != right, np.where(lower, xf, x), b)
+            near = ~lower & ((fu <= fnfc) | (nfc == xf))
+            far = ~lower & ~near & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
+            shift = lower | near
+            fulc = np.where(shift, nfc, np.where(far, x, fulc))
+            ffulc = np.where(shift, fnfc, np.where(far, fu, ffulc))
+            nfc = np.where(lower, xf, np.where(near, x, nfc))
+            fnfc = np.where(lower, fx, np.where(near, fu, fnfc))
+            xf, fx = np.where(lower, x, xf), np.where(lower, fu, fx)
+            if num >= maxfun:
+                out_x[lanes], out_f[lanes], out_n[lanes] = xf, fx, num
+                break
+    return out_x, out_f, out_n
+
+
+# ---------------------------------------------------------------------------
+# Per-zone, per-direction solves, many lanes at once
 # ---------------------------------------------------------------------------
 
 
@@ -147,6 +233,118 @@ def _unit_starts(n_starts: int) -> np.ndarray:
     starts = np.random.default_rng(0xD5C0).random(n_starts)
     starts.flags.writeable = False
     return starts
+
+
+def _headway_caps(
+    params: ScenarioParams, grid: ZoneGrid, Ks: Sequence[int], enforce_capacity: bool
+) -> np.ndarray:
+    """The upper end of the outbound headway interval for each capacity."""
+    if not enforce_capacity:
+        return np.full(len(Ks), params.H_max)
+    return np.array(
+        [min(params.H_max, headway_cap_from_capacity(params.lambda_p, grid.l, grid.w, K)) for K in Ks]
+    )
+
+
+def _group_cost(
+    params: ScenarioParams,
+    grid: ZoneGrid,
+    strategy: str,
+    model: KStarModel | TourLengthLaw,
+    w0: float | None,
+):
+    """The cost kernel of one (M, N, w0) group: ``cost(direction, D, H, K,
+    gamma)`` is every book that depends on that direction's headway."""
+
+    def cost(direction: Direction, D, H, K, gamma=1):
+        return zone_books(params, grid, D, H, direction, strategy, model, w0, K, gamma).total
+
+    return cost
+
+
+def _outbound_headways(
+    cost, lo: float, D: np.ndarray, K: np.ndarray, hi: np.ndarray, n_starts: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize the outbound cost of many lanes; return (H_p, cost) per lane.
+
+    Lane i is a zone at line-haul distance D[i] served by capacity-K[i]
+    vehicles, searched on [lo, hi[i]].  A coarse scan seeds bounded Brent
+    refinements around every local dip plus n_starts additional interior
+    points, guarding against multimodality of the expansion-based objective.
+    One kernel call scans every lane, and one Brent loop refines every dip.
+    """
+
+    def books(H: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        shape = lanes.shape + (1,) * (H.ndim - lanes.ndim)
+        return cost("outbound", D[lanes].reshape(shape), H, K[lanes].reshape(shape))
+
+    H = np.full(D.shape, lo)
+    val = np.empty(D.shape)
+    narrow = hi - lo <= HEADWAY_TOL_H
+    if narrow.any():
+        val[narrow] = books(H[narrow], np.flatnonzero(narrow))
+    wide = np.flatnonzero(~narrow)
+    if not wide.size:
+        return H, val
+    grid_pts = np.linspace(lo, hi[wide], max(2 * n_starts, 24), axis=1)
+    starts = np.concatenate([grid_pts, lo + (hi[wide, None] - lo) * _unit_starts(n_starts)], axis=1)
+    starts.sort(axis=1)
+    vals = books(starts, wide)
+    rows = np.arange(wide.size)
+    i_best = vals.argmin(axis=1)
+    best_H, best_val = starts[rows, i_best], vals[rows, i_best]
+    # refine around every local dip of every lane's scan, in scan order
+    padded = np.pad(vals, ((0, 0), (1, 1)), constant_values=math.inf)
+    lane, i = np.nonzero((vals <= padded[:, :-2]) & (vals <= padded[:, 2:]))
+    last = starts.shape[1] - 1
+    a = np.where(i > 0, starts[lane, np.maximum(i - 1, 0)], lo)
+    b = np.where(i < last, starts[lane, np.minimum(i + 1, last)], hi[wide[lane]])
+    x, fun, _ = _bounded_brent(lambda x, j: books(x, wide[lane[j]]), a, b, HEADWAY_TOL_H / 2)
+    # a refinement replaces the lane's best only if strictly cheaper, dip by dip
+    rank = np.arange(lane.size) - np.searchsorted(lane, lane)
+    for r in range(rank.max(initial=-1) + 1):
+        at = rank == r
+        better = fun[at] < best_val[lane[at]]
+        best_H[lane[at][better]] = x[at][better]
+        best_val[lane[at][better]] = fun[at][better]
+    H[wide], val[wide] = best_H, best_val
+    return H, val
+
+
+def _sync_multiples(
+    params: ScenarioParams,
+    grid: ZoneGrid,
+    Ks: Sequence[int],
+    gamma_range: Sequence[int],
+    enforce_capacity: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gammas, H_d, ok): the sorted trunk-sync multiples, their inbound
+    headways, and which of them each capacity admits, shaped (len(Ks), gammas)."""
+    gammas = np.array(sorted(gamma_range))
+    H_d = gammas * params.H_t
+    ok = (H_d >= max(params.H_min, params.H_t) - 1e-12) & (H_d <= params.H_max + 1e-12)
+    ok = np.broadcast_to(ok, (len(Ks), gammas.size))
+    if enforce_capacity:
+        ok = ok & capacity_ok(params.lambda_d * H_d * grid.area, np.asarray(Ks)[:, None])
+    return gammas, H_d, ok
+
+
+def _inbound_sync(
+    cost, D: np.ndarray, K: np.ndarray, gammas: np.ndarray, H_d: np.ndarray, ok: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cheapest admitted sync multiple of each lane: (gamma, H_d, inbound cost).
+
+    Lane i is a zone at distance D[i] with capacity K[i] that admits the
+    multiples ``ok[i]``, at least one.  A later multiple wins only if it is
+    cheaper by more than the tie slack, so ties go to the smaller one.
+    """
+    costs = cost("inbound", D[:, None], H_d[None, :], K[:, None], gammas)
+    rows = np.arange(D.size)
+    best = ok.argmax(axis=1)
+    for i in range(gammas.size):
+        cur = costs[rows, best]
+        best = np.where(ok[:, i] & (costs[:, i] < cur - TIE_REL * np.maximum(1.0, np.abs(cur))), i, best)
+    return gammas[best], H_d[best], costs[rows, best]
 
 
 def optimize_zone_headway(
@@ -160,47 +358,21 @@ def optimize_zone_headway(
     n_starts: int = 20,
     enforce_capacity: bool = True,
 ) -> tuple[float, float]:
-    """Minimize the zone's outbound cost over the feasible headway interval.
+    """Minimize one zone's outbound cost over its feasible headway interval.
 
-    A coarse scan seeds bracketed refinements around every local dip plus
-    n_starts additional interior points, guarding against multimodality of
-    the expansion-based objective.  The objective is every book that depends
-    on the outbound headway; the scan evaluates it in one kernel call.
+    One lane of the search's own solve; returns (H_p, outbound cost).
     """
-    lo = params.H_min
-    hi = params.H_max
-    if enforce_capacity:
-        hi = min(hi, headway_cap_from_capacity(params.lambda_p, grid.l, grid.w, K))
-    if hi < lo - 1e-15:
+    hi = _headway_caps(params, grid, (K,), enforce_capacity)
+    if hi[0] < params.H_min - 1e-15:
         raise InfeasibleDesignError(
             "capacity",
             z,
-            f"outbound headway cap {hi:.6f} h below the minimum headway {lo:.6f} h",
+            f"outbound headway cap {hi[0]:.6f} h below the minimum headway {params.H_min:.6f} h",
         )
-    D = line_haul_distance(grid, z)
-
-    def f(H):
-        return zone_books(params, grid, D, H, "outbound", strategy, model, w0_opt, K).total
-
-    if hi - lo <= HEADWAY_TOL_H:
-        return lo, f(lo)
-    grid_pts = np.linspace(lo, hi, max(2 * n_starts, 24))
-    starts = np.concatenate([grid_pts, lo + (hi - lo) * _unit_starts(n_starts)])
-    starts.sort()
-    vals = f(starts)
-    i_best = int(vals.argmin())
-    best_H, best_val = float(starts[i_best]), float(vals[i_best])
-    # refine around every local dip of the scan
-    padded = np.concatenate(([math.inf], vals, [math.inf]))
-    for i in np.flatnonzero((vals <= padded[:-2]) & (vals <= padded[2:])):
-        a = starts[i - 1] if i > 0 else lo
-        b = starts[i + 1] if i + 1 < len(starts) else hi
-        res = minimize_scalar(
-            f, bounds=(float(a), float(b)), method="bounded", options={"xatol": HEADWAY_TOL_H / 2}
-        )
-        if res.fun < best_val:
-            best_H, best_val = float(res.x), float(res.fun)
-    return best_H, best_val
+    D = np.array([line_haul_distance(grid, z)])
+    cost = _group_cost(params, grid, strategy, model, w0_opt)
+    H, val = _outbound_headways(cost, params.H_min, D, np.array([K]), hi, n_starts)
+    return float(H[0]), float(val[0])
 
 
 def optimize_zone_gamma(
@@ -215,25 +387,17 @@ def optimize_zone_gamma(
     enforce_capacity: bool = True,
 ) -> tuple[int, float, float]:
     """Enumerate the trunk-sync multiple; return (gamma, H_d, inbound cost)."""
-    gammas = np.array(sorted(gamma_range))
-    H_d = gammas * params.H_t
-    ok = (H_d >= max(params.H_min, params.H_t) - 1e-12) & (H_d <= params.H_max + 1e-12)
-    if enforce_capacity:
-        ok &= capacity_ok(params.lambda_d * H_d * grid.area, K)
+    gammas, H_d, ok = _sync_multiples(params, grid, (K,), gamma_range, enforce_capacity)
     if not ok.any():
         raise InfeasibleDesignError(
             "inbound_sync",
             z,
             f"no feasible trunk-sync multiple in {tuple(gamma_range)} for K={K}",
         )
-    gammas, H_d = gammas[ok], H_d[ok]
-    D = line_haul_distance(grid, z)
-    costs = zone_books(params, grid, D, H_d, "inbound", strategy, model, w0_opt, K, gammas).total
-    best = 0
-    for i in range(1, len(costs)):
-        if costs[i] < costs[best] - TIE_REL * max(1.0, abs(costs[best])):
-            best = i
-    return int(gammas[best]), float(H_d[best]), float(costs[best])
+    D = np.array([line_haul_distance(grid, z)])
+    cost = _group_cost(params, grid, strategy, model, w0_opt)
+    gamma, H, val = _inbound_sync(cost, D, np.array([K]), gammas, H_d, ok)
+    return int(gamma[0]), float(H[0]), float(val[0])
 
 
 # ---------------------------------------------------------------------------
@@ -241,50 +405,44 @@ def optimize_zone_gamma(
 # ---------------------------------------------------------------------------
 
 
-def _design_for_combo(
+def _solve_group(
     params: ScenarioParams,
     space: SearchSpace,
     model: KStarModel | TourLengthLaw,
-    M: int,
-    N: int,
-    K: int,
+    grid: ZoneGrid,
     w0: float | None,
-) -> DesignSolution:
-    """Solve the continuous problem for one discrete combination."""
-    grid = make_grid(params, M, N)
-    solved: dict[float, tuple[float, int, float]] = {}  # D -> (H_p, gamma, H_d)
-    zone_designs = []
-    for z in grid.zones():
-        D = round(line_haul_distance(grid, z), 12)
-        if D not in solved:
-            H_p, _ = optimize_zone_headway(
-                params,
-                grid,
-                z,
-                K,
-                space.strategy,
-                model,
-                w0_opt=w0,
-                n_starts=space.n_starts,
-                enforce_capacity=space.enforce_capacity,
-            )
-            gamma, H_d, _ = optimize_zone_gamma(
-                params,
-                grid,
-                z,
-                K,
-                space.strategy,
-                model,
-                w0_opt=w0,
-                gamma_range=space.gamma_range,
-                enforce_capacity=space.enforce_capacity,
-            )
-            solved[D] = (H_p, gamma, H_d)
-        H_p, gamma, H_d = solved[D]
-        zone_designs.append(ZoneDesign(z=z, H_p=H_p, H_d=H_d, gamma=gamma))
-    return DesignSolution(
-        strategy=space.strategy, grid=grid, K=K, zones=tuple(zone_designs), w0=w0
+) -> list[tuple[ZoneDesign, ...] | str]:
+    """Solve one (M, N, w0) group for every K of the space at once.
+
+    Returns, per K in ``space.K_range``, the zone designs or the name of the
+    constraint that makes K infeasible.  Zones sharing a line-haul distance
+    have identical optima, so each (K, distinct distance) is one lane.
+    """
+    zone_D = np.array([line_haul_distance(grid, z) for z in grid.zones()])
+    _, first, slot = np.unique([round(d, 12) for d in zone_D], return_index=True, return_inverse=True)
+    Ks = np.array(space.K_range)
+    hi = _headway_caps(params, grid, space.K_range, space.enforce_capacity)
+    gammas, H_d, ok = _sync_multiples(
+        params, grid, space.K_range, space.gamma_range, space.enforce_capacity
     )
+    notes = [
+        "capacity" if h < params.H_min - 1e-15 else "inbound_sync" if not admits else ""
+        for h, admits in zip(hi, ok.any(axis=1))
+    ]
+    solved = np.array([k for k, note in enumerate(notes) if not note], dtype=int)
+    n_d = first.size
+    k_of = np.repeat(solved, n_d)  # lanes are K-major, distance-minor
+    D = np.tile(zone_D[first], solved.size)
+    cost = _group_cost(params, grid, space.strategy, model, w0)
+    H_p, _ = _outbound_headways(cost, params.H_min, D, Ks[k_of], hi[k_of], space.n_starts)
+    gamma, H_in, _ = _inbound_sync(cost, D, Ks[k_of], gammas, H_d, ok[k_of])
+    out: list[tuple[ZoneDesign, ...] | str] = list(notes)
+    for base, k in enumerate(solved):
+        out[k] = tuple(
+            ZoneDesign(z=z, H_p=float(H_p[i]), H_d=float(H_in[i]), gamma=int(gamma[i]))
+            for z, i in zip(grid.zones(), base * n_d + slot)
+        )
+    return out
 
 
 def _tie_break_key(design: DesignSolution) -> tuple:
@@ -306,43 +464,34 @@ def search_design(
     best: tuple[DesignSolution, CostBreakdown] | None = None
     for M in space.M_range:
         for N in space.N_range:
+            grid = make_grid(params, M, N)
             if space.strategy == SEMI_FLEXIBLE:
-                grid = make_grid(params, M, N)
                 w0_options: list[float | None] = [
                     c.w0 for c in feasible_swath_widths(grid.l, grid.w)
                 ]
             else:
                 w0_options = [None]
-            for K in space.K_range:
-                for w0 in w0_options:
-                    note = ""
+            groups = [_solve_group(params, space, model, grid, w0) for w0 in w0_options]
+            for k, K in enumerate(space.K_range):
+                for w0, group in zip(w0_options, groups):
+                    entry = functools.partial(SearchLogEntry, strategy=space.strategy, M=M, N=N, K=K, w0=w0)
+                    if isinstance(group[k], str):
+                        log.append(entry(gc=None, note=f"infeasible: {group[k]}"))
+                        continue
+                    design = DesignSolution(
+                        strategy=space.strategy, grid=grid, K=K, zones=group[k], w0=w0
+                    )
                     try:
                         with warnings.catch_warnings(record=True) as caught:
                             warnings.simplefilter("always", LowOccupancyWarning)
-                            design = _design_for_combo(params, space, model, M, N, K, w0)
                             breakdown = total_generalized_cost(
                                 params, design, model, check_capacity=space.enforce_capacity
                             )
-                            if any(issubclass(w.category, LowOccupancyWarning) for w in caught):
-                                note = "low_occupancy"
                     except InfeasibleDesignError as exc:
-                        log.append(
-                            SearchLogEntry(
-                                strategy=space.strategy,
-                                M=M,
-                                N=N,
-                                K=K,
-                                w0=w0,
-                                gc=None,
-                                note=f"infeasible: {exc.constraint}",
-                            )
-                        )
+                        log.append(entry(gc=None, note=f"infeasible: {exc.constraint}"))
                         continue
-                    log.append(
-                        SearchLogEntry(
-                            strategy=space.strategy, M=M, N=N, K=K, w0=w0, gc=breakdown.GC, note=note
-                        )
-                    )
+                    low = any(issubclass(w.category, LowOccupancyWarning) for w in caught)
+                    log.append(entry(gc=breakdown.GC, note="low_occupancy" if low else ""))
                     if best is None:
                         best = (design, breakdown)
                     else:

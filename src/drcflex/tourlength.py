@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .tsp import closed_tour_lengths_batch
 
@@ -337,6 +336,9 @@ def fit_kstar_model(cells: Sequence[CalibrationCell], x0: KStarModel = TABLE1_MO
         b1, b2, b3, b4, b5 = beta
         pred = (b1 * ss + b2) * qs ** b3 * np.exp(b4 * qs ** b5)
         return pred / ys - 1.0
+
+    # imported here so that ``import drcflex`` does not load scipy.optimize
+    from scipy.optimize import least_squares
 
     start = np.array([x0.beta1, x0.beta2, x0.beta3, x0.beta4, x0.beta5])
     # lm needs at least as many residuals as parameters; tiny grids fall back

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import drcflex
 from drcflex import (
     FULLY_FLEXIBLE,
     SEMI_FLEXIBLE,
@@ -23,11 +29,16 @@ from drcflex import (
 from drcflex.costs import LowOccupancyWarning, ZoneDesign, zone_books
 from drcflex.params import line_haul_distance
 from drcflex.optimizer import (
+    HEADWAY_TOL_H,
     METRIC_LABELS,
+    _bounded_brent,
+    _solve_group,
+    _unit_starts,
     headway_cap_from_capacity,
     optimize_zone_gamma,
     optimize_zone_headway,
 )
+from drcflex.tourlength import feasible_swath_widths
 
 
 class TestHeadwayCap:
@@ -239,3 +250,156 @@ class TestSearchSpaceValidation:
 def test_metric_labels_are_stable() -> None:
     assert len(METRIC_LABELS) == 18
     assert METRIC_LABELS[0] == "generalized_cost_min_per_patron"
+
+
+class TestBoundedBrent:
+    """The lane-parallel port takes scipy's steps, lane by lane, bit for bit."""
+
+    # (kind, c, m): c*(x-m)**2, (x-m)**4 + c*x, c/(x+10) + m*x, a flat-bottomed
+    # max(|x-m| - c, 0) whose equal values exercise the tie rules, and a
+    # multimodal sin(c*x) + m*x.  Both sides evaluate them on Python floats.
+    LANES = (
+        ("square", 1.0, 0.3),
+        ("square", 1.0, 0.55),  # third step lands above the first: the outer point moves
+        ("square", 2.5, -0.7),  # minimum at the lower bound
+        ("square", 0.4, 9.0),  # minimum at the upper bound
+        ("quartic", 0.5, 0.1),
+        ("quartic", 3.0, 1.4),
+        ("hyperbola", 2.0, 0.05),
+        ("hyperbola", 40.0, 0.9),
+        ("plateau", 0.5, 0.2),
+        ("plateau", 1.2, 2.0),
+        ("wave", 7.0, 0.1),
+        ("wave", 3.0, -0.2),
+        ("square", 1.0, 1.0),  # bracket narrower than the tolerance
+    )
+    BOUNDS = (
+        (-1.0, 2.0), (0.0, 1.0), (-0.5, 0.5), (0.0, 3.0), (-2.0, 2.0), (0.0, 5.0), (0.0, 4.0),
+        (0.1, 8.0), (-1.0, 3.0), (0.0, 2.5), (-3.0, 3.0), (0.0, 6.0), (1.0, 1.0 + 1e-9),
+    )
+
+    @staticmethod
+    def value(kind: str, c: float, m: float, x: float) -> float:
+        if kind == "square":
+            return c * (x - m) * (x - m)
+        if kind == "quartic":
+            d2 = (x - m) * (x - m)
+            return d2 * d2 + c * x
+        if kind == "plateau":
+            return max(abs(x - m) - c, 0.0)
+        if kind == "wave":
+            return math.sin(c * x) + m * x
+        return c / (x + 10.0) + m * x
+
+    def lanes_f(self, x: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        return np.array([self.value(*self.LANES[lane], float(xj)) for lane, xj in zip(lanes, x)])
+
+    @pytest.mark.parametrize("xatol, maxfun", [(1e-5, 500), (1e-10, 500), (1e-10, 9)])
+    def test_matches_scipy_lane_by_lane(self, xatol: float, maxfun: int) -> None:
+        from scipy.optimize import minimize_scalar
+
+        lo, hi = np.array(self.BOUNDS).T
+        x, fun, nfev = _bounded_brent(self.lanes_f, lo, hi, xatol, maxfun)
+        for i, ((kind, c, m), (a, b)) in enumerate(zip(self.LANES, self.BOUNDS)):
+            ref = minimize_scalar(
+                lambda t: self.value(kind, c, m, t),
+                bounds=(a, b),
+                method="bounded",
+                options={"xatol": xatol, "maxiter": maxfun},
+            )
+            assert (x[i], fun[i], nfev[i]) == (ref.x, ref.fun, ref.nfev), (kind, c, m)
+        if maxfun == 500:
+            # the lanes finish at different iterations, the narrow one at once
+            assert nfev[-1] == 1
+            assert len(set(nfev[:-1].tolist())) > 2
+        else:
+            assert nfev.max() == maxfun
+
+
+class TestGroupSolve:
+    """The search's (M, N, w0) groups solve each zone as the one-zone calls do."""
+
+    @pytest.mark.parametrize("strategy", [FULLY_FLEXIBLE, SEMI_FLEXIBLE])
+    def test_lanes_are_independent(self, table2: ScenarioParams, strategy: str) -> None:
+        # K from 1 to 12 on 1-2 x 1-2 grids runs into both the capacity and
+        # the inbound_sync constraints
+        space = SearchSpace(
+            strategy=strategy, M_range=(1, 2), N_range=(1, 2), K_range=tuple(range(1, 13))
+        )
+        log = {(e.M, e.N, e.K, e.w0): e for e in search_design(table2, space, TABLE1_MODEL).search_log}
+        notes = set()
+        for M in space.M_range:
+            for N in space.N_range:
+                grid = make_grid(table2, M, N)
+                w0s = [None]
+                if strategy == SEMI_FLEXIBLE:
+                    w0s = [c.w0 for c in feasible_swath_widths(grid.l, grid.w)]
+                for w0 in w0s:
+                    group = _solve_group(table2, space, TABLE1_MODEL, grid, w0)
+                    for K, solved in zip(space.K_range, group):
+                        if isinstance(solved, str):
+                            notes.add(solved)
+                            assert log[(M, N, K, w0)].note == f"infeasible: {solved}"
+                            for z in grid.zones():
+                                with pytest.raises(InfeasibleDesignError, match=solved):
+                                    optimize_zone_headway(table2, grid, z, K, strategy, TABLE1_MODEL, w0)
+                                    optimize_zone_gamma(table2, grid, z, K, strategy, TABLE1_MODEL, w0)
+                            continue
+                        for zd in solved:
+                            H_p, _ = optimize_zone_headway(
+                                table2, grid, zd.z, K, strategy, TABLE1_MODEL, w0
+                            )
+                            gamma, H_d, _ = optimize_zone_gamma(
+                                table2, grid, zd.z, K, strategy, TABLE1_MODEL, w0
+                            )
+                            assert (zd.H_p, zd.gamma, zd.H_d) == (H_p, gamma, H_d)
+        assert notes == {"capacity", "inbound_sync"}
+
+    @pytest.mark.parametrize(
+        "strategy, M, N, K, w0",
+        [(FULLY_FLEXIBLE, 2, 2, 8, None), (FULLY_FLEXIBLE, 1, 3, 12, None),
+         (SEMI_FLEXIBLE, 1, 4, 9, 0.5), (SEMI_FLEXIBLE, 2, 2, 6, 0.25)],
+    )
+    def test_matches_the_scalar_scipy_search(
+        self, table2: ScenarioParams, strategy: str, M: int, N: int, K: int, w0
+    ) -> None:
+        # The reference is the search as it ran on scipy: scalar kernel calls
+        # and one minimize_scalar per scan dip.  The SF books use only + - * /,
+        # so arrays and scalars agree and so must the optima, bit for bit; the
+        # FF ones go through exp and pow, where numpy and libm may differ by an ulp.
+        from scipy.optimize import minimize_scalar
+
+        grid = make_grid(table2, M, N)
+        lo = table2.H_min
+        hi = min(table2.H_max, headway_cap_from_capacity(table2.lambda_p, grid.l, grid.w, K))
+        for z in grid.zones():
+            D = line_haul_distance(grid, z)
+
+            def f(H):
+                return zone_books(table2, grid, D, H, "outbound", strategy, TABLE1_MODEL, w0, K).total
+
+            starts = np.sort(np.concatenate([np.linspace(lo, hi, 40), lo + (hi - lo) * _unit_starts(20)]))
+            vals = f(starts)
+            ref_H, ref_val = starts[vals.argmin()], vals.min()
+            padded = np.concatenate(([np.inf], vals, [np.inf]))
+            for i in np.flatnonzero((vals <= padded[:-2]) & (vals <= padded[2:])):
+                a = starts[i - 1] if i > 0 else lo
+                b = starts[i + 1] if i + 1 < len(starts) else hi
+                res = minimize_scalar(
+                    f, bounds=(a, b), method="bounded", options={"xatol": HEADWAY_TOL_H / 2}
+                )
+                if res.fun < ref_val:
+                    ref_H, ref_val = res.x, res.fun
+            H, val = optimize_zone_headway(table2, grid, z, K, strategy, TABLE1_MODEL, w0)
+            if strategy == SEMI_FLEXIBLE:
+                assert (H, val) == (ref_H, ref_val)
+            else:
+                assert val == pytest.approx(ref_val, rel=1e-14)
+                assert H == pytest.approx(ref_H, abs=HEADWAY_TOL_H)
+
+
+def test_import_leaves_scipy_optimize_unloaded() -> None:
+    # scipy.optimize is loaded only by the calibration fit, not by the package import
+    src = str(Path(drcflex.__file__).resolve().parents[1])
+    code = "import sys, drcflex; assert 'scipy.optimize' not in sys.modules, sorted(sys.modules)"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
