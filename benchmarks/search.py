@@ -5,9 +5,11 @@ Times ``drcflex.search_design`` on the base scenario (``table2_params``,
 fully flexible and for semi-flexible routing, and perfbench's ``compare``
 space (read from ``perfbench/references.json``), both strategies one after
 the other.  Each figure is the median of ``REPEATS`` timed calls after one
-untimed call.  The entry, with the combination counts and the machine facts,
-is written into ``BENCH_layers.json`` as layer ``search`` under ``--label``,
-replacing an entry of the same layer and label.
+untimed call.  It also records the peak resident set of one full-space
+semi-flexible search run alone in a fresh interpreter.  The entry, with the
+combination counts and the machine facts, is written into
+``BENCH_layers.json`` as layer ``search`` under ``--label``, replacing an
+entry of the same layer and label.
 
 Run it from the repository root::
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,6 +35,24 @@ from simulator import median_time
 
 REPEATS = 3
 COMPARE_SPACE = json.loads((ROOT / "perfbench" / "references.json").read_text())["compare"]["space"]
+
+# One full-space SF search; prints the process's peak RSS in KiB (Linux ru_maxrss).
+PEAK_RSS_SCRIPT = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+import drcflex
+space = drcflex.SearchSpace(strategy=drcflex.SEMI_FLEXIBLE)
+drcflex.search_design(drcflex.table2_params(), space, drcflex.TABLE1_MODEL)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def sf_full_peak_rss_mb(src: Path) -> float:
+    """Peak RSS, in MB, of a fresh interpreter that runs one full-space SF search."""
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_SCRIPT, str(src)], check=True, capture_output=True, text=True
+    )
+    return int(done.stdout.split()[-1]) / 1024
 
 
 def measure(drcflex, repeats: int) -> dict:
@@ -66,6 +87,8 @@ def main(argv: list[str] | None = None) -> int:
     import drcflex
 
     results = measure(drcflex, REPEATS)
+    peak = sf_full_peak_rss_mb(src)
+    print(f"sf_full peak RSS: {peak:.1f} MB (fresh process)", flush=True)
     write_entry(args.out, {
         "layer": "search",
         "label": args.label,
@@ -75,6 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         "repeats": REPEATS,
         "machine": machine(),
         **results,
+        "peak_rss_mb": {"sf_full": peak},
     })
     return 0
 

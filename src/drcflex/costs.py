@@ -15,13 +15,17 @@ waiting drops (no share of the collection tour) while the vehicle path
 acquires the fixed lw/w0 + w0/2 sweep.
 
 One kernel, ``zone_books``, computes every book of one zone and direction
-for either strategy, at one headway or at a whole array of them, with D and
-K broadcasting against H: the optimizer scans the headways of every
-(K, distance) lane of a design group in a single call, and each step of its
-lane-parallel refinement is one more call.  The FF tour terms share one
-exp(beta4*(mu+1)**beta5) factor per call.  ``zone_cost_terms`` and the per-book functions
-(``ff_wait_cost_zone`` and the rest) are views of it, and the simulator's
-validation reads its expected tour per dispatch.
+for either strategy, at one headway or at a whole array of them.  D, K and
+the zone geometry (area, aspect ratio S, swath width w0) broadcast against
+H, so one call can evaluate many zones of different grids at once: the
+optimizer scans the headways of a block of (group, K, distance) lanes of a
+search space per call, each step of its lane-parallel refinement is one
+call over every lane, and it prices every candidate design's zones in two
+more.  The
+FF tour terms share one exp(beta4*(mu+1)**beta5) factor per call.
+``zone_cost_terms`` and the per-book functions (``ff_wait_cost_zone`` and
+the rest) are views of it, and the simulator's validation reads its
+expected tour per dispatch.
 """
 
 from __future__ import annotations
@@ -223,9 +227,17 @@ class ZoneBooks(NamedTuple):
         return self.wait + self.tour + self.line_haul + self.transfer + self.dist + self.time
 
 
+class ZoneShape(NamedTuple):
+    """What the cost kernel reads of a zone grid: the zone area (km^2) and
+    the aspect ratio S.  Either may be an array, one value per lane."""
+
+    area: Any
+    S: Any
+
+
 def zone_books(
     params: ScenarioParams,
-    grid: ZoneGrid,
+    grid: ZoneGrid | ZoneShape,
     D: float,
     H,
     direction: Direction,
@@ -238,11 +250,13 @@ def zone_books(
     """The books of a zone at line-haul distance D for one direction.
 
     ``H`` is the direction's headway: a scalar, or an array to evaluate every
-    book at many headways in one call (``D``, ``K`` and ``gamma``, the inbound
-    sync multiple, may be arrays that broadcast with it).  Scalars are computed as Python floats with libm;
-    arrays, 0-d ones included, with numpy ufuncs, which may differ from libm
-    by an ulp.  ``model`` is needed only for fully flexible routing and
-    ``w0`` only for semi-flexible; ``K`` matters only to the agency books.
+    book at many headways in one call.  ``D``, ``K``, ``gamma`` (the inbound
+    sync multiple), ``w0`` and the fields of ``grid`` given as a
+    :class:`ZoneShape` may be arrays that broadcast with it, so one call can
+    cover zones of different grids.  Scalars are computed as Python floats
+    with libm; arrays, 0-d ones included, with numpy ufuncs, which may differ
+    from libm by an ulp.  ``model`` is needed only for fully flexible routing
+    and ``w0`` only for semi-flexible; ``K`` matters only to the agency books.
     """
     if not isinstance(H, np.ndarray):
         H = float(H)
@@ -261,14 +275,14 @@ def zone_books(
         queue = params.tau_b
     transfer = mu / H * per_patron + queue / (2.0 * H) * q2
     if strategy == FULLY_FLEXIBLE:
-        s = math.sqrt(area)
+        s = np.sqrt(area) if isinstance(area, np.ndarray) else math.sqrt(area)
         tour_units, rider_units = as_tour_law(model).tour_units(mu, grid.S)
         half_tour = rider_units * s / (2.0 * H * v)
         tour = half_tour + tau / (2.0 * H) * q2
         wait = params.alpha * (mu / 2.0 + half_tour + params.tau_p / (2.0 * H) * q2) if outbound else 0.0
         tour_km = tour_units * s
     elif strategy == SEMI_FLEXIBLE:
-        if w0 is None or w0 <= 0:
+        if w0 is None or not np.all(w0 > 0):
             raise ValueError("swath width must be positive")
         wait = params.alpha / H * mu * (H / 2.0 + w0 / (3.0 * v)) if outbound else 0.0
         sweep = area / (v * w0) + w0 / (2.0 * v)
@@ -470,6 +484,13 @@ def _low_occupancy_zones(params: ScenarioParams, design: DesignSolution) -> Iter
                 yield zd.z.m, zd.z.n, direction
 
 
+def _add_in_order(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def total_generalized_cost(
     params: ScenarioParams,
     design: DesignSolution,
@@ -491,8 +512,10 @@ def total_generalized_cost(
         per_zone[(zd.z.m, zd.z.n)] = zone_cost_terms(
             params, design.grid, zd, design.strategy, design.K, model, design.w0
         )
-    sums = {f: sum(getattr(t, f) for t in per_zone.values()) for f in ZoneCostTerms.FIELDS}
-    gc = sum(sums.values())
+    # left to right, as the search's pricing pass adds them (from Python 3.12
+    # on, the builtin sum compensates rounding)
+    sums = {f: _add_in_order(getattr(t, f) for t in per_zone.values()) for f in ZoneCostTerms.FIELDS}
+    gc = _add_in_order(sums.values())
     patrons_per_h = (params.lambda_p + params.lambda_d) * params.L * params.W
     return CostBreakdown(
         **sums,

@@ -5,12 +5,17 @@ semi-flexible routing the swath width w0) are enumerated exhaustively.  For
 each combination the generalized cost separates into independent per-zone,
 per-direction terms, and zones sharing a line-haul distance D have identical
 optima.  K enters those terms only through the agency cost rates and the
-capacity caps, so each (M, N, w0) group is solved once for every K: one lane
-per (K, distinct D).  One kernel call scans every lane's outbound headways, a
-lane-parallel port of scipy's bounded Brent refines every local dip of every
-lane at once, and one more call enumerates the inbound sync multiple gamma
-over (lanes, gamma).  ``optimize_zone_headway`` and ``optimize_zone_gamma``
-are the same solves for a single zone.
+capacity caps, so the whole space is solved at once: one lane per
+((M, N, w0) group, K, distinct D), each lane carrying its own zone
+geometry.  Kernel calls of ``_SCAN_LANES`` lanes each scan the outbound
+headways, a lane-parallel port of scipy's bounded Brent refines every local
+dip of every lane in one loop, one more call enumerates the inbound sync
+multiple gamma over (lanes, gamma), and one pricing pass over (combination,
+zone, direction) checks and costs every solved combination as
+``total_generalized_cost`` would.  Spaces of more than ``_MAX_LANES`` lanes
+are solved in runs of whole groups, to bound memory.
+``optimize_zone_headway`` and ``optimize_zone_gamma`` are the same solves
+for a single zone.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,8 +37,11 @@ from .costs import (
     DesignSolution,
     Direction,
     InfeasibleDesignError,
+    LOW_OCCUPANCY_MEAN,
     LowOccupancyWarning,
+    ZoneCostTerms,
     ZoneDesign,
+    ZoneShape,
     capacity_ok,
     mean_occupancy,
     total_generalized_cost,
@@ -246,100 +254,136 @@ def _headway_caps(
     )
 
 
-def _group_cost(
-    params: ScenarioParams,
-    grid: ZoneGrid,
-    strategy: str,
-    model: KStarModel | TourLengthLaw,
-    w0: float | None,
-):
-    """The cost kernel of one (M, N, w0) group: ``cost(direction, D, H, K,
-    gamma)`` is every book that depends on that direction's headway."""
+class _Lanes(NamedTuple):
+    """The kernel inputs of many zone solves, one entry per lane: a zone at
+    line-haul distance D served by capacity-K vehicles, with the zone's area
+    and aspect ratio S and, for semi-flexible routing, the swath width w0
+    (None for fully flexible)."""
 
-    def cost(direction: Direction, D, H, K, gamma=1):
-        return zone_books(params, grid, D, H, direction, strategy, model, w0, K, gamma).total
+    D: np.ndarray
+    K: np.ndarray
+    area: np.ndarray
+    S: np.ndarray
+    w0: np.ndarray | None
+
+
+def _lane_cost(
+    params: ScenarioParams, strategy: str, model: KStarModel | TourLengthLaw, lanes: _Lanes
+):
+    """The cost kernel over lanes: ``cost(direction, H, idx, gamma)`` is every
+    book of lanes ``idx`` that depends on that direction's headway H, each
+    lane's inputs broadcast against the trailing axes of H."""
+
+    def cost(direction: Direction, H: np.ndarray, idx: np.ndarray, gamma=1):
+        shape = idx.shape + (1,) * (H.ndim - idx.ndim)
+        D, K, area, S = (v[idx].reshape(shape) for v in lanes[:4])
+        w0 = None if lanes.w0 is None else lanes.w0[idx].reshape(shape)
+        return zone_books(params, ZoneShape(area, S), D, H, direction, strategy, model, w0, K, gamma).total
 
     return cost
 
 
-def _outbound_headways(
-    cost, lo: float, D: np.ndarray, K: np.ndarray, hi: np.ndarray, n_starts: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _zone_lane(grid: ZoneGrid, z: ZoneIndex, K: int, w0: float | None) -> _Lanes:
+    """The one lane of a single zone solve."""
+    return _Lanes(
+        np.array([line_haul_distance(grid, z)]),
+        np.array([K]),
+        np.array([grid.area]),
+        np.array([grid.S]),
+        None if w0 is None else np.array([w0]),
+    )
+
+
+# The most lanes one scan call takes: a scan holds some 60 headways per lane
+# in each of the kernel's live temporaries, about 6 KB per lane at its peak.
+_SCAN_LANES = 128
+
+
+def _scan(books, lo: float, hi: np.ndarray, lanes: np.ndarray, n_starts: int):
+    """Scan each lane's cost on [lo, hi[lane]] in one kernel call.
+
+    Returns the best scan point and its cost per lane, and the lane and
+    bracket (a, b) of every local dip, lane by lane in scan order.
+    """
+    starts = np.concatenate(
+        [np.linspace(lo, hi[lanes], max(2 * n_starts, 24), axis=1), lo + (hi[lanes, None] - lo) * _unit_starts(n_starts)],
+        axis=1,
+    )
+    starts.sort(axis=1)
+    vals = books(starts, lanes)
+    rows = np.arange(lanes.size)
+    i_best = vals.argmin(axis=1)
+    padded = np.pad(vals, ((0, 0), (1, 1)), constant_values=math.inf)
+    dip, i = np.nonzero((vals <= padded[:, :-2]) & (vals <= padded[:, 2:]))
+    last = starts.shape[1] - 1
+    a = np.where(i > 0, starts[dip, np.maximum(i - 1, 0)], lo)
+    b = np.where(i < last, starts[dip, np.minimum(i + 1, last)], hi[lanes[dip]])
+    return starts[rows, i_best], vals[rows, i_best], lanes[dip], a, b
+
+
+def _outbound_headways(cost, lo: float, hi: np.ndarray, n_starts: int) -> tuple[np.ndarray, np.ndarray]:
     """Minimize the outbound cost of many lanes; return (H_p, cost) per lane.
 
-    Lane i is a zone at line-haul distance D[i] served by capacity-K[i]
-    vehicles, searched on [lo, hi[i]].  A coarse scan seeds bounded Brent
+    Lane i is searched on [lo, hi[i]].  A coarse scan seeds bounded Brent
     refinements around every local dip plus n_starts additional interior
     points, guarding against multimodality of the expansion-based objective.
-    One kernel call scans every lane, and one Brent loop refines every dip.
+    The scan takes one kernel call per ``_SCAN_LANES`` lanes, and one Brent
+    loop refines every dip of every lane.
     """
 
     def books(H: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        shape = lanes.shape + (1,) * (H.ndim - lanes.ndim)
-        return cost("outbound", D[lanes].reshape(shape), H, K[lanes].reshape(shape))
+        return cost("outbound", H, lanes)
 
-    H = np.full(D.shape, lo)
-    val = np.empty(D.shape)
+    H = np.full(hi.shape, lo)
+    val = np.empty(hi.shape)
     narrow = hi - lo <= HEADWAY_TOL_H
     if narrow.any():
         val[narrow] = books(H[narrow], np.flatnonzero(narrow))
     wide = np.flatnonzero(~narrow)
     if not wide.size:
         return H, val
-    grid_pts = np.linspace(lo, hi[wide], max(2 * n_starts, 24), axis=1)
-    starts = np.concatenate([grid_pts, lo + (hi[wide, None] - lo) * _unit_starts(n_starts)], axis=1)
-    starts.sort(axis=1)
-    vals = books(starts, wide)
-    rows = np.arange(wide.size)
-    i_best = vals.argmin(axis=1)
-    best_H, best_val = starts[rows, i_best], vals[rows, i_best]
-    # refine around every local dip of every lane's scan, in scan order
-    padded = np.pad(vals, ((0, 0), (1, 1)), constant_values=math.inf)
-    lane, i = np.nonzero((vals <= padded[:, :-2]) & (vals <= padded[:, 2:]))
-    last = starts.shape[1] - 1
-    a = np.where(i > 0, starts[lane, np.maximum(i - 1, 0)], lo)
-    b = np.where(i < last, starts[lane, np.minimum(i + 1, last)], hi[wide[lane]])
-    x, fun, _ = _bounded_brent(lambda x, j: books(x, wide[lane[j]]), a, b, HEADWAY_TOL_H / 2)
+    scans = [_scan(books, lo, hi, wide[i:i + _SCAN_LANES], n_starts) for i in range(0, wide.size, _SCAN_LANES)]
+    best_H, best_val, lane, a, b = (np.concatenate(v) for v in zip(*scans))
+    H[wide], val[wide] = best_H, best_val
+    x, fun, _ = _bounded_brent(lambda x, j: books(x, lane[j]), a, b, HEADWAY_TOL_H / 2)
     # a refinement replaces the lane's best only if strictly cheaper, dip by dip
     rank = np.arange(lane.size) - np.searchsorted(lane, lane)
     for r in range(rank.max(initial=-1) + 1):
         at = rank == r
-        better = fun[at] < best_val[lane[at]]
-        best_H[lane[at][better]] = x[at][better]
-        best_val[lane[at][better]] = fun[at][better]
-    H[wide], val[wide] = best_H, best_val
+        better = fun[at] < val[lane[at]]
+        H[lane[at][better]] = x[at][better]
+        val[lane[at][better]] = fun[at][better]
     return H, val
 
 
-def _sync_multiples(
-    params: ScenarioParams,
-    grid: ZoneGrid,
-    Ks: Sequence[int],
-    gamma_range: Sequence[int],
-    enforce_capacity: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(gammas, H_d, ok): the sorted trunk-sync multiples, their inbound
-    headways, and which of them each capacity admits, shaped (len(Ks), gammas)."""
+def _sync_multiples(params: ScenarioParams, gamma_range: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted trunk-sync multiples and their inbound headways."""
     gammas = np.array(sorted(gamma_range))
-    H_d = gammas * params.H_t
+    return gammas, gammas * params.H_t
+
+
+def _admitted_multiples(
+    params: ScenarioParams, grid: ZoneGrid, Ks: Sequence[int], H_d: np.ndarray, enforce_capacity: bool
+) -> np.ndarray:
+    """Which inbound headways H_d each capacity admits, shaped (len(Ks), H_d)."""
     ok = (H_d >= max(params.H_min, params.H_t) - 1e-12) & (H_d <= params.H_max + 1e-12)
-    ok = np.broadcast_to(ok, (len(Ks), gammas.size))
+    ok = np.broadcast_to(ok, (len(Ks), H_d.size))
     if enforce_capacity:
         ok = ok & capacity_ok(params.lambda_d * H_d * grid.area, np.asarray(Ks)[:, None])
-    return gammas, H_d, ok
+    return ok
 
 
 def _inbound_sync(
-    cost, D: np.ndarray, K: np.ndarray, gammas: np.ndarray, H_d: np.ndarray, ok: np.ndarray
+    cost, gammas: np.ndarray, H_d: np.ndarray, ok: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cheapest admitted sync multiple of each lane: (gamma, H_d, inbound cost).
 
-    Lane i is a zone at distance D[i] with capacity K[i] that admits the
-    multiples ``ok[i]``, at least one.  A later multiple wins only if it is
-    cheaper by more than the tie slack, so ties go to the smaller one.
+    Lane i admits the multiples ``ok[i]``, at least one.  A later multiple
+    wins only if it is cheaper by more than the tie slack, so ties go to the
+    smaller one.
     """
-    costs = cost("inbound", D[:, None], H_d[None, :], K[:, None], gammas)
-    rows = np.arange(D.size)
+    rows = np.arange(ok.shape[0])
+    costs = cost("inbound", H_d[None, :], rows, gammas)
     best = ok.argmax(axis=1)
     for i in range(gammas.size):
         cur = costs[rows, best]
@@ -369,9 +413,8 @@ def optimize_zone_headway(
             z,
             f"outbound headway cap {hi[0]:.6f} h below the minimum headway {params.H_min:.6f} h",
         )
-    D = np.array([line_haul_distance(grid, z)])
-    cost = _group_cost(params, grid, strategy, model, w0_opt)
-    H, val = _outbound_headways(cost, params.H_min, D, np.array([K]), hi, n_starts)
+    cost = _lane_cost(params, strategy, model, _zone_lane(grid, z, K, w0_opt))
+    H, val = _outbound_headways(cost, params.H_min, hi, n_starts)
     return float(H[0]), float(val[0])
 
 
@@ -387,16 +430,16 @@ def optimize_zone_gamma(
     enforce_capacity: bool = True,
 ) -> tuple[int, float, float]:
     """Enumerate the trunk-sync multiple; return (gamma, H_d, inbound cost)."""
-    gammas, H_d, ok = _sync_multiples(params, grid, (K,), gamma_range, enforce_capacity)
+    gammas, H_d = _sync_multiples(params, gamma_range)
+    ok = _admitted_multiples(params, grid, (K,), H_d, enforce_capacity)
     if not ok.any():
         raise InfeasibleDesignError(
             "inbound_sync",
             z,
             f"no feasible trunk-sync multiple in {tuple(gamma_range)} for K={K}",
         )
-    D = np.array([line_haul_distance(grid, z)])
-    cost = _group_cost(params, grid, strategy, model, w0_opt)
-    gamma, H, val = _inbound_sync(cost, D, np.array([K]), gammas, H_d, ok)
+    cost = _lane_cost(params, strategy, model, _zone_lane(grid, z, K, w0_opt))
+    gamma, H, val = _inbound_sync(cost, gammas, H_d, ok)
     return int(gamma[0]), float(H[0]), float(val[0])
 
 
@@ -404,45 +447,196 @@ def optimize_zone_gamma(
 # Exhaustive discrete search
 # ---------------------------------------------------------------------------
 
+# The most lanes one solve takes.  Past the scan, a solve and its pricing
+# pass hold about 0.5 KB per lane; a larger space is solved in runs of whole
+# groups, so a full-space search keeps the footprint of a small one.
+_MAX_LANES = 4096
 
-def _solve_group(
-    params: ScenarioParams,
-    space: SearchSpace,
-    model: KStarModel | TourLengthLaw,
-    grid: ZoneGrid,
-    w0: float | None,
-) -> list[tuple[ZoneDesign, ...] | str]:
-    """Solve one (M, N, w0) group for every K of the space at once.
+# validate_design's constraints in the order it checks each zone.
+_ZONE_CHECKS = ("outbound_headway_bounds", "inbound_headway_bounds", "inbound_sync", "capacity", "capacity")
 
-    Returns, per K in ``space.K_range``, the zone designs or the name of the
-    constraint that makes K infeasible.  Zones sharing a line-haul distance
-    have identical optima, so each (K, distinct distance) is one lane.
+
+@dataclass(eq=False)
+class _Group:
+    """One (M, N, w0) group of the search space, solved for every K at once.
+
+    Zones sharing a line-haul distance have identical optima, so each
+    (K, distinct distance) is one lane, K-major and distance-minor.  Once
+    solved, ``H_p``, ``gamma`` and ``H_d`` hold each lane's design and
+    ``outcome`` each K's (GC or None, search-log note).
     """
+
+    grid: ZoneGrid
+    w0: float | None
+    zone_D: np.ndarray  # line-haul distance of each zone, in grid.zones() order
+    distances: np.ndarray  # the distinct ones, one lane per K
+    slot: np.ndarray  # each zone's lane within one K
+    hi: np.ndarray  # per K of the space: the outbound headway cap
+    ok: np.ndarray  # per K: the admitted sync multiples
+    notes: list[str]  # per K: the constraint ruling it out before any solve, or ""
+    solved: np.ndarray  # the positions in K_range of the K that get lanes
+    k_of: np.ndarray  # the position in K_range of each lane's K
+    outcome: list[tuple[float | None, str] | None]
+    H_p: np.ndarray | None = None
+    gamma: np.ndarray | None = None
+    H_d: np.ndarray | None = None
+
+    def lanes(self, K_range: Sequence[int]) -> _Lanes:
+        """The kernel inputs of this group's lanes."""
+        n = self.k_of.size
+        return _Lanes(
+            np.tile(self.distances, self.solved.size),
+            np.asarray(K_range)[self.k_of],
+            np.full(n, self.grid.area),
+            np.full(n, self.grid.S),
+            None if self.w0 is None else np.full(n, self.w0),
+        )
+
+    def zone_designs(self, k: int) -> tuple[ZoneDesign, ...] | str:
+        """The zone designs of the k-th K of the space, or the constraint
+        that ruled it out before any solve."""
+        if self.notes[k]:
+            return self.notes[k]
+        base = int(np.searchsorted(self.solved, k)) * self.distances.size
+        return tuple(
+            ZoneDesign(z=z, H_p=float(self.H_p[i]), H_d=float(self.H_d[i]), gamma=int(self.gamma[i]))
+            for z, i in zip(self.grid.zones(), base + self.slot)
+        )
+
+
+def _grid_layout(params: ScenarioParams, space: SearchSpace, grid: ZoneGrid, H_d: np.ndarray) -> _Group:
+    """What every group of one grid shares, w0 aside: the zones' lanes and
+    the K that no solve can serve."""
     zone_D = np.array([line_haul_distance(grid, z) for z in grid.zones()])
     _, first, slot = np.unique([round(d, 12) for d in zone_D], return_index=True, return_inverse=True)
-    Ks = np.array(space.K_range)
     hi = _headway_caps(params, grid, space.K_range, space.enforce_capacity)
-    gammas, H_d, ok = _sync_multiples(
-        params, grid, space.K_range, space.gamma_range, space.enforce_capacity
-    )
+    ok = _admitted_multiples(params, grid, space.K_range, H_d, space.enforce_capacity)
     notes = [
         "capacity" if h < params.H_min - 1e-15 else "inbound_sync" if not admits else ""
         for h, admits in zip(hi, ok.any(axis=1))
     ]
     solved = np.array([k for k, note in enumerate(notes) if not note], dtype=int)
-    n_d = first.size
-    k_of = np.repeat(solved, n_d)  # lanes are K-major, distance-minor
-    D = np.tile(zone_D[first], solved.size)
-    cost = _group_cost(params, grid, space.strategy, model, w0)
-    H_p, _ = _outbound_headways(cost, params.H_min, D, Ks[k_of], hi[k_of], space.n_starts)
-    gamma, H_in, _ = _inbound_sync(cost, D, Ks[k_of], gammas, H_d, ok[k_of])
-    out: list[tuple[ZoneDesign, ...] | str] = list(notes)
-    for base, k in enumerate(solved):
-        out[k] = tuple(
-            ZoneDesign(z=z, H_p=float(H_p[i]), H_d=float(H_in[i]), gamma=int(gamma[i]))
-            for z, i in zip(grid.zones(), base * n_d + slot)
+    outcome = [(None, f"infeasible: {note}") if note else None for note in notes]
+    k_of = np.repeat(solved, first.size)
+    return _Group(grid, None, zone_D, zone_D[first], slot, hi, ok, notes, solved, k_of, outcome)
+
+
+def _runs(groups: Sequence[_Group]):
+    """Consecutive runs of whole groups of at most ``_MAX_LANES`` lanes (a
+    larger group runs alone)."""
+    run: list[_Group] = []
+    n = 0
+    for g in groups:
+        if run and n + g.k_of.size > _MAX_LANES:
+            yield run
+            run, n = [], 0
+        run.append(g)
+        n += g.k_of.size
+    if run:
+        yield run
+
+
+def _price(
+    params: ScenarioParams,
+    space: SearchSpace,
+    model: KStarModel | TourLengthLaw,
+    run: Sequence[_Group],
+    lanes: _Lanes,
+) -> None:
+    """Price every solved combination of ``run`` in one pass over (combo, zone, direction).
+
+    Follows ``total_generalized_cost``: ``validate_design``'s headway, sync
+    and (when enforced) capacity checks, zone by zone, naming the first one
+    a combination fails; the low-occupancy test; the nine books summed per
+    field over the zones in zone order, then over the fields.  Sets each
+    solved K's ``outcome``.
+    """
+    offsets = np.cumsum([0] + [g.k_of.size for g in run])
+    # elements are the zones of every combination, combination-major
+    lane = np.concatenate(
+        [(off + g.distances.size * np.arange(g.solved.size)[:, None] + g.slot).ravel()
+         for g, off in zip(run, offsets)]
+    )
+    D = np.concatenate([np.tile(g.zone_D, g.solved.size) for g in run])
+    n_zones = np.concatenate([np.full(g.solved.size, g.slot.size) for g in run])
+    # each combination's elements in zone order, padded with a sentinel element
+    col = np.arange(n_zones.max())
+    at = np.where(col < n_zones[:, None], (np.cumsum(n_zones) - n_zones)[:, None] + col, D.size)
+    H_p = np.concatenate([g.H_p for g in run])[lane]
+    H_d = np.concatenate([g.H_d for g in run])[lane]
+    gamma = np.concatenate([g.gamma for g in run])[lane]
+    K, area, S = lanes.K[lane], lanes.area[lane], lanes.S[lane]
+    w0 = None if lanes.w0 is None else lanes.w0[lane]
+
+    fail = np.zeros((D.size + 1, len(_ZONE_CHECKS)), dtype=bool)
+    fail[:-1, 0] = ~((params.H_min - 1e-12 <= H_p) & (H_p <= params.H_max + 1e-12))
+    fail[:-1, 1] = ~((max(params.H_min, params.H_t) - 1e-12 <= H_d) & (H_d <= params.H_max + 1e-12))
+    fail[:-1, 2] = np.abs(H_d - gamma * params.H_t) > 1e-9
+    mu_out = params.lambda_p * H_p * area
+    mu_in = params.lambda_d * H_d * area
+    if space.enforce_capacity:
+        fail[:-1, 3] = ~capacity_ok(mu_out, K)
+        fail[:-1, 4] = ~capacity_ok(mu_in, K)
+    fail = fail[at].reshape(at.shape[0], -1)
+    low = np.append((mu_out < LOW_OCCUPANCY_MEAN) | (mu_in < LOW_OCCUPANCY_MEAN), False)[at].any(axis=1)
+
+    shape = ZoneShape(area, S)
+    out = zone_books(params, shape, D, H_p, "outbound", space.strategy, model, w0, K)
+    inb = zone_books(params, shape, D, H_d, "inbound", space.strategy, model, w0, K, gamma)
+    books = np.zeros((len(ZoneCostTerms.FIELDS), D.size + 1))
+    books[:, :-1] = (
+        out.wait, out.tour, inb.tour, out.line_haul, inb.line_haul, out.transfer, inb.transfer,
+        out.dist + inb.dist, out.time + inb.time,
+    )
+    # cumsum adds in order, as total_generalized_cost does; the padding adds 0.0
+    gc = books[:, at].cumsum(axis=2)[:, :, -1].cumsum(axis=0)[-1]
+
+    first = fail.argmax(axis=1) % len(_ZONE_CHECKS)
+    combos = [(g, k) for g in run for k in g.solved.tolist()]
+    for (g, k), value, bad, check, flagged in zip(
+        combos, gc.tolist(), fail.any(axis=1).tolist(), first.tolist(), low.tolist()
+    ):
+        g.outcome[k] = (None, f"infeasible: {_ZONE_CHECKS[check]}") if bad else (
+            value, "low_occupancy" if flagged else ""
         )
-    return out
+
+
+def _solve_space(
+    params: ScenarioParams, space: SearchSpace, model: KStarModel | TourLengthLaw
+) -> list[list[_Group]]:
+    """Solve and price every (M, N, w0) group of the space; returns them per grid, in search order.
+
+    Each run of groups (all of them unless the space has more than
+    ``_MAX_LANES`` lanes) is one scan of every lane, one Brent loop refining
+    every dip, one call picking every lane's sync multiple and one pricing
+    pass.
+    """
+    gammas, H_d = _sync_multiples(params, space.gamma_range)
+    blocks = []
+    for M in space.M_range:
+        for N in space.N_range:
+            grid = make_grid(params, M, N)
+            if space.strategy == SEMI_FLEXIBLE:
+                w0s: list[float | None] = [c.w0 for c in feasible_swath_widths(grid.l, grid.w)]
+            else:
+                w0s = [None]
+            layout = _grid_layout(params, space, grid, H_d)
+            blocks.append([replace(layout, w0=w0, outcome=list(layout.outcome)) for w0 in w0s])
+    for run in _runs([g for block in blocks for g in block]):
+        lanes = _Lanes(*(
+            None if v[0] is None else np.concatenate(v) for v in zip(*(g.lanes(space.K_range) for g in run))
+        ))
+        if not lanes.D.size:
+            continue
+        cost = _lane_cost(params, space.strategy, model, lanes)
+        hi = np.concatenate([g.hi[g.k_of] for g in run])
+        H_p, _ = _outbound_headways(cost, params.H_min, hi, space.n_starts)
+        gamma, H_in, _ = _inbound_sync(cost, gammas, H_d, np.concatenate([g.ok[g.k_of] for g in run]))
+        ends = np.cumsum([g.k_of.size for g in run])[:-1]
+        for g, *solved in zip(run, *(np.split(v, ends) for v in (H_p, gamma, H_in))):
+            g.H_p, g.gamma, g.H_d = solved
+        _price(params, space, model, run, lanes)
+    return blocks
 
 
 def _tie_break_key(design: DesignSolution) -> tuple:
@@ -460,55 +654,38 @@ def search_design(
     if model is None:
         model = TABLE1_MODEL
     t0 = time.perf_counter()
+
+    def design(g: _Group, k: int) -> DesignSolution:
+        return DesignSolution(
+            strategy=space.strategy, grid=g.grid, K=space.K_range[k], zones=g.zone_designs(k), w0=g.w0
+        )
+
     log: list[SearchLogEntry] = []
-    best: tuple[DesignSolution, CostBreakdown] | None = None
-    for M in space.M_range:
-        for N in space.N_range:
-            grid = make_grid(params, M, N)
-            if space.strategy == SEMI_FLEXIBLE:
-                w0_options: list[float | None] = [
-                    c.w0 for c in feasible_swath_widths(grid.l, grid.w)
-                ]
-            else:
-                w0_options = [None]
-            groups = [_solve_group(params, space, model, grid, w0) for w0 in w0_options]
-            for k, K in enumerate(space.K_range):
-                for w0, group in zip(w0_options, groups):
-                    entry = functools.partial(SearchLogEntry, strategy=space.strategy, M=M, N=N, K=K, w0=w0)
-                    if isinstance(group[k], str):
-                        log.append(entry(gc=None, note=f"infeasible: {group[k]}"))
-                        continue
-                    design = DesignSolution(
-                        strategy=space.strategy, grid=grid, K=K, zones=group[k], w0=w0
-                    )
-                    try:
-                        with warnings.catch_warnings(record=True) as caught:
-                            warnings.simplefilter("always", LowOccupancyWarning)
-                            breakdown = total_generalized_cost(
-                                params, design, model, check_capacity=space.enforce_capacity
-                            )
-                    except InfeasibleDesignError as exc:
-                        log.append(entry(gc=None, note=f"infeasible: {exc.constraint}"))
-                        continue
-                    low = any(issubclass(w.category, LowOccupancyWarning) for w in caught)
-                    log.append(entry(gc=breakdown.GC, note="low_occupancy" if low else ""))
-                    if best is None:
-                        best = (design, breakdown)
-                    else:
-                        cur = best[1].GC
-                        if breakdown.GC < cur * (1.0 - TIE_REL):
-                            best = (design, breakdown)
-                        elif breakdown.GC <= cur * (1.0 + TIE_REL) and _tie_break_key(
-                            design
-                        ) < _tie_break_key(best[0]):
-                            best = (design, breakdown)
+    best: tuple[_Group, int, float] | None = None
+    for block in _solve_space(params, space, model):
+        for k, K in enumerate(space.K_range):
+            for g in block:
+                gc, note = g.outcome[k]
+                log.append(SearchLogEntry(space.strategy, g.grid.M, g.grid.N, K, g.w0, gc, note))
+                if gc is None:
+                    continue
+                if best is None or gc < best[2] * (1.0 - TIE_REL):
+                    best = (g, k, gc)
+                elif gc <= best[2] * (1.0 + TIE_REL) and _tie_break_key(design(g, k)) < _tie_break_key(
+                    design(best[0], best[1])
+                ):
+                    best = (g, k, gc)
     if best is None:
         raise InfeasibleDesignError(
             "search", None, "no feasible design in the search space"
         )
+    winner = design(best[0], best[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LowOccupancyWarning)
+        cost = total_generalized_cost(params, winner, model, check_capacity=space.enforce_capacity)
     return OptimizationResult(
-        best=best[0],
-        cost=best[1],
+        best=winner,
+        cost=cost,
         search_log=tuple(log),
         wall_time_s=time.perf_counter() - t0,
     )

@@ -30,6 +30,7 @@ from drcflex.costs import (
     ZoneBooks,
     ZoneCostTerms,
     ZoneDesign,
+    ZoneShape,
     capacity_ok,
     ff_local_tour_cost_zone,
     ff_wait_cost_zone,
@@ -454,6 +455,35 @@ class TestKernel:
             vector.total,
             [zone_books(BASE, grid, D, np.asarray(h), direction, strategy, TABLE1_MODEL, w0, 9, gamma[0]).total for h in H],
         )
+
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_per_lane_geometry_equals_per_grid_calls(self, strategy: str, direction: str) -> None:
+        # one call over lanes of different grids (and swath widths), each lane
+        # with its own headways, D, K and gamma, against one call per lane
+        # on that lane's grid: the same ufuncs on the same operands
+        cases = KERNEL_CASES[strategy]
+        rng = np.random.default_rng(7)
+        H = rng.uniform(BASE.H_min, BASE.H_max, (len(cases), 5))
+        D = np.array([D for _, D, _ in cases])[:, None]
+        K = rng.integers(1, 21, (len(cases), 1))
+        gamma = rng.integers(1, 6, (len(cases), 1))
+        area = np.array([grid.area for grid, _, _ in cases])[:, None]
+        S = np.array([grid.S for grid, _, _ in cases])[:, None]
+        w0 = None if strategy == FULLY_FLEXIBLE else np.array([w for _, _, w in cases])[:, None]
+        lanes = zone_books(BASE, ZoneShape(area, S), D, H, direction, strategy, TABLE1_MODEL, w0, K, gamma)
+        for i, (grid, D_i, w0_i) in enumerate(cases):
+            want = zone_books(
+                BASE, grid, D_i, H[i], direction, strategy, TABLE1_MODEL, w0_i, K[i, 0], gamma[i, 0]
+            )
+            for field in ZoneBooks._fields:
+                got = np.broadcast_to(getattr(lanes, field), H.shape)[i]
+                assert np.array_equal(got, np.broadcast_to(getattr(want, field), H[i].shape)), (field, i)
+
+    def test_rejects_a_nonpositive_lane_swath_width(self) -> None:
+        shape = ZoneShape(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="swath width"):
+            zone_books(BASE, shape, 0.0, np.array([0.1, 0.1]), "outbound", SEMI_FLEXIBLE, w0=np.array([0.5, 0.0]))
 
     @pytest.mark.parametrize("strategy, w0", [(FULLY_FLEXIBLE, None), (SEMI_FLEXIBLE, 0.5)])
     def test_zone_cost_terms_reads_both_directions(self, strategy: str, w0) -> None:

@@ -7,12 +7,14 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import drcflex
+from drcflex import optimizer
 from drcflex import (
     FULLY_FLEXIBLE,
     SEMI_FLEXIBLE,
@@ -32,13 +34,21 @@ from drcflex.optimizer import (
     HEADWAY_TOL_H,
     METRIC_LABELS,
     _bounded_brent,
-    _solve_group,
+    _price,
+    _solve_space,
     _unit_starts,
     headway_cap_from_capacity,
     optimize_zone_gamma,
     optimize_zone_headway,
 )
 from drcflex.tourlength import feasible_swath_widths
+
+# perfbench's compare space: both base optima, every kind of search-log note
+COMPARE_SPACE = SearchSpace(M_range=(1, 2), N_range=(1, 2, 3, 4), K_range=tuple(range(5, 13)))
+
+
+def _bits(x: float | None) -> str | None:
+    return None if x is None else float(x).hex()
 
 
 class TestHeadwayCap:
@@ -317,7 +327,7 @@ class TestBoundedBrent:
 
 
 class TestGroupSolve:
-    """The search's (M, N, w0) groups solve each zone as the one-zone calls do."""
+    """The space-wide solve gives each zone what the one-zone calls give it."""
 
     @pytest.mark.parametrize("strategy", [FULLY_FLEXIBLE, SEMI_FLEXIBLE])
     def test_lanes_are_independent(self, table2: ScenarioParams, strategy: str) -> None:
@@ -328,32 +338,52 @@ class TestGroupSolve:
         )
         log = {(e.M, e.N, e.K, e.w0): e for e in search_design(table2, space, TABLE1_MODEL).search_log}
         notes = set()
-        for M in space.M_range:
-            for N in space.N_range:
-                grid = make_grid(table2, M, N)
-                w0s = [None]
-                if strategy == SEMI_FLEXIBLE:
-                    w0s = [c.w0 for c in feasible_swath_widths(grid.l, grid.w)]
-                for w0 in w0s:
-                    group = _solve_group(table2, space, TABLE1_MODEL, grid, w0)
-                    for K, solved in zip(space.K_range, group):
-                        if isinstance(solved, str):
-                            notes.add(solved)
-                            assert log[(M, N, K, w0)].note == f"infeasible: {solved}"
-                            for z in grid.zones():
-                                with pytest.raises(InfeasibleDesignError, match=solved):
-                                    optimize_zone_headway(table2, grid, z, K, strategy, TABLE1_MODEL, w0)
-                                    optimize_zone_gamma(table2, grid, z, K, strategy, TABLE1_MODEL, w0)
-                            continue
-                        for zd in solved:
-                            H_p, _ = optimize_zone_headway(
-                                table2, grid, zd.z, K, strategy, TABLE1_MODEL, w0
-                            )
-                            gamma, H_d, _ = optimize_zone_gamma(
-                                table2, grid, zd.z, K, strategy, TABLE1_MODEL, w0
-                            )
-                            assert (zd.H_p, zd.gamma, zd.H_d) == (H_p, gamma, H_d)
+        blocks = _solve_space(table2, space, TABLE1_MODEL)
+        assert [(b[0].grid.M, b[0].grid.N) for b in blocks] == [(M, N) for M in (1, 2) for N in (1, 2)]
+        for block in blocks:
+            grid = block[0].grid
+            w0s = [None]
+            if strategy == SEMI_FLEXIBLE:
+                w0s = [c.w0 for c in feasible_swath_widths(grid.l, grid.w)]
+            assert [g.w0 for g in block] == w0s
+        for group in (g for block in blocks for g in block):
+            grid, w0 = group.grid, group.w0
+            for k, K in enumerate(space.K_range):
+                solved = group.zone_designs(k)
+                if isinstance(solved, str):
+                    notes.add(solved)
+                    assert log[(grid.M, grid.N, K, w0)].note == f"infeasible: {solved}"
+                    for z in grid.zones():
+                        with pytest.raises(InfeasibleDesignError, match=solved):
+                            optimize_zone_headway(table2, grid, z, K, strategy, TABLE1_MODEL, w0)
+                            optimize_zone_gamma(table2, grid, z, K, strategy, TABLE1_MODEL, w0)
+                    continue
+                for zd in solved:
+                    H_p, _ = optimize_zone_headway(table2, grid, zd.z, K, strategy, TABLE1_MODEL, w0)
+                    gamma, H_d, _ = optimize_zone_gamma(table2, grid, zd.z, K, strategy, TABLE1_MODEL, w0)
+                    assert (zd.H_p, zd.gamma, zd.H_d) == (H_p, gamma, H_d)
         assert notes == {"capacity", "inbound_sync"}
+
+    @pytest.mark.parametrize("strategy", [FULLY_FLEXIBLE, SEMI_FLEXIBLE])
+    def test_lane_cap_splits_the_space_into_groups(
+        self, table2: ScenarioParams, strategy: str, monkeypatch
+    ) -> None:
+        # with a cap of one lane every group is its own solve and pricing
+        # pass; three lanes per scan call split the groups' scans unevenly
+        space = replace(COMPARE_SPACE, strategy=strategy)
+        whole = search_design(table2, space, TABLE1_MODEL)
+        solves = []
+        monkeypatch.setattr(optimizer, "_MAX_LANES", 1)
+        monkeypatch.setattr(optimizer, "_SCAN_LANES", 3)
+        monkeypatch.setattr(
+            optimizer, "_price", lambda *a: solves.append(sum(g.solved.size > 0 for g in a[3])) or _price(*a)
+        )
+        split = search_design(table2, space, TABLE1_MODEL)
+        assert set(solves) == {1}
+        assert len(solves) > 1
+        assert [(e, _bits(e.gc)) for e in split.search_log] == [(e, _bits(e.gc)) for e in whole.search_log]
+        assert split.best == whole.best
+        assert split.cost == whole.cost
 
     @pytest.mark.parametrize(
         "strategy, M, N, K, w0",
@@ -403,3 +433,95 @@ def test_import_leaves_scipy_optimize_unloaded() -> None:
     src = str(Path(drcflex.__file__).resolve().parents[1])
     code = "import sys, drcflex; assert 'scipy.optimize' not in sys.modules, sorted(sys.modules)"
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+def _reference(params: ScenarioParams, space: SearchSpace, group, k: int) -> tuple[float | None, str]:
+    """What total_generalized_cost says of one solved combination: (GC or None, note)."""
+    design = DesignSolution(
+        strategy=space.strategy, grid=group.grid, K=space.K_range[k], zones=group.zone_designs(k), w0=group.w0
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", LowOccupancyWarning)
+        try:
+            gc = total_generalized_cost(params, design, TABLE1_MODEL, check_capacity=space.enforce_capacity).GC
+        except InfeasibleDesignError as exc:
+            return None, f"infeasible: {exc.constraint}"
+    low = any(issubclass(w.category, LowOccupancyWarning) for w in caught)
+    return gc, "low_occupancy" if low else ""
+
+
+def _assert_same_outcome(strategy: str, got: tuple, want: tuple) -> None:
+    # SF books use only + - * /, so the pricing pass must match bit for bit;
+    # FF ones go through exp and pow, where numpy and libm may differ by an ulp
+    assert got[1] == want[1]
+    if strategy == SEMI_FLEXIBLE or want[0] is None:
+        assert _bits(got[0]) == _bits(want[0])
+    else:
+        assert got[0] == pytest.approx(want[0], rel=1e-15, abs=0)
+
+
+# (demand, space, notes the log must show)
+PRICING_CASES = {
+    "compare": ({}, COMPARE_SPACE, {"", "low_occupancy"}),
+    "sparse": ({"lambda_p": 0.5, "lambda_d": 0.5}, COMPARE_SPACE, {"low_occupancy"}),
+    "relaxed": ({}, replace(COMPARE_SPACE, enforce_capacity=False), {"", "low_occupancy"}),
+}
+
+
+class TestPricing:
+    """The one-pass pricing agrees with total_generalized_cost combination by combination."""
+
+    @pytest.mark.parametrize("case", PRICING_CASES)
+    @pytest.mark.parametrize("strategy", [FULLY_FLEXIBLE, SEMI_FLEXIBLE])
+    def test_log_matches_total_generalized_cost(self, table2: ScenarioParams, strategy: str, case: str) -> None:
+        demand, space, expected_notes = PRICING_CASES[case]
+        params = table2.replace(**demand)
+        space = replace(space, strategy=strategy)
+        result = search_design(params, space, TABLE1_MODEL)
+        log = iter(result.search_log)
+        notes = set()
+        for block in _solve_space(params, space, TABLE1_MODEL):
+            for k, K in enumerate(space.K_range):
+                for group in block:
+                    entry = next(log)
+                    assert (entry.M, entry.N, entry.K, entry.w0) == (group.grid.M, group.grid.N, K, group.w0)
+                    if group.notes[k]:
+                        assert (entry.gc, entry.note) == (None, f"infeasible: {group.notes[k]}")
+                        continue
+                    want = _reference(params, space, group, k)
+                    _assert_same_outcome(strategy, (entry.gc, entry.note), want)
+                    notes.add(want[1])
+        assert next(log, None) is None
+        assert notes == expected_notes
+        # the reported cost is total_generalized_cost of the winner, field for field
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LowOccupancyWarning)
+            assert result.cost == total_generalized_cost(
+                params, result.best, TABLE1_MODEL, check_capacity=space.enforce_capacity
+            )
+
+    @pytest.mark.parametrize("enforce_capacity", [True, False])
+    @pytest.mark.parametrize("strategy", [FULLY_FLEXIBLE, SEMI_FLEXIBLE])
+    def test_names_the_first_failed_check(self, table2: ScenarioParams, strategy: str, enforce_capacity: bool) -> None:
+        # Solved designs pass every check, so break some: lanes 1, 2, 3 and 4
+        # of every five leave the outbound bounds, leave the inbound bounds,
+        # leave the trunk sync and overload the vehicle.  Zones of one
+        # combination sit on different lanes, so the first failed zone decides.
+        space = replace(COMPARE_SPACE, strategy=strategy, enforce_capacity=enforce_capacity)
+        names = set()
+        for group in (g for block in _solve_space(table2, space, TABLE1_MODEL) for g in block):
+            if not group.solved.size:
+                continue
+            kind = np.arange(group.H_p.size) % 5
+            group.H_p = np.where(kind == 1, table2.H_max + 0.01, np.where(kind == 4, table2.H_max, group.H_p))
+            group.H_d = np.where(kind == 2, table2.H_max + 0.5, np.where(kind == 3, group.H_d + 1e-6, group.H_d))
+            _price(table2, space, TABLE1_MODEL, [group], group.lanes(space.K_range))
+            for k in group.solved:
+                want = _reference(table2, space, group, k)
+                _assert_same_outcome(strategy, group.outcome[k], want)
+                names.add(want[1])
+        broken = {"outbound_headway_bounds", "inbound_headway_bounds", "inbound_sync"}
+        if enforce_capacity:
+            broken.add("capacity")
+        assert {f"infeasible: {name}" for name in broken} <= names
+        assert names - {f"infeasible: {name}" for name in broken} <= {"", "low_occupancy"}
