@@ -1,8 +1,10 @@
 """Layer benchmark of the Held-Karp tour DP: one tour and the batched DP, per q.
 
 Times ``drcflex.tsp.exact_tour`` on one closed tour at q = 9, 12, 14 and 16
-points, and ``closed_tour_lengths_batch`` on B = 250 float32 tours at
-q = 10 and 12.  Each figure is the median of ``--repeats`` timed calls on
+points, ``closed_tour_lengths_batch`` on B = 250 float32 tours at q = 10
+and 12, and ``closed_tours_batch`` (lengths and visit orders, the simulator's
+path) on B = 400 tours at q = 6 and B = 45 at q = 9, near the group sizes a
+fully flexible validation solves.  Each figure is the median of ``--repeats`` timed calls on
 fresh seeded instances, after one untimed call that builds any lazy tables
 (its time is kept as ``first_ms``).  The entry, with the machine facts, is
 written into ``BENCH_layers.json`` as layer ``tour_dp`` under ``--label``,
@@ -41,6 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SINGLE_Q = (9, 12, 14, 16)
 BATCH_Q = (10, 12)
 BATCH_SIZE = 250
+ORDER_BATCHES = ((6, 400), (9, 45))  # (q, B) of the visit-order timings
 SEED = 0
 
 
@@ -133,11 +136,19 @@ def measure(tsp, repeats: int, single_q: tuple[int, ...], seed: int) -> dict:
         )
         batch[str(q)], batch_first[str(q)] = med / BATCH_SIZE * 1e3, first / BATCH_SIZE * 1e3
         print(f"batched    q={q:2d}: {med / BATCH_SIZE * 1e3:10.4f} ms per tour (B={BATCH_SIZE}, float32)", flush=True)
+    orders = {}
+    for q, size in ORDER_BATCHES:
+        rng = np.random.default_rng((seed, 200 + q))
+        _, med = time_calls(tsp.closed_tours_batch, lambda: rng.random((size, q, 2)), repeats)
+        orders[str(q)] = med / size * 1e3
+        print(f"orders     q={q:2d}: {med / size * 1e3:10.4f} ms per tour (B={size}, float64)", flush=True)
     return {
         "single_tour_ms": single,
         "single_tour_first_ms": single_first,
         "batch_ms_per_tour": batch,
         "batch_first_ms_per_tour": batch_first,
+        "order_batch_sizes": {str(q): size for q, size in ORDER_BATCHES},
+        "order_batch_ms_per_tour": orders,
     }
 
 

@@ -290,9 +290,10 @@ def _simulate_cell(q: int, S: float, grid: CalibrationGrid, rng: np.random.Gener
     scale = np.array([long_side, short_side])
     sqrt_q = math.sqrt(q)
     # The cap fixes the RNG draw sizes and so each cell's stopping point.  The DP's two
-    # live float32 layers (at widest C(q-1, q/2)*q/2 pairs a tour) and ~1 MB of pieces stay
-    # under 27 MB up to q = 17 and reach 240 MB at q = 20; the index tables kept per q for
-    # the process add 11 MB at q = 17 and 120 MB at q = 20.
+    # live float32 layers (at widest C(q-1, q/2)*q/2 pairs a tour) and the ~1 MB of
+    # temporaries of one piece of a (pairs, B) candidate column stay under 27 MB up to
+    # q = 17 and reach 240 MB at q = 20; the index tables kept per q for the process add
+    # 11 MB at q = 17 and 120 MB at q = 20.
     batch_cap = max(32, (1 << 22) >> q)
     samples: list[np.ndarray] = []
     n = 0

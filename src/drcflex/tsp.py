@@ -1,12 +1,12 @@
 """Exact shortest-tour solvers under the Manhattan metric.
 
 One Held-Karp core steps through subset sizes k = 2..q-1 (the level order of
-Held & Karp, 1962), each step a few numpy calls over every (subset, last
-node) pair of that size, batched over B instances.  The tour-length
-calibration uses it through ``closed_tour_lengths_batch`` (lengths only);
-the simulator through ``closed_tours_batch`` (lengths and visit orders, read
-from argmin parents), of which ``exact_tour`` is the B = 1 use.  A
-permutation brute force is the independent cross-check.
+Held & Karp, 1962), each step one ``np.minimum`` fold per candidate column
+over every (subset, last node) pair of that size, batched over B instances.
+The tour-length calibration uses it through ``closed_tour_lengths_batch``
+(lengths only); the simulator through ``closed_tours_batch`` (lengths and
+visit orders, read back from the kept layers), of which ``exact_tour`` is
+the B = 1 use.  A permutation brute force is the independent cross-check.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ import numpy as np
 MAX_EXACT_POINTS = 20  # 2^(q-1) DP states; beyond this the DP is impractical
 MAX_BRUTE_POINTS = 9
 
-# Bytes of candidate values one layer step holds at a time: larger layers are
-# solved in cache-sized pieces, which also caps the temporaries' memory.
+# Bytes of one candidate column (pairs, B) a layer step folds at a time: larger
+# layers are solved in cache-sized pieces, which also caps the temporaries' memory.
 _CHUNK_BYTES = 1 << 19
-# Bytes of distance rows, two live layers and int8 parents one batched
-# visit-order DP call may hold (from q = 16 one instance alone exceeds it).
+# Bytes of distance rows and kept float64 layers one batched visit-order DP
+# call may hold (from q = 16 one instance alone exceeds it).
 _BATCH_BYTES = 1 << 20
 
 
@@ -97,38 +97,31 @@ def _layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
 def _held_karp(dist: np.ndarray, visit_order: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """Shortest closed tours from node 0 over a (q, q, B) distance array, q >= 2.
 
-    Returns the B tour lengths and, with ``visit_order``, the (B, q) visit
-    orders from node 0, read back from (pairs, B) int8 argmin parents.  Each
-    candidate is ``dp[S - j, i] + d(i, j)`` over i in S - j, and ties go to
-    the smallest i.
+    Each candidate is ``dp[S - j, i] + d(i, j)`` over i in S - j; a layer step
+    folds them in one column i at a time with ``np.minimum``.  Returns the B
+    tour lengths and, with ``visit_order``, the (B, q) visit orders from node
+    0: every layer is kept, and each chosen pair's candidates are recomputed
+    from the same operands and their argmin taken, so ties go to the smallest i.
     """
     q, B = dist.shape[0], dist.shape[2]
     d = dist.reshape(q * q, B)  # row i*q + j holds d(i, j) of every instance
     dp = d[1:q]  # size 1: the leg from node 0 to each free node
     layers = _layers(q - 1)
-    parents = []
+    kept = [dp]
     for edges, _, prev in layers:
         pairs, width = edges.shape
         dp_below = dp.reshape(len(dp) // width, width, B)
         dp = np.empty((pairs, B), dtype=d.dtype)
-        if visit_order:
-            par = np.empty((pairs, B), dtype=np.int8)
-            parents.append(par)
-        step = max(1, _CHUNK_BYTES // (width * max(B, 1) * d.itemsize))
-        if visit_order:  # flat index of candidate 0 of each (pair, instance) in a piece
-            first = np.arange(0, min(step, pairs) * width * B, width * B)[:, None] + np.arange(B)
+        step = max(1, _CHUNK_BYTES // (max(B, 1) * d.itemsize))
         for lo in range(0, pairs, step):
-            hi = lo + step
-            cand = dp_below[prev[lo:hi]]
-            cand += d[edges[lo:hi]]
-            if visit_order:
-                best = cand.argmin(axis=1)
-                par[lo:hi] = best
-                best *= B
-                best += first[: len(best)]
-                cand.take(best, out=dp[lo:hi])
-            else:
-                cand.min(axis=1, out=dp[lo:hi])
+            rows, legs, best = prev[lo:lo + step], edges[lo:lo + step], dp[lo:lo + step]
+            np.add(dp_below[rows, 0], d[legs[:, 0]], out=best)
+            for c in range(1, width):
+                cand = dp_below[rows, c]
+                cand += d[legs[:, c]]
+                np.minimum(best, cand, out=best)
+        if visit_order:
+            kept.append(dp)
     finish = dp + d[q::q]  # close the tour: d(j, 0)
     if not visit_order:
         return finish.min(axis=0), None
@@ -136,9 +129,11 @@ def _held_karp(dist: np.ndarray, visit_order: bool = False) -> tuple[np.ndarray,
     pair = finish.argmin(axis=0)
     length = finish[pair, batch]
     orders = np.zeros((B, q), dtype=np.intp)
-    for k, (edges, last, prev), par in zip(range(q - 1, 1, -1), layers[::-1], parents[::-1]):
+    for k, (edges, last, prev), below in zip(range(q - 1, 1, -1), layers[::-1], kept[-2::-1]):
+        width = edges.shape[1]
         orders[:, k] = last[pair]
-        pair = prev[pair] * edges.shape[1] + par[pair, batch]
+        cand = below.reshape(-1, width, B)[prev[pair], :, batch] + d[edges[pair], batch[:, None]]
+        pair = prev[pair] * width + cand.argmin(axis=1)
     orders[:, 1] = pair + 1
     return length, orders
 
@@ -201,12 +196,12 @@ def closed_tours_batch(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``points`` has shape (B, q, 2), q >= 2; returns the (B,) lengths and the
     (B, q) visit orders from point 0, each row equal to ``exact_tour`` on that
-    instance.  Each DP call takes as many instances as keep its distance rows,
-    two live layers and parents within ``_BATCH_BYTES``, and at least one.
+    instance.  Each DP call takes as many instances as keep its distance rows
+    and every layer within ``_BATCH_BYTES``, and at least one.
     """
     B, q = points.shape[:2]
-    pairs = [len(last) for _, last, _ in _layers(q - 1)]
-    step = max(1, _BATCH_BYTES // ((q * q + 2 * max(pairs, default=q - 1)) * 8 + sum(pairs)))
+    pairs = sum(len(last) for _, last, _ in _layers(q - 1))
+    step = max(1, _BATCH_BYTES // ((q * q + q - 1 + pairs) * 8))
     lengths = np.empty(B)
     orders = np.empty((B, q), dtype=np.intp)
     for lo in range(0, B, step):

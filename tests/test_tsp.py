@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,11 +192,29 @@ class TestBatchSolver:
     def test_layer_pieces_do_not_change_results(self, monkeypatch) -> None:
         rng = np.random.default_rng(79)
         pts = rng.random((9, 11, 2))
+        grid = rng.integers(0, 3, (9, 11, 2)).astype(float)
         whole = closed_tour_lengths_batch(pts)
         tours = [exact_tour(PointSet(p)) for p in pts[:3]]
+        batches = [closed_tours_batch(p) for p in (pts, grid)]
         monkeypatch.setattr(tsp, "_CHUNK_BYTES", 64)
         assert closed_tour_lengths_batch(pts).tolist() == whole.tolist()
         assert [exact_tour(PointSet(p)) for p in pts[:3]] == tours
+        for p, (lengths, orders) in zip((pts, grid), batches):
+            pieced = closed_tours_batch(p)
+            assert pieced[0].tolist() == lengths.tolist() and pieced[1].tolist() == orders.tolist()
+
+    # SHA-256 of the lengths and orders of integer-grid (tie-heavy) batches,
+    # as the core that read orders from int8 argmin parents returned them.
+    PINNED_TIES = "657464ec00f2291c7fd2a4c61ce5ea6b01b58d548fd11eb491293a2d5864e1de"
+
+    def test_tie_rule_pinned(self) -> None:
+        rng = np.random.default_rng(81)
+        digest = hashlib.sha256()
+        for q in range(2, 15):
+            lengths, orders = closed_tours_batch(rng.integers(0, 3, (30, q, 2)).astype(float))
+            digest.update(lengths.astype("<f8").tobytes())
+            digest.update(orders.astype("<i8").tobytes())
+        assert digest.hexdigest() == self.PINNED_TIES
 
     def test_float32_dp_is_close(self) -> None:
         rng = np.random.default_rng(8)
