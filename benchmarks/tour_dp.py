@@ -2,11 +2,12 @@
 
 Times ``drcflex.tsp.exact_tour`` on one closed tour at q = 9, 12, 14 and 16
 points, ``closed_tour_lengths_batch`` on B = 250 float32 tours at q = 10
-and 12, and ``closed_tours_batch`` (lengths and visit orders, the simulator's
-path) on B = 400 tours at q = 6 and B = 45 at q = 9, near the group sizes a
-fully flexible validation solves.  Each figure is the median of ``--repeats`` timed calls on
-fresh seeded instances, after one untimed call that builds any lazy tables
-(its time is kept as ``first_ms``).  The entry, with the machine facts, is
+and 12, and ``closed_tours_batch`` (lengths and visit orders, the
+simulator's path) on B = 400 tours at q = 6 and B = 45 at q = 9, near the
+group sizes a fully flexible validation solves.  Each figure is the median
+of ``--repeats`` timed calls on fresh seeded instances, after one untimed
+call that builds any lazy tables (its time is kept as ``first_ms`` for
+the single tours and the length batches).  The entry, with the machine facts, is
 written into ``BENCH_layers.json`` as layer ``tour_dp`` under ``--label``,
 replacing an entry of the same layer and label.
 

@@ -132,8 +132,9 @@ def _held_karp(dist: np.ndarray, visit_order: bool = False) -> tuple[np.ndarray,
     for k, (edges, last, prev), below in zip(range(q - 1, 1, -1), layers[::-1], kept[-2::-1]):
         width = edges.shape[1]
         orders[:, k] = last[pair]
-        cand = below.reshape(-1, width, B)[prev[pair], :, batch] + d[edges[pair], batch[:, None]]
-        pair = prev[pair] * width + cand.argmin(axis=1)
+        rows = prev[pair]
+        cand = below.reshape(-1, width, B)[rows, :, batch] + d[edges[pair], batch[:, None]]
+        pair = rows * width + cand.argmin(axis=1)
     orders[:, 1] = pair + 1
     return length, orders
 
