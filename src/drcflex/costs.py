@@ -34,7 +34,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Any, Iterator, Literal, NamedTuple
+from typing import Any, Literal, NamedTuple
 
 import numpy as np
 
@@ -149,7 +149,7 @@ class ZoneCostTerms:
 
     @property
     def user(self) -> float:
-        return self.total - self.C_vk - self.C_vh
+        return self.C_W + self.C_Tp + self.C_Td + self.C_Lp + self.C_Ld + self.C_Rp + self.C_Rd
 
     @property
     def agency(self) -> float:
@@ -157,29 +157,12 @@ class ZoneCostTerms:
 
 
 @dataclass(frozen=True)
-class CostBreakdown:
-    """Aggregate cost books plus the matrix of per-zone terms."""
+class CostBreakdown(ZoneCostTerms):
+    """The nine books summed over every zone, their total GC, and the per-zone terms."""
 
-    C_W: float
-    C_Tp: float
-    C_Td: float
-    C_Lp: float
-    C_Ld: float
-    C_Rp: float
-    C_Rd: float
-    C_vk: float
-    C_vh: float
     GC: float
     gc_per_patron_min: float
     per_zone: dict[tuple[int, int], ZoneCostTerms]
-
-    @property
-    def user(self) -> float:
-        return self.C_W + self.C_Tp + self.C_Td + self.C_Lp + self.C_Ld + self.C_Rp + self.C_Rd
-
-    @property
-    def agency(self) -> float:
-        return self.C_vk + self.C_vh
 
     def to_csv(self, path) -> None:
         """One row per zone per component, then an aggregate row."""
@@ -263,7 +246,7 @@ def zone_books(
     outbound = direction == "outbound"
     tau = params.tau_p if outbound else params.tau_d
     area = grid.area
-    mu = (params.lambda_p if outbound else params.lambda_d) * H * area
+    mu = occupancy(params, H, area, direction)
     q2 = mu * mu + mu
     v = params.v_l
     line_haul = D / (H * v) * mu
@@ -384,71 +367,125 @@ def sf_agency_cost_direction(
 
 
 # ---------------------------------------------------------------------------
-# Design-level aggregation
+# Hard constraints and design-level aggregation
 # ---------------------------------------------------------------------------
+
+# A zone's checks, in the order validate_design and the search name the first
+# one failed: headway bounds out and in, trunk sync, capacity out and in.
+ZONE_CHECKS = ("outbound_headway_bounds", "inbound_headway_bounds", "inbound_sync", "capacity", "capacity")
+
+
+def occupancy(params: ScenarioParams, H, area, direction: Direction):
+    """Expected patrons per dispatch at headway ``H`` in zones of ``area``; arrays broadcast."""
+    return (params.lambda_p if direction == "outbound" else params.lambda_d) * H * area
 
 
 def mean_occupancy(params: ScenarioParams, grid: ZoneGrid, zd: ZoneDesign, direction: Direction) -> float:
     """Expected patrons per dispatch for one zone and direction."""
-    lam = params.lambda_p if direction == "outbound" else params.lambda_d
-    return lam * zd.headway(direction) * grid.area
+    return occupancy(params, zd.headway(direction), grid.area, direction)
 
 
-def capacity_ok(mu, K: int):
-    """Occupancy mean plus two standard deviations fits the vehicle.
+def headway_lower_bound(params: ScenarioParams, direction: Direction) -> float:
+    """The shortest admitted headway: inbound buses also wait for a trunk arrival."""
+    return params.H_min if direction == "outbound" else max(params.H_min, params.H_t)
 
-    ``mu`` may be a float or an array; the result is a numpy bool or bool array.
-    """
+
+def headway_ok(params: ScenarioParams, H, direction: Direction):
+    """``H`` lies within the direction's headway bounds, to 1e-12 h."""
+    return (headway_lower_bound(params, direction) - 1e-12 <= H) & (H <= params.H_max + 1e-12)
+
+
+def sync_ok(params: ScenarioParams, H_d, gamma):
+    """The inbound headway is ``gamma`` trunk headways, to 1e-9 h."""
+    return abs(H_d - gamma * params.H_t) <= 1e-9
+
+
+def capacity_ok(mu, K):
+    """Occupancy mean plus two standard deviations fits the vehicle; ``mu`` and ``K`` may be arrays."""
     return mu + 2.0 * np.sqrt(mu) <= K + 1e-12
 
 
-def validate_design(
-    params: ScenarioParams, design: DesignSolution, check_capacity: bool = True
-) -> None:
+def headway_cap_from_capacity(lam: float, l: float, w: float, K: int) -> float:
+    """Largest headway whose occupancy mean plus two sigmas still fits K.
+
+    Solves x + 2*sqrt(x) <= K for x = lam*H*l*w: x_max = (sqrt(K+1) - 1)**2.
+    """
+    if lam * l * w <= 0:
+        raise ValueError("demand rate times zone area must be positive")
+    if K < 1:
+        raise ValueError("capacity must be at least 1")
+    x_max = (math.sqrt(K + 1.0) - 1.0) ** 2
+    return x_max / (lam * l * w)
+
+
+def zone_failures(params: ScenarioParams, H_p, H_d, gamma, area, K, check_capacity: bool = True) -> np.ndarray:
+    """The (zones, ``ZONE_CHECKS``) matrix of failed checks, from one entry per zone in
+    ``H_p``, ``H_d`` and ``gamma``; ``area`` and ``K`` broadcast.  ``check_capacity=False``
+    leaves the capacity columns False."""
+    fail = np.zeros(np.shape(H_p) + (len(ZONE_CHECKS),), dtype=bool)
+    fail[..., 0] = ~headway_ok(params, H_p, "outbound")
+    fail[..., 1] = ~headway_ok(params, H_d, "inbound")
+    fail[..., 2] = ~sync_ok(params, H_d, gamma)
+    if check_capacity:
+        fail[..., 3] = ~capacity_ok(occupancy(params, H_p, area, "outbound"), K)
+        fail[..., 4] = ~capacity_ok(occupancy(params, H_d, area, "inbound"), K)
+    return fail
+
+
+def low_occupancy(params: ScenarioParams, H_p, H_d, area):
+    """Which zones have a mean occupancy below ``LOW_OCCUPANCY_MEAN`` in either direction."""
+    mu_out, mu_in = occupancy(params, H_p, area, "outbound"), occupancy(params, H_d, area, "inbound")
+    return (mu_out < LOW_OCCUPANCY_MEAN) | (mu_in < LOW_OCCUPANCY_MEAN)
+
+
+def _zone_variables(design: DesignSolution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The zones' (H_p, H_d, gamma) as arrays, in ``design.zones`` order."""
+    return tuple(np.array([getattr(zd, f) for zd in design.zones]) for f in ("H_p", "H_d", "gamma"))
+
+
+def validate_design(params: ScenarioParams, design: DesignSolution, check_capacity: bool = True) -> None:
     """Raise InfeasibleDesignError on any violated hard constraint.
 
-    ``check_capacity=False`` skips the occupancy-vs-K rule, for studying
-    capacity-relaxed designs; every other constraint stays hard.
+    The swath width is checked first, then the zones in order, each through
+    ``ZONE_CHECKS``.  ``check_capacity=False`` skips the occupancy-vs-K rule,
+    for studying capacity-relaxed designs; every other constraint stays hard.
     """
     grid = design.grid
     if design.strategy == SEMI_FLEXIBLE:
         widths = [c.w0 for c in feasible_swath_widths(grid.l, grid.w)]
         if not any(abs(design.w0 - w) < 1e-9 for w in widths):
-            raise InfeasibleDesignError(
-                "swath_width",
-                None,
-                f"w0={design.w0} not among feasible widths {sorted(widths)}",
-            )
-    for zd in design.zones:
-        if not (params.H_min - 1e-12 <= zd.H_p <= params.H_max + 1e-12):
-            raise InfeasibleDesignError(
-                "outbound_headway_bounds",
-                zd.z,
-                f"H_p={zd.H_p} outside [{params.H_min}, {params.H_max}]",
-            )
-        lo = max(params.H_min, params.H_t)
-        if not (lo - 1e-12 <= zd.H_d <= params.H_max + 1e-12):
-            raise InfeasibleDesignError(
-                "inbound_headway_bounds",
-                zd.z,
-                f"H_d={zd.H_d} outside [{lo}, {params.H_max}]",
-            )
-        if abs(zd.H_d - zd.gamma * params.H_t) > 1e-9:
-            raise InfeasibleDesignError(
-                "inbound_sync",
-                zd.z,
-                f"H_d={zd.H_d} is not gamma*H_t={zd.gamma * params.H_t}",
-            )
-        if not check_capacity:
-            continue
-        for direction in DIRECTIONS:
-            mu = mean_occupancy(params, grid, zd, direction)
-            if not capacity_ok(mu, design.K):
-                raise InfeasibleDesignError(
-                    "capacity",
-                    zd.z,
-                    f"{direction} occupancy {mu:.4f} + 2*sqrt exceeds K={design.K}",
-                )
+            raise InfeasibleDesignError("swath_width", None, f"w0={design.w0} not among feasible widths {sorted(widths)}")
+    fail = zone_failures(params, *_zone_variables(design), grid.area, design.K, check_capacity)
+    if not fail.any():
+        return
+    i, check = divmod(int(fail.argmax()), len(ZONE_CHECKS))
+    zd = design.zones[i]
+    details = (  # one per check, in ZONE_CHECKS order
+        *(f"{name}={zd.headway(d)} outside [{headway_lower_bound(params, d)}, {params.H_max}]"
+          for name, d in zip(("H_p", "H_d"), DIRECTIONS)),
+        f"H_d={zd.H_d} is not gamma*H_t={zd.gamma * params.H_t}",
+        *(f"{d} occupancy {mean_occupancy(params, grid, zd, d):.4f} + 2*sqrt exceeds K={design.K}"
+          for d in DIRECTIONS),
+    )
+    raise InfeasibleDesignError(ZONE_CHECKS[check], zd.z, details[check])
+
+
+def cost_books(out: ZoneBooks, inb: ZoneBooks) -> tuple:
+    """A zone's nine books in ``ZoneCostTerms.FIELDS`` order, from its two directions' books."""
+    return (
+        out.wait, out.tour, inb.tour, out.line_haul, inb.line_haul, out.transfer, inb.transfer,
+        out.dist + inb.dist, out.time + inb.time,
+    )
+
+
+def add_books(books: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(per-field sums, total) of (fields, ..., zones) books: over the zones, then the fields.
+
+    Every GC is added in this order, left to right as ``cumsum`` adds (the
+    builtin ``sum`` compensates rounding from Python 3.12 on).
+    """
+    sums = books.cumsum(axis=-1)[..., -1]
+    return sums, sums.cumsum(axis=0)[-1]
 
 
 def zone_cost_terms(
@@ -463,32 +500,7 @@ def zone_cost_terms(
     """All nine hourly books for one zone under the given strategy."""
     if strategy == SEMI_FLEXIBLE and w0 is None:
         raise InfeasibleDesignError("swath_width", zd.z, "semi-flexible cost needs w0")
-    out, inb = (_books(params, grid, zd, d, strategy, model, w0, K) for d in DIRECTIONS)
-    return ZoneCostTerms(
-        C_W=out.wait,
-        C_Tp=out.tour,
-        C_Td=inb.tour,
-        C_Lp=out.line_haul,
-        C_Ld=inb.line_haul,
-        C_Rp=out.transfer,
-        C_Rd=inb.transfer,
-        C_vk=out.dist + inb.dist,
-        C_vh=out.time + inb.time,
-    )
-
-
-def _low_occupancy_zones(params: ScenarioParams, design: DesignSolution) -> Iterator[tuple[int, int, str]]:
-    for zd in design.zones:
-        for direction in DIRECTIONS:
-            if mean_occupancy(params, design.grid, zd, direction) < LOW_OCCUPANCY_MEAN:
-                yield zd.z.m, zd.z.n, direction
-
-
-def _add_in_order(values) -> float:
-    total = 0.0
-    for v in values:
-        total += v
-    return total
+    return ZoneCostTerms(*cost_books(*(_books(params, grid, zd, d, strategy, model, w0, K) for d in DIRECTIONS)))
 
 
 def total_generalized_cost(
@@ -499,27 +511,18 @@ def total_generalized_cost(
 ) -> CostBreakdown:
     """Aggregate the nine books over every zone and report GC per patron."""
     validate_design(params, design, check_capacity=check_capacity)
-    lows = list(_low_occupancy_zones(params, design))
-    if lows:
+    H_p, H_d, _ = _zone_variables(design)
+    if low_occupancy(params, H_p, H_d, design.grid.area).any():
         warnings.warn(
             f"mean occupancy below {LOW_OCCUPANCY_MEAN:g} in some zone; second-order "
             "tour expectations may be more than 2% off",
             LowOccupancyWarning,
             stacklevel=2,
         )
-    per_zone: dict[tuple[int, int], ZoneCostTerms] = {}
-    for zd in design.zones:
-        per_zone[(zd.z.m, zd.z.n)] = zone_cost_terms(
-            params, design.grid, zd, design.strategy, design.K, model, design.w0
-        )
-    # left to right, as the search's pricing pass adds them (from Python 3.12
-    # on, the builtin sum compensates rounding)
-    sums = {f: _add_in_order(getattr(t, f) for t in per_zone.values()) for f in ZoneCostTerms.FIELDS}
-    gc = _add_in_order(sums.values())
-    patrons_per_h = (params.lambda_p + params.lambda_d) * params.L * params.W
-    return CostBreakdown(
-        **sums,
-        GC=gc,
-        gc_per_patron_min=gc * 60.0 / patrons_per_h,
-        per_zone=per_zone,
-    )
+    per_zone = {
+        (zd.z.m, zd.z.n): zone_cost_terms(params, design.grid, zd, design.strategy, design.K, model, design.w0)
+        for zd in design.zones
+    }
+    sums, gc = add_books(np.array([[getattr(t, f) for t in per_zone.values()] for f in ZoneCostTerms.FIELDS]))
+    gc = float(gc)
+    return CostBreakdown(*sums.tolist(), GC=gc, gc_per_patron_min=gc * 60.0 / params.patrons_per_h, per_zone=per_zone)

@@ -37,15 +37,22 @@ from .costs import (
     DesignSolution,
     Direction,
     InfeasibleDesignError,
-    LOW_OCCUPANCY_MEAN,
     LowOccupancyWarning,
+    ZONE_CHECKS,
     ZoneCostTerms,
     ZoneDesign,
     ZoneShape,
+    add_books,
     capacity_ok,
+    cost_books,
+    headway_cap_from_capacity,
+    headway_ok,
+    low_occupancy,
     mean_occupancy,
+    occupancy,
     total_generalized_cost,
     zone_books,
+    zone_failures,
 )
 # The per-book views stay bound here: perfbench/tracer.py wraps them by name.
 from .costs import (  # noqa: F401
@@ -132,19 +139,6 @@ class OptimizationResult:
                         e.note,
                     ]
                 )
-
-
-def headway_cap_from_capacity(lam: float, l: float, w: float, K: int) -> float:
-    """Largest headway whose occupancy mean plus two sigmas still fits K.
-
-    Solves x + 2*sqrt(x) <= K for x = lam*H*l*w: x_max = (sqrt(K+1) - 1)**2.
-    """
-    if lam * l * w <= 0:
-        raise ValueError("demand rate times zone area must be positive")
-    if K < 1:
-        raise ValueError("capacity must be at least 1")
-    x_max = (math.sqrt(K + 1.0) - 1.0) ** 2
-    return x_max / (lam * l * w)
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +360,18 @@ def _admitted_multiples(
     params: ScenarioParams, grid: ZoneGrid, Ks: Sequence[int], H_d: np.ndarray, enforce_capacity: bool
 ) -> np.ndarray:
     """Which inbound headways H_d each capacity admits, shaped (len(Ks), H_d)."""
-    ok = (H_d >= max(params.H_min, params.H_t) - 1e-12) & (H_d <= params.H_max + 1e-12)
-    ok = np.broadcast_to(ok, (len(Ks), H_d.size))
+    ok = np.broadcast_to(headway_ok(params, H_d, "inbound"), (len(Ks), H_d.size))
     if enforce_capacity:
-        ok = ok & capacity_ok(params.lambda_d * H_d * grid.area, np.asarray(Ks)[:, None])
+        ok = ok & capacity_ok(occupancy(params, H_d, grid.area, "inbound"), np.asarray(Ks)[:, None])
     return ok
+
+
+def _ruled_out(params: ScenarioParams, hi: float = math.inf, admits: bool = True) -> str:
+    """The constraint that rules a capacity out before any solve, or "": its
+    outbound headway cap ``hi`` below H_min, else no admitted sync multiple."""
+    if hi < params.H_min - 1e-15:
+        return "capacity"
+    return "" if admits else "inbound_sync"
 
 
 def _inbound_sync(
@@ -407,12 +408,10 @@ def optimize_zone_headway(
     One lane of the search's own solve; returns (H_p, outbound cost).
     """
     hi = _headway_caps(params, grid, (K,), enforce_capacity)
-    if hi[0] < params.H_min - 1e-15:
-        raise InfeasibleDesignError(
-            "capacity",
-            z,
-            f"outbound headway cap {hi[0]:.6f} h below the minimum headway {params.H_min:.6f} h",
-        )
+    note = _ruled_out(params, hi=hi[0])
+    if note:
+        detail = f"outbound headway cap {hi[0]:.6f} h below the minimum headway {params.H_min:.6f} h"
+        raise InfeasibleDesignError(note, z, detail)
     cost = _lane_cost(params, strategy, model, _zone_lane(grid, z, K, w0_opt))
     H, val = _outbound_headways(cost, params.H_min, hi, n_starts)
     return float(H[0]), float(val[0])
@@ -432,12 +431,9 @@ def optimize_zone_gamma(
     """Enumerate the trunk-sync multiple; return (gamma, H_d, inbound cost)."""
     gammas, H_d = _sync_multiples(params, gamma_range)
     ok = _admitted_multiples(params, grid, (K,), H_d, enforce_capacity)
-    if not ok.any():
-        raise InfeasibleDesignError(
-            "inbound_sync",
-            z,
-            f"no feasible trunk-sync multiple in {tuple(gamma_range)} for K={K}",
-        )
+    note = _ruled_out(params, admits=ok.any())
+    if note:
+        raise InfeasibleDesignError(note, z, f"no feasible trunk-sync multiple in {tuple(gamma_range)} for K={K}")
     cost = _lane_cost(params, strategy, model, _zone_lane(grid, z, K, w0_opt))
     gamma, H, val = _inbound_sync(cost, gammas, H_d, ok)
     return int(gamma[0]), float(H[0]), float(val[0])
@@ -451,9 +447,6 @@ def optimize_zone_gamma(
 # pass hold about 0.5 KB per lane; a larger space is solved in runs of whole
 # groups, so a full-space search keeps the footprint of a small one.
 _MAX_LANES = 4096
-
-# validate_design's constraints in the order it checks each zone.
-_ZONE_CHECKS = ("outbound_headway_bounds", "inbound_headway_bounds", "inbound_sync", "capacity", "capacity")
 
 
 @dataclass(eq=False)
@@ -511,10 +504,7 @@ def _grid_layout(params: ScenarioParams, space: SearchSpace, grid: ZoneGrid, H_d
     _, first, slot = np.unique([round(d, 12) for d in zone_D], return_index=True, return_inverse=True)
     hi = _headway_caps(params, grid, space.K_range, space.enforce_capacity)
     ok = _admitted_multiples(params, grid, space.K_range, H_d, space.enforce_capacity)
-    notes = [
-        "capacity" if h < params.H_min - 1e-15 else "inbound_sync" if not admits else ""
-        for h, admits in zip(hi, ok.any(axis=1))
-    ]
+    notes = [_ruled_out(params, h, admits) for h, admits in zip(hi.tolist(), ok.any(axis=1).tolist())]
     solved = np.array([k for k, note in enumerate(notes) if not note], dtype=int)
     outcome = [(None, f"infeasible: {note}") if note else None for note in notes]
     k_of = np.repeat(solved, first.size)
@@ -545,11 +535,11 @@ def _price(
 ) -> None:
     """Price every solved combination of ``run`` in one pass over (combo, zone, direction).
 
-    Follows ``total_generalized_cost``: ``validate_design``'s headway, sync
-    and (when enforced) capacity checks, zone by zone, naming the first one
-    a combination fails; the low-occupancy test; the nine books summed per
-    field over the zones in zone order, then over the fields.  Sets each
-    solved K's ``outcome``.
+    Follows ``total_generalized_cost`` through the same ``costs`` helpers:
+    the failure matrix of ``validate_design``'s zone checks (capacity only
+    when enforced), naming the first one a combination fails; the
+    low-occupancy flag; the nine books added in ``add_books``' order.  Sets
+    each solved K's ``outcome``.
     """
     offsets = np.cumsum([0] + [g.k_of.size for g in run])
     # elements are the zones of every combination, combination-major
@@ -560,6 +550,7 @@ def _price(
     D = np.concatenate([np.tile(g.zone_D, g.solved.size) for g in run])
     n_zones = np.concatenate([np.full(g.solved.size, g.slot.size) for g in run])
     # each combination's elements in zone order, padded with a sentinel element
+    # that fails no check, is not flagged and adds 0.0
     col = np.arange(n_zones.max())
     at = np.where(col < n_zones[:, None], (np.cumsum(n_zones) - n_zones)[:, None] + col, D.size)
     H_p = np.concatenate([g.H_p for g in run])[lane]
@@ -568,35 +559,23 @@ def _price(
     K, area, S = lanes.K[lane], lanes.area[lane], lanes.S[lane]
     w0 = None if lanes.w0 is None else lanes.w0[lane]
 
-    fail = np.zeros((D.size + 1, len(_ZONE_CHECKS)), dtype=bool)
-    fail[:-1, 0] = ~((params.H_min - 1e-12 <= H_p) & (H_p <= params.H_max + 1e-12))
-    fail[:-1, 1] = ~((max(params.H_min, params.H_t) - 1e-12 <= H_d) & (H_d <= params.H_max + 1e-12))
-    fail[:-1, 2] = np.abs(H_d - gamma * params.H_t) > 1e-9
-    mu_out = params.lambda_p * H_p * area
-    mu_in = params.lambda_d * H_d * area
-    if space.enforce_capacity:
-        fail[:-1, 3] = ~capacity_ok(mu_out, K)
-        fail[:-1, 4] = ~capacity_ok(mu_in, K)
-    fail = fail[at].reshape(at.shape[0], -1)
-    low = np.append((mu_out < LOW_OCCUPANCY_MEAN) | (mu_in < LOW_OCCUPANCY_MEAN), False)[at].any(axis=1)
+    fail = zone_failures(params, H_p, H_d, gamma, area, K, space.enforce_capacity)
+    fail = np.append(fail, np.zeros((1, len(ZONE_CHECKS)), dtype=bool), axis=0)[at].reshape(at.shape[0], -1)
+    low = np.append(low_occupancy(params, H_p, H_d, area), False)[at].any(axis=1)
 
     shape = ZoneShape(area, S)
     out = zone_books(params, shape, D, H_p, "outbound", space.strategy, model, w0, K)
     inb = zone_books(params, shape, D, H_d, "inbound", space.strategy, model, w0, K, gamma)
     books = np.zeros((len(ZoneCostTerms.FIELDS), D.size + 1))
-    books[:, :-1] = (
-        out.wait, out.tour, inb.tour, out.line_haul, inb.line_haul, out.transfer, inb.transfer,
-        out.dist + inb.dist, out.time + inb.time,
-    )
-    # cumsum adds in order, as total_generalized_cost does; the padding adds 0.0
-    gc = books[:, at].cumsum(axis=2)[:, :, -1].cumsum(axis=0)[-1]
+    books[:, :-1] = cost_books(out, inb)
+    gc = add_books(books[:, at])[1]
 
-    first = fail.argmax(axis=1) % len(_ZONE_CHECKS)
+    first = fail.argmax(axis=1) % len(ZONE_CHECKS)
     combos = [(g, k) for g in run for k in g.solved.tolist()]
     for (g, k), value, bad, check, flagged in zip(
         combos, gc.tolist(), fail.any(axis=1).tolist(), first.tolist(), low.tolist()
     ):
-        g.outcome[k] = (None, f"infeasible: {_ZONE_CHECKS[check]}") if bad else (
+        g.outcome[k] = (None, f"infeasible: {ZONE_CHECKS[check]}") if bad else (
             value, "low_occupancy" if flagged else ""
         )
 
@@ -749,20 +728,16 @@ def _strategy_metrics(
     grid = design.grid
     bd = result.cost
     law = as_tour_law(model)
-    patrons = (params.lambda_p + params.lambda_d) * params.L * params.W
-    to_min = 60.0 / patrons
+    to_min = 60.0 / params.patrons_per_h
     area = grid.l * grid.w
     s = math.sqrt(area)
-
-    def occ(zd: ZoneDesign, direction: Direction) -> float:
-        return mean_occupancy(params, grid, zd, direction)
 
     def tour_stats(direction: Direction) -> tuple[float, float]:
         """(mean coefficient, mean tour length at mean occupancy) over zones."""
         coeffs = []
         lengths = []
         for zd in design.zones:
-            mu = occ(zd, direction)
+            mu = mean_occupancy(params, grid, zd, direction)
             if design.strategy == FULLY_FLEXIBLE:
                 length = law.tour_length_units(mu + 1.0, grid.S) * s
                 lengths.append(length)
@@ -789,8 +764,8 @@ def _strategy_metrics(
         "swath_width_km": design.w0 if design.w0 is not None else "",
         "mean_outbound_headway_min": _mean_zone_stat(design, lambda zd: zd.H_p) * 60.0,
         "mean_inbound_headway_min": _mean_zone_stat(design, lambda zd: zd.H_d) * 60.0,
-        "mean_outbound_occupancy": _mean_zone_stat(design, lambda zd: occ(zd, "outbound")),
-        "mean_inbound_occupancy": _mean_zone_stat(design, lambda zd: occ(zd, "inbound")),
+        "mean_outbound_occupancy": _mean_zone_stat(design, lambda zd: mean_occupancy(params, grid, zd, "outbound")),
+        "mean_inbound_occupancy": _mean_zone_stat(design, lambda zd: mean_occupancy(params, grid, zd, "inbound")),
         "mean_outbound_tour_coefficient": k_out,
         "mean_inbound_tour_coefficient": k_in,
         "mean_outbound_tour_length_km": tour_out,

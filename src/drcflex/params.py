@@ -78,6 +78,11 @@ class ScenarioParams:
             if abs(self.tau_d - (self.tau_0 + self.tau_a)) > 1e-12:
                 raise ValueError("tau_d must equal tau_0 + tau_a when tau_0 is given")
 
+    @property
+    def patrons_per_h(self) -> float:
+        """Hourly patronage of the whole region, both directions."""
+        return (self.lambda_p + self.lambda_d) * self.L * self.W
+
     def pi_v(self, K: int) -> float:
         """Vehicle distance cost, $/veh-km, for capacity-K vehicles."""
         return self.pi_v_base + self.pi_v_perK * K

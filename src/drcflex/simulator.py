@@ -457,10 +457,9 @@ def _simulate_region(
     inb = _merged(tally, ~spans.outbound)
     outbound_windows = np.repeat(spans.outbound, spans.n_windows)
     gc = _gc_hours(params, design.K, out, inb) / horizon
-    patrons = (params.lambda_p + params.lambda_d) * params.L * params.W
     return SimRun(
         gc_hours=gc,
-        gc_min_per_patron=gc * 60.0 / patrons,
+        gc_min_per_patron=gc * 60.0 / params.patrons_per_h,
         horizon=horizon,
         tours_out=tuple(tours[outbound_windows].tolist()),
         tours_in=tuple(tours[~outbound_windows].tolist()),
@@ -570,7 +569,6 @@ def run_validation(
         warnings.simplefilter("ignore")
         analytic = total_generalized_cost(params, design, model)
     grid = design.grid
-    patrons = (params.lambda_p + params.lambda_d) * params.L * params.W
     zone_scale = np.array([grid.l, grid.w])
     layout = []  # one run's spans: (zone, direction, arrival rate, headway, windows)
     # the model's references: tours per dispatch weighted by windows, hourly dwell losses
@@ -624,7 +622,7 @@ def run_validation(
             if is_out:
                 gc = gc + waits[:, s]
             gc = gc + rest[:, s]
-        for used, gc_run in enumerate((gc * 60.0 / patrons).tolist(), start=1):
+        for used, gc_run in enumerate((gc * 60.0 / params.patrons_per_h).tolist(), start=1):
             gcs.append(gc_run)
             run += 1
             if run >= min_runs:

@@ -152,6 +152,15 @@ def exact_tour_length(ps: PointSet) -> float:
     return exact_tour(ps)[0]
 
 
+@functools.cache
+def _visit_orders(q: int) -> np.ndarray:
+    """Every visit order of q points from point 0, one per row; read-only and
+    kept for the process (2.9 MB at q = 9)."""
+    perms = np.array([(0,) + p for p in itertools.permutations(range(1, q))])
+    perms.flags.writeable = False
+    return perms
+
+
 def brute_force_tour_length(ps: PointSet) -> float:
     """Exhaustive-permutation closed-tour optimum; independent of the DP solver.
 
@@ -162,9 +171,21 @@ def brute_force_tour_length(ps: PointSet) -> float:
         raise TourSizeError(q, MAX_BRUTE_POINTS, "brute_force_tour_length")
     pts = np.asarray(ps.points)
     dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
-    perms = np.array([(0,) + p for p in itertools.permutations(range(1, q))])
+    perms = _visit_orders(q)
     lengths = dist[perms, np.roll(perms, -1, axis=1)].sum(axis=1)
     return float(lengths.min())
+
+
+def _instance_size(points: np.ndarray, solver: str) -> int:
+    """The point count q of a (B, q, 2) batch, checked: 2 <= q <= MAX_EXACT_POINTS."""
+    if points.ndim != 3 or points.shape[2] != 2:
+        raise ValueError("expected points of shape (B, q, 2)")
+    q = points.shape[1]
+    if q < 2:
+        raise ValueError("need at least 2 points per instance")
+    if q > MAX_EXACT_POINTS:
+        raise TourSizeError(q, MAX_EXACT_POINTS, solver)
+    return q
 
 
 def closed_tour_lengths_batch(points: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -177,13 +198,7 @@ def closed_tour_lengths_batch(points: np.ndarray, dtype=np.float64) -> np.ndarra
     cost.
     """
     points = np.asarray(points, dtype=dtype)
-    if points.ndim != 3 or points.shape[2] != 2:
-        raise ValueError("expected points of shape (B, q, 2)")
-    q = points.shape[1]
-    if q < 2:
-        raise ValueError("need at least 2 points per instance")
-    if q > MAX_EXACT_POINTS:
-        raise TourSizeError(q, MAX_EXACT_POINTS, "closed_tour_lengths_batch")
+    q = _instance_size(points, "closed_tour_lengths_batch")
     dist = np.abs(points[:, :, None, :] - points[:, None, :, :]).sum(axis=3)
     if q == 2:
         return 2.0 * dist[:, 0, 1]
@@ -195,12 +210,12 @@ def closed_tour_lengths_batch(points: np.ndarray, dtype=np.float64) -> np.ndarra
 def closed_tours_batch(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact closed tours and visit orders for a batch of same-size instances.
 
-    ``points`` has shape (B, q, 2), q >= 2; returns the (B,) lengths and the
-    (B, q) visit orders from point 0, each row equal to ``exact_tour`` on that
-    instance.  Each DP call takes as many instances as keep its distance rows
-    and every layer within ``_BATCH_BYTES``, and at least one.
+    ``points`` has shape (B, q, 2), 2 <= q <= 20; returns the (B,) lengths and
+    the (B, q) visit orders from point 0, each row equal to ``exact_tour`` on
+    that instance.  Each DP call takes as many instances as keep its distance
+    rows and every layer within ``_BATCH_BYTES``, and at least one.
     """
-    B, q = points.shape[:2]
+    B, q = len(points), _instance_size(points, "closed_tours_batch")
     pairs = sum(len(last) for _, last, _ in _layers(q - 1))
     step = max(1, _BATCH_BYTES // ((q * q + q - 1 + pairs) * 8))
     lengths = np.empty(B)

@@ -34,6 +34,7 @@ from drcflex.costs import (
     capacity_ok,
     ff_local_tour_cost_zone,
     ff_wait_cost_zone,
+    headway_cap_from_capacity,
     line_haul_cost_zone,
     mean_occupancy,
     sf_local_tour_cost_zone,
@@ -238,6 +239,14 @@ class TestCapacity:
         # arrays are judged element by element, as the search judges its gammas
         np.testing.assert_array_equal(capacity_ok(np.array([0.0, 4.0, 4.1]), 8), [True, True, False])
 
+    @pytest.mark.parametrize("lam, l, w", [(40.0, 1.0, 1.0), (2.0, 0.5, 4.0), (13.7, 0.3, 0.7), (0.25, 2.0, 3.0)])
+    def test_headway_cap_is_the_capacity_rule_inverted(self, lam: float, l: float, w: float) -> None:
+        # the occupancy at the cap fits K; a hair past the cap no longer does
+        for K in range(1, 21):
+            mu = lam * headway_cap_from_capacity(lam, l, w, K) * (l * w)
+            assert capacity_ok(mu, K), K
+            assert not capacity_ok(mu * (1.0 + 1e-9), K), K
+
 
 class TestValidateDesign:
     def test_accepts_feasible_designs(
@@ -426,11 +435,17 @@ class TestKernel:
                 BASE, grid, D, float(H[0]), direction, strategy, TABLE1_MODEL, w0, K, gamma
             )
             want = [scalar_books(BASE, grid, D, float(h), direction, strategy, w0, K, gamma) for h in H]
-            for field in ZoneBooks._fields:
-                expected = np.array([w[field] for w in want])
-                actual = np.broadcast_to(getattr(got, field), H.shape)
-                np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=0, err_msg=field)
-                assert getattr(at_float, field) == pytest.approx(expected[0], rel=1e-12, abs=0)
+            # one comparison per case: a row per field, holding the array
+            # call's values and then the float call's; a failure names the field
+            expected = np.array([[w[field] for w in want] + [want[0][field]] for field in ZoneBooks._fields])
+            actual = np.empty_like(expected)
+            for row, vector, point in zip(actual, got, at_float):
+                row[:-1], row[-1] = vector, point
+            close = np.isclose(actual, expected, rtol=1e-12, atol=0).all(axis=1)
+            bad = close.argmin()
+            assert close.all(), (
+                f"{ZoneBooks._fields[bad]}: kernel {actual[bad].tolist()}, transcription {expected[bad].tolist()}"
+            )
 
     @settings(max_examples=20, deadline=None)
     @given(

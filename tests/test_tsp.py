@@ -232,6 +232,19 @@ class TestBatchSolver:
             closed_tour_lengths_batch(np.zeros((1, MAX_EXACT_POINTS + 1, 2)))
         assert closed_tour_lengths_batch(np.zeros((0, 6, 2))).shape == (0,)
 
+    def test_visit_order_shape_validation(self) -> None:
+        # checked before any index table is built: q = 21 would take ~260 MB
+        for bad in (np.zeros((4, 3)), np.zeros((4, 5, 3))):
+            with pytest.raises(ValueError, match="shape"):
+                closed_tours_batch(bad)
+        with pytest.raises(ValueError, match="at least 2"):
+            closed_tours_batch(np.zeros((4, 1, 2)))
+        with pytest.raises(TourSizeError) as exc:
+            closed_tours_batch(np.zeros((1, MAX_EXACT_POINTS + 1, 2)))
+        assert exc.value.limit == MAX_EXACT_POINTS
+        lengths, orders = closed_tours_batch(np.zeros((0, 6, 2)))
+        assert lengths.shape == (0,) and orders.shape == (0, 6)
+
 
 class TestSizeLimits:
     def test_point_set_bounds(self) -> None:
