@@ -116,18 +116,50 @@ class _Spans(NamedTuple):
     staging: np.ndarray
 
 
-def _spans(rows: list[tuple]) -> _Spans:
-    """Pack (zone, outbound, H_sched, n_windows, xy, t, staging) rows."""
-    zone, outbound, H_sched, n_windows, xy, t, staging = zip(*rows)
-    per_span = (zone, outbound, H_sched, n_windows, [len(a) for a in t])
-    return _Spans(*map(np.array, per_span), *map(np.concatenate, (xy, t, staging)))
+def _staging_draws(design: DesignSolution, n_windows: np.ndarray) -> np.ndarray:
+    """Staging draws per span: a point per fully flexible window, an offset per semi-flexible one."""
+    return n_windows * (2 if design.strategy == FULLY_FLEXIBLE else 1)
 
 
-def _staging(design: DesignSolution, rng: np.random.Generator, n_windows: int) -> np.ndarray:
-    """One span's per-window draws, in the order the dispatches use them."""
-    if design.strategy == FULLY_FLEXIBLE:
-        return rng.random((n_windows, 2)) * np.array([design.grid.l, design.grid.w])
-    return rng.random(n_windows) * design.w0
+def _pack(
+    design: DesignSolution, columns: tuple, n_points: np.ndarray, draws: np.ndarray,
+    requests: tuple | None = None,
+) -> _Spans:
+    """Pack spans from their (zone, outbound, H_sched, n_windows) columns and
+    uniform draws, scaling each kind of draw once.  Per span in order,
+    ``draws`` holds its n requests' xy (2n) and times (n), then its staging
+    draws; only the staging draws when ``requests`` gives every (xy, t).
+    """
+    zone, outbound, H_sched, n_windows = columns
+    ff = design.strategy == FULLY_FLEXIBLE
+    scale = np.array([design.grid.l, design.grid.w])
+    if requests is None:
+        sizes = np.stack((2 * n_points, n_points, _staging_draws(design, n_windows)), axis=1)
+        kind = np.repeat(np.tile(np.arange(3, dtype=np.int8), len(n_points)), sizes.ravel())
+        xy = draws[kind == 0].reshape(-1, 2) * scale
+        t = draws[kind == 1] * np.repeat(n_windows * H_sched, n_points)  # span lengths
+        draws = draws[kind == 2]
+    else:
+        xy, t = requests
+    staging = draws.reshape(-1, 2) * scale if ff else draws * design.w0
+    return _Spans(zone, outbound, H_sched, n_windows, n_points, xy, t, staging)
+
+
+def _draw_runs(
+    design: DesignSolution, layout: tuple[np.ndarray, ...], means: list[float], seed: int, runs: range
+) -> _Spans:
+    """The spans of validation ``runs``, drawn as ``run_validation`` states,
+    from one run's (zone, outbound, H, n_windows) columns and mean request counts."""
+    sizes = _staging_draws(design, layout[3]).tolist()
+    n_points, draws = [], []
+    for run in runs:
+        rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
+        for mean, s in zip(means, sizes):
+            n = rng.poisson(mean)
+            n_points.append(n)
+            draws.append(rng.random(3 * n + s))
+    columns = tuple(np.tile(c, len(runs)) for c in layout)
+    return _pack(design, columns, np.array(n_points), np.concatenate(draws))
 
 
 class _Tally(NamedTuple):
@@ -211,13 +243,11 @@ def _serve(
     transfer = qf * np.repeat(rate, n_w) + np.repeat(dwell, n_w) * qf * qf / 2.0
     loss = tau_w * qf * qf
     loss[np.repeat(~spans.outbound | (not ff), n_w)] /= 2.0  # FF pick-ups lose the whole dwell
-    first = np.cumsum(n_w) - n_w
-    totals = np.zeros((_BOOKS, len(n_w)))
-    for j in range(int(n_w.max())):  # add each span's j-th window
-        live = np.flatnonzero(n_w > j)
-        for total, book in zip(totals, (wait, inveh, transfer, dist, veh, loss, tour)):
-            total[live] += book[first[live] + j]
     span_of = np.repeat(np.arange(len(n_w)), n_w)
+    column = np.arange(len(q)) - np.repeat(np.cumsum(n_w) - n_w, n_w) + 1  # after a zero column
+    padded = np.zeros((_BOOKS, len(n_w), 1 + int(n_w.max())))
+    padded[:, span_of, column] = wait, inveh, transfer, dist, veh, loss, tour
+    totals = np.add.accumulate(padded, axis=2)[:, :, -1].copy()  # in window order from 0.0, unlike sum()
     flagged = (q > design.K, ff & (q >= MAX_EXACT_POINTS))  # overcapacity, heuristic tour
     overcapacity, heuristic = (np.bincount(span_of[f], minlength=len(n_w)) for f in flagged)
     return _Tally(*totals, n_w, spans.n_points, overcapacity, heuristic), tour
@@ -266,14 +296,18 @@ def _load_groups(
     """
     n_w = spans.n_windows
     window = np.repeat(np.cumsum(n_w) - n_w, spans.n_points) + local
-    by_window = np.lexsort((window,) if minor is None else (minor, window))
     q = np.bincount(window, minlength=int(n_w.sum()))
+    # stable, so span order within a window; numpy radix-sorts keys of 16 bits or less
+    by_window = np.argsort(window.astype(np.min_scalar_type(len(q) - 1)), kind="stable")
     start = np.cumsum(q) - q
     span_of = np.repeat(np.arange(len(n_w)), n_w)
     groups = []
     for k in np.unique(q[q > 0]):
         w = np.flatnonzero(q == k)
-        groups.append((w, span_of[w, None], by_window[start[w, None] + np.arange(k)]))
+        stops = by_window[start[w, None] + np.arange(k)]
+        if minor is not None:
+            stops = np.take_along_axis(stops, np.argsort(minor[stops], axis=1, kind="stable"), axis=1)
+        groups.append((w, span_of[w, None], stops))
     return q, groups
 
 
@@ -450,8 +484,12 @@ def _simulate_region(
         for direction in DIRECTIONS:
             xy, t = by_zone[direction][(zd.z.m, zd.z.n)]
             n_w = max(1, round(horizon / zd.headway(direction)))
-            rows.append((i, direction == "outbound", horizon / n_w, n_w, xy, t, _staging(design, rng, n_w)))
-    spans = _spans(rows)
+            rows.append((i, direction == "outbound", horizon / n_w, n_w, xy, t))
+    *columns, xy, t = zip(*rows)
+    columns = tuple(map(np.array, columns))
+    staging = rng.random(int(_staging_draws(design, columns[3]).sum()))
+    requests = np.concatenate(xy), np.concatenate(t)
+    spans = _pack(design, columns, np.array([len(a) for a in t]), staging, requests)
     tally, tours = _serve(params, design, spans)
     out = _merged(tally, spans.outbound)
     inb = _merged(tally, ~spans.outbound)
@@ -561,16 +599,18 @@ def run_validation(
     Every zone-direction is simulated over its own whole number of headways
     (round(1/H) windows) per run, so realized rates are directly comparable
     to the hourly analytical model.  Run r draws from its own
-    ``SeedSequence((seed, r))`` stream.  Runs are served ``_CHUNK_RUNS`` at a
-    time; the report equals that of serving them one at a time.
+    ``SeedSequence((seed, r))`` stream, span by span (zone by zone, outbound
+    first): a Poisson request count n, then in one call 3n + s uniforms, the
+    requests' xy (n rows of 2) and times, then the span's s staging draws
+    (an (l, w) pair per FF window, a w0 offset per SF window).  Runs are
+    served ``_CHUNK_RUNS`` at a time; the report equals serving them singly.
     """
     validate_design(params, design)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         analytic = total_generalized_cost(params, design, model)
     grid = design.grid
-    zone_scale = np.array([grid.l, grid.w])
-    layout = []  # one run's spans: (zone, direction, arrival rate, headway, windows)
+    layout = []  # one run's spans: (zone, outbound, arrival rate, headway, windows)
     # the model's references: tours per dispatch weighted by windows, hourly dwell losses
     windows, tour_sum, loss = ({d: 0.0 for d in DIRECTIONS} for _ in range(3))
     for i, zd in enumerate(design.zones):
@@ -579,7 +619,7 @@ def run_validation(
             lam = params.lambda_p if direction == "outbound" else params.lambda_d
             H = zd.headway(direction)
             n_w = max(1, round(1.0 / H))
-            layout.append((i, direction, lam, H, n_w))
+            layout.append((i, direction == "outbound", lam, H, n_w))
             tour_km = zone_books(
                 params, grid, D, H, direction, design.strategy, model, design.w0, design.K, zd.gamma
             ).tour_km
@@ -591,28 +631,18 @@ def run_validation(
             loss[direction] += tau * (mu * mu + mu) / (H if whole else 2.0 * H)
     ref_tour_out = tour_sum["outbound"] / windows["outbound"]
     ref_tour_in = tour_sum["inbound"] / windows["inbound"]
-    outbound = np.array([direction == "outbound" for _, direction, _, _, _ in layout])
-    scale = np.array([1.0 / (n_w * H) for _, _, _, H, n_w in layout])  # per hour of span
+    zone, outbound, lam, H, n_w = map(np.array, zip(*layout))
+    means = (lam * grid.l * grid.w * (n_w * H)).tolist()  # requests per span
+    scale = 1.0 / (n_w * H)  # per hour of span
     c_dist = params.pi_v(design.K) / params.theta
     c_time = params.pi_m(design.K) / params.theta
 
-    def draw(run: int) -> list[tuple]:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
-        rows = []
-        for i, direction, lam, H, n_w in layout:
-            span = n_w * H
-            n = rng.poisson(lam * grid.l * grid.w * span)
-            xy = rng.random((n, 2)) * zone_scale
-            t = rng.random(n) * span
-            rows.append((i, direction == "outbound", H, n_w, xy, t, _staging(design, rng, n_w)))
-        return rows
-
-    gcs: list[float] = []
+    gcs = np.empty(0)  # per-run GC, min/patron
     kept = []  # per chunk, the span totals of its runs up to the stopping run
     run = 0
     converged = False
     while not converged:
-        spans = _spans([row for r in range(run, run + _CHUNK_RUNS) for row in draw(r)])
+        spans = _draw_runs(design, (zone, outbound, H, n_w), means, seed, range(run, run + _CHUNK_RUNS))
         tally = _Tally(*(f.reshape(_CHUNK_RUNS, len(layout)) for f in _serve(params, design, spans)[0]))
         waits = params.alpha * tally.wait_h * scale
         books = tally.invehicle_h + tally.transfer_h + c_dist * tally.dist_km + c_time * tally.veh_time_h
@@ -622,11 +652,11 @@ def run_validation(
             if is_out:
                 gc = gc + waits[:, s]
             gc = gc + rest[:, s]
-        for used, gc_run in enumerate((gc * 60.0 / params.patrons_per_h).tolist(), start=1):
-            gcs.append(gc_run)
+        gcs = np.concatenate((gcs, gc * 60.0 / params.patrons_per_h))
+        for used in range(1, _CHUNK_RUNS + 1):
             run += 1
             if run >= min_runs:
-                std = float(np.asarray(gcs).std(ddof=1))
+                std = float(gcs[:run].std(ddof=1))
                 se = std / math.sqrt(run)
                 if se < VALIDATION_SE_TARGET:
                     converged = True
@@ -641,7 +671,7 @@ def run_validation(
     tally = _Tally(*(np.concatenate(f).ravel() for f in zip(*kept)))  # hourly-rate losses
     out = _merged(tally, np.tile(outbound, run))
     inb = _merged(tally, np.tile(~outbound, run))
-    arr = np.asarray(gcs)
+    arr = gcs[:run]
     sim_gc = float(arr.mean())
     sim_tour_out = out.tour_km / out.dispatches
     sim_tour_in = inb.tour_km / inb.dispatches

@@ -503,3 +503,143 @@ class TestRunValidation:
         monkeypatch.setattr(simulator, "MAX_VALIDATION_RUNS", 60)
         with pytest.raises(ValidationConvergenceError, match="standard error .* after 60 runs"):
             run_validation(table2, sf_design, TABLE1_MODEL, min_runs=50, seed=4)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def stream_order_spans(params: ScenarioParams, design: DesignSolution, seed: int, runs: range):
+    """The validation spans drawn call by call: one generator per run and,
+    per zone-direction, a Poisson count, then the xy, time and staging
+    draws as separate calls, each scaled on its own."""
+    grid = design.grid
+    rows = []
+    for run in runs:
+        rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
+        for i, zd in enumerate(design.zones):
+            for outbound in (True, False):
+                lam = params.lambda_p if outbound else params.lambda_d
+                H = zd.H_p if outbound else zd.H_d
+                n_w = max(1, round(1.0 / H))
+                span = n_w * H
+                n = rng.poisson(lam * grid.l * grid.w * span)
+                xy = rng.random((n, 2)) * np.array([grid.l, grid.w])
+                t = rng.random(n) * span
+                if design.strategy == FULLY_FLEXIBLE:
+                    staging = rng.random((n_w, 2)) * np.array([grid.l, grid.w])
+                else:
+                    staging = rng.random(n_w) * design.w0
+                rows.append((i, outbound, H, n_w, n, xy, t, staging))
+    zone, outbound, H, n_w, n, xy, t, staging = zip(*rows)
+    return (*map(np.array, (zone, outbound, H, n_w, n)), *map(np.concatenate, (xy, t, staging)))
+
+
+class TestChunkDraws:
+    """Validation draws each chunk's runs as arrays; every number must be the
+    one the call-by-call draws give."""
+
+    @pytest.mark.parametrize("chunk_runs", [1, 7, 32])
+    @pytest.mark.parametrize("design_name", ["ff", "sf", "sparse_ff", "sparse_sf"])
+    def test_chunk_spans_match_call_by_call_draws(
+        self, table2: ScenarioParams, design_name: str, chunk_runs: int, monkeypatch
+    ) -> None:
+        from drcflex import TABLE1_MODEL
+        from drcflex import simulator
+
+        strategy, w0 = (FULLY_FLEXIBLE, None) if design_name.endswith("ff") else (SEMI_FLEXIBLE, 0.5)
+        # at 0.2 requests per zone-hour most spans are empty
+        params = table2.replace(lambda_p=0.2, lambda_d=0.2) if design_name.startswith("sparse") else table2
+        design = uniform_design(params, 2, 2, 8, strategy=strategy, w0=w0)
+        chunks = []
+
+        def recorded(*args):
+            spans = draw_runs(*args)
+            chunks.append((args[-1], spans))
+            return spans
+
+        draw_runs = simulator._draw_runs
+        monkeypatch.setattr(simulator, "_draw_runs", recorded)
+        monkeypatch.setattr(simulator, "_CHUNK_RUNS", chunk_runs)
+        monkeypatch.setattr(simulator, "VALIDATION_SE_TARGET", np.inf)  # stop at min_runs
+        report = run_validation(params, design, TABLE1_MODEL, min_runs=40, seed=5)
+        assert report.n_runs == 40
+        assert [r.start for r, _ in chunks] == list(range(0, 40, chunk_runs))
+        sparse = 0
+        for runs, spans in chunks:
+            assert len(runs) == chunk_runs
+            want = stream_order_spans(params, design, 5, runs)
+            for field, got, expected in zip(spans._fields, spans, want):
+                assert same_bits(got, expected), (runs, field)
+            sparse += int((spans.n_points == 0).sum())
+        assert (sparse > 0) == design_name.startswith("sparse")
+
+
+def lexsort_groups(spans, local, minor=None):
+    """Load groups ordered by one lexsort over (window, minor)."""
+    n_w = spans.n_windows
+    window = np.repeat(np.cumsum(n_w) - n_w, spans.n_points) + local
+    by_window = np.lexsort((window,) if minor is None else (minor, window))
+    q = np.bincount(window, minlength=int(n_w.sum()))
+    start = np.cumsum(q) - q
+    span_of = np.repeat(np.arange(len(n_w)), n_w)
+    groups = []
+    for k in np.unique(q[q > 0]):
+        w = np.flatnonzero(q == k)
+        groups.append((w, span_of[w, None], by_window[start[w, None] + np.arange(k)]))
+    return q, groups
+
+
+class TestLoadGroups:
+    @staticmethod
+    def spans(n_windows: np.ndarray, n_points: np.ndarray):
+        from drcflex.simulator import _Spans
+
+        n = int(n_points.sum())
+        return _Spans(
+            np.zeros(len(n_windows), int), np.ones(len(n_windows), bool), np.ones(len(n_windows)),
+            n_windows, n_points, np.zeros((n, 2)), np.zeros(n), np.zeros(int(n_windows.sum())),
+        )
+
+    @staticmethod
+    def assert_same_groups(got, want) -> None:
+        assert same_bits(got[0], want[0])
+        assert len(got[1]) == len(want[1])
+        for g, w in zip(got[1], want[1]):
+            for a, b in zip(g, w):
+                assert same_bits(a, b)
+
+    @pytest.mark.parametrize("keys", ["none", "random", "ties"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_lexsort(self, keys: str, seed: int) -> None:
+        from drcflex.simulator import _load_groups
+
+        rng = np.random.default_rng((seed, 29))
+        n_windows = rng.integers(1, 21, size=256)
+        n_points = rng.poisson(3.0 * n_windows)
+        spans = self.spans(n_windows, n_points)
+        local = (rng.random(int(n_points.sum())) * np.repeat(n_windows, n_points)).astype(int)
+        minor = {
+            "none": None,
+            "random": rng.random(len(local)),
+            "ties": rng.integers(0, 3, size=len(local)).astype(float),  # repeats within windows
+        }[keys]
+        self.assert_same_groups(_load_groups(spans, local, minor), lexsort_groups(spans, local, minor))
+
+    @pytest.mark.parametrize("with_minor", [False, True])
+    def test_window_ids_beyond_16_bits(self, with_minor: bool) -> None:
+        from drcflex.simulator import _load_groups
+
+        # 80,000 windows: a few requests near the start, the middle and past
+        # window 65,535, where 16-bit ids would wrap
+        n_windows = np.full(4000, 20)
+        n_points = np.zeros(4000, int)
+        n_points[[0, 1, 2000, 3300, 3998, 3999]] = [4, 3, 5, 2, 6, 4]
+        rng = np.random.default_rng(31)
+        local = rng.integers(0, 20, size=int(n_points.sum()))
+        local[-8:] = 19
+        minor = rng.integers(0, 2, size=len(local)).astype(float) if with_minor else None
+        spans = self.spans(n_windows, n_points)
+        got = _load_groups(spans, local, minor)
+        assert int(got[1][-1][0].max()) >= 65_536
+        self.assert_same_groups(got, lexsort_groups(spans, local, minor))
