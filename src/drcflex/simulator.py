@@ -244,10 +244,10 @@ def _serve(
     loss = tau_w * qf * qf
     loss[np.repeat(~spans.outbound | (not ff), n_w)] /= 2.0  # FF pick-ups lose the whole dwell
     span_of = np.repeat(np.arange(len(n_w)), n_w)
-    column = np.arange(len(q)) - np.repeat(np.cumsum(n_w) - n_w, n_w) + 1  # after a zero column
+    column = np.arange(len(q)) - np.repeat(np.cumsum(n_w) - n_w, n_w) + 1  # after a zero column (0.0 + b0)
     padded = np.zeros((_BOOKS, len(n_w), 1 + int(n_w.max())))
     padded[:, span_of, column] = wait, inveh, transfer, dist, veh, loss, tour
-    totals = np.add.accumulate(padded, axis=2)[:, :, -1].copy()  # in window order from 0.0, unlike sum()
+    totals = np.add.accumulate(padded, axis=2)[:, :, -1].copy()  # window order, not sum()'s; no view kept
     flagged = (q > design.K, ff & (q >= MAX_EXACT_POINTS))  # overcapacity, heuristic tour
     overcapacity, heuristic = (np.bincount(span_of[f], minlength=len(n_w)) for f in flagged)
     return _Tally(*totals, n_w, spans.n_points, overcapacity, heuristic), tour
