@@ -38,17 +38,16 @@ from .costs import (
 from .expectations import TourLengthLaw
 from .params import ScenarioParams, ZoneGrid, line_haul_distance
 from .tourlength import KStarModel, feasible_swath_widths
-from .tsp import MAX_EXACT_POINTS, closed_tours_batch
+from .tsp import MAX_EXACT_POINTS, _manhattan, closed_tours_batch
 # Bound here only for perfbench/tracer.py, which wraps it by name; the
 # simulator solves its tours with closed_tours_batch.
 from .tsp import exact_tour  # noqa: F401
 
 VALIDATION_SE_TARGET = 0.05  # standard error of mean GC, min/patron
 MAX_VALIDATION_RUNS = 100_000
-# Runs per validation chunk: enough to amortize the batched tour DP over many
-# windows, few enough that a chunk's requests stay a few MB (one 450-run
-# chunk raised peak RSS by 20-25 MB) and few runs past the stopping point are
-# simulated.
+# Most runs per validation chunk: enough to amortize the batched tour DP over many windows,
+# few enough that a chunk's requests stay a few MB (one 450-run chunk raised peak RSS by
+# 20-25 MB) and few runs past the stopping point are simulated.
 _CHUNK_RUNS = 32
 
 TABLE_ROW_LABELS = (
@@ -338,8 +337,8 @@ def _ff_windows(
         if k < MAX_EXACT_POINTS:
             length, order = closed_tours_batch(nodes)
         else:
-            tours = [_heuristic_closed_tour(np.abs(n[:, None] - n[None]).sum(axis=2)) for n in nodes]
-            length, order = np.array([c[0] for c in tours]), np.array([c[1] for c in tours])
+            tours = (_heuristic_closed_tour(d) for d in _manhattan(nodes).transpose(2, 0, 1))
+            length, order = map(np.array, zip(*tours))
         path = np.take_along_axis(nodes, order[:, :, None], axis=1)
         steps = np.abs(path[:, 1:] - path[:, :-1])
         positions = np.add.accumulate(steps[:, :, 0] + steps[:, :, 1], axis=1)
@@ -603,7 +602,8 @@ def run_validation(
     first): a Poisson request count n, then in one call 3n + s uniforms, the
     requests' xy (n rows of 2) and times, then the span's s staging draws
     (an (l, w) pair per FF window, a w0 offset per SF window).  Runs are
-    served ``_CHUNK_RUNS`` at a time; the report equals serving them singly.
+    served in chunks of at most ``_CHUNK_RUNS``, the first ``min_runs`` split
+    as evenly as possible; the report equals serving them singly.
     """
     validate_design(params, design)
     with warnings.catch_warnings():
@@ -642,18 +642,20 @@ def run_validation(
     run = 0
     converged = False
     while not converged:
-        spans = _draw_runs(design, (zone, outbound, H, n_w), means, seed, range(run, run + _CHUNK_RUNS))
-        tally = _Tally(*(f.reshape(_CHUNK_RUNS, len(layout)) for f in _serve(params, design, spans)[0]))
+        left = min_runs - run  # split evenly over the fewest chunks that hold them
+        size = -(-left // -(-left // _CHUNK_RUNS)) if left > 0 else _CHUNK_RUNS
+        spans = _draw_runs(design, (zone, outbound, H, n_w), means, seed, range(run, run + size))
+        tally = _Tally(*(f.reshape(size, len(layout)) for f in _serve(params, design, spans)[0]))
         waits = params.alpha * tally.wait_h * scale
         books = tally.invehicle_h + tally.transfer_h + c_dist * tally.dist_km + c_time * tally.veh_time_h
         rest = books * scale
-        gc = np.zeros(_CHUNK_RUNS)
+        gc = np.zeros(size)
         for s, is_out in enumerate(outbound):  # zone-directions in order, as hourly rates
             if is_out:
                 gc = gc + waits[:, s]
             gc = gc + rest[:, s]
         gcs = np.concatenate((gcs, gc * 60.0 / params.patrons_per_h))
-        for used in range(1, _CHUNK_RUNS + 1):
+        for used in range(1, size + 1):
             run += 1
             if run >= min_runs:
                 std = float(gcs[:run].std(ddof=1))

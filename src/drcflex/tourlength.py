@@ -290,10 +290,10 @@ def _simulate_cell(q: int, S: float, grid: CalibrationGrid, rng: np.random.Gener
     scale = np.array([long_side, short_side])
     sqrt_q = math.sqrt(q)
     # The cap fixes the RNG draw sizes and so each cell's stopping point.  The DP's two
-    # live float32 layers (at widest C(q-1, q/2)*q/2 pairs a tour) and the ~1 MB of
-    # temporaries of one piece of a (pairs, B) candidate column stay under 27 MB up to
-    # q = 17 and reach 240 MB at q = 20; the index tables kept per q for the process add
-    # 11 MB at q = 17 and 120 MB at q = 20.
+    # live float32 layers (at widest C(q-1, q/2)*q/2 pairs a tour), its (q, q, B) distance
+    # rows and the ~0.5 MB of temporaries of one piece of a candidate column stay under
+    # 27 MB up to q = 17 and reach 240 MB at q = 20; the index tables kept per q for the
+    # process add 11 MB at q = 17 and 120 MB at q = 20.
     batch_cap = max(32, (1 << 22) >> q)
     samples: list[np.ndarray] = []
     n = 0
@@ -313,14 +313,7 @@ def _simulate_cell(q: int, S: float, grid: CalibrationGrid, rng: np.random.Gener
             if abs(mean - prev_mean) <= grid.tolerance and se <= grid.se_target:
                 break
         prev_mean = mean
-    ks = np.concatenate(samples) if len(samples) > 1 else samples[0]
-    return CalibrationCell(
-        q=q,
-        S=S,
-        mean_kstar=float(ks.mean()),
-        std_kstar=float(ks.std(ddof=1)),
-        n_instances=n,
-    )
+    return CalibrationCell(q=q, S=S, mean_kstar=mean, std_kstar=float(ks.std(ddof=1)), n_instances=n)
 
 
 def fit_kstar_model(cells: Sequence[CalibrationCell], x0: KStarModel = TABLE1_MODEL) -> KStarModel:

@@ -445,13 +445,14 @@ class TestRunValidation:
         report = run_validation(table2, design, TABLE1_MODEL, min_runs=50, seed=11)
         assert dataclasses.asdict(report) == self.PINNED[design_name]
 
-    # SHA-256 over the (tour, q, wait, inveh) arrays of every call to each
-    # strategy's window accounting during run_validation(min_runs=50,
-    # seed=11), in call order.  The report pins above absorb last-bit changes
-    # in the per-window sums; these catch them.
+    # SHA-256 over the (tour, q, wait, inveh) arrays of each strategy's window
+    # accounting during run_validation(min_runs=50, seed=11), each array
+    # over the windows of the report's n_runs runs in run order, whatever the
+    # chunks.  The report pins above absorb last-bit changes in the
+    # per-window sums; these catch them.
     PINNED_WINDOWS = {
-        "ff": ("_ff_windows", "9ea8b185bc1a1213162631e3fa8aa5a460c01fad083d4a9f5ace53f70354e67a"),
-        "sf": ("_sf_windows", "897848d25306881aeae944fa5c53255c1b27f01e19b19d3d6d00951de1bd7391"),
+        "ff": ("_ff_windows", "230b61ea573dd1d594365fa86b214e1192ba5097a437746b7df748f9bbb1c636"),
+        "sf": ("_sf_windows", "0d43d0fb5bc15bc6ca3865c9fb511d6aa0e163c65563680276cb4abf47326360"),
     }
 
     @pytest.mark.parametrize("design_name", sorted(PINNED_WINDOWS))
@@ -463,17 +464,22 @@ class TestRunValidation:
 
         name, want = self.PINNED_WINDOWS[design_name]
         windows = getattr(simulator, name)
-        digest = hashlib.sha256()
+        calls = []
 
-        def hashed(*args):
-            books = windows(*args)
-            for book in books:
-                digest.update(book.tobytes())
+        def recorded(params, design, spans, *args):
+            books = windows(params, design, spans, *args)
+            calls.append((spans.n_windows, books))
             return books
 
-        monkeypatch.setattr(simulator, name, hashed)
+        monkeypatch.setattr(simulator, name, recorded)
         design = request.getfixturevalue(f"{design_name}_design")
-        run_validation(table2, design, TABLE1_MODEL, min_runs=50, seed=11)
+        report = run_validation(table2, design, TABLE1_MODEL, min_runs=50, seed=11)
+        spans_per_run = 2 * len(design.zones)
+        n_windows = np.concatenate([n_w for n_w, _ in calls])
+        kept = int(n_windows[: report.n_runs * spans_per_run].sum())
+        digest = hashlib.sha256()
+        for book in zip(*(books for _, books in calls)):
+            digest.update(np.concatenate(book)[:kept].tobytes())
         assert digest.hexdigest() == want
 
     def test_deterministic_given_seed(self, table2: ScenarioParams, sf_design: DesignSolution) -> None:
@@ -539,7 +545,11 @@ class TestChunkDraws:
     """Validation draws each chunk's runs as arrays; every number must be the
     one the call-by-call draws give."""
 
-    @pytest.mark.parametrize("chunk_runs", [1, 7, 32])
+    # where the chunks of a 40-run validation start and end: the 40 runs split
+    # as evenly as possible over the fewest chunks of at most chunk_runs
+    BOUNDS = {1: list(range(41)), 7: [0, 7, 14, 21, 28, 34, 40], 32: [0, 20, 40]}
+
+    @pytest.mark.parametrize("chunk_runs", sorted(BOUNDS))
     @pytest.mark.parametrize("design_name", ["ff", "sf", "sparse_ff", "sparse_sf"])
     def test_chunk_spans_match_call_by_call_draws(
         self, table2: ScenarioParams, design_name: str, chunk_runs: int, monkeypatch
@@ -564,10 +574,10 @@ class TestChunkDraws:
         monkeypatch.setattr(simulator, "VALIDATION_SE_TARGET", np.inf)  # stop at min_runs
         report = run_validation(params, design, TABLE1_MODEL, min_runs=40, seed=5)
         assert report.n_runs == 40
-        assert [r.start for r, _ in chunks] == list(range(0, 40, chunk_runs))
+        bounds = self.BOUNDS[chunk_runs]
+        assert [(r.start, r.stop) for r, _ in chunks] == list(zip(bounds[:-1], bounds[1:]))
         sparse = 0
         for runs, spans in chunks:
-            assert len(runs) == chunk_runs
             want = stream_order_spans(params, design, 5, runs)
             for field, got, expected in zip(spans._fields, spans, want):
                 assert same_bits(got, expected), (runs, field)

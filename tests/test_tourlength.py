@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -196,6 +197,38 @@ class TestCalibration:
         # one row per cell plus the five coefficient rows
         assert len(lines) == 1 + len(mini_result.cells) + 5
         assert lines[-5].startswith("beta1,")
+
+    # One small calibration as the distance rows built from a (B, q, q, 2)
+    # array gave it: every cell, the fitted model and its MAPE, bit for bit.
+    PINNED_CELLS = (
+        (3, 1.0, 1.1623707281896873, 0.36174136922674516, 2000),
+        (3, 2.0, 1.2102075822424376, 0.4031925381774147, 2000),
+        (5, 1.0, 1.2043844384090678, 0.22210766038387536, 2000),
+        (5, 2.0, 1.2645584146809565, 0.2550419218498503, 2000),
+        (7, 1.0, 1.173694955321293, 0.1685335057297258, 1250),
+        (7, 2.0, 1.2271912758393793, 0.1831724152475147, 1500),
+        (9, 1.0, 1.133209627787272, 0.13580775640224252, 750),
+        (9, 2.0, 1.195489904999733, 0.1487346518239268, 1000),
+        (11, 1.0, 1.1036537591127646, 0.11486725643036565, 750),
+        (11, 2.0, 1.1571557603621903, 0.12247134492302438, 750),
+    )
+    PINNED_MODEL = (
+        0.07996847502631532, 1.5855646365193123, -0.16805796746101948, -2.436926549705555, -2.3800642958544724
+    )
+    PINNED_MAPE = 0.1779441224550212
+
+    def test_result_pinned(self) -> None:
+        grid = CalibrationGrid(
+            q_values=(3, 5, 7, 9, 11),
+            aspect_ratios=(1.0, 2.0),
+            min_instances=500,
+            max_instances=2000,
+            batch_size=250,
+        )
+        result = calibrate_kstar(grid, seed=5)
+        assert tuple(dataclasses.astuple(c) for c in result.cells) == self.PINNED_CELLS
+        assert dataclasses.astuple(result.model) == self.PINNED_MODEL
+        assert result.fit_mape_pct == self.PINNED_MAPE
 
     def test_grid_validation(self) -> None:
         with pytest.raises(ValueError):

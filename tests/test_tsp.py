@@ -216,6 +216,23 @@ class TestBatchSolver:
             digest.update(orders.astype("<i8").tobytes())
         assert digest.hexdigest() == self.PINNED_TIES
 
+    # SHA-256 of closed_tour_lengths_batch lengths in float32 and float64, on
+    # uniform and integer-grid batches of B = 1, 7 and 250 at q = 2..14, as
+    # the distance rows built from a (B, q, q, 2) array gave them.
+    PINNED_LENGTHS = "a43d4088e7843b09a366186e068ad8ab99494d5eaf87ab80fe1cc6efb3a1e4f7"
+
+    def test_lengths_pinned(self) -> None:
+        rng = np.random.default_rng(82)
+        digest = hashlib.sha256()
+        for q in range(2, 15):
+            for B in (1, 7, 250):
+                for pts in (rng.random((B, q, 2)) * 2.0, rng.integers(0, 3, (B, q, 2)).astype(float)):
+                    for dtype, code in ((np.float32, "<f4"), (np.float64, "<f8")):
+                        lengths = closed_tour_lengths_batch(pts, dtype=dtype)
+                        assert lengths.dtype == dtype and lengths.shape == (B,)
+                        digest.update(lengths.astype(code).tobytes())
+        assert digest.hexdigest() == self.PINNED_LENGTHS
+
     def test_float32_dp_is_close(self) -> None:
         rng = np.random.default_rng(8)
         pts = rng.random((64, 9, 2))
