@@ -25,7 +25,7 @@ MAX_BRUTE_POINTS = 9
 
 # Bytes of one candidate column (pairs, B) a layer step folds at a time: larger
 # layers are solved in cache-sized pieces, which also caps the temporaries' memory.
-# On B = 250 float32 tours, 2^18 ties 2^19 at q = 8-9 and beats it by 8-17% at q = 10-15.
+# On B = 250 float32 tours, 2^18 ties 2^19 at q = 8-9 and beats it by 7-17% at q = 10-15.
 _CHUNK_BYTES = 1 << 18
 # Bytes of distance rows and kept float64 layers one batched visit-order DP
 # call may hold (from q = 16 one instance alone exceeds it).
