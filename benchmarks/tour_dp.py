@@ -3,8 +3,10 @@
 Times ``drcflex.tsp.exact_tour`` on one closed tour at q = 9, 12, 14 and 16
 points, ``closed_tour_lengths_batch`` on B = 250 float32 tours at q = 10
 and 12, and ``closed_tours_batch`` (lengths and visit orders, the
-simulator's path) on B = 400 tours at q = 6 and B = 45 at q = 9, near the
-group sizes a fully flexible validation solves.  Each figure is the median
+simulator's path) on B = 400 tours at q = 6, B = 45 at q = 9, B = 6 at
+q = 11, B = 2 at q = 12 and B = 1 at q = 13, near the group sizes a fully
+flexible validation solves (the last three are its large-tour tail, where
+each row of a layer is narrow).  Each figure is the median
 of ``--repeats`` timed calls on fresh seeded instances, after one untimed
 call that builds any lazy tables (its time is kept as ``first_ms`` for
 the single tours and the length batches).  The entry, with the machine facts, is
@@ -44,7 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SINGLE_Q = (9, 12, 14, 16)
 BATCH_Q = (10, 12)
 BATCH_SIZE = 250
-ORDER_BATCHES = ((6, 400), (9, 45))  # (q, B) of the visit-order timings
+ORDER_BATCHES = ((6, 400), (9, 45), (11, 6), (12, 2), (13, 1))  # (q, B) of the visit-order timings
 SEED = 0
 
 

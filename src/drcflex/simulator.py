@@ -332,17 +332,17 @@ def _ff_windows(
     q, groups = _load_groups(spans, local)
     tour, wait, inveh = np.zeros(len(q)), np.zeros(len(q)), np.zeros(len(q))
     for w, s, stops in groups:
-        k = stops.shape[1]
-        nodes = np.concatenate((spans.staging[w, None], spans.xy[stops]), axis=1)
+        k, row = stops.shape[1], np.arange(len(w))[:, None]
+        nodes = np.concatenate((spans.staging.take(w[:, None], axis=0), spans.xy.take(stops, axis=0)), axis=1)
         if k < MAX_EXACT_POINTS:
             length, order = closed_tours_batch(nodes)
         else:
             tours = (_heuristic_closed_tour(d) for d in _manhattan(nodes).transpose(2, 0, 1))
             length, order = map(np.array, zip(*tours))
-        path = np.take_along_axis(nodes, order[:, :, None], axis=1)
+        path = nodes.reshape(-1, 2).take(row * (k + 1) + order, axis=0)
         steps = np.abs(path[:, 1:] - path[:, :-1])
         positions = np.add.accumulate(steps[:, :, 0] + steps[:, :, 1], axis=1)
-        t_visit = spans.t[np.take_along_axis(stops, order[:, 1:] - 1, axis=1)]
+        t_visit = spans.t.take(stops.take(row * k + order[:, 1:] - 1))
         dispatch = (w[:, None] - first[s] + 1) * spans.H_sched[s]
         ranks = np.arange(1, k + 1, dtype=float)  # visit order 1..q
         ride = (ranks - 0.5) * tau[s]

@@ -2,7 +2,8 @@
 
 One Held-Karp core steps through subset sizes k = 2..q-1 (the level order of
 Held & Karp, 1962), each step one ``np.minimum`` fold per candidate column
-over every (subset, last node) pair of that size, batched over B instances.
+over every (subset, last node) pair of that size, batched over B instances,
+on rows gathered by ``ndarray.take`` (fancy indexing costs more on narrow rows).
 The tour-length calibration uses it through ``closed_tour_lengths_batch``
 (lengths only); the simulator through ``closed_tours_batch`` (lengths and
 visit orders, read back from the kept layers), of which ``exact_tour`` is
@@ -25,7 +26,7 @@ MAX_BRUTE_POINTS = 9
 
 # Bytes of one candidate column (pairs, B) a layer step folds at a time: larger
 # layers are solved in cache-sized pieces, which also caps the temporaries' memory.
-# On B = 250 float32 tours, 2^18 ties 2^19 at q = 8-9 and beats it by 7-17% at q = 10-15.
+# At B = 250 float32, 2^18 beats 2^19 by 10-25% at q = 10-14; 2^17 wins at q = 10 but loses at q = 12.
 _CHUNK_BYTES = 1 << 18
 # Bytes of distance rows and kept float64 layers one batched visit-order DP
 # call may hold (from q = 16 one instance alone exceeds it).
@@ -107,7 +108,8 @@ def _held_karp(dist: np.ndarray, visit_order: bool = False) -> tuple[np.ndarray,
     """Shortest closed tours from node 0 over a (q, q, B) distance array, q >= 2.
 
     Each candidate is ``dp[S - j, i] + d(i, j)`` over i in S - j; a layer step
-    folds them in one column i at a time with ``np.minimum``.  Returns the B
+    folds them in one column c (the c-th member of S - j) at a time with
+    ``np.minimum``, on rows gathered by a bounds-checked ``take``.  Returns the B
     tour lengths and, with ``visit_order``, the (B, q) visit orders from node
     0: every layer is kept, and each chosen pair's candidates are recomputed
     from the same operands and their argmin taken, so ties go to the smallest i.
@@ -119,15 +121,15 @@ def _held_karp(dist: np.ndarray, visit_order: bool = False) -> tuple[np.ndarray,
     kept = [dp]
     for edges, _, prev in layers:
         pairs, width = edges.shape
-        dp_below = dp.reshape(len(dp) // width, width, B)
+        below = dp  # frees the layer two sizes down before the next one is allocated
         dp = np.empty((pairs, B), dtype=d.dtype)
         step = max(1, _CHUNK_BYTES // (max(B, 1) * d.itemsize))
         for lo in range(0, pairs, step):
-            rows, legs, best = prev[lo:lo + step], edges[lo:lo + step], dp[lo:lo + step]
-            np.add(dp_below[rows, 0], d[legs[:, 0]], out=best)
+            rows, legs, best = prev[lo:lo + step] * width, edges[lo:lo + step], dp[lo:lo + step]
+            np.add(below.take(rows, axis=0), d.take(legs[:, 0], axis=0), out=best)
             for c in range(1, width):
-                cand = dp_below[rows, c]
-                cand += d[legs[:, c]]
+                cand = below.take(rows + c, axis=0)
+                cand += d.take(legs[:, c], axis=0)
                 np.minimum(best, cand, out=best)
         if visit_order:
             kept.append(dp)
@@ -206,8 +208,6 @@ def closed_tour_lengths_batch(points: np.ndarray, dtype=np.float64) -> np.ndarra
     points = np.asarray(points, dtype=dtype)
     q = _instance_size(points, "closed_tour_lengths_batch")
     dist = _manhattan(points)
-    if q == 2:
-        return 2.0 * dist[0, 1]
     if q == 3:
         return dist[0, 1] + dist[1, 2] + dist[2, 0]
     return _held_karp(dist)[0]

@@ -232,6 +232,25 @@ class TestFullyFlexibleTours:
         # Poisson(10/3) exceeds 8 in roughly 0.6% of the 1920 dispatches
         assert total_events >= 1
 
+    # simulate_ff_hour on the oversized design below with demand seed 2,
+    # recorded before the fully flexible windows gathered with ndarray.take.
+    PINNED_OVERSIZED = {
+        "gc_hours": 15.924389554421506,
+        "gc_min_per_patron": 26.540649257369175,
+        "horizon": 1.0,
+        "tours_out": (5.788335897288795,),
+        "tours_in": (
+            0.5931606979456809, 0.0, 0.0, 0.0, 3.593612873912929, 0.0,
+            1.5240504651639961, 0.0, 0.0, 0.0, 0.0, 0.0,
+        ),
+        "pickup_loss_h": 5.633333333333334,
+        "dropoff_loss_h": 0.023333333333333334,
+        "overcapacity_events": 0,
+        "dispatches": 13,
+        "served": 30,
+        "heuristic_dispatches": 1,
+    }
+
     def test_oversized_batch_falls_back_to_heuristic(self, table2: ScenarioParams) -> None:
         # a single hourly window over a dense zone: more than 19 stops breaks
         # the exact solver's budget, so the tour comes from the 2-opt pass
@@ -249,6 +268,7 @@ class TestFullyFlexibleTours:
         assert run.heuristic_dispatches >= 1
         assert run.served == len(demand.outbound) + len(demand.inbound)
         assert run.tours_out[0] > 0
+        assert dataclasses.asdict(run) == self.PINNED_OVERSIZED
 
 
 class TestSemiFlexibleTours:

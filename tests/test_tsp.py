@@ -190,18 +190,31 @@ class TestBatchSolver:
                 assert split[0].tolist() == lengths.tolist() and split[1].tolist() == orders.tolist()
 
     def test_layer_pieces_do_not_change_results(self, monkeypatch) -> None:
+        # B = 1 and 2 are the narrow rows of a validation's large tours
         rng = np.random.default_rng(79)
         pts = rng.random((9, 11, 2))
         grid = rng.integers(0, 3, (9, 11, 2)).astype(float)
-        whole = closed_tour_lengths_batch(pts)
-        tours = [exact_tour(PointSet(p)) for p in pts[:3]]
-        batches = [closed_tours_batch(p) for p in (pts, grid)]
+        batches = [p[:B] for p in (pts, grid) for B in (1, 2, 9)]
+
+        def solve() -> list:
+            return [
+                (closed_tour_lengths_batch(p).tolist(), closed_tour_lengths_batch(p, dtype=np.float32).tolist(),
+                 *(a.tolist() for a in closed_tours_batch(p)))
+                for p in batches
+            ]
+
+        whole, tours = solve(), [exact_tour(PointSet(p)) for p in pts[:3]]
         monkeypatch.setattr(tsp, "_CHUNK_BYTES", 64)
-        assert closed_tour_lengths_batch(pts).tolist() == whole.tolist()
+        assert solve() == whole
         assert [exact_tour(PointSet(p)) for p in pts[:3]] == tours
-        for p, (lengths, orders) in zip((pts, grid), batches):
-            pieced = closed_tours_batch(p)
-            assert pieced[0].tolist() == lengths.tolist() and pieced[1].tolist() == orders.tolist()
+
+    def test_results_do_not_depend_on_earlier_calls(self) -> None:
+        # a narrow batch, a wide one at another q, then the narrow one again
+        rng = np.random.default_rng(84)
+        narrow, wide = rng.random((2, 12, 2)), rng.random((300, 5, 2))
+        for solve in (closed_tours_batch, lambda p: (closed_tour_lengths_batch(p),)):
+            first, _, again = solve(narrow), solve(wide), solve(narrow)
+            assert [a.tobytes() for a in again] == [a.tobytes() for a in first]
 
     # SHA-256 of the lengths and orders of integer-grid (tie-heavy) batches,
     # as the core that read orders from int8 argmin parents returned them.
