@@ -15,17 +15,17 @@ waiting drops (no share of the collection tour) while the vehicle path
 acquires the fixed lw/w0 + w0/2 sweep.
 
 One kernel, ``zone_books``, computes every book of one zone and direction
-for either strategy, at one headway or at a whole array of them.  D, K and
-the zone geometry (area, aspect ratio S, swath width w0) broadcast against
-H, so one call can evaluate many zones of different grids at once: the
-optimizer scans the headways of a block of (group, K, distance) lanes of a
-search space per call, each step of its lane-parallel refinement is one
-call over every lane, and it prices every candidate design's zones in two
-more.  The
+for either strategy at an array of headways (0-d for one), with numpy ufuncs
+only, so a headway's books have the same bits in any call.  D, K and the zone
+geometry (area, aspect ratio S, swath width w0) broadcast against H, so one
+call can evaluate many zones of different grids at once: the optimizer scans
+and refines the headways of many (group, K, distance) lanes per call.  The
 FF tour terms share one exp(beta4*(mu+1)**beta5) factor per call.
-``zone_cost_terms`` and the per-book functions (``ff_wait_cost_zone`` and
-the rest) are views of it, and the simulator's validation reads its
-expected tour per dispatch.
+``cost_books`` prices many zones in one kernel call per direction, for the
+search's candidates and for ``total_generalized_cost`` and
+``zone_cost_terms`` alike, so a reported cost has its search-log bits.  The
+per-book functions (``ff_wait_cost_zone`` and the rest) are views of the
+kernel, and the simulator's validation reads its expected tour per dispatch.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ class CostBreakdown(ZoneCostTerms):
 
 
 class ZoneBooks(NamedTuple):
-    """One zone-direction's hourly books, each a float or an array over H.
+    """One zone-direction's hourly books, each an array over H (a numpy scalar for 0-d H).
 
     ``wait`` is C_W outbound and 0 inbound; ``dist`` and ``time`` are this
     direction's shares of the agency books C_vk and C_vh.  ``tour_km``, the
@@ -232,17 +232,15 @@ def zone_books(
 ) -> ZoneBooks:
     """The books of a zone at line-haul distance D for one direction.
 
-    ``H`` is the direction's headway: a scalar, or an array to evaluate every
-    book at many headways in one call.  ``D``, ``K``, ``gamma`` (the inbound
-    sync multiple), ``w0`` and the fields of ``grid`` given as a
-    :class:`ZoneShape` may be arrays that broadcast with it, so one call can
-    cover zones of different grids.  Scalars are computed as Python floats
-    with libm; arrays, 0-d ones included, with numpy ufuncs, which may differ
-    from libm by an ulp.  ``model`` is needed only for fully flexible routing
-    and ``w0`` only for semi-flexible; ``K`` matters only to the agency books.
+    ``H`` is the direction's headway as an array (a float is taken as a 0-d
+    one): every book is evaluated at each of its entries in one call.  ``D``,
+    ``K``, ``gamma`` (the inbound sync multiple), ``w0`` and the fields of
+    ``grid`` given as a :class:`ZoneShape` may be arrays that broadcast with
+    it, so one call can cover zones of different grids.  ``model``, the
+    tour-length law, is needed only for fully flexible routing and ``w0`` only
+    for semi-flexible; ``K`` matters only to the agency books.
     """
-    if not isinstance(H, np.ndarray):
-        H = float(H)
+    H = np.asarray(H, dtype=float)
     outbound = direction == "outbound"
     tau = params.tau_p if outbound else params.tau_d
     area = grid.area
@@ -258,7 +256,9 @@ def zone_books(
         queue = params.tau_b
     transfer = mu / H * per_patron + queue / (2.0 * H) * q2
     if strategy == FULLY_FLEXIBLE:
-        s = np.sqrt(area) if isinstance(area, np.ndarray) else math.sqrt(area)
+        if model is None:
+            raise ValueError("fully flexible routing needs a tour-length law (model)")
+        s = np.sqrt(area)
         tour_units, rider_units = as_tour_law(model).tour_units(mu, grid.S)
         half_tour = rider_units * s / (2.0 * H * v)
         tour = half_tour + tau / (2.0 * H) * q2
@@ -289,8 +289,10 @@ def _books(
     w0: float | None = None,
     K: int = 1,
 ) -> ZoneBooks:
+    """One zone-direction's books as builtin floats."""
     D = line_haul_distance(grid, zd.z)
-    return zone_books(params, grid, D, zd.headway(direction), direction, strategy, model, w0, K, zd.gamma)
+    books = zone_books(params, grid, D, zd.headway(direction), direction, strategy, model, w0, K, zd.gamma)
+    return ZoneBooks(*map(float, books))
 
 
 # The per-book functions below are views of the kernel.  Line-haul and
@@ -470,12 +472,17 @@ def validate_design(params: ScenarioParams, design: DesignSolution, check_capaci
     raise InfeasibleDesignError(ZONE_CHECKS[check], zd.z, details[check])
 
 
-def cost_books(out: ZoneBooks, inb: ZoneBooks) -> tuple:
-    """A zone's nine books in ``ZoneCostTerms.FIELDS`` order, from its two directions' books."""
-    return (
+def cost_books(params: ScenarioParams, grid: ZoneGrid | ZoneShape, D, H_p, H_d, gamma, strategy: str,
+               model: KStarModel | TourLengthLaw | None = None, w0=None, K=1) -> np.ndarray:
+    """The (``ZoneCostTerms.FIELDS``, zones) books of zones with one entry each (0-d for one zone)
+    in ``D``, ``H_p``, ``H_d`` and ``gamma``: one ``zone_books`` call per direction over every zone,
+    with the other inputs broadcast as there."""
+    out = zone_books(params, grid, D, H_p, "outbound", strategy, model, w0, K)
+    inb = zone_books(params, grid, D, H_d, "inbound", strategy, model, w0, K, gamma)
+    return np.array([
         out.wait, out.tour, inb.tour, out.line_haul, inb.line_haul, out.transfer, inb.transfer,
         out.dist + inb.dist, out.time + inb.time,
-    )
+    ])
 
 
 def add_books(books: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -500,7 +507,8 @@ def zone_cost_terms(
     """All nine hourly books for one zone under the given strategy."""
     if strategy == SEMI_FLEXIBLE and w0 is None:
         raise InfeasibleDesignError("swath_width", zd.z, "semi-flexible cost needs w0")
-    return ZoneCostTerms(*cost_books(*(_books(params, grid, zd, d, strategy, model, w0, K) for d in DIRECTIONS)))
+    D = line_haul_distance(grid, zd.z)
+    return ZoneCostTerms(*cost_books(params, grid, D, zd.H_p, zd.H_d, zd.gamma, strategy, model, w0, K).tolist())
 
 
 def total_generalized_cost(
@@ -509,20 +517,24 @@ def total_generalized_cost(
     model: KStarModel | TourLengthLaw,
     check_capacity: bool = True,
 ) -> CostBreakdown:
-    """Aggregate the nine books over every zone and report GC per patron."""
+    """Aggregate the nine books over every zone and report GC per patron.
+
+    The books come from one ``cost_books`` call over the design's zones and
+    are added by ``add_books``, as the search prices its candidates.
+    """
     validate_design(params, design, check_capacity=check_capacity)
-    H_p, H_d, _ = _zone_variables(design)
-    if low_occupancy(params, H_p, H_d, design.grid.area).any():
+    grid = design.grid
+    H_p, H_d, gamma = _zone_variables(design)
+    if low_occupancy(params, H_p, H_d, grid.area).any():
         warnings.warn(
             f"mean occupancy below {LOW_OCCUPANCY_MEAN:g} in some zone; second-order "
             "tour expectations may be more than 2% off",
             LowOccupancyWarning,
             stacklevel=2,
         )
-    per_zone = {
-        (zd.z.m, zd.z.n): zone_cost_terms(params, design.grid, zd, design.strategy, design.K, model, design.w0)
-        for zd in design.zones
-    }
-    sums, gc = add_books(np.array([[getattr(t, f) for t in per_zone.values()] for f in ZoneCostTerms.FIELDS]))
+    D = np.array([line_haul_distance(grid, zd.z) for zd in design.zones])
+    books = cost_books(params, grid, D, H_p, H_d, gamma, design.strategy, model, design.w0, design.K)
+    per_zone = {(zd.z.m, zd.z.n): ZoneCostTerms(*terms) for zd, terms in zip(design.zones, books.T.tolist())}
+    sums, gc = add_books(books)
     gc = float(gc)
     return CostBreakdown(*sums.tolist(), GC=gc, gc_per_patron_min=gc * 60.0 / params.patrons_per_h, per_zone=per_zone)

@@ -52,19 +52,6 @@ def poisson_moments(law: OccupancyLaw) -> tuple[float, float]:
     return mu, mu * mu + mu
 
 
-# The expansions take floats or numpy values.  Numpy values go through the
-# ufuncs, never numpy's scalar shortcuts, so that a 0-d call and a vector call
-# agree bit for bit; floats go through libm.
-
-
-def _exp(x):
-    return np.exp(x) if isinstance(x, (np.ndarray, np.generic)) else math.exp(x)
-
-
-def _pow(x, a: float):
-    return np.power(x, a) if isinstance(x, (np.ndarray, np.generic)) else x ** a
-
-
 def _second_order(mu, a: float, b4: float, b5: float, growth=None):
     """E[X**a * exp(b4 * X**b5)] for X = Q + 1, expanded around mu1 = mu + 1.
 
@@ -76,18 +63,20 @@ def _second_order(mu, a: float, b4: float, b5: float, growth=None):
               + b4*b5*(2*a + b5 - 1)*mu1**(a + b5 - 2)
               + b4**2 * b5**2 * mu1**(a + 2*b5 - 2) ) * mu / 2 )
 
-    ``mu`` may be a float or an array.  ``growth``, when given, is the
-    precomputed factor exp(b4 * mu1**b5), which every moment of one law shares.
+    ``mu`` may be a float or an array.  The powers and the exponential are
+    numpy ufuncs for both, so one mean gives the same bits alone or inside an
+    array.  ``growth``, when given, is the precomputed factor
+    exp(b4 * mu1**b5), which every moment of one law shares.
     """
     mu1 = mu + 1.0
-    head = _pow(mu1, a)
+    head = np.power(mu1, a)
     curv = (
-        a * (a - 1.0) * _pow(mu1, a - 2.0)
-        + b4 * b5 * (2.0 * a + b5 - 1.0) * _pow(mu1, a + b5 - 2.0)
-        + b4 * b4 * b5 * b5 * _pow(mu1, a + 2.0 * b5 - 2.0)
+        a * (a - 1.0) * np.power(mu1, a - 2.0)
+        + b4 * b5 * (2.0 * a + b5 - 1.0) * np.power(mu1, a + b5 - 2.0)
+        + b4 * b4 * b5 * b5 * np.power(mu1, a + 2.0 * b5 - 2.0)
     )
     if growth is None:
-        growth = _exp(b4 * _pow(mu1, b5))
+        growth = np.exp(b4 * np.power(mu1, b5))
     return growth * (head + curv * mu / 2.0)
 
 
@@ -101,7 +90,7 @@ def expected_weibull_power(law: OccupancyLaw, model: KStarModel, offset: float) 
     """
     if offset not in (RIDER_WEIGHTED_OFFSET, TOUR_LENGTH_OFFSET):
         raise ValueError(f"offset must be 0.5 or 1.5, got {offset}")
-    return _second_order(law.mean, model.beta3 + offset, model.beta4, model.beta5)
+    return float(_second_order(law.mean, model.beta3 + offset, model.beta4, model.beta5))
 
 
 def expected_ff_wait_kernel(law: OccupancyLaw, model: KStarModel) -> float:
@@ -160,7 +149,7 @@ class WeibullTourLaw:
         # expected_weibull_power and expected_ff_wait_kernel scaled by the
         # size factor, sharing one growth factor
         m = self.model
-        growth = _exp(m.beta4 * _pow(mu + 1.0, m.beta5))
+        growth = np.exp(m.beta4 * np.power(mu + 1.0, m.beta5))
         tour = _second_order(mu, m.beta3 + TOUR_LENGTH_OFFSET, m.beta4, m.beta5, growth)
         rider = _second_order(mu, m.beta3 + RIDER_WEIGHTED_OFFSET, m.beta4, m.beta5, growth)
         size = self._size_factor(S)

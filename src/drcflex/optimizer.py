@@ -84,7 +84,6 @@ class SearchSpace:
     M_range: tuple[int, ...] = tuple(range(1, 7))
     N_range: tuple[int, ...] = tuple(range(1, 7))
     gamma_range: tuple[int, ...] = (1, 2, 3, 4, 5)
-    n_starts: int = 20
     strategy: str = FULLY_FLEXIBLE
     enforce_capacity: bool = True
 
@@ -93,8 +92,6 @@ class SearchSpace:
             vals = getattr(self, name)
             if not vals or min(vals) < 1:
                 raise ValueError(f"{name} must be a nonempty range of positive integers")
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be positive")
         if self.strategy not in (FULLY_FLEXIBLE, SEMI_FLEXIBLE):
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
@@ -229,10 +226,14 @@ def _bounded_brent(f, lo, hi, xatol: float, maxfun: int = 500):
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _unit_starts(n_starts: int) -> np.ndarray:
-    """The fixed-seed extra scan points on [0, 1), shared by every zone."""
-    starts = np.random.default_rng(0xD5C0).random(n_starts)
+_N_STARTS = 20  # fixed-seed interior scan points, next to 2 * _N_STARTS evenly spaced ones
+
+
+@functools.cache
+def _unit_starts() -> np.ndarray:
+    """The fixed-seed scan points on [0, 1), shared by every zone; drawn on first
+    use, so that importing the package does not load numpy.random."""
+    starts = np.random.default_rng(0xD5C0).random(_N_STARTS)
     starts.flags.writeable = False
     return starts
 
@@ -293,14 +294,14 @@ def _zone_lane(grid: ZoneGrid, z: ZoneIndex, K: int, w0: float | None) -> _Lanes
 _SCAN_LANES = 128
 
 
-def _scan(books, lo: float, hi: np.ndarray, lanes: np.ndarray, n_starts: int):
+def _scan(books, lo: float, hi: np.ndarray, lanes: np.ndarray):
     """Scan each lane's cost on [lo, hi[lane]] in one kernel call.
 
     Returns the best scan point and its cost per lane, and the lane and
     bracket (a, b) of every local dip, lane by lane in scan order.
     """
     starts = np.concatenate(
-        [np.linspace(lo, hi[lanes], max(2 * n_starts, 24), axis=1), lo + (hi[lanes, None] - lo) * _unit_starts(n_starts)],
+        [np.linspace(lo, hi[lanes], 2 * _N_STARTS, axis=1), lo + (hi[lanes, None] - lo) * _unit_starts()],
         axis=1,
     )
     starts.sort(axis=1)
@@ -315,12 +316,12 @@ def _scan(books, lo: float, hi: np.ndarray, lanes: np.ndarray, n_starts: int):
     return starts[rows, i_best], vals[rows, i_best], lanes[dip], a, b
 
 
-def _outbound_headways(cost, lo: float, hi: np.ndarray, n_starts: int) -> tuple[np.ndarray, np.ndarray]:
+def _outbound_headways(cost, lo: float, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimize the outbound cost of many lanes; return (H_p, cost) per lane.
 
     Lane i is searched on [lo, hi[i]].  A coarse scan seeds bounded Brent
-    refinements around every local dip plus n_starts additional interior
-    points, guarding against multimodality of the expansion-based objective.
+    refinements around every local dip; its fixed-seed interior points guard
+    against multimodality of the expansion-based objective.
     The scan takes one kernel call per ``_SCAN_LANES`` lanes, and one Brent
     loop refines every dip of every lane.
     """
@@ -336,7 +337,7 @@ def _outbound_headways(cost, lo: float, hi: np.ndarray, n_starts: int) -> tuple[
     wide = np.flatnonzero(~narrow)
     if not wide.size:
         return H, val
-    scans = [_scan(books, lo, hi, wide[i:i + _SCAN_LANES], n_starts) for i in range(0, wide.size, _SCAN_LANES)]
+    scans = [_scan(books, lo, hi, wide[i:i + _SCAN_LANES]) for i in range(0, wide.size, _SCAN_LANES)]
     best_H, best_val, lane, a, b = (np.concatenate(v) for v in zip(*scans))
     H[wide], val[wide] = best_H, best_val
     x, fun, _ = _bounded_brent(lambda x, j: books(x, lane[j]), a, b, HEADWAY_TOL_H / 2)
@@ -400,7 +401,6 @@ def optimize_zone_headway(
     strategy: str,
     model: KStarModel | TourLengthLaw,
     w0_opt: float | None = None,
-    n_starts: int = 20,
     enforce_capacity: bool = True,
 ) -> tuple[float, float]:
     """Minimize one zone's outbound cost over its feasible headway interval.
@@ -413,7 +413,7 @@ def optimize_zone_headway(
         detail = f"outbound headway cap {hi[0]:.6f} h below the minimum headway {params.H_min:.6f} h"
         raise InfeasibleDesignError(note, z, detail)
     cost = _lane_cost(params, strategy, model, _zone_lane(grid, z, K, w0_opt))
-    H, val = _outbound_headways(cost, params.H_min, hi, n_starts)
+    H, val = _outbound_headways(cost, params.H_min, hi)
     return float(H[0]), float(val[0])
 
 
@@ -538,8 +538,9 @@ def _price(
     Follows ``total_generalized_cost`` through the same ``costs`` helpers:
     the failure matrix of ``validate_design``'s zone checks (capacity only
     when enforced), naming the first one a combination fails; the
-    low-occupancy flag; the nine books added in ``add_books``' order.  Sets
-    each solved K's ``outcome``.
+    low-occupancy flag; the nine books of ``cost_books`` added in
+    ``add_books``' order, so each GC has the bits that function reports for
+    the combination.  Sets each solved K's ``outcome``.
     """
     offsets = np.cumsum([0] + [g.k_of.size for g in run])
     # elements are the zones of every combination, combination-major
@@ -563,11 +564,8 @@ def _price(
     fail = np.append(fail, np.zeros((1, len(ZONE_CHECKS)), dtype=bool), axis=0)[at].reshape(at.shape[0], -1)
     low = np.append(low_occupancy(params, H_p, H_d, area), False)[at].any(axis=1)
 
-    shape = ZoneShape(area, S)
-    out = zone_books(params, shape, D, H_p, "outbound", space.strategy, model, w0, K)
-    inb = zone_books(params, shape, D, H_d, "inbound", space.strategy, model, w0, K, gamma)
     books = np.zeros((len(ZoneCostTerms.FIELDS), D.size + 1))
-    books[:, :-1] = cost_books(out, inb)
+    books[:, :-1] = cost_books(params, ZoneShape(area, S), D, H_p, H_d, gamma, space.strategy, model, w0, K)
     gc = add_books(books[:, at])[1]
 
     first = fail.argmax(axis=1) % len(ZONE_CHECKS)
@@ -609,7 +607,7 @@ def _solve_space(
             continue
         cost = _lane_cost(params, space.strategy, model, lanes)
         hi = np.concatenate([g.hi[g.k_of] for g in run])
-        H_p, _ = _outbound_headways(cost, params.H_min, hi, space.n_starts)
+        H_p, _ = _outbound_headways(cost, params.H_min, hi)
         gamma, H_in, _ = _inbound_sync(cost, gammas, H_d, np.concatenate([g.ok[g.k_of] for g in run]))
         ends = np.cumsum([g.k_of.size for g in run])[:-1]
         for g, *solved in zip(run, *(np.split(v, ends) for v in (H_p, gamma, H_in))):

@@ -30,10 +30,10 @@ from .costs import (
     FULLY_FLEXIBLE,
     SEMI_FLEXIBLE,
     DesignSolution,
+    _books,
     mean_occupancy,
     total_generalized_cost,
     validate_design,
-    zone_books,
 )
 from .expectations import TourLengthLaw
 from .params import ScenarioParams, ZoneGrid, line_haul_distance
@@ -614,15 +614,12 @@ def run_validation(
     # the model's references: tours per dispatch weighted by windows, hourly dwell losses
     windows, tour_sum, loss = ({d: 0.0 for d in DIRECTIONS} for _ in range(3))
     for i, zd in enumerate(design.zones):
-        D = line_haul_distance(grid, zd.z)
         for direction in DIRECTIONS:
             lam = params.lambda_p if direction == "outbound" else params.lambda_d
             H = zd.headway(direction)
             n_w = max(1, round(1.0 / H))
             layout.append((i, direction == "outbound", lam, H, n_w))
-            tour_km = zone_books(
-                params, grid, D, H, direction, design.strategy, model, design.w0, design.K, zd.gamma
-            ).tour_km
+            tour_km = _books(params, grid, zd, direction, design.strategy, model, design.w0, design.K).tour_km
             mu = mean_occupancy(params, grid, zd, direction)
             tau = params.tau_p if direction == "outbound" else params.tau_d
             whole = design.strategy == FULLY_FLEXIBLE and direction == "outbound"  # FF pick-ups

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -19,6 +20,7 @@ from drcflex import (
     TABLE1_MODEL,
     ZoneIndex,
     make_grid,
+    run_validation,
     table2_params,
     total_generalized_cost,
 )
@@ -32,11 +34,13 @@ from drcflex.costs import (
     ZoneDesign,
     ZoneShape,
     capacity_ok,
+    ff_agency_cost_direction,
     ff_local_tour_cost_zone,
     ff_wait_cost_zone,
     headway_cap_from_capacity,
     line_haul_cost_zone,
     mean_occupancy,
+    sf_agency_cost_direction,
     sf_local_tour_cost_zone,
     sf_wait_cost_zone,
     transfer_cost_zone,
@@ -136,6 +140,51 @@ class TestBookkeeping:
         assert lines[0].startswith("zone_m,zone_n,C_W,")
         assert len(lines) == 1 + 4 + 1
         assert lines[-1].startswith("all,all,")
+
+
+class TestBuiltinResults:
+    """Public results hold builtin numbers, never numpy scalars, whose reprs differ."""
+
+    @staticmethod
+    def assert_builtin(values: dict, where: str) -> None:
+        bad = {name: type(v).__name__ for name, v in values.items() if type(v) not in (float, int)}
+        assert not bad, f"{where}: {bad}"
+
+    @pytest.mark.parametrize("which", ["ff", "sf"])
+    def test_costs_reports_and_book_views(
+        self, table2: ScenarioParams, ff_design: DesignSolution, sf_design: DesignSolution, which: str
+    ) -> None:
+        design = ff_design if which == "ff" else sf_design
+        bd = total_generalized_cost(table2, design, TABLE1_MODEL)
+        self.assert_builtin(
+            {f.name: getattr(bd, f.name) for f in dataclasses.fields(bd) if f.name != "per_zone"}, "CostBreakdown"
+        )
+        for key, terms in bd.per_zone.items():
+            self.assert_builtin({"m": key[0], "n": key[1], **dataclasses.asdict(terms)}, f"per_zone {key}")
+        report = run_validation(table2, design, TABLE1_MODEL, min_runs=50, seed=11)
+        self.assert_builtin(dataclasses.asdict(report), "ValidationReport")
+
+        grid, zd, K, w0 = design.grid, design.zone(ZoneIndex(2, 2)), design.K, design.w0
+        views = {
+            "zone_cost_terms": dataclasses.astuple(
+                zone_cost_terms(table2, grid, zd, design.strategy, K, TABLE1_MODEL, w0)
+            ),
+            "wait": (
+                ff_wait_cost_zone(table2, grid, zd, TABLE1_MODEL) if which == "ff"
+                else sf_wait_cost_zone(table2, grid, zd, w0),
+            ),
+        }
+        for d in DIRECTIONS:
+            views[f"line_haul {d}"] = (line_haul_cost_zone(table2, grid, zd, d),)
+            views[f"transfer {d}"] = (transfer_cost_zone(table2, grid, zd, d),)
+            if which == "ff":
+                views[f"tour {d}"] = (ff_local_tour_cost_zone(table2, grid, zd, TABLE1_MODEL, d),)
+                views[f"agency {d}"] = ff_agency_cost_direction(table2, grid, zd, TABLE1_MODEL, K, d)
+            else:
+                views[f"tour {d}"] = (sf_local_tour_cost_zone(table2, grid, zd, w0, d),)
+                views[f"agency {d}"] = sf_agency_cost_direction(table2, grid, zd, w0, K, d)
+        for name, values in views.items():
+            self.assert_builtin(dict(enumerate(values)), name)
 
 
 class TestHandValues:
@@ -528,6 +577,8 @@ class TestKernel:
             zone_books(BASE, grid, 0.0, 0.1, "outbound", SEMI_FLEXIBLE, w0=None)
         with pytest.raises(ValueError, match="unknown strategy"):
             zone_books(BASE, grid, 0.0, 0.1, "outbound", "fixed_route", TABLE1_MODEL)
+        with pytest.raises(ValueError, match="tour-length law"):
+            zone_books(BASE, grid, 0.0, 0.1, "outbound", FULLY_FLEXIBLE, model=None)
         zd = ZoneDesign(ZoneIndex(1, 1), 0.1, BASE.H_t, 1)
         for strategy in ("fixed_route", None):
             with pytest.raises(ValueError, match="unknown strategy"):

@@ -144,11 +144,12 @@ class TestTourUnits:
 
     @pytest.mark.parametrize("law", [WeibullTourLaw(TABLE1_MODEL), YANG_TOUR_LAW])
     def test_takes_arrays(self, law) -> None:
+        # a mean gives the same bits alone as inside an array
         mu = np.array([0.4, 10 / 3, 9.0])
         mean, rider = law.tour_units(mu, 2.0)
         for i, m in enumerate(mu):
-            assert mean[i] == pytest.approx(law.mean_tour_units(float(m), 2.0), rel=1e-14)
-            assert rider[i] == pytest.approx(law.rider_tour_units(float(m), 2.0), rel=1e-14)
+            assert mean[i] == law.mean_tour_units(float(m), 2.0)
+            assert rider[i] == law.rider_tour_units(float(m), 2.0)
 
 
 class TestPolynomialTourLaw:
