@@ -7,11 +7,14 @@ per-direction terms, and zones sharing a line-haul distance D have identical
 optima.  K enters those terms only through the agency cost rates and the
 capacity caps, so the whole space is solved at once: one lane per
 ((M, N, w0) group, K, distinct D), each lane carrying its own zone
-geometry.  Kernel calls of ``_SCAN_LANES`` lanes each scan the outbound
-headways, a lane-parallel port of scipy's bounded Brent refines every local
-dip of every lane in one loop, one more call enumerates the inbound sync
-multiple gamma over (lanes, gamma), and one pricing pass over (combination,
-zone, direction) checks and costs every solved combination as
+geometry.  A semi-flexible lane's outbound cost is A/H + B + C*H, so one
+kernel call at three headways fits it and its headway is sqrt(A/C) clipped
+to its bounds (Newell's square-root rule).  For fully flexible lanes, kernel
+calls of ``_SCAN_LANES`` lanes each scan the outbound headways and a
+lane-parallel port of scipy's bounded Brent refines every local dip of every
+lane in one loop.  One more call enumerates the inbound sync multiple gamma
+over (lanes, gamma), and one pricing pass over (combination, zone,
+direction) checks and costs every solved combination as
 ``total_generalized_cost`` would.  Spaces of more than ``_MAX_LANES`` lanes
 are solved in runs of whole groups, to bound memory.
 ``optimize_zone_headway`` and ``optimize_zone_gamma`` are the same solves
@@ -69,7 +72,7 @@ from .expectations import TourLengthLaw, as_tour_law
 from .params import ScenarioParams, ZoneGrid, ZoneIndex, line_haul_distance, make_grid
 from .tourlength import KStarModel, TABLE1_MODEL, feasible_swath_widths, swath_tour_length
 
-# Continuous headways are refined until the bracket is narrower than 0.1 s.
+# Fully flexible headways are refined until the bracket is narrower than 0.1 s.
 HEADWAY_TOL_H = 0.1 / 3600.0
 
 # Relative slack for cost ties; broken by simpler designs.
@@ -226,12 +229,12 @@ def _bounded_brent(f, lo, hi, xatol: float, maxfun: int = 500):
 # ---------------------------------------------------------------------------
 
 
-_N_STARTS = 20  # fixed-seed interior scan points, next to 2 * _N_STARTS evenly spaced ones
+_N_STARTS = 20  # FF scan: fixed-seed interior points, next to 2 * _N_STARTS evenly spaced ones
 
 
 @functools.cache
 def _unit_starts() -> np.ndarray:
-    """The fixed-seed scan points on [0, 1), shared by every zone; drawn on first
+    """The fixed-seed FF scan points on [0, 1), shared by every zone; drawn on first
     use, so that importing the package does not load numpy.random."""
     starts = np.random.default_rng(0xD5C0).random(_N_STARTS)
     starts.flags.writeable = False
@@ -289,8 +292,8 @@ def _zone_lane(grid: ZoneGrid, z: ZoneIndex, K: int, w0: float | None) -> _Lanes
     )
 
 
-# The most lanes one scan call takes: a scan holds some 60 headways per lane
-# in each of the kernel's live temporaries, about 6 KB per lane at its peak.
+# The most lanes one FF scan call takes: a scan holds some 60 headways per
+# lane in each of the kernel's live temporaries, about 6 KB per lane at its peak.
 _SCAN_LANES = 128
 
 
@@ -316,19 +319,37 @@ def _scan(books, lo: float, hi: np.ndarray, lanes: np.ndarray):
     return starts[rows, i_best], vals[rows, i_best], lanes[dip], a, b
 
 
-def _outbound_headways(cost, lo: float, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# Headways (h) at which an SF lane's cost is fitted, spread over the range for conditioning.
+_FIT_H = np.array([0.03, 0.15, 0.6])
+
+
+def _outbound_headways(cost, strategy: str, lo: float, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimize the outbound cost of many lanes; return (H_p, cost) per lane.
 
-    Lane i is searched on [lo, hi[i]].  A coarse scan seeds bounded Brent
-    refinements around every local dip; its fixed-seed interior points guard
-    against multimodality of the expansion-based objective.
-    The scan takes one kernel call per ``_SCAN_LANES`` lanes, and one Brent
-    loop refines every dip of every lane.
+    Lane i is searched on [lo, hi[i]].  A semi-flexible lane's cost is
+    A/H + B + C*H: one kernel call at the ``_FIT_H`` headways gives A and C
+    by divided differences of H*cost, and one more prices sqrt(A/C) clipped
+    to the interval.  A fully flexible lane is scanned, one kernel call per
+    ``_SCAN_LANES`` lanes, and one bounded Brent loop refines every local dip
+    of every lane; the scan's fixed-seed interior points guard against
+    multimodality of the expansion-based objective.
     """
 
     def books(H: np.ndarray, lanes: np.ndarray) -> np.ndarray:
         return cost("outbound", H, lanes)
 
+    if strategy == SEMI_FLEXIBLE:
+        lanes, h = np.arange(hi.size), _FIT_H
+        g = books(h[None, :], lanes) * h
+        slope = (g[:, 1] - g[:, 0]) / (h[1] - h[0])
+        C = ((g[:, 2] - g[:, 1]) / (h[2] - h[1]) - slope) / (h[2] - h[0])
+        A = g[:, 0] - h[0] * slope + C * h[0] * h[1]
+        bad = ~((A > 0.0) & (C > 0.0))
+        if bad.any():
+            i = bad.argmax()
+            raise ValueError(f"lane {i}: outbound cost A/H + B + C*H is not convex (A = {A[i]!r}, C = {C[i]!r})")
+        H = np.clip(np.sqrt(A / C), lo, hi)
+        return H, books(H, lanes)
     H = np.full(hi.shape, lo)
     val = np.empty(hi.shape)
     narrow = hi - lo <= HEADWAY_TOL_H
@@ -413,7 +434,7 @@ def optimize_zone_headway(
         detail = f"outbound headway cap {hi[0]:.6f} h below the minimum headway {params.H_min:.6f} h"
         raise InfeasibleDesignError(note, z, detail)
     cost = _lane_cost(params, strategy, model, _zone_lane(grid, z, K, w0_opt))
-    H, val = _outbound_headways(cost, params.H_min, hi)
+    H, val = _outbound_headways(cost, strategy, params.H_min, hi)
     return float(H[0]), float(val[0])
 
 
@@ -584,9 +605,8 @@ def _solve_space(
     """Solve and price every (M, N, w0) group of the space; returns them per grid, in search order.
 
     Each run of groups (all of them unless the space has more than
-    ``_MAX_LANES`` lanes) is one scan of every lane, one Brent loop refining
-    every dip, one call picking every lane's sync multiple and one pricing
-    pass.
+    ``_MAX_LANES`` lanes) is one outbound solve of every lane, one call
+    picking every lane's sync multiple and one pricing pass.
     """
     gammas, H_d = _sync_multiples(params, space.gamma_range)
     blocks = []
@@ -607,7 +627,7 @@ def _solve_space(
             continue
         cost = _lane_cost(params, space.strategy, model, lanes)
         hi = np.concatenate([g.hi[g.k_of] for g in run])
-        H_p, _ = _outbound_headways(cost, params.H_min, hi)
+        H_p, _ = _outbound_headways(cost, space.strategy, params.H_min, hi)
         gamma, H_in, _ = _inbound_sync(cost, gammas, H_d, np.concatenate([g.ok[g.k_of] for g in run]))
         ends = np.cumsum([g.k_of.size for g in run])[:-1]
         for g, *solved in zip(run, *(np.split(v, ends) for v in (H_p, gamma, H_in))):

@@ -28,7 +28,7 @@ from drcflex import (
     search_design,
     total_generalized_cost,
 )
-from drcflex.costs import LowOccupancyWarning, ZoneDesign, zone_books
+from drcflex.costs import LowOccupancyWarning, ZoneDesign, capacity_ok, occupancy, zone_books
 from drcflex.experiments import default_scenario_grid
 from drcflex.params import line_haul_distance
 from drcflex.optimizer import (
@@ -394,7 +394,9 @@ class TestGroupSolve:
     ) -> None:
         # The reference is the search as it ran on scipy: scalar kernel calls
         # and one minimize_scalar per scan dip.  The kernel gives a headway the
-        # same bits alone or in an array, so the optima must agree bit for bit.
+        # same bits alone or in an array, so FF optima must agree bit for bit.
+        # SF headways are solved exactly instead: no costlier than scipy's,
+        # and within Brent's tolerance of its headway where neither bound binds.
         from scipy.optimize import minimize_scalar
 
         grid = make_grid(table2, M, N)
@@ -419,7 +421,83 @@ class TestGroupSolve:
                 if res.fun < ref_val:
                     ref_H, ref_val = res.x, res.fun
             H, val = optimize_zone_headway(table2, grid, z, K, strategy, TABLE1_MODEL, w0)
-            assert (_bits(H), _bits(val)) == (_bits(ref_H), _bits(ref_val))
+            if strategy == FULLY_FLEXIBLE:
+                assert (_bits(H), _bits(val)) == (_bits(ref_H), _bits(ref_val))
+                continue
+            assert val <= ref_val
+            if lo < H < hi:
+                assert abs(H - ref_H) <= HEADWAY_TOL_H
+
+
+def _sf_lanes(params: ScenarioParams, n: int, seed: int) -> optimizer._Lanes:
+    """``n`` random semi-flexible lanes: a zone of a grid of the default space,
+    one of its swath widths and a capacity of 1-20."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n):
+        grid = make_grid(params, *rng.integers(1, 7, size=2).tolist())
+        zones = list(grid.zones())
+        z = zones[rng.integers(len(zones))]
+        widths = feasible_swath_widths(grid.l, grid.w)
+        w0 = widths[rng.integers(len(widths))].w0
+        rows.append((line_haul_distance(grid, z), int(rng.integers(1, 21)), grid.area, grid.S, w0))
+    return optimizer._Lanes(*(np.array(col) for col in zip(*rows)))
+
+
+class TestSemiFlexibleHeadway:
+    """The SF outbound cost is A/H + B + C*H, and its square-root headway is exact."""
+
+    DEMANDS = (2.0, 21.0, 80.0)
+
+    @pytest.mark.parametrize("lam", DEMANDS)
+    def test_kernel_is_affine_in_inverse_headway_one_and_headway(self, table2: ScenarioParams, lam: float) -> None:
+        params = table2.replace(lambda_p=lam, lambda_d=lam)
+        lanes = _sf_lanes(params, 60, seed=int(lam))
+        cost = optimizer._lane_cost(params, SEMI_FLEXIBLE, TABLE1_MODEL, lanes)
+        H = np.linspace(0.01, 1.0, 40)
+        vals = cost("outbound", H[None, :], np.arange(lanes.D.size))
+        basis = np.stack([1.0 / H, np.ones_like(H), H], axis=1)
+        for row in vals:
+            A, B, C = np.linalg.lstsq(basis, row, rcond=None)[0]
+            assert A > 0.0 and C > 0.0
+            np.testing.assert_allclose(basis @ (A, B, C), row, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("lam", DEMANDS)
+    def test_square_root_headway_beats_a_dense_grid(self, table2: ScenarioParams, lam: float) -> None:
+        params = table2.replace(lambda_p=lam, lambda_d=lam)
+        lanes = _sf_lanes(params, 60, seed=100 + int(lam))
+        lo = params.H_min
+        hi = np.minimum(params.H_max, [
+            headway_cap_from_capacity(lam, 1.0, area, K) for area, K in zip(lanes.area, lanes.K.tolist())
+        ])
+        keep = hi >= lo  # the others are ruled out before any solve
+        assert keep.sum() > 40
+        lanes, hi = optimizer._Lanes(*(v[keep] for v in lanes)), hi[keep]
+        cost = optimizer._lane_cost(params, SEMI_FLEXIBLE, TABLE1_MODEL, lanes)
+        H, val = optimizer._outbound_headways(cost, SEMI_FLEXIBLE, lo, hi)
+        free, _ = optimizer._outbound_headways(cost, SEMI_FLEXIBLE, lo, np.full(hi.size, 1e6))
+        for i in range(hi.size):
+            dense = cost("outbound", np.linspace(lo, hi[i], 10_000), np.array([i]))
+            assert val[i] <= dense.min()
+        # capped lanes sit exactly on their cap, which still fits the vehicle
+        capped = free > hi
+        assert capped.any() and (~capped).any()
+        assert (H[capped] == hi[capped]).all()
+        assert capacity_ok(occupancy(params, H[capped], lanes.area[capped], "outbound"), lanes.K[capped]).all()
+        np.testing.assert_array_equal(H[~capped], np.clip(free[~capped], lo, None))
+
+    @pytest.mark.parametrize(
+        "bad", [lambda H: -1.0 / H + H, lambda H: 1.0 / H - H, lambda H: np.full_like(H, math.nan)],
+        ids=["A<=0", "C<=0", "nan"],
+    )
+    def test_non_convex_lane_is_named(self, bad) -> None:
+        # lane 2 of four has the bad cost, the others 1/H + 2 + H
+        def cost(direction, H, idx, gamma=1):
+            lane = idx.reshape(idx.shape + (1,) * (H.ndim - idx.ndim))
+            return np.where(lane == 2, bad(H), 1.0 / H + 2.0 + H)
+
+        with pytest.raises(ValueError, match="lane 2"):
+            optimizer._outbound_headways(cost, SEMI_FLEXIBLE, 0.05, np.full(4, 1.0))
 
 
 def test_import_leaves_scipy_optimize_unloaded() -> None:
