@@ -29,7 +29,7 @@ from .experiments import (
 )
 from .optimizer import OptimizationResult, SearchSpace, compare_strategies, search_design
 from .params import PRESETS, ScenarioParams, load_scenario
-from .tourlength import CalibrationGrid, KStarModel, TABLE1_MODEL, calibrate_kstar
+from .tourlength import CONSTANT_KSTAR, CalibrationGrid, KStarModel, TABLE1_MODEL, calibrate_kstar
 
 KSTAR_MODES = ("calibrated", "chakraborti", "daganzo115", "yang")
 
@@ -52,9 +52,9 @@ def resolve_model(mode: str) -> KStarModel | TourLengthLaw:
     if mode == "calibrated":
         return TABLE1_MODEL
     if mode == "chakraborti":
-        return KStarModel(0.0, 0.93, 0.0, 0.0, 1.0)
+        return KStarModel(0.0, CONSTANT_KSTAR["chakraborti"], 0.0, 0.0, 1.0)
     if mode == "daganzo115":
-        return KStarModel(0.0, 1.15, 0.0, 0.0, 1.0)
+        return KStarModel(0.0, CONSTANT_KSTAR["daganzo_swath"], 0.0, 0.0, 1.0)
     if mode == "yang":
         return YANG_TOUR_LAW
     raise ValueError(f"kstar-mode must be one of {KSTAR_MODES}, got {mode!r}")

@@ -4,9 +4,9 @@ The discrete variables (grid shape M x N, vehicle capacity K, and for
 semi-flexible routing the swath width w0) are enumerated exhaustively.  For
 each combination the generalized cost separates into independent per-zone,
 per-direction terms, and zones sharing a line-haul distance D have identical
-optima.  K enters those terms only through the agency cost rates and the
-capacity caps, so the whole space is solved at once: one lane per
-((M, N, w0) group, K, distinct D), each lane carrying its own zone
+optima.  K and w0 enter those terms only through the kernel's inputs and the
+capacity caps, so the whole space is solved at once: one block per grid,
+with one lane per (K, w0, distinct D), each lane carrying its own zone
 geometry.  A semi-flexible lane's outbound cost is A/H + B + C*H, so one
 kernel call at three headways fits it and its headway is sqrt(A/C) clipped
 to its bounds (Newell's square-root rule).  For fully flexible lanes, kernel
@@ -16,7 +16,7 @@ lane in one loop.  One more call enumerates the inbound sync multiple gamma
 over (lanes, gamma), and one pricing pass over (combination, zone,
 direction) checks and costs every solved combination as
 ``total_generalized_cost`` would.  Spaces of more than ``_MAX_LANES`` lanes
-are solved in runs of whole groups, to bound memory.
+are solved in runs of whole grids, to bound memory.
 ``optimize_zone_headway`` and ``optimize_zone_gamma`` are the same solves
 for a single zone.
 """
@@ -29,7 +29,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -466,83 +466,70 @@ def optimize_zone_gamma(
 
 # The most lanes one solve takes.  Past the scan, a solve and its pricing
 # pass hold about 0.5 KB per lane; a larger space is solved in runs of whole
-# groups, so a full-space search keeps the footprint of a small one.
+# grids, so a full-space search keeps the footprint of a small one (the
+# default semi-flexible space in one run peaks at 58 MB, in runs at 34 MB).
 _MAX_LANES = 4096
 
 
-@dataclass(eq=False)
-class _Group:
-    """One (M, N, w0) group of the search space, solved for every K at once.
+class _Block:
+    """One grid of the search space, solved for every (K, w0) at once.
 
-    Zones sharing a line-haul distance have identical optima, so each
-    (K, distinct distance) is one lane, K-major and distance-minor.  Once
-    solved, ``H_p``, ``gamma`` and ``H_d`` hold each lane's design and
-    ``outcome`` each K's (GC or None, search-log note).
+    Its combinations are the (K, w0) of ``K_range`` and the grid's swath
+    widths (None alone for fully flexible routing), K-major, as the search
+    log lists them.  Zones sharing a line-haul distance have identical
+    optima, so each combination that no constraint rules out before a solve
+    gets one lane per distinct distance, in combination order.  Once solved,
+    ``H_p``, ``gamma`` and ``H_d`` hold each lane's design and ``outcome``
+    each combination's (GC or None, search-log note).
     """
 
-    grid: ZoneGrid
-    w0: float | None
-    zone_D: np.ndarray  # line-haul distance of each zone, in grid.zones() order
-    distances: np.ndarray  # the distinct ones, one lane per K
-    slot: np.ndarray  # each zone's lane within one K
-    hi: np.ndarray  # per K of the space: the outbound headway cap
-    ok: np.ndarray  # per K: the admitted sync multiples
-    notes: list[str]  # per K: the constraint ruling it out before any solve, or ""
-    solved: np.ndarray  # the positions in K_range of the K that get lanes
-    k_of: np.ndarray  # the position in K_range of each lane's K
-    outcome: list[tuple[float | None, str] | None]
-    H_p: np.ndarray | None = None
-    gamma: np.ndarray | None = None
-    H_d: np.ndarray | None = None
+    def __init__(self, params: ScenarioParams, space: SearchSpace, grid: ZoneGrid, H_d: np.ndarray) -> None:
+        w0s = [c.w0 for c in feasible_swath_widths(grid.l, grid.w)] if space.strategy == SEMI_FLEXIBLE else [None]
+        hi = _headway_caps(params, grid, space.K_range, space.enforce_capacity)
+        ok = _admitted_multiples(params, grid, space.K_range, H_d, space.enforce_capacity)
+        notes = [_ruled_out(params, h, admits) for h, admits in zip(hi.tolist(), ok.any(axis=1).tolist())]
+        self.strategy, self.grid, self.w0s = space.strategy, grid, w0s
+        self.Ks, self.hi, self.ok = np.asarray(space.K_range), hi, ok  # per K
+        self.combos = [(K, w0) for K in space.K_range for w0 in w0s]
+        # per combination: the constraint ruling it out before any solve, or ""
+        self.notes = [note for note in notes for _ in w0s]
+        self.outcome = [(None, f"infeasible: {note}") if note else None for note in self.notes]
+        self.solved = np.flatnonzero([not note for note in self.notes])
+        self.zone_D = np.array([line_haul_distance(grid, z) for z in grid.zones()])
+        rounded = [round(d, 12) for d in self.zone_D]
+        lane = {d: i for i, d in enumerate(sorted(set(rounded)))}  # each distinct distance's lane
+        self.distances = self.zone_D[[rounded.index(d) for d in lane]]
+        self.n_lanes = len(lane) * self.solved.size
+        # the lane of each zone (column) of each solved combination (row)
+        self.zone_lanes = len(lane) * np.arange(self.solved.size)[:, None] + [lane[d] for d in rounded]
 
-    def lanes(self, K_range: Sequence[int]) -> _Lanes:
-        """The kernel inputs of this group's lanes."""
-        n = self.k_of.size
-        return _Lanes(
-            np.tile(self.distances, self.solved.size),
-            np.asarray(K_range)[self.k_of],
-            np.full(n, self.grid.area),
-            np.full(n, self.grid.S),
-            None if self.w0 is None else np.full(n, self.w0),
+    def lanes(self) -> tuple[_Lanes, np.ndarray, np.ndarray]:
+        """The kernel inputs of the block's lanes, with each lane's outbound
+        headway cap and admitted sync multiples."""
+        k, j = np.divmod(np.repeat(self.solved, self.distances.size), len(self.w0s))  # each lane's K and w0
+        w0 = None if self.w0s[0] is None else np.array(self.w0s)[j]
+        area, S = (np.full(k.size, v) for v in (self.grid.area, self.grid.S))
+        return _Lanes(np.tile(self.distances, self.solved.size), self.Ks[k], area, S, w0), self.hi[k], self.ok[k]
+
+    def design(self, i: int) -> DesignSolution:
+        """The design of solved combination i."""
+        K, w0 = self.combos[i]
+        lanes = self.zone_lanes[np.searchsorted(self.solved, i)].tolist()
+        zones = tuple(
+            ZoneDesign(z=z, H_p=float(self.H_p[n]), H_d=float(self.H_d[n]), gamma=int(self.gamma[n]))
+            for z, n in zip(self.grid.zones(), lanes)
         )
-
-    def zone_designs(self, k: int) -> tuple[ZoneDesign, ...] | str:
-        """The zone designs of the k-th K of the space, or the constraint
-        that ruled it out before any solve."""
-        if self.notes[k]:
-            return self.notes[k]
-        base = int(np.searchsorted(self.solved, k)) * self.distances.size
-        return tuple(
-            ZoneDesign(z=z, H_p=float(self.H_p[i]), H_d=float(self.H_d[i]), gamma=int(self.gamma[i]))
-            for z, i in zip(self.grid.zones(), base + self.slot)
-        )
+        return DesignSolution(strategy=self.strategy, grid=self.grid, K=K, zones=zones, w0=w0)
 
 
-def _grid_layout(params: ScenarioParams, space: SearchSpace, grid: ZoneGrid, H_d: np.ndarray) -> _Group:
-    """What every group of one grid shares, w0 aside: the zones' lanes and
-    the K that no solve can serve."""
-    zone_D = np.array([line_haul_distance(grid, z) for z in grid.zones()])
-    _, first, slot = np.unique([round(d, 12) for d in zone_D], return_index=True, return_inverse=True)
-    hi = _headway_caps(params, grid, space.K_range, space.enforce_capacity)
-    ok = _admitted_multiples(params, grid, space.K_range, H_d, space.enforce_capacity)
-    notes = [_ruled_out(params, h, admits) for h, admits in zip(hi.tolist(), ok.any(axis=1).tolist())]
-    solved = np.array([k for k, note in enumerate(notes) if not note], dtype=int)
-    outcome = [(None, f"infeasible: {note}") if note else None for note in notes]
-    k_of = np.repeat(solved, first.size)
-    return _Group(grid, None, zone_D, zone_D[first], slot, hi, ok, notes, solved, k_of, outcome)
-
-
-def _runs(groups: Sequence[_Group]):
-    """Consecutive runs of whole groups of at most ``_MAX_LANES`` lanes (a
-    larger group runs alone)."""
-    run: list[_Group] = []
-    n = 0
-    for g in groups:
-        if run and n + g.k_of.size > _MAX_LANES:
+def _runs(blocks: Iterable[_Block]):
+    """Consecutive runs of whole blocks of at most ``_MAX_LANES`` lanes; a larger block runs alone."""
+    run: list[_Block] = []
+    for b in blocks:
+        if run and sum(r.n_lanes for r in run) + b.n_lanes > _MAX_LANES:
             yield run
-            run, n = [], 0
-        run.append(g)
-        n += g.k_of.size
+            run = []
+        run.append(b)
     if run:
         yield run
 
@@ -551,7 +538,7 @@ def _price(
     params: ScenarioParams,
     space: SearchSpace,
     model: KStarModel | TourLengthLaw,
-    run: Sequence[_Group],
+    run: Sequence[_Block],
     lanes: _Lanes,
 ) -> None:
     """Price every solved combination of ``run`` in one pass over (combo, zone, direction).
@@ -561,23 +548,21 @@ def _price(
     when enforced), naming the first one a combination fails; the
     low-occupancy flag; the nine books of ``cost_books`` added in
     ``add_books``' order, so each GC has the bits that function reports for
-    the combination.  Sets each solved K's ``outcome``.
+    the combination.  Each zone is priced at its own line-haul distance.
+    Sets each solved combination's ``outcome``.
     """
-    offsets = np.cumsum([0] + [g.k_of.size for g in run])
+    offsets = np.cumsum([0] + [b.n_lanes for b in run])
     # elements are the zones of every combination, combination-major
-    lane = np.concatenate(
-        [(off + g.distances.size * np.arange(g.solved.size)[:, None] + g.slot).ravel()
-         for g, off in zip(run, offsets)]
-    )
-    D = np.concatenate([np.tile(g.zone_D, g.solved.size) for g in run])
-    n_zones = np.concatenate([np.full(g.solved.size, g.slot.size) for g in run])
+    lane = np.concatenate([(off + b.zone_lanes).ravel() for b, off in zip(run, offsets)])
+    D = np.concatenate([np.tile(b.zone_D, b.solved.size) for b in run])
+    n_zones = np.concatenate([np.full(b.solved.size, b.zone_D.size) for b in run])
     # each combination's elements in zone order, padded with a sentinel element
     # that fails no check, is not flagged and adds 0.0
     col = np.arange(n_zones.max())
     at = np.where(col < n_zones[:, None], (np.cumsum(n_zones) - n_zones)[:, None] + col, D.size)
-    H_p = np.concatenate([g.H_p for g in run])[lane]
-    H_d = np.concatenate([g.H_d for g in run])[lane]
-    gamma = np.concatenate([g.gamma for g in run])[lane]
+    H_p = np.concatenate([b.H_p for b in run])[lane]
+    H_d = np.concatenate([b.H_d for b in run])[lane]
+    gamma = np.concatenate([b.gamma for b in run])[lane]
     K, area, S = lanes.K[lane], lanes.area[lane], lanes.S[lane]
     w0 = None if lanes.w0 is None else lanes.w0[lane]
 
@@ -590,53 +575,43 @@ def _price(
     gc = add_books(books[:, at])[1]
 
     first = fail.argmax(axis=1) % len(ZONE_CHECKS)
-    combos = [(g, k) for g in run for k in g.solved.tolist()]
-    for (g, k), value, bad, check, flagged in zip(
+    combos = [(b, i) for b in run for i in b.solved.tolist()]
+    for (b, i), value, bad, check, flagged in zip(
         combos, gc.tolist(), fail.any(axis=1).tolist(), first.tolist(), low.tolist()
     ):
-        g.outcome[k] = (None, f"infeasible: {ZONE_CHECKS[check]}") if bad else (
+        b.outcome[i] = (None, f"infeasible: {ZONE_CHECKS[check]}") if bad else (
             value, "low_occupancy" if flagged else ""
         )
 
 
 def _solve_space(
     params: ScenarioParams, space: SearchSpace, model: KStarModel | TourLengthLaw
-) -> list[list[_Group]]:
-    """Solve and price every (M, N, w0) group of the space; returns them per grid, in search order.
+) -> Iterator[tuple[_Block, int]]:
+    """Solve and price the space one block per grid; yields (block, i) for
+    every combination i of every block, in search-log order.
 
-    Each run of groups (all of them unless the space has more than
+    Each run of blocks (all of them unless the space has more than
     ``_MAX_LANES`` lanes) is one outbound solve of every lane, one call
     picking every lane's sync multiple and one pricing pass.
     """
     gammas, H_d = _sync_multiples(params, space.gamma_range)
-    blocks = []
-    for M in space.M_range:
-        for N in space.N_range:
-            grid = make_grid(params, M, N)
-            if space.strategy == SEMI_FLEXIBLE:
-                w0s: list[float | None] = [c.w0 for c in feasible_swath_widths(grid.l, grid.w)]
-            else:
-                w0s = [None]
-            layout = _grid_layout(params, space, grid, H_d)
-            blocks.append([replace(layout, w0=w0, outcome=list(layout.outcome)) for w0 in w0s])
-    for run in _runs([g for block in blocks for g in block]):
-        lanes = _Lanes(*(
-            None if v[0] is None else np.concatenate(v) for v in zip(*(g.lanes(space.K_range) for g in run))
-        ))
-        if not lanes.D.size:
-            continue
-        cost = _lane_cost(params, space.strategy, model, lanes)
-        hi = np.concatenate([g.hi[g.k_of] for g in run])
-        H_p, _ = _outbound_headways(cost, space.strategy, params.H_min, hi)
-        gamma, H_in, _ = _inbound_sync(cost, gammas, H_d, np.concatenate([g.ok[g.k_of] for g in run]))
-        ends = np.cumsum([g.k_of.size for g in run])[:-1]
-        for g, *solved in zip(run, *(np.split(v, ends) for v in (H_p, gamma, H_in))):
-            g.H_p, g.gamma, g.H_d = solved
-        _price(params, space, model, run, lanes)
-    return blocks
+    grids = (make_grid(params, M, N) for M in space.M_range for N in space.N_range)
+    for run in _runs(_Block(params, space, grid, H_d) for grid in grids):
+        lanes, hi, ok = zip(*(b.lanes() for b in run))
+        lanes = _Lanes(*(None if v[0] is None else np.concatenate(v) for v in zip(*lanes)))
+        if lanes.D.size:
+            cost = _lane_cost(params, space.strategy, model, lanes)
+            H_p, _ = _outbound_headways(cost, space.strategy, params.H_min, np.concatenate(hi))
+            gamma, H_in, _ = _inbound_sync(cost, gammas, H_d, np.concatenate(ok))
+            ends = np.cumsum([b.n_lanes for b in run])[:-1]
+            for b, *solved in zip(run, *(np.split(v, ends) for v in (H_p, gamma, H_in))):
+                b.H_p, b.gamma, b.H_d = solved
+            _price(params, space, model, run, lanes)
+        yield from ((b, i) for b in run for i in range(len(b.combos)))
 
 
-def _tie_break_key(design: DesignSolution) -> tuple:
+def _tie_break_key(block: _Block, i: int) -> tuple:
+    design = block.design(i)
     mean_hp = sum(zd.H_p for zd in design.zones) / len(design.zones)
     total_gamma = sum(zd.gamma for zd in design.zones)
     return (design.K, design.grid.M * design.grid.N, total_gamma, -mean_hp)
@@ -652,31 +627,20 @@ def search_design(
         model = TABLE1_MODEL
     t0 = time.perf_counter()
 
-    def design(g: _Group, k: int) -> DesignSolution:
-        return DesignSolution(
-            strategy=space.strategy, grid=g.grid, K=space.K_range[k], zones=g.zone_designs(k), w0=g.w0
-        )
-
     log: list[SearchLogEntry] = []
-    best: tuple[_Group, int, float] | None = None
-    for block in _solve_space(params, space, model):
-        for k, K in enumerate(space.K_range):
-            for g in block:
-                gc, note = g.outcome[k]
-                log.append(SearchLogEntry(space.strategy, g.grid.M, g.grid.N, K, g.w0, gc, note))
-                if gc is None:
-                    continue
-                if best is None or gc < best[2] * (1.0 - TIE_REL):
-                    best = (g, k, gc)
-                elif gc <= best[2] * (1.0 + TIE_REL) and _tie_break_key(design(g, k)) < _tie_break_key(
-                    design(best[0], best[1])
-                ):
-                    best = (g, k, gc)
+    best: tuple[_Block, int, float] | None = None
+    for block, i in _solve_space(params, space, model):
+        gc, note = block.outcome[i]
+        log.append(SearchLogEntry(space.strategy, block.grid.M, block.grid.N, *block.combos[i], gc, note))
+        if gc is None:
+            continue
+        if best is None or gc < best[2] * (1.0 - TIE_REL) or (
+            gc <= best[2] * (1.0 + TIE_REL) and _tie_break_key(block, i) < _tie_break_key(*best[:2])
+        ):
+            best = (block, i, gc)
     if best is None:
-        raise InfeasibleDesignError(
-            "search", None, "no feasible design in the search space"
-        )
-    winner = design(best[0], best[1])
+        raise InfeasibleDesignError("search", None, "no feasible design in the search space")
+    winner = best[0].design(best[1])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LowOccupancyWarning)
         cost = total_generalized_cost(params, winner, model, check_capacity=space.enforce_capacity)

@@ -79,22 +79,22 @@ def expected_ff_tour_length(model: KStarModel, q: float, l: float, w: float) -> 
     return kstar(model, q, S) * math.sqrt(q * l * w)
 
 
-BENCHMARKS = ("yang", "chakraborti", "daganzo_swath")
+# Constant k* of earlier studies: Chakraborti's large-q lattice estimate, Daganzo's serpentine optimum.
+CONSTANT_KSTAR = {"chakraborti": 0.93, "daganzo_swath": 1.15}
+
+BENCHMARKS = ("yang", *CONSTANT_KSTAR)
 
 
 def benchmark_kstar(benchmark: str, q: float, S: float) -> float:
     """k* according to earlier studies, reported raw (no clamping).
 
     ``yang``: k* = 1.1055 - 0.008*q + 1.0297*S/q (Euclidean regression).
-    ``chakraborti``: constant 0.93 (large-q lattice estimate).
-    ``daganzo_swath``: constant 1.15, the unconstrained serpentine optimum.
+    ``chakraborti``, ``daganzo_swath``: their constant in ``CONSTANT_KSTAR``.
     """
     if benchmark == "yang":
         return 1.1055 - 0.008 * q + 1.0297 * S / q
-    if benchmark == "chakraborti":
-        return 0.93
-    if benchmark == "daganzo_swath":
-        return 1.15
+    if benchmark in CONSTANT_KSTAR:
+        return CONSTANT_KSTAR[benchmark]
     raise ValueError(f"unknown benchmark {benchmark!r}; expected one of {BENCHMARKS}")
 
 

@@ -337,45 +337,44 @@ class TestGroupSolve:
         )
         log = {(e.M, e.N, e.K, e.w0): e for e in search_design(table2, space, TABLE1_MODEL).search_log}
         notes = set()
-        blocks = _solve_space(table2, space, TABLE1_MODEL)
-        assert [(b[0].grid.M, b[0].grid.N) for b in blocks] == [(M, N) for M in (1, 2) for N in (1, 2)]
+        combos = list(_solve_space(table2, space, TABLE1_MODEL))
+        blocks = list(dict.fromkeys(block for block, _ in combos))
+        assert [(b.grid.M, b.grid.N) for b in blocks] == [(M, N) for M in (1, 2) for N in (1, 2)]
         for block in blocks:
-            grid = block[0].grid
+            grid = block.grid
             w0s = [None]
             if strategy == SEMI_FLEXIBLE:
                 w0s = [c.w0 for c in feasible_swath_widths(grid.l, grid.w)]
-            assert [g.w0 for g in block] == w0s
-        for group in (g for block in blocks for g in block):
-            grid, w0 = group.grid, group.w0
-            for k, K in enumerate(space.K_range):
-                solved = group.zone_designs(k)
-                if isinstance(solved, str):
-                    notes.add(solved)
-                    assert log[(grid.M, grid.N, K, w0)].note == f"infeasible: {solved}"
-                    for z in grid.zones():
-                        with pytest.raises(InfeasibleDesignError, match=solved):
-                            optimize_zone_headway(table2, grid, z, K, strategy, TABLE1_MODEL, w0)
-                            optimize_zone_gamma(table2, grid, z, K, strategy, TABLE1_MODEL, w0)
-                    continue
-                for zd in solved:
-                    H_p, _ = optimize_zone_headway(table2, grid, zd.z, K, strategy, TABLE1_MODEL, w0)
-                    gamma, H_d, _ = optimize_zone_gamma(table2, grid, zd.z, K, strategy, TABLE1_MODEL, w0)
-                    assert (zd.H_p, zd.gamma, zd.H_d) == (H_p, gamma, H_d)
+            assert block.combos == [(K, w0) for K in space.K_range for w0 in w0s]
+        for block, i in combos:
+            grid, (K, w0), note = block.grid, block.combos[i], block.notes[i]
+            if note:
+                notes.add(note)
+                assert log[(grid.M, grid.N, K, w0)].note == f"infeasible: {note}"
+                for z in grid.zones():
+                    with pytest.raises(InfeasibleDesignError, match=note):
+                        optimize_zone_headway(table2, grid, z, K, strategy, TABLE1_MODEL, w0)
+                        optimize_zone_gamma(table2, grid, z, K, strategy, TABLE1_MODEL, w0)
+                continue
+            for zd in block.design(i).zones:
+                H_p, _ = optimize_zone_headway(table2, grid, zd.z, K, strategy, TABLE1_MODEL, w0)
+                gamma, H_d, _ = optimize_zone_gamma(table2, grid, zd.z, K, strategy, TABLE1_MODEL, w0)
+                assert (zd.H_p, zd.gamma, zd.H_d) == (H_p, gamma, H_d)
         assert notes == {"capacity", "inbound_sync"}
 
     @pytest.mark.parametrize("strategy", [FULLY_FLEXIBLE, SEMI_FLEXIBLE])
     def test_lane_cap_splits_the_space_into_groups(
         self, table2: ScenarioParams, strategy: str, monkeypatch
     ) -> None:
-        # with a cap of one lane every group is its own solve and pricing
-        # pass; three lanes per scan call split the groups' scans unevenly
+        # with a cap of one lane every grid is its own solve and pricing
+        # pass; three lanes per scan call split the grids' scans unevenly
         space = replace(COMPARE_SPACE, strategy=strategy)
         whole = search_design(table2, space, TABLE1_MODEL)
         solves = []
         monkeypatch.setattr(optimizer, "_MAX_LANES", 1)
         monkeypatch.setattr(optimizer, "_SCAN_LANES", 3)
         monkeypatch.setattr(
-            optimizer, "_price", lambda *a: solves.append(sum(g.solved.size > 0 for g in a[3])) or _price(*a)
+            optimizer, "_price", lambda *a: solves.append(sum(b.solved.size > 0 for b in a[3])) or _price(*a)
         )
         split = search_design(table2, space, TABLE1_MODEL)
         assert set(solves) == {1}
@@ -507,11 +506,9 @@ def test_import_leaves_scipy_optimize_unloaded() -> None:
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
-def _reference(params: ScenarioParams, space: SearchSpace, group, k: int) -> tuple[float | None, str]:
+def _reference(params: ScenarioParams, space: SearchSpace, block, i: int) -> tuple[float | None, str]:
     """What total_generalized_cost says of one solved combination: (GC or None, note)."""
-    design = DesignSolution(
-        strategy=space.strategy, grid=group.grid, K=space.K_range[k], zones=group.zone_designs(k), w0=group.w0
-    )
+    design = block.design(i)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", LowOccupancyWarning)
         try:
@@ -533,6 +530,8 @@ PRICING_CASES = {
     "compare": ({}, COMPARE_SPACE, {"", "low_occupancy"}),
     "sparse": ({"lambda_p": 0.5, "lambda_d": 0.5}, COMPARE_SPACE, {"low_occupancy"}),
     "relaxed": ({}, replace(COMPARE_SPACE, enforce_capacity=False), {"", "low_occupancy"}),
+    # grids whose lanes hold zones at distances that differ in their last bits
+    "large": ({}, SearchSpace(M_range=(5, 6), N_range=(5, 6), K_range=(4, 8, 12)), {"low_occupancy"}),
 }
 
 
@@ -548,19 +547,21 @@ class TestPricing:
         result = search_design(params, space, TABLE1_MODEL)
         log = iter(result.search_log)
         notes = set()
-        for block in _solve_space(params, space, TABLE1_MODEL):
-            for k, K in enumerate(space.K_range):
-                for group in block:
-                    entry = next(log)
-                    assert (entry.M, entry.N, entry.K, entry.w0) == (group.grid.M, group.grid.N, K, group.w0)
-                    if group.notes[k]:
-                        assert (entry.gc, entry.note) == (None, f"infeasible: {group.notes[k]}")
-                        continue
-                    want = _reference(params, space, group, k)
-                    _assert_same_outcome((entry.gc, entry.note), want)
-                    notes.add(want[1])
+        split_lanes = False  # some lane holds zones whose distances differ in bits
+        for block, i in _solve_space(params, space, TABLE1_MODEL):
+            entry = next(log)
+            assert (entry.M, entry.N, entry.K, entry.w0) == (block.grid.M, block.grid.N, *block.combos[i])
+            if block.notes[i]:
+                assert (entry.gc, entry.note) == (None, f"infeasible: {block.notes[i]}")
+                continue
+            split_lanes |= np.unique(block.zone_D).size > block.zone_lanes[0].max() + 1
+            want = _reference(params, space, block, i)
+            _assert_same_outcome((entry.gc, entry.note), want)
+            notes.add(want[1])
         assert next(log, None) is None
         assert notes == expected_notes
+        # each zone is priced at its own distance, not at its lane's
+        assert split_lanes or case != "large"
         # the reported cost is total_generalized_cost of the winner, field for field
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LowOccupancyWarning)
@@ -577,16 +578,16 @@ class TestPricing:
         # combination sit on different lanes, so the first failed zone decides.
         space = replace(COMPARE_SPACE, strategy=strategy, enforce_capacity=enforce_capacity)
         names = set()
-        for group in (g for block in _solve_space(table2, space, TABLE1_MODEL) for g in block):
-            if not group.solved.size:
+        for block in dict.fromkeys(b for b, _ in _solve_space(table2, space, TABLE1_MODEL)):
+            if not block.solved.size:
                 continue
-            kind = np.arange(group.H_p.size) % 5
-            group.H_p = np.where(kind == 1, table2.H_max + 0.01, np.where(kind == 4, table2.H_max, group.H_p))
-            group.H_d = np.where(kind == 2, table2.H_max + 0.5, np.where(kind == 3, group.H_d + 1e-6, group.H_d))
-            _price(table2, space, TABLE1_MODEL, [group], group.lanes(space.K_range))
-            for k in group.solved:
-                want = _reference(table2, space, group, k)
-                _assert_same_outcome(group.outcome[k], want)
+            kind = np.arange(block.H_p.size) % 5
+            block.H_p = np.where(kind == 1, table2.H_max + 0.01, np.where(kind == 4, table2.H_max, block.H_p))
+            block.H_d = np.where(kind == 2, table2.H_max + 0.5, np.where(kind == 3, block.H_d + 1e-6, block.H_d))
+            _price(table2, space, TABLE1_MODEL, [block], block.lanes()[0])
+            for i in block.solved:
+                want = _reference(table2, space, block, i)
+                _assert_same_outcome(block.outcome[i], want)
                 names.add(want[1])
         broken = {"outbound_headway_bounds", "inbound_headway_bounds", "inbound_sync"}
         if enforce_capacity:
