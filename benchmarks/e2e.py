@@ -27,7 +27,8 @@ compared bit for bit as well as by speed:
   seed pairs (``stream_seed(s, 1, i, p)``, s = 0-9, i = 0-1), each
   ``repr(dataclasses.asdict(report))``, ff then sf, every check passing;
 - ``cli``: every artifact of ``optimize``, ``compare``, ``validate --runs 200
-  --max-grid 2 --max-k 8``, ``critical`` and ``calibrate`` (seed 0);
+  --max-grid 2 --max-k 8``, ``critical``, ``calibrate`` and ``sweep --axis
+  lambda --values 10,20,40`` (seed 0);
 - ``tier1``: the wall time of the Tier-1 test suite, a timing only.
 
 ``--record LABEL`` writes an entry (commit with a ``-dirty`` flag, source
@@ -78,6 +79,7 @@ CLI_RUNS = {
     "validate": ["--runs", "200", "--max-grid", "2", "--max-k", "8"],
     "critical": [],
     "calibrate": [],
+    "sweep": ["--axis", "lambda", "--values", "10,20,40"],
 }
 
 

@@ -31,7 +31,6 @@ kernel, and the simulator's validation reads its expected tour per dispatch.
 from __future__ import annotations
 
 import csv
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Any, Literal, NamedTuple
@@ -387,6 +386,13 @@ def mean_occupancy(params: ScenarioParams, grid: ZoneGrid, zd: ZoneDesign, direc
     return occupancy(params, zd.headway(direction), grid.area, direction)
 
 
+def zone_means(params: ScenarioParams, design: DesignSolution) -> tuple[float, ...]:
+    """The design's H_p, H_d (h) and outbound and inbound mean occupancies, each averaged over its zones."""
+    stats = [(zd.H_p, zd.H_d, *(mean_occupancy(params, design.grid, zd, d) for d in DIRECTIONS))
+             for zd in design.zones]
+    return tuple(sum(col) / len(stats) for col in zip(*stats))
+
+
 def headway_lower_bound(params: ScenarioParams, direction: Direction) -> float:
     """The shortest admitted headway: inbound buses also wait for a trunk arrival."""
     return params.H_min if direction == "outbound" else max(params.H_min, params.H_t)
@@ -407,30 +413,29 @@ def capacity_ok(mu, K):
     return mu + 2.0 * np.sqrt(mu) <= K + 1e-12
 
 
-def headway_cap_from_capacity(lam: float, l: float, w: float, K: int) -> float:
-    """Largest headway whose occupancy mean plus two sigmas still fits K.
+def headway_cap_from_capacity(lam: float, l: float, w: float, K):
+    """Largest headway whose occupancy mean plus two sigmas still fits K; ``K`` may be an array.
 
     Solves x + 2*sqrt(x) <= K for x = lam*H*l*w: x_max = (sqrt(K+1) - 1)**2.
     """
     if lam * l * w <= 0:
         raise ValueError("demand rate times zone area must be positive")
-    if K < 1:
+    K = np.asarray(K, dtype=float)
+    if (K < 1).any():
         raise ValueError("capacity must be at least 1")
-    x_max = (math.sqrt(K + 1.0) - 1.0) ** 2
+    x_max = (np.sqrt(K + 1.0) - 1.0) ** 2
     return x_max / (lam * l * w)
 
 
-def zone_failures(params: ScenarioParams, H_p, H_d, gamma, area, K, check_capacity: bool = True) -> np.ndarray:
+def zone_failures(params: ScenarioParams, H_p, H_d, gamma, area, K) -> np.ndarray:
     """The (zones, ``ZONE_CHECKS``) matrix of failed checks, from one entry per zone in
-    ``H_p``, ``H_d`` and ``gamma``; ``area`` and ``K`` broadcast.  ``check_capacity=False``
-    leaves the capacity columns False."""
+    ``H_p``, ``H_d`` and ``gamma``; ``area`` and ``K`` broadcast."""
     fail = np.zeros(np.shape(H_p) + (len(ZONE_CHECKS),), dtype=bool)
     fail[..., 0] = ~headway_ok(params, H_p, "outbound")
     fail[..., 1] = ~headway_ok(params, H_d, "inbound")
     fail[..., 2] = ~sync_ok(params, H_d, gamma)
-    if check_capacity:
-        fail[..., 3] = ~capacity_ok(occupancy(params, H_p, area, "outbound"), K)
-        fail[..., 4] = ~capacity_ok(occupancy(params, H_d, area, "inbound"), K)
+    fail[..., 3] = ~capacity_ok(occupancy(params, H_p, area, "outbound"), K)
+    fail[..., 4] = ~capacity_ok(occupancy(params, H_d, area, "inbound"), K)
     return fail
 
 
@@ -445,19 +450,18 @@ def _zone_variables(design: DesignSolution) -> tuple[np.ndarray, np.ndarray, np.
     return tuple(np.array([getattr(zd, f) for zd in design.zones]) for f in ("H_p", "H_d", "gamma"))
 
 
-def validate_design(params: ScenarioParams, design: DesignSolution, check_capacity: bool = True) -> None:
+def validate_design(params: ScenarioParams, design: DesignSolution) -> None:
     """Raise InfeasibleDesignError on any violated hard constraint.
 
     The swath width is checked first, then the zones in order, each through
-    ``ZONE_CHECKS``.  ``check_capacity=False`` skips the occupancy-vs-K rule,
-    for studying capacity-relaxed designs; every other constraint stays hard.
+    every one of ``ZONE_CHECKS``, the capacity rule included.
     """
     grid = design.grid
     if design.strategy == SEMI_FLEXIBLE:
         widths = [c.w0 for c in feasible_swath_widths(grid.l, grid.w)]
         if not any(abs(design.w0 - w) < 1e-9 for w in widths):
             raise InfeasibleDesignError("swath_width", None, f"w0={design.w0} not among feasible widths {sorted(widths)}")
-    fail = zone_failures(params, *_zone_variables(design), grid.area, design.K, check_capacity)
+    fail = zone_failures(params, *_zone_variables(design), grid.area, design.K)
     if not fail.any():
         return
     i, check = divmod(int(fail.argmax()), len(ZONE_CHECKS))
@@ -515,14 +519,13 @@ def total_generalized_cost(
     params: ScenarioParams,
     design: DesignSolution,
     model: KStarModel | TourLengthLaw,
-    check_capacity: bool = True,
 ) -> CostBreakdown:
     """Aggregate the nine books over every zone and report GC per patron.
 
     The books come from one ``cost_books`` call over the design's zones and
     are added by ``add_books``, as the search prices its candidates.
     """
-    validate_design(params, design, check_capacity=check_capacity)
+    validate_design(params, design)
     grid = design.grid
     H_p, H_d, gamma = _zone_variables(design)
     if low_occupancy(params, H_p, H_d, grid.area).any():

@@ -18,7 +18,7 @@ from .costs import (
     SEMI_FLEXIBLE,
     STRATEGIES,
     InfeasibleDesignError,
-    mean_occupancy,
+    zone_means,
 )
 from .expectations import TourLengthLaw
 from .optimizer import OptimizationResult, SearchSpace, search_design
@@ -117,10 +117,7 @@ SWEEP_CSV_HEADER = (
 def _row_from_result(value: float, strategy: str, params: ScenarioParams, result: OptimizationResult) -> SweepRow:
     design = result.best
     grid = design.grid
-    zones = design.zones
-    n = len(zones)
-    occ_out = sum(mean_occupancy(params, grid, zd, "outbound") for zd in zones) / n
-    occ_in = sum(mean_occupancy(params, grid, zd, "inbound") for zd in zones) / n
+    H_p, H_d, occ_out, occ_in = zone_means(params, design)
     return SweepRow(
         axis_value=value,
         strategy=strategy,
@@ -131,8 +128,8 @@ def _row_from_result(value: float, strategy: str, params: ScenarioParams, result
         zone_aspect=grid.S,
         K=design.K,
         w0=design.w0,
-        mean_H_p_min=sum(zd.H_p for zd in zones) / n * 60.0,
-        mean_H_d_min=sum(zd.H_d for zd in zones) / n * 60.0,
+        mean_H_p_min=H_p * 60.0,
+        mean_H_d_min=H_d * 60.0,
         mean_occupancy_out=occ_out,
         mean_occupancy_in=occ_in,
     )
@@ -195,18 +192,17 @@ class BracketError(ValueError):
 
 def find_critical_density(
     base: ScenarioParams,
-    pair: tuple[str, str] = (FULLY_FLEXIBLE, SEMI_FLEXIBLE),
     lo: float = 2.0,
     hi: float = 60.0,
     model: KStarModel | TourLengthLaw | None = None,
     space: SearchSpace | None = None,
     width: float = 0.5,
 ) -> float:
-    """Demand density where the two strategies' optimal GC curves cross.
+    """Demand density where the fully and semi-flexible optimal GC curves cross.
 
     Bisects on the joint demand density until the bracket is narrower than
     ``width`` patrons/h/km² and returns the midpoint.  Both endpoints must
-    produce opposite-signed GC differences.
+    produce opposite-signed GC differences (FF minus SF).
     """
     if model is None:
         model = TABLE1_MODEL
@@ -218,7 +214,7 @@ def find_critical_density(
     def gc_diff(lam: float) -> tuple[float, float, float]:
         params = apply_axis(base, "lambda", lam)
         costs = []
-        for strategy in pair:
+        for strategy in STRATEGIES:
             result = search_design(params, dataclasses.replace(space, strategy=strategy), model)
             costs.append(result.cost.gc_per_patron_min)
         return costs[0] - costs[1], costs[0], costs[1]
@@ -232,8 +228,8 @@ def find_critical_density(
     if math.copysign(1.0, d_lo) == math.copysign(1.0, d_hi):
         raise BracketError(
             f"GC difference does not change sign on [{lo}, {hi}]: "
-            f"at {lo}: {pair[0]}={lo_a:.4f}, {pair[1]}={lo_b:.4f}; "
-            f"at {hi}: {pair[0]}={hi_a:.4f}, {pair[1]}={hi_b:.4f} (min/patron)"
+            f"at {lo}: {FULLY_FLEXIBLE}={lo_a:.4f}, {SEMI_FLEXIBLE}={lo_b:.4f}; "
+            f"at {hi}: {FULLY_FLEXIBLE}={hi_a:.4f}, {SEMI_FLEXIBLE}={hi_b:.4f} (min/patron)"
         )
     while hi - lo > width:
         mid = (lo + hi) / 2.0

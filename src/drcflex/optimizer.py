@@ -56,6 +56,7 @@ from .costs import (
     total_generalized_cost,
     zone_books,
     zone_failures,
+    zone_means,
 )
 # The per-book views stay bound here: perfbench/tracer.py wraps them by name.
 from .costs import (  # noqa: F401
@@ -78,20 +79,22 @@ HEADWAY_TOL_H = 0.1 / 3600.0
 # Relative slack for cost ties; broken by simpler designs.
 TIE_REL = 1e-9
 
+# The trunk-sync multiples gamma every zone's inbound headway H_d = gamma * H_t is chosen from.
+SYNC_MULTIPLES = (1, 2, 3, 4, 5)
+
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Discrete ranges the exhaustive search enumerates."""
+    """Discrete ranges the exhaustive search enumerates, and the strategy.  Every hard
+    constraint always holds; ``SYNC_MULTIPLES`` and ``tourlength.MAX_STRIPS`` are fixed."""
 
     K_range: tuple[int, ...] = tuple(range(1, 21))
     M_range: tuple[int, ...] = tuple(range(1, 7))
     N_range: tuple[int, ...] = tuple(range(1, 7))
-    gamma_range: tuple[int, ...] = (1, 2, 3, 4, 5)
     strategy: str = FULLY_FLEXIBLE
-    enforce_capacity: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("K_range", "M_range", "N_range", "gamma_range"):
+        for name in ("K_range", "M_range", "N_range"):
             vals = getattr(self, name)
             if not vals or min(vals) < 1:
                 raise ValueError(f"{name} must be a nonempty range of positive integers")
@@ -241,15 +244,9 @@ def _unit_starts() -> np.ndarray:
     return starts
 
 
-def _headway_caps(
-    params: ScenarioParams, grid: ZoneGrid, Ks: Sequence[int], enforce_capacity: bool
-) -> np.ndarray:
+def _headway_caps(params: ScenarioParams, grid: ZoneGrid, Ks: Sequence[int]) -> np.ndarray:
     """The upper end of the outbound headway interval for each capacity."""
-    if not enforce_capacity:
-        return np.full(len(Ks), params.H_max)
-    return np.array(
-        [min(params.H_max, headway_cap_from_capacity(params.lambda_p, grid.l, grid.w, K)) for K in Ks]
-    )
+    return np.minimum(params.H_max, headway_cap_from_capacity(params.lambda_p, grid.l, grid.w, Ks))
 
 
 class _Lanes(NamedTuple):
@@ -372,40 +369,29 @@ def _outbound_headways(cost, strategy: str, lo: float, hi: np.ndarray) -> tuple[
     return H, val
 
 
-def _sync_multiples(params: ScenarioParams, gamma_range: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted trunk-sync multiples and their inbound headways."""
-    gammas = np.array(sorted(gamma_range))
-    return gammas, gammas * params.H_t
+def _admitted_multiples(params: ScenarioParams, grid: ZoneGrid, Ks: Sequence[int]) -> np.ndarray:
+    """Which ``SYNC_MULTIPLES`` each capacity admits, shaped (len(Ks), SYNC_MULTIPLES)."""
+    H_d = np.array(SYNC_MULTIPLES) * params.H_t
+    mu = occupancy(params, H_d, grid.area, "inbound")
+    return headway_ok(params, H_d, "inbound") & capacity_ok(mu, np.asarray(Ks)[:, None])
 
 
-def _admitted_multiples(
-    params: ScenarioParams, grid: ZoneGrid, Ks: Sequence[int], H_d: np.ndarray, enforce_capacity: bool
-) -> np.ndarray:
-    """Which inbound headways H_d each capacity admits, shaped (len(Ks), H_d)."""
-    ok = np.broadcast_to(headway_ok(params, H_d, "inbound"), (len(Ks), H_d.size))
-    if enforce_capacity:
-        ok = ok & capacity_ok(occupancy(params, H_d, grid.area, "inbound"), np.asarray(Ks)[:, None])
-    return ok
-
-
-def _ruled_out(params: ScenarioParams, hi: float = math.inf, admits: bool = True) -> str:
+def _ruled_out(params: ScenarioParams, hi=math.inf, admits=True):
     """The constraint that rules a capacity out before any solve, or "": its
-    outbound headway cap ``hi`` below H_min, else no admitted sync multiple."""
-    if hi < params.H_min - 1e-15:
-        return "capacity"
-    return "" if admits else "inbound_sync"
+    outbound headway cap ``hi`` below H_min, else no admitted sync multiple.
+    Given arrays, one note per entry, as a list."""
+    return np.where(hi < params.H_min - 1e-15, "capacity", np.where(admits, "", "inbound_sync")).tolist()
 
 
-def _inbound_sync(
-    cost, gammas: np.ndarray, H_d: np.ndarray, ok: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _inbound_sync(cost, params: ScenarioParams, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cheapest admitted sync multiple of each lane: (gamma, H_d, inbound cost).
 
-    Lane i admits the multiples ``ok[i]``, at least one.  A later multiple
-    wins only if it is cheaper by more than the tie slack, so ties go to the
-    smaller one.
+    Lane i admits the ``SYNC_MULTIPLES`` ``ok[i]``, at least one.  A later
+    multiple wins only if it is cheaper by more than the tie slack, so ties
+    go to the smaller one.
     """
-    rows = np.arange(ok.shape[0])
+    gammas = np.array(SYNC_MULTIPLES)
+    rows, H_d = np.arange(ok.shape[0]), gammas * params.H_t
     costs = cost("inbound", H_d[None, :], rows, gammas)
     best = ok.argmax(axis=1)
     for i in range(gammas.size):
@@ -422,13 +408,12 @@ def optimize_zone_headway(
     strategy: str,
     model: KStarModel | TourLengthLaw,
     w0_opt: float | None = None,
-    enforce_capacity: bool = True,
 ) -> tuple[float, float]:
     """Minimize one zone's outbound cost over its feasible headway interval.
 
     One lane of the search's own solve; returns (H_p, outbound cost).
     """
-    hi = _headway_caps(params, grid, (K,), enforce_capacity)
+    hi = _headway_caps(params, grid, (K,))
     note = _ruled_out(params, hi=hi[0])
     if note:
         detail = f"outbound headway cap {hi[0]:.6f} h below the minimum headway {params.H_min:.6f} h"
@@ -446,17 +431,14 @@ def optimize_zone_gamma(
     strategy: str,
     model: KStarModel | TourLengthLaw,
     w0_opt: float | None = None,
-    gamma_range: Sequence[int] = (1, 2, 3, 4, 5),
-    enforce_capacity: bool = True,
 ) -> tuple[int, float, float]:
-    """Enumerate the trunk-sync multiple; return (gamma, H_d, inbound cost)."""
-    gammas, H_d = _sync_multiples(params, gamma_range)
-    ok = _admitted_multiples(params, grid, (K,), H_d, enforce_capacity)
+    """Enumerate the trunk-sync multiples ``SYNC_MULTIPLES``; return (gamma, H_d, inbound cost)."""
+    ok = _admitted_multiples(params, grid, (K,))
     note = _ruled_out(params, admits=ok.any())
     if note:
-        raise InfeasibleDesignError(note, z, f"no feasible trunk-sync multiple in {tuple(gamma_range)} for K={K}")
+        raise InfeasibleDesignError(note, z, f"no feasible trunk-sync multiple in {SYNC_MULTIPLES} for K={K}")
     cost = _lane_cost(params, strategy, model, _zone_lane(grid, z, K, w0_opt))
-    gamma, H, val = _inbound_sync(cost, gammas, H_d, ok)
+    gamma, H, val = _inbound_sync(cost, params, ok)
     return int(gamma[0]), float(H[0]), float(val[0])
 
 
@@ -483,25 +465,24 @@ class _Block:
     each combination's (GC or None, search-log note).
     """
 
-    def __init__(self, params: ScenarioParams, space: SearchSpace, grid: ZoneGrid, H_d: np.ndarray) -> None:
+    def __init__(self, params: ScenarioParams, space: SearchSpace, grid: ZoneGrid) -> None:
         w0s = [c.w0 for c in feasible_swath_widths(grid.l, grid.w)] if space.strategy == SEMI_FLEXIBLE else [None]
-        hi = _headway_caps(params, grid, space.K_range, space.enforce_capacity)
-        ok = _admitted_multiples(params, grid, space.K_range, H_d, space.enforce_capacity)
-        notes = [_ruled_out(params, h, admits) for h, admits in zip(hi.tolist(), ok.any(axis=1).tolist())]
         self.strategy, self.grid, self.w0s = space.strategy, grid, w0s
-        self.Ks, self.hi, self.ok = np.asarray(space.K_range), hi, ok  # per K
+        self.Ks = np.asarray(space.K_range)  # per K: the outbound cap and admitted sync multiples
+        self.hi, self.ok = _headway_caps(params, grid, self.Ks), _admitted_multiples(params, grid, self.Ks)
         self.combos = [(K, w0) for K in space.K_range for w0 in w0s]
         # per combination: the constraint ruling it out before any solve, or ""
-        self.notes = [note for note in notes for _ in w0s]
+        self.notes = [note for note in _ruled_out(params, self.hi, self.ok.any(axis=1)) for _ in w0s]
         self.outcome = [(None, f"infeasible: {note}") if note else None for note in self.notes]
         self.solved = np.flatnonzero([not note for note in self.notes])
-        self.zone_D = np.array([line_haul_distance(grid, z) for z in grid.zones()])
-        rounded = [round(d, 12) for d in self.zone_D]
-        lane = {d: i for i, d in enumerate(sorted(set(rounded)))}  # each distinct distance's lane
-        self.distances = self.zone_D[[rounded.index(d) for d in lane]]
-        self.n_lanes = len(lane) * self.solved.size
+        m, n = np.divmod(np.arange(grid.M * grid.N), grid.N)  # zones in grid.zones() order, 0-based
+        self.zone_D = m * grid.w + n * grid.l
+        # each distinct distance's lane: its first zone, and the lane of every zone
+        _, first, lane = np.unique(self.zone_D.round(12), return_index=True, return_inverse=True)
+        self.distances = self.zone_D[first]
+        self.n_lanes = first.size * self.solved.size
         # the lane of each zone (column) of each solved combination (row)
-        self.zone_lanes = len(lane) * np.arange(self.solved.size)[:, None] + [lane[d] for d in rounded]
+        self.zone_lanes = first.size * np.arange(self.solved.size)[:, None] + lane
 
     def lanes(self) -> tuple[_Lanes, np.ndarray, np.ndarray]:
         """The kernel inputs of the block's lanes, with each lane's outbound
@@ -544,11 +525,10 @@ def _price(
     """Price every solved combination of ``run`` in one pass over (combo, zone, direction).
 
     Follows ``total_generalized_cost`` through the same ``costs`` helpers:
-    the failure matrix of ``validate_design``'s zone checks (capacity only
-    when enforced), naming the first one a combination fails; the
-    low-occupancy flag; the nine books of ``cost_books`` added in
-    ``add_books``' order, so each GC has the bits that function reports for
-    the combination.  Each zone is priced at its own line-haul distance.
+    the failure matrix of ``validate_design``'s zone checks, naming the
+    first one a combination fails; the low-occupancy flag; the nine books of
+    ``cost_books`` added in ``add_books``' order, so each GC has the bits
+    that function reports for the combination.  Each zone is priced at its own line-haul distance.
     Sets each solved combination's ``outcome``.
     """
     offsets = np.cumsum([0] + [b.n_lanes for b in run])
@@ -566,7 +546,7 @@ def _price(
     K, area, S = lanes.K[lane], lanes.area[lane], lanes.S[lane]
     w0 = None if lanes.w0 is None else lanes.w0[lane]
 
-    fail = zone_failures(params, H_p, H_d, gamma, area, K, space.enforce_capacity)
+    fail = zone_failures(params, H_p, H_d, gamma, area, K)
     fail = np.append(fail, np.zeros((1, len(ZONE_CHECKS)), dtype=bool), axis=0)[at].reshape(at.shape[0], -1)
     low = np.append(low_occupancy(params, H_p, H_d, area), False)[at].any(axis=1)
 
@@ -594,15 +574,14 @@ def _solve_space(
     ``_MAX_LANES`` lanes) is one outbound solve of every lane, one call
     picking every lane's sync multiple and one pricing pass.
     """
-    gammas, H_d = _sync_multiples(params, space.gamma_range)
     grids = (make_grid(params, M, N) for M in space.M_range for N in space.N_range)
-    for run in _runs(_Block(params, space, grid, H_d) for grid in grids):
+    for run in _runs(_Block(params, space, grid) for grid in grids):
         lanes, hi, ok = zip(*(b.lanes() for b in run))
         lanes = _Lanes(*(None if v[0] is None else np.concatenate(v) for v in zip(*lanes)))
         if lanes.D.size:
             cost = _lane_cost(params, space.strategy, model, lanes)
             H_p, _ = _outbound_headways(cost, space.strategy, params.H_min, np.concatenate(hi))
-            gamma, H_in, _ = _inbound_sync(cost, gammas, H_d, np.concatenate(ok))
+            gamma, H_in, _ = _inbound_sync(cost, params, np.concatenate(ok))
             ends = np.cumsum([b.n_lanes for b in run])[:-1]
             for b, *solved in zip(run, *(np.split(v, ends) for v in (H_p, gamma, H_in))):
                 b.H_p, b.gamma, b.H_d = solved
@@ -643,7 +622,7 @@ def search_design(
     winner = best[0].design(best[1])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LowOccupancyWarning)
-        cost = total_generalized_cost(params, winner, model, check_capacity=space.enforce_capacity)
+        cost = total_generalized_cost(params, winner, model)
     return OptimizationResult(
         best=winner,
         cost=cost,
@@ -696,11 +675,6 @@ class StrategyComparison:
                 writer.writerow(row)
 
 
-def _mean_zone_stat(design, fn) -> float:
-    vals = [fn(zd) for zd in design.zones]
-    return sum(vals) / len(vals)
-
-
 def _strategy_metrics(
     params: ScenarioParams,
     result: OptimizationResult,
@@ -733,6 +707,7 @@ def _strategy_metrics(
 
     k_out, tour_out = tour_stats("outbound")
     k_in, tour_in = tour_stats("inbound")
+    H_p, H_d, occ_out, occ_in = zone_means(params, design)
     return {
         "generalized_cost_min_per_patron": bd.gc_per_patron_min,
         "user_cost_min_per_patron": bd.user * to_min,
@@ -744,10 +719,10 @@ def _strategy_metrics(
         "grid_m_by_n": f"{grid.M}x{grid.N}",
         "vehicle_capacity": design.K,
         "swath_width_km": design.w0 if design.w0 is not None else "",
-        "mean_outbound_headway_min": _mean_zone_stat(design, lambda zd: zd.H_p) * 60.0,
-        "mean_inbound_headway_min": _mean_zone_stat(design, lambda zd: zd.H_d) * 60.0,
-        "mean_outbound_occupancy": _mean_zone_stat(design, lambda zd: mean_occupancy(params, grid, zd, "outbound")),
-        "mean_inbound_occupancy": _mean_zone_stat(design, lambda zd: mean_occupancy(params, grid, zd, "inbound")),
+        "mean_outbound_headway_min": H_p * 60.0,
+        "mean_inbound_headway_min": H_d * 60.0,
+        "mean_outbound_occupancy": occ_out,
+        "mean_inbound_occupancy": occ_in,
         "mean_outbound_tour_coefficient": k_out,
         "mean_inbound_tour_coefficient": k_in,
         "mean_outbound_tour_length_km": tour_out,

@@ -4,16 +4,17 @@ Each run realizes spatial Poisson demand, executes the dispatch rules zone
 by zone, and accumulates the same cost books the analytical model predicts:
 waits, in-vehicle times, transfers, vehicle distance and time, dwell losses,
 and overcapacity events.  Validation repeats runs with independent seeds
-until the running mean of the generalized cost settles, then reports the
-percentage gap between the analytical and simulated figures.
+until, from ``min_runs`` on, the standard error of the mean generalized
+cost is below ``VALIDATION_SE_TARGET``, then reports the percentage gap
+between the analytical and simulated figures.
 
 Two conventions keep the comparison unbiased.  Validation simulates each
 zone and direction over its own horizon of round(1/H) whole headways, so no
 dispatch window is ever truncated (a clipped window would distort occupancy
 and dispatch-rate statistics by several percent, swamping the model errors
-being measured).  And fully-flexible tours are closed cycles through the
-zone's dispatch corner, the same construction the tour-length coefficients
-were calibrated on.
+being measured).  And fully-flexible tours are closed cycles through a
+dispatch point drawn uniformly in the zone, the same construction the
+tour-length coefficients were calibrated on.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ TABLE_ROW_LABELS = (
 
 
 class ValidationConvergenceError(RuntimeError):
-    """The running mean failed to settle within the run budget."""
+    """The mean GC's standard error stayed at or above ``VALIDATION_SE_TARGET`` through ``MAX_VALIDATION_RUNS`` runs."""
 
 
 @dataclass(frozen=True)
@@ -593,7 +594,7 @@ def run_validation(
     min_runs: int = 1000,
     seed: int = 0,
 ) -> ValidationReport:
-    """Repeat steady-state runs until the mean GC settles; compare to theory.
+    """Run at least ``min_runs`` runs, until the mean GC's SE is below ``VALIDATION_SE_TARGET``; compare to theory.
 
     Every zone-direction is simulated over its own whole number of headways
     (round(1/H) windows) per run, so realized rates are directly comparable

@@ -102,6 +102,9 @@ def benchmark_kstar(benchmark: str, q: float, S: float) -> float:
 # Serpentine (swath) tours
 # ---------------------------------------------------------------------------
 
+# A feasible swath width cuts one side of the zone into at most this many strips.
+MAX_STRIPS = 4
+
 
 @dataclass(frozen=True)
 class SwathConfig:
@@ -139,21 +142,19 @@ def unconstrained_swath_optimum(q: float, area: float) -> tuple[float, float]:
     return w0, 2.0 * math.sqrt(q * area / 3.0)
 
 
-def feasible_swath_widths(l: float, w: float, max_strips: int = 4) -> list[SwathConfig]:
-    """Swath widths that cut a zone into 1..max_strips equal strips.
+def feasible_swath_widths(l: float, w: float) -> list[SwathConfig]:
+    """Swath widths that cut a zone into 1..``MAX_STRIPS`` equal strips.
 
-    Candidates are l/i and w/i for i = 1..max_strips, kept only when the
+    Candidates are l/i and w/i for i = 1..MAX_STRIPS, kept only when the
     width does not exceed the zone's shorter side.  Duplicates (the same
     width arising from both dimensions) collapse to the orientation with
     fewer strips.  Sorted by decreasing width.
     """
     if l <= 0 or w <= 0:
         raise ValueError("zone dimensions must be positive")
-    if max_strips < 1:
-        raise ValueError("max_strips must be at least 1")
     short = min(l, w)
     best: dict[float, SwathConfig] = {}
-    for i in range(1, max_strips + 1):
+    for i in range(1, MAX_STRIPS + 1):
         for dim, other_name in ((l, "w"), (w, "l")):
             w0 = dim / i
             if w0 > short * (1 + 1e-12):
@@ -180,9 +181,7 @@ class SwathGap:
     realizable_gap_pct: float
 
 
-def constrained_swath_mape(
-    l: float, w: float, q_values: Iterable[int], max_strips: int = 4
-) -> list[SwathGap]:
+def constrained_swath_mape(l: float, w: float, q_values: Iterable[int]) -> list[SwathGap]:
     """Percentage gaps between feasible swath tours and the 1.15*sqrt(qA) ideal.
 
     Two gaps are reported per q: one for the bare serpentine length (the
@@ -190,7 +189,7 @@ def constrained_swath_mape(
     tour that also pays the w0/2 end leg back to the zone corner, which is
     the length the cost model actually charges per dispatch.
     """
-    configs = feasible_swath_widths(l, w, max_strips)
+    configs = feasible_swath_widths(l, w)
     if not configs:
         raise ValueError(f"no feasible swath width for zone {l} x {w}")
     area = l * w

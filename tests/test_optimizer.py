@@ -34,6 +34,7 @@ from drcflex.params import line_haul_distance
 from drcflex.optimizer import (
     HEADWAY_TOL_H,
     METRIC_LABELS,
+    SYNC_MULTIPLES,
     _bounded_brent,
     _price,
     _solve_space,
@@ -65,6 +66,23 @@ class TestHeadwayCap:
             headway_cap_from_capacity(0.0, 1.0, 1.0, 8)
         with pytest.raises(ValueError):
             headway_cap_from_capacity(40.0, 1.0, 1.0, 0)
+        with pytest.raises(ValueError, match="capacity"):
+            headway_cap_from_capacity(40.0, 1.0, 1.0, np.array([8, 0, 12]))
+
+    @pytest.mark.parametrize("lam", [10.0, 21.8, 40.0])
+    def test_array_of_capacities_matches_the_scalar_closed_form(self, table2: ScenarioParams, lam: float) -> None:
+        # the search asks for every K of a grid in one call; each cap keeps
+        # the bits of (sqrt(K + 1) - 1)**2 / (lam*l*w) computed alone
+        Ks = np.arange(1, 21)
+        for M in range(1, 7):
+            for N in range(1, 7):
+                grid = make_grid(table2, M, N)
+                caps = headway_cap_from_capacity(lam, grid.l, grid.w, Ks)
+                want = [(math.sqrt(K + 1.0) - 1.0) ** 2 / (lam * grid.l * grid.w) for K in Ks.tolist()]
+                assert [_bits(c) for c in caps] == [_bits(c) for c in want]
+                assert [_bits(c) for c in caps] == [
+                    _bits(headway_cap_from_capacity(lam, grid.l, grid.w, K)) for K in Ks.tolist()
+                ]
 
 
 class TestZoneHeadway:
@@ -97,17 +115,11 @@ class TestZoneHeadway:
         assert H == pytest.approx(5 / 60)
 
     def test_capacity_relaxation_extends_interval(self, table2: ScenarioParams) -> None:
+        # the capacity rule is always on: K = 6 caps the outbound headway
         grid = make_grid(table2, 2, 2)
-        z = ZoneIndex(1, 1)
-        capped_H, capped = optimize_zone_headway(
-            table2, grid, z, 6, FULLY_FLEXIBLE, TABLE1_MODEL, enforce_capacity=True
-        )
-        free_H, free = optimize_zone_headway(
-            table2, grid, z, 6, FULLY_FLEXIBLE, TABLE1_MODEL, enforce_capacity=False
-        )
+        capped_H, _ = optimize_zone_headway(table2, grid, ZoneIndex(1, 1), 6, FULLY_FLEXIBLE, TABLE1_MODEL)
         cap = headway_cap_from_capacity(table2.lambda_p, grid.l, grid.w, 6)
         assert capped_H <= cap + 1e-12
-        assert free <= capped + 1e-12
 
 
 class TestZoneGamma:
@@ -117,23 +129,13 @@ class TestZoneGamma:
         assert gamma == 1
         assert H_d == pytest.approx(table2.H_t)
 
-    def test_restricted_range(self, table2: ScenarioParams) -> None:
-        # lighter inbound demand keeps a 10-minute headway within capacity
-        params = table2.replace(lambda_d=10.0)
-        grid = make_grid(params, 2, 2)
-        gamma, H_d, _ = optimize_zone_gamma(
-            params, grid, ZoneIndex(1, 1), 8, FULLY_FLEXIBLE, TABLE1_MODEL, gamma_range=(2,)
-        )
-        assert gamma == 2
-        assert H_d == pytest.approx(2 * params.H_t)
-
     def test_skips_capacity_violating_multiples(self, table2: ScenarioParams) -> None:
         # at the base-case demand a 10-minute inbound headway overloads K = 8,
-        # so gamma = 2 is silently skipped in favor of gamma = 1
+        # so every gamma >= 2 is silently skipped in favor of gamma = 1
         grid = make_grid(table2, 2, 2)
-        gamma, _, _ = optimize_zone_gamma(
-            table2, grid, ZoneIndex(1, 1), 8, FULLY_FLEXIBLE, TABLE1_MODEL, gamma_range=(1, 2)
-        )
+        assert SYNC_MULTIPLES == (1, 2, 3, 4, 5)
+        assert optimizer._admitted_multiples(table2, grid, (8,)).tolist() == [[True, False, False, False, False]]
+        gamma, _, _ = optimize_zone_gamma(table2, grid, ZoneIndex(1, 1), 8, FULLY_FLEXIBLE, TABLE1_MODEL)
         assert gamma == 1
 
     def test_tiny_bus_has_no_sync_multiple(self, table2: ScenarioParams) -> None:
@@ -205,23 +207,12 @@ class TestSearchDesign:
         gc_wide = search_design(table2, wide, TABLE1_MODEL).cost.GC
         assert gc_wide <= gc_narrow * (1 + 1e-9)
 
-    def test_capacity_relaxation_never_hurts(self, table2: ScenarioParams) -> None:
-        # K = 7 caps the outbound headway below its unconstrained optimum;
-        # dropping the rule must therefore do at least as well.
-        capped = SearchSpace(K_range=(7,), M_range=(2,), N_range=(2,))
-        relaxed = SearchSpace(K_range=(7,), M_range=(2,), N_range=(2,), enforce_capacity=False)
-        gc_capped = search_design(table2, capped, TABLE1_MODEL).cost.GC
-        gc_relaxed = search_design(table2, relaxed, TABLE1_MODEL).cost.GC
-        assert gc_relaxed <= gc_capped + 1e-12
-
     def test_capacity_relaxation_rescues_small_buses(self, table2: ScenarioParams) -> None:
         # with sync locked to 5-minute multiples, K = 6 cannot host the
-        # inbound batch; the relaxed search still prices the design
+        # inbound batch, and the capacity rule is never relaxed
         capped = SearchSpace(K_range=(6,), M_range=(2,), N_range=(2,))
         with pytest.raises(InfeasibleDesignError, match="search"):
             search_design(table2, capped, TABLE1_MODEL)
-        relaxed = SearchSpace(K_range=(6,), M_range=(2,), N_range=(2,), enforce_capacity=False)
-        assert search_design(table2, relaxed, TABLE1_MODEL).cost.GC > 0
 
     def test_semi_flexible_enumerates_swath_widths(self, table2: ScenarioParams) -> None:
         space = SearchSpace(
@@ -506,13 +497,13 @@ def test_import_leaves_scipy_optimize_unloaded() -> None:
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
-def _reference(params: ScenarioParams, space: SearchSpace, block, i: int) -> tuple[float | None, str]:
+def _reference(params: ScenarioParams, block, i: int) -> tuple[float | None, str]:
     """What total_generalized_cost says of one solved combination: (GC or None, note)."""
     design = block.design(i)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", LowOccupancyWarning)
         try:
-            gc = total_generalized_cost(params, design, TABLE1_MODEL, check_capacity=space.enforce_capacity).GC
+            gc = total_generalized_cost(params, design, TABLE1_MODEL).GC
         except InfeasibleDesignError as exc:
             return None, f"infeasible: {exc.constraint}"
     low = any(issubclass(w.category, LowOccupancyWarning) for w in caught)
@@ -529,7 +520,6 @@ def _assert_same_outcome(got: tuple, want: tuple) -> None:
 PRICING_CASES = {
     "compare": ({}, COMPARE_SPACE, {"", "low_occupancy"}),
     "sparse": ({"lambda_p": 0.5, "lambda_d": 0.5}, COMPARE_SPACE, {"low_occupancy"}),
-    "relaxed": ({}, replace(COMPARE_SPACE, enforce_capacity=False), {"", "low_occupancy"}),
     # grids whose lanes hold zones at distances that differ in their last bits
     "large": ({}, SearchSpace(M_range=(5, 6), N_range=(5, 6), K_range=(4, 8, 12)), {"low_occupancy"}),
 }
@@ -555,7 +545,7 @@ class TestPricing:
                 assert (entry.gc, entry.note) == (None, f"infeasible: {block.notes[i]}")
                 continue
             split_lanes |= np.unique(block.zone_D).size > block.zone_lanes[0].max() + 1
-            want = _reference(params, space, block, i)
+            want = _reference(params, block, i)
             _assert_same_outcome((entry.gc, entry.note), want)
             notes.add(want[1])
         assert next(log, None) is None
@@ -565,18 +555,15 @@ class TestPricing:
         # the reported cost is total_generalized_cost of the winner, field for field
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LowOccupancyWarning)
-            assert result.cost == total_generalized_cost(
-                params, result.best, TABLE1_MODEL, check_capacity=space.enforce_capacity
-            )
+            assert result.cost == total_generalized_cost(params, result.best, TABLE1_MODEL)
 
-    @pytest.mark.parametrize("enforce_capacity", [True, False])
     @pytest.mark.parametrize("strategy", [FULLY_FLEXIBLE, SEMI_FLEXIBLE])
-    def test_names_the_first_failed_check(self, table2: ScenarioParams, strategy: str, enforce_capacity: bool) -> None:
+    def test_names_the_first_failed_check(self, table2: ScenarioParams, strategy: str) -> None:
         # Solved designs pass every check, so break some: lanes 1, 2, 3 and 4
         # of every five leave the outbound bounds, leave the inbound bounds,
         # leave the trunk sync and overload the vehicle.  Zones of one
         # combination sit on different lanes, so the first failed zone decides.
-        space = replace(COMPARE_SPACE, strategy=strategy, enforce_capacity=enforce_capacity)
+        space = replace(COMPARE_SPACE, strategy=strategy)
         names = set()
         for block in dict.fromkeys(b for b, _ in _solve_space(table2, space, TABLE1_MODEL)):
             if not block.solved.size:
@@ -586,12 +573,10 @@ class TestPricing:
             block.H_d = np.where(kind == 2, table2.H_max + 0.5, np.where(kind == 3, block.H_d + 1e-6, block.H_d))
             _price(table2, space, TABLE1_MODEL, [block], block.lanes()[0])
             for i in block.solved:
-                want = _reference(table2, space, block, i)
+                want = _reference(table2, block, i)
                 _assert_same_outcome(block.outcome[i], want)
                 names.add(want[1])
-        broken = {"outbound_headway_bounds", "inbound_headway_bounds", "inbound_sync"}
-        if enforce_capacity:
-            broken.add("capacity")
+        broken = {"outbound_headway_bounds", "inbound_headway_bounds", "inbound_sync", "capacity"}
         assert {f"infeasible: {name}" for name in broken} <= names
         assert names - {f"infeasible: {name}" for name in broken} <= {"", "low_occupancy"}
 

@@ -114,11 +114,6 @@ class TestSwathGeometry:
         widths = [c.w0 for c in feasible_swath_widths(1.0, 1.0)]
         assert widths == pytest.approx([1.0, 0.5, 1 / 3, 0.25])
 
-    def test_max_strips_caps_candidates(self) -> None:
-        assert len(feasible_swath_widths(1.0, 1.0, max_strips=1)) == 1
-        with pytest.raises(ValueError, match="max_strips"):
-            feasible_swath_widths(1.0, 1.0, max_strips=0)
-
 
 class TestConstrainedSwathGap:
     def test_square_zone_gaps(self) -> None:
