@@ -27,8 +27,9 @@ compared bit for bit as well as by speed:
   seed pairs (``stream_seed(s, 1, i, p)``, s = 0-9, i = 0-1), each
   ``repr(dataclasses.asdict(report))``, ff then sf, every check passing;
 - ``cli``: every artifact of ``optimize``, ``compare``, ``validate --runs 200
-  --max-grid 2 --max-k 8``, ``critical``, ``calibrate`` and ``sweep --axis
-  lambda --values 10,20,40`` (seed 0);
+  --max-grid 2 --max-k 8``, ``critical``, ``calibrate``, ``sweep --axis
+  lambda --values 10,20,40`` and ``optimize --kstar-mode`` under each prior
+  tour-length law (``yang``, ``chakraborti``, ``daganzo115``), all seed 0;
 - ``tier1``: the wall time of the Tier-1 test suite, a timing only.
 
 ``--record LABEL`` writes an entry (commit with a ``-dirty`` flag, source
@@ -73,13 +74,15 @@ from pathlib import Path
 from tour_dp import ROOT, git_commit, machine, source_digest
 
 STRATEGIES = ("ff", "sf")
+# run label -> command and its options; a run's artifacts are digested as cli.<label>.<file>
 CLI_RUNS = {
-    "optimize": [],
-    "compare": [],
-    "validate": ["--runs", "200", "--max-grid", "2", "--max-k", "8"],
-    "critical": [],
-    "calibrate": [],
-    "sweep": ["--axis", "lambda", "--values", "10,20,40"],
+    "optimize": ["optimize"],
+    "compare": ["compare"],
+    "validate": ["validate", "--runs", "200", "--max-grid", "2", "--max-k", "8"],
+    "critical": ["critical"],
+    "calibrate": ["calibrate"],
+    "sweep": ["sweep", "--axis", "lambda", "--values", "10,20,40"],
+    **{f"optimize_{mode}": ["optimize", "--kstar-mode", mode] for mode in ("yang", "chakraborti", "daganzo115")},
 }
 
 
@@ -254,16 +257,16 @@ class Pipeline:
 
         seconds, digests = {}, {}
         with tempfile.TemporaryDirectory() as tmp:
-            for command, extra in CLI_RUNS.items():
-                out = Path(tmp) / command
+            for label, (command, *extra) in CLI_RUNS.items():
+                out = Path(tmp) / label
                 t0 = time.perf_counter()
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = cli.main([command, "--seed", "0", "--out", str(out), *extra])
-                seconds[command] = time.perf_counter() - t0
+                seconds[label] = time.perf_counter() - t0
                 if code != 0:
-                    raise RuntimeError(f"drcflex {command} exited with {code}")
+                    raise RuntimeError(f"drcflex {' '.join([command, *extra])} exited with {code}")
                 for path in sorted(out.iterdir()):
-                    digests[f"cli.{command}.{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+                    digests[f"cli.{label}.{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
         return seconds, digests
 
     def tier1(self) -> tuple[dict, dict]:

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .costs import FULLY_FLEXIBLE, SEMI_FLEXIBLE, DesignSolution, InfeasibleDesignError
-from .expectations import YANG_TOUR_LAW, TourLengthLaw
+from .expectations import YANG_TOUR_LAW, WeibullTourLaw
 from .experiments import (
     SweepSpec,
     default_scenario_grid,
@@ -47,7 +47,7 @@ SWEEP_CSV_NAMES = {
 VALIDATION_CSV_NAMES = {FULLY_FLEXIBLE: "table3.csv", SEMI_FLEXIBLE: "table4.csv"}
 
 
-def resolve_model(mode: str) -> KStarModel | TourLengthLaw:
+def resolve_model(mode: str) -> KStarModel | WeibullTourLaw:
     """The tour-length law behind a --kstar-mode flag value."""
     if mode == "calibrated":
         return TABLE1_MODEL

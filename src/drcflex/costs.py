@@ -37,7 +37,7 @@ from typing import Any, Literal, NamedTuple
 
 import numpy as np
 
-from .expectations import TourLengthLaw, as_tour_law
+from .expectations import WeibullTourLaw, as_tour_law
 from .params import ScenarioParams, ZoneGrid, ZoneIndex, line_haul_distance
 from .tourlength import TABLE1_MODEL, KStarModel, feasible_swath_widths
 
@@ -114,7 +114,7 @@ class DesignSolution:
             raise ValueError("vehicle capacity K must be at least 1")
         expected = {(z.m, z.n) for z in self.grid.zones()}
         got = {(zd.z.m, zd.z.n) for zd in self.zones}
-        if got != expected:
+        if got != expected or len(self.zones) != len(expected):
             raise ValueError("zone designs must cover every grid zone exactly once")
         if (self.w0 is not None) != (self.strategy == SEMI_FLEXIBLE):
             raise ValueError("w0 must be present exactly for the semi-flexible strategy")
@@ -224,7 +224,7 @@ def zone_books(
     H,
     direction: Direction,
     strategy: str,
-    model: KStarModel | TourLengthLaw | None = None,
+    model: KStarModel | WeibullTourLaw | None = None,
     w0: float | None = None,
     K: int = 1,
     gamma=1,
@@ -284,7 +284,7 @@ def _books(
     zd: ZoneDesign,
     direction: Direction,
     strategy: str,
-    model: KStarModel | TourLengthLaw | None = None,
+    model: KStarModel | WeibullTourLaw | None = None,
     w0: float | None = None,
     K: int = 1,
 ) -> ZoneBooks:
@@ -300,7 +300,7 @@ def _books(
 
 
 def ff_wait_cost_zone(
-    params: ScenarioParams, grid: ZoneGrid, zd: ZoneDesign, model: KStarModel | TourLengthLaw
+    params: ScenarioParams, grid: ZoneGrid, zd: ZoneDesign, model: KStarModel | WeibullTourLaw
 ) -> float:
     """Discounted at-home waiting: half headway, half tour, boarding queue."""
     return _books(params, grid, zd, "outbound", FULLY_FLEXIBLE, model).wait
@@ -310,7 +310,7 @@ def ff_local_tour_cost_zone(
     params: ScenarioParams,
     grid: ZoneGrid,
     zd: ZoneDesign,
-    model: KStarModel | TourLengthLaw,
+    model: KStarModel | WeibullTourLaw,
     direction: Direction,
 ) -> float:
     """In-vehicle share of the collection tour: half the tour plus dwells."""
@@ -335,7 +335,7 @@ def ff_agency_cost_direction(
     params: ScenarioParams,
     grid: ZoneGrid,
     zd: ZoneDesign,
-    model: KStarModel | TourLengthLaw,
+    model: KStarModel | WeibullTourLaw,
     K: int,
     direction: Direction,
 ) -> tuple[float, float]:
@@ -477,7 +477,7 @@ def validate_design(params: ScenarioParams, design: DesignSolution) -> None:
 
 
 def cost_books(params: ScenarioParams, grid: ZoneGrid | ZoneShape, D, H_p, H_d, gamma, strategy: str,
-               model: KStarModel | TourLengthLaw | None = None, w0=None, K=1) -> np.ndarray:
+               model: KStarModel | WeibullTourLaw | None = None, w0=None, K=1) -> np.ndarray:
     """The (``ZoneCostTerms.FIELDS``, zones) books of zones with one entry each (0-d for one zone)
     in ``D``, ``H_p``, ``H_d`` and ``gamma``: one ``zone_books`` call per direction over every zone,
     with the other inputs broadcast as there."""
@@ -505,7 +505,7 @@ def zone_cost_terms(
     zd: ZoneDesign,
     strategy: str,
     K: int,
-    model: KStarModel | TourLengthLaw,
+    model: KStarModel | WeibullTourLaw,
     w0: float | None = None,
 ) -> ZoneCostTerms:
     """All nine hourly books for one zone under the given strategy."""
@@ -518,7 +518,7 @@ def zone_cost_terms(
 def total_generalized_cost(
     params: ScenarioParams,
     design: DesignSolution,
-    model: KStarModel | TourLengthLaw,
+    model: KStarModel | WeibullTourLaw,
 ) -> CostBreakdown:
     """Aggregate the nine books over every zone and report GC per patron.
 

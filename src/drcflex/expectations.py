@@ -10,6 +10,10 @@ plain tour length).  A closed form does not exist, so the terms are expanded
 to second order around mu + 1 where mu = E[Q]; with Var[Q] = mu for Poisson
 arrivals the expansion needs nothing beyond the mean.
 
+Every tour-length law is one ``WeibullTourLaw``, a sum of such terms, one
+per ``KStarModel``: the fitted k* law is one term, each constant k* of
+earlier studies one term, and Yang's regression three terms with beta4 = 0.
+
 The expansion is promised within 2% of the exact expectation for means of 2
 and up (worst 1.8% on [2, 12] for TABLE1_MODEL).  Below that it degrades:
 the 2% band ends at mean 1.75 for the tour-length term and 1.86 for the
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable
 
 import numpy as np
 
@@ -107,37 +111,37 @@ def expected_ff_wait_kernel(law: OccupancyLaw, model: KStarModel) -> float:
     )
 
 
-@runtime_checkable
-class TourLengthLaw(Protocol):
-    """Expected-tour-length law consumed by the cost model.
+def _term_units(m: KStarModel, mu, S) -> tuple:
+    """One term's (tour, rider) units: expected_weibull_power and
+    expected_ff_wait_kernel scaled by its size factor, sharing one growth factor."""
+    growth = np.exp(m.beta4 * np.power(mu + 1.0, m.beta5))
+    tour = _second_order(mu, m.beta3 + TOUR_LENGTH_OFFSET, m.beta4, m.beta5, growth)
+    rider = _second_order(mu, m.beta3 + RIDER_WEIGHTED_OFFSET, m.beta4, m.beta5, growth)
+    size = m.beta1 * S + m.beta2
+    return size * tour, size * (rider - tour)
 
-    Both methods return lengths in units of sqrt(zone area):
-    ``mean_tour_units`` is E[L(Q+1)] / sqrt(l*w) and ``rider_tour_units`` is
-    E[Q * L(Q+1)] / sqrt(l*w), where L(q) is the law's tour length over q
-    stops in a unit-area zone of aspect ratio S.
-    """
 
-    def mean_tour_units(self, mu: float, S: float) -> float: ...
-
-    def rider_tour_units(self, mu: float, S: float) -> float: ...
-
-    def tour_length_units(self, q: float, S: float) -> float:
-        """Deterministic L(q) / sqrt(l*w) at an exact stop count q."""
-        ...
-
-    def tour_units(self, mu, S: float) -> tuple:
-        """(mean_tour_units, rider_tour_units) at once; ``mu`` may be an array."""
-        ...
+def _term_length(m: KStarModel, q: float, S: float) -> float:
+    return (m.beta1 * S + m.beta2) * q ** (m.beta3 + 0.5) * math.exp(m.beta4 * q ** m.beta5)
 
 
 @dataclass(frozen=True)
 class WeibullTourLaw:
-    """Tour-length law L(q) = (beta1*S + beta2) * q**... * sqrt(q*l*w)."""
+    """Expected-tour-length law consumed by the cost model.
 
-    model: KStarModel
+    The tour over q stops in a zone of area l*w and aspect ratio S is
+    L(q) = sqrt(l*w) * sum over ``terms`` of
+    (beta1*S + beta2) * q**(beta3 + 1/2) * exp(beta4 * q**beta5),
+    i.e. k*(q, S) * sqrt(q*l*w) with k* a sum of terms.  The fitted k* law is
+    one term, a constant k* one term with only beta2 set, and Yang's
+    regression three terms with beta4 = 0 (``YANG_TOUR_LAW``).
 
-    def _size_factor(self, S: float) -> float:
-        return self.model.beta1 * S + self.model.beta2
+    Every method returns lengths in units of sqrt(zone area), adding the
+    terms in order: ``mean_tour_units`` is E[L(Q+1)] / sqrt(l*w) and
+    ``rider_tour_units`` is E[Q * L(Q+1)] / sqrt(l*w).
+    """
+
+    terms: tuple[KStarModel, ...]
 
     def mean_tour_units(self, mu: float, S: float) -> float:
         return self.tour_units(mu, S)[0]
@@ -146,79 +150,36 @@ class WeibullTourLaw:
         return self.tour_units(mu, S)[1]
 
     def tour_units(self, mu, S: float) -> tuple:
-        # expected_weibull_power and expected_ff_wait_kernel scaled by the
-        # size factor, sharing one growth factor
-        m = self.model
-        growth = np.exp(m.beta4 * np.power(mu + 1.0, m.beta5))
-        tour = _second_order(mu, m.beta3 + TOUR_LENGTH_OFFSET, m.beta4, m.beta5, growth)
-        rider = _second_order(mu, m.beta3 + RIDER_WEIGHTED_OFFSET, m.beta4, m.beta5, growth)
-        size = self._size_factor(S)
-        return size * tour, size * (rider - tour)
+        """(mean_tour_units, rider_tour_units) at once; ``mu`` may be an array."""
+        first, *rest = self.terms
+        mean, rider = _term_units(first, mu, S)
+        for m in rest:
+            tour, ride = _term_units(m, mu, S)
+            mean = mean + tour
+            rider = rider + ride
+        return mean, rider
 
     def tour_length_units(self, q: float, S: float) -> float:
-        m = self.model
-        return (
-            self._size_factor(S)
-            * q ** (m.beta3 + 0.5)
-            * math.exp(m.beta4 * q ** m.beta5)
-        )
+        """Deterministic L(q) / sqrt(l*w) at an exact stop count q."""
+        first, *rest = self.terms
+        length = _term_length(first, q, S)
+        for m in rest:
+            length = length + _term_length(m, q, S)
+        return length
 
 
-@dataclass(frozen=True)
-class PolynomialTourLaw:
-    """Tour laws of the form L(q) = sum_i c_i(S) * q**e_i * sqrt(l*w).
-
-    Covers the regression benchmark k* = 1.1055 - 0.008*q + 1.0297*S/q
-    (terms q**0.5, q**1.5, S*q**-0.5 after multiplying by sqrt(q)).  The
-    same second-order expansion used for the Weibull law applies with the
-    exponential factor switched off.
-    """
-
-    exponents: tuple[float, ...]
-    coefficients: tuple[float, ...]  # constant part of each c_i(S)
-    s_coefficients: tuple[float, ...]  # S-proportional part of each c_i(S)
-
-    def __post_init__(self) -> None:
-        if not (len(self.exponents) == len(self.coefficients) == len(self.s_coefficients)):
-            raise ValueError("exponent and coefficient tuples must have equal length")
-
-    def _moment(self, mu: float, a: float) -> float:
-        return _second_order(mu, a, 0.0, 1.0)
-
-    def mean_tour_units(self, mu: float, S: float) -> float:
-        return sum(
-            (c + cs * S) * self._moment(mu, e)
-            for e, c, cs in zip(self.exponents, self.coefficients, self.s_coefficients)
-        )
-
-    def rider_tour_units(self, mu: float, S: float) -> float:
-        # Q * f(Q+1) = (Q+1) * f(Q+1) - f(Q+1), term by term
-        return sum(
-            (c + cs * S) * (self._moment(mu, e + 1.0) - self._moment(mu, e))
-            for e, c, cs in zip(self.exponents, self.coefficients, self.s_coefficients)
-        )
-
-    def tour_units(self, mu, S: float) -> tuple:
-        return self.mean_tour_units(mu, S), self.rider_tour_units(mu, S)
-
-    def tour_length_units(self, q: float, S: float) -> float:
-        return sum(
-            (c + cs * S) * q ** e
-            for e, c, cs in zip(self.exponents, self.coefficients, self.s_coefficients)
-        )
+# k* = 1.1055 - 0.008*q + 1.0297*S/q, times sqrt(q): terms q**0.5, q**1.5 and S*q**-0.5
+YANG_TOUR_LAW = WeibullTourLaw((
+    KStarModel(0.0, 1.1055, 0.0, 0.0, 1.0),
+    KStarModel(0.0, -0.008, 1.0, 0.0, 1.0),
+    KStarModel(1.0297, 0.0, -1.0, 0.0, 1.0),
+))
 
 
-YANG_TOUR_LAW = PolynomialTourLaw(
-    exponents=(0.5, 1.5, -0.5),
-    coefficients=(1.1055, -0.008, 0.0),
-    s_coefficients=(0.0, 0.0, 1.0297),
-)
-
-
-def as_tour_law(model_or_law: KStarModel | TourLengthLaw) -> TourLengthLaw:
-    """Wrap a bare coefficient set in its law; pass laws through unchanged."""
+def as_tour_law(model_or_law: KStarModel | WeibullTourLaw) -> WeibullTourLaw:
+    """Wrap a bare coefficient set as a one-term law; pass laws through unchanged."""
     if isinstance(model_or_law, KStarModel):
-        return WeibullTourLaw(model_or_law)
+        return WeibullTourLaw((model_or_law,))
     return model_or_law
 
 

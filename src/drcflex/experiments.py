@@ -20,7 +20,7 @@ from .costs import (
     InfeasibleDesignError,
     zone_means,
 )
-from .expectations import TourLengthLaw
+from .expectations import WeibullTourLaw
 from .optimizer import OptimizationResult, SearchSpace, search_design
 from .params import ScenarioParams
 from .simulator import ValidationReport, run_validation
@@ -137,7 +137,7 @@ def _row_from_result(value: float, strategy: str, params: ScenarioParams, result
 
 def run_sweep(
     spec: SweepSpec,
-    model: KStarModel | TourLengthLaw | None = None,
+    model: KStarModel | WeibullTourLaw | None = None,
     space: SearchSpace | None = None,
 ) -> list[SweepRow]:
     """Optimize every (value, strategy) pair; infeasible points become gap rows."""
@@ -194,7 +194,7 @@ def find_critical_density(
     base: ScenarioParams,
     lo: float = 2.0,
     hi: float = 60.0,
-    model: KStarModel | TourLengthLaw | None = None,
+    model: KStarModel | WeibullTourLaw | None = None,
     space: SearchSpace | None = None,
     width: float = 0.5,
 ) -> float:
@@ -302,7 +302,7 @@ def default_scenario_grid(base: ScenarioParams) -> list[tuple[str, ScenarioParam
 def run_validation_campaign(
     scenarios: list[tuple[str, ScenarioParams]],
     strategy: str,
-    model: KStarModel | TourLengthLaw | None = None,
+    model: KStarModel | WeibullTourLaw | None = None,
     space: SearchSpace | None = None,
     min_runs: int = 1000,
     seed: int = 0,

@@ -69,7 +69,7 @@ from .costs import (  # noqa: F401
     sf_wait_cost_zone,
     transfer_cost_zone,
 )
-from .expectations import TourLengthLaw, as_tour_law
+from .expectations import WeibullTourLaw, as_tour_law
 from .params import ScenarioParams, ZoneGrid, ZoneIndex, line_haul_distance, make_grid
 from .tourlength import KStarModel, TABLE1_MODEL, feasible_swath_widths, swath_tour_length
 
@@ -263,7 +263,7 @@ class _Lanes(NamedTuple):
 
 
 def _lane_cost(
-    params: ScenarioParams, strategy: str, model: KStarModel | TourLengthLaw, lanes: _Lanes
+    params: ScenarioParams, strategy: str, model: KStarModel | WeibullTourLaw, lanes: _Lanes
 ):
     """The cost kernel over lanes: ``cost(direction, H, idx, gamma)`` is every
     book of lanes ``idx`` that depends on that direction's headway H, each
@@ -406,7 +406,7 @@ def optimize_zone_headway(
     z: ZoneIndex,
     K: int,
     strategy: str,
-    model: KStarModel | TourLengthLaw,
+    model: KStarModel | WeibullTourLaw,
     w0_opt: float | None = None,
 ) -> tuple[float, float]:
     """Minimize one zone's outbound cost over its feasible headway interval.
@@ -429,7 +429,7 @@ def optimize_zone_gamma(
     z: ZoneIndex,
     K: int,
     strategy: str,
-    model: KStarModel | TourLengthLaw,
+    model: KStarModel | WeibullTourLaw,
     w0_opt: float | None = None,
 ) -> tuple[int, float, float]:
     """Enumerate the trunk-sync multiples ``SYNC_MULTIPLES``; return (gamma, H_d, inbound cost)."""
@@ -518,7 +518,7 @@ def _runs(blocks: Iterable[_Block]):
 def _price(
     params: ScenarioParams,
     space: SearchSpace,
-    model: KStarModel | TourLengthLaw,
+    model: KStarModel | WeibullTourLaw,
     run: Sequence[_Block],
     lanes: _Lanes,
 ) -> None:
@@ -565,7 +565,7 @@ def _price(
 
 
 def _solve_space(
-    params: ScenarioParams, space: SearchSpace, model: KStarModel | TourLengthLaw
+    params: ScenarioParams, space: SearchSpace, model: KStarModel | WeibullTourLaw
 ) -> Iterator[tuple[_Block, int]]:
     """Solve and price the space one block per grid; yields (block, i) for
     every combination i of every block, in search-log order.
@@ -599,7 +599,7 @@ def _tie_break_key(block: _Block, i: int) -> tuple:
 def search_design(
     params: ScenarioParams,
     space: SearchSpace,
-    model: KStarModel | TourLengthLaw | None = None,
+    model: KStarModel | WeibullTourLaw | None = None,
 ) -> OptimizationResult:
     """Enumerate (M, N, K[, w0]); optimize each zone; keep the cheapest design."""
     if model is None:
@@ -678,7 +678,7 @@ class StrategyComparison:
 def _strategy_metrics(
     params: ScenarioParams,
     result: OptimizationResult,
-    model: KStarModel | TourLengthLaw,
+    model: KStarModel | WeibullTourLaw,
 ) -> dict[str, float | str]:
     design = result.best
     grid = design.grid
@@ -733,7 +733,7 @@ def _strategy_metrics(
 def compare_strategies(
     params: ScenarioParams,
     space: SearchSpace = SearchSpace(),
-    model: KStarModel | TourLengthLaw | None = None,
+    model: KStarModel | WeibullTourLaw | None = None,
 ) -> StrategyComparison:
     """Optimize both strategies and tabulate the headline metrics."""
     if model is None:

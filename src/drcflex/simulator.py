@@ -31,12 +31,13 @@ from .costs import (
     FULLY_FLEXIBLE,
     SEMI_FLEXIBLE,
     DesignSolution,
+    LowOccupancyWarning,
     _books,
     mean_occupancy,
     total_generalized_cost,
     validate_design,
 )
-from .expectations import TourLengthLaw
+from .expectations import WeibullTourLaw
 from .params import ScenarioParams, ZoneGrid, line_haul_distance
 from .tourlength import KStarModel, feasible_swath_widths
 from .tsp import MAX_EXACT_POINTS, _manhattan, closed_tours_batch
@@ -448,24 +449,6 @@ def _sf_windows(
 # ---------------------------------------------------------------------------
 
 
-def _zone_slices(
-    params: ScenarioParams, grid: ZoneGrid, xyt: np.ndarray
-) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
-    """Split region demand into per-zone local coordinates and times."""
-    if len(xyt) == 0:
-        return {
-            (z.m, z.n): (np.empty((0, 2)), np.empty(0)) for z in grid.zones()
-        }
-    n_idx = np.minimum((xyt[:, 0] / grid.l).astype(int), grid.N - 1)
-    m_idx = np.minimum((xyt[:, 1] / grid.w).astype(int), grid.M - 1)
-    out = {}
-    for z in grid.zones():
-        sel = (m_idx == z.m - 1) & (n_idx == z.n - 1)
-        local = xyt[sel][:, :2] - np.array([(z.n - 1) * grid.l, (z.m - 1) * grid.w])
-        out[(z.m, z.n)] = (local, xyt[sel][:, 2])
-    return out
-
-
 def _simulate_region(
     params: ScenarioParams,
     design: DesignSolution,
@@ -473,23 +456,25 @@ def _simulate_region(
     rng: np.random.Generator,
 ) -> SimRun:
     """Serve a given region realization; schedule stretched to whole windows."""
+    validate_design(params, design)
     grid = design.grid
     horizon = demand.horizon
-    by_zone = {
-        "outbound": _zone_slices(params, grid, demand.outbound),
-        "inbound": _zone_slices(params, grid, demand.inbound),
-    }
-    rows = []
+    # span 2*i + d serves design.zones[i] in direction DIRECTIONS[d], as _Spans orders them
+    n_w = np.array([max(1, round(horizon / zd.headway(d))) for zd in design.zones for d in DIRECTIONS])
+    span_ids = np.arange(len(n_w))
+    columns = (span_ids // 2, span_ids % 2 == 0, horizon / n_w, n_w)
+    slot = np.empty((grid.M, grid.N), dtype=int)
     for i, zd in enumerate(design.zones):
-        for direction in DIRECTIONS:
-            xy, t = by_zone[direction][(zd.z.m, zd.z.n)]
-            n_w = max(1, round(horizon / zd.headway(direction)))
-            rows.append((i, direction == "outbound", horizon / n_w, n_w, xy, t))
-    *columns, xy, t = zip(*rows)
-    columns = tuple(map(np.array, columns))
-    staging = rng.random(int(_staging_draws(design, columns[3]).sum()))
-    requests = np.concatenate(xy), np.concatenate(t)
-    spans = _pack(design, columns, np.array([len(a) for a in t]), staging, requests)
+        slot[zd.z.m - 1, zd.z.n - 1] = i
+    xyt = np.concatenate((demand.outbound, demand.inbound))
+    n_idx = np.minimum((xyt[:, 0] / grid.l).astype(int), grid.N - 1)
+    m_idx = np.minimum((xyt[:, 1] / grid.w).astype(int), grid.M - 1)
+    request_span = 2 * slot[m_idx, n_idx] + np.repeat((0, 1), (len(demand.outbound), len(demand.inbound)))
+    order = np.argsort(request_span, kind="stable")  # keeps each span's requests in demand order
+    xy = (xyt[:, :2] - np.stack((n_idx * grid.l, m_idx * grid.w), axis=1))[order]
+    staging = rng.random(int(_staging_draws(design, n_w).sum()))
+    n_points = np.bincount(request_span, minlength=len(n_w))
+    spans = _pack(design, columns, n_points, staging, (xy, xyt[order, 2]))
     tally, tours = _serve(params, design, spans)
     out = _merged(tally, spans.outbound)
     inb = _merged(tally, ~spans.outbound)
@@ -523,7 +508,6 @@ def simulate_ff_hour(
     """
     if design.strategy != FULLY_FLEXIBLE:
         raise ValueError("design is not fully flexible")
-    validate_design(params, design)
     return _simulate_region(params, design, demand, np.random.default_rng(rng_seed))
 
 
@@ -540,7 +524,6 @@ def simulate_sf_hour(
     """
     if design.strategy != SEMI_FLEXIBLE:
         raise ValueError("design is not semi flexible")
-    validate_design(params, design)
     return _simulate_region(params, design, demand, np.random.default_rng(rng_seed))
 
 
@@ -590,7 +573,7 @@ def _pct_error(analytic: float, simulated: float) -> float:
 def run_validation(
     params: ScenarioParams,
     design: DesignSolution,
-    model: KStarModel | TourLengthLaw,
+    model: KStarModel | WeibullTourLaw,
     min_runs: int = 1000,
     seed: int = 0,
 ) -> ValidationReport:
@@ -606,9 +589,8 @@ def run_validation(
     served in chunks of at most ``_CHUNK_RUNS``, the first ``min_runs`` split
     as evenly as possible; the report equals serving them singly.
     """
-    validate_design(params, design)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", LowOccupancyWarning)
         analytic = total_generalized_cost(params, design, model)
     grid = design.grid
     layout = []  # one run's spans: (zone, outbound, arrival rate, headway, windows)

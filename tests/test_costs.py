@@ -95,6 +95,10 @@ class TestDesignTypes:
         partial = uniform_zones(grid, FIVE_MIN)[:3]
         with pytest.raises(ValueError, match="cover every grid zone"):
             DesignSolution(strategy=FULLY_FLEXIBLE, grid=grid, K=8, zones=partial)
+        row = make_grid(table2, 1, 2)
+        twice = (*uniform_zones(row, FIVE_MIN), uniform_zones(row, FIVE_MIN)[0])  # (1, 1) listed twice
+        with pytest.raises(ValueError, match="cover every grid zone"):
+            DesignSolution(strategy=FULLY_FLEXIBLE, grid=row, K=20, zones=twice)
 
     def test_w0_presence_rule(self, table2: ScenarioParams) -> None:
         grid = make_grid(table2, 1, 1)

@@ -14,13 +14,13 @@ from drcflex.expectations import (
     TOUR_LENGTH_OFFSET,
     YANG_TOUR_LAW,
     OccupancyLaw,
-    PolynomialTourLaw,
     WeibullTourLaw,
     as_tour_law,
     expected_ff_wait_kernel,
     expected_weibull_power,
     mc_expectation_oracle,
     poisson_moments,
+    _second_order,
 )
 
 
@@ -114,16 +114,16 @@ class TestWaitKernelBand:
 class TestWeibullTourLaw:
     def test_deterministic_length_hand_value(self) -> None:
         # (0.1102 + 1.4569) * 4**(-0.1472 + 0.5) * exp(-2.5508 * 4**-2.6396)
-        law = WeibullTourLaw(TABLE1_MODEL)
+        law = WeibullTourLaw((TABLE1_MODEL,))
         assert law.tour_length_units(4.0, 1.0) == pytest.approx(2.3935, abs=1e-3)
 
     def test_aspect_ratio_raises_length(self) -> None:
-        law = WeibullTourLaw(TABLE1_MODEL)
+        law = WeibullTourLaw((TABLE1_MODEL,))
         assert law.tour_length_units(5.0, 3.0) > law.tour_length_units(5.0, 1.0)
         assert law.mean_tour_units(4.0, 2.0) > law.mean_tour_units(4.0, 1.0)
 
     def test_mean_matches_scaled_expectation(self) -> None:
-        law = WeibullTourLaw(TABLE1_MODEL)
+        law = WeibullTourLaw((TABLE1_MODEL,))
         mu, S = 3.0, 1.5
         expected = (TABLE1_MODEL.beta1 * S + TABLE1_MODEL.beta2) * expected_weibull_power(
             OccupancyLaw(mu), TABLE1_MODEL, TOUR_LENGTH_OFFSET
@@ -133,7 +133,7 @@ class TestWeibullTourLaw:
 
 class TestTourUnits:
     def test_weibull_scales_the_two_references(self) -> None:
-        law = WeibullTourLaw(TABLE1_MODEL)
+        law = WeibullTourLaw((TABLE1_MODEL,))
         for mu, S in ((0.4, 1.0), (10 / 3, 1.5), (9.0, 3.0)):
             size = TABLE1_MODEL.beta1 * S + TABLE1_MODEL.beta2
             mean, rider = law.tour_units(mu, S)
@@ -142,7 +142,7 @@ class TestTourUnits:
             )
             assert rider == size * expected_ff_wait_kernel(OccupancyLaw(mu), TABLE1_MODEL)
 
-    @pytest.mark.parametrize("law", [WeibullTourLaw(TABLE1_MODEL), YANG_TOUR_LAW])
+    @pytest.mark.parametrize("law", [WeibullTourLaw((TABLE1_MODEL,)), YANG_TOUR_LAW])
     def test_takes_arrays(self, law) -> None:
         # a mean gives the same bits alone as inside an array
         mu = np.array([0.4, 10 / 3, 9.0])
@@ -178,16 +178,37 @@ class TestPolynomialTourLaw:
         ref = mc_expectation_oracle(OccupancyLaw(mu), f, n_draws=400_000)
         assert YANG_TOUR_LAW.rider_tour_units(mu, S) == pytest.approx(ref, rel=0.02)
 
-    def test_tuple_length_validation(self) -> None:
-        with pytest.raises(ValueError, match="equal length"):
-            PolynomialTourLaw(exponents=(0.5,), coefficients=(1.0, 2.0), s_coefficients=(0.0,))
+    def test_keeps_the_bits_of_the_polynomial_arithmetic(self) -> None:
+        # Yang's law used to be written as sum_i c_i(S) * q**e_i with c_i(S) = c + cs*S,
+        # expanded moment by moment; its three k* terms must give the same bits.
+        # The terms are added left to right, as sum() adds floats before Python 3.12.
+        terms = tuple(zip((0.5, 1.5, -0.5), (1.1055, -0.008, 0.0), (0.0, 0.0, 1.0297)))  # e, c, cs
+
+        def total(parts):
+            first, *rest = parts
+            for part in rest:
+                first = first + part
+            return first
+
+        def moment(mu, e):
+            return _second_order(mu, e, 0.0, 1.0)
+
+        mu = np.linspace(0.0, 40.0, 801)
+        for S in (1.0, 4 / 3, 1.5, 2.0, 3.0, 6.0):
+            mean = total([(c + cs * S) * moment(mu, e) for e, c, cs in terms])
+            rider = total([(c + cs * S) * (moment(mu, e + 1.0) - moment(mu, e)) for e, c, cs in terms])
+            got_mean, got_rider = YANG_TOUR_LAW.tour_units(mu, S)
+            assert np.array_equal(got_mean, mean) and np.array_equal(got_rider, rider)
+            for q in (1.0, 2.0, 3.5, 7.0, 41.0):
+                length = total([(c + cs * S) * q**e for e, c, cs in terms])
+                assert YANG_TOUR_LAW.tour_length_units(q, S) == length
 
 
 class TestAsTourLaw:
     def test_wraps_bare_model(self) -> None:
         law = as_tour_law(TABLE1_MODEL)
         assert isinstance(law, WeibullTourLaw)
-        assert law.model is TABLE1_MODEL
+        assert law.terms == (TABLE1_MODEL,)
 
     def test_passes_law_through(self) -> None:
         assert as_tour_law(YANG_TOUR_LAW) is YANG_TOUR_LAW

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from drcflex import (
     simulate_ff_hour,
     simulate_sf_hour,
 )
-from drcflex.costs import ZoneDesign
+from drcflex.costs import LowOccupancyWarning, ZoneDesign
 from drcflex.simulator import (
     TABLE_ROW_LABELS,
     ValidationConvergenceError,
@@ -518,6 +519,24 @@ class TestRunValidation:
 
         report = run_validation(table2, sf_design, TABLE1_MODEL, min_runs=50, seed=11)
         assert report.outbound_tour_error_pct > 10.0
+
+    def test_only_low_occupancy_warnings_of_the_pricing_are_hidden(
+        self, table2: ScenarioParams, sf_design: DesignSolution, monkeypatch
+    ) -> None:
+        from drcflex import TABLE1_MODEL
+        from drcflex import simulator
+
+        priced = simulator.total_generalized_cost
+
+        def noisy(*args):
+            warnings.warn("low", LowOccupancyWarning)
+            warnings.warn("from the pricing", RuntimeWarning)
+            return priced(*args)
+
+        monkeypatch.setattr(simulator, "total_generalized_cost", noisy)
+        with pytest.warns(RuntimeWarning, match="from the pricing") as caught:
+            run_validation(table2, sf_design, TABLE1_MODEL, min_runs=50, seed=4)
+        assert not [w for w in caught if issubclass(w.category, LowOccupancyWarning)]
 
     def test_budget_exhaustion_raises(
         self, table2: ScenarioParams, sf_design: DesignSolution, monkeypatch
