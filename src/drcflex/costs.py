@@ -19,7 +19,8 @@ for either strategy at an array of headways (0-d for one), with numpy ufuncs
 only, so a headway's books have the same bits in any call.  D, K and the zone
 geometry (area, aspect ratio S, swath width w0) broadcast against H, so one
 call can evaluate many zones of different grids at once: the optimizer fits
-(SF) or scans and refines (FF) many (grid, K, w0, D) lanes per call.  The
+the outbound cost of many (grid, K, w0, D) lanes per call and prices their
+candidate headways.  The
 FF tour terms share one exp(beta4*(mu+1)**beta5) factor per call.
 ``cost_books`` prices many zones in one kernel call per direction, for the
 search's candidates and for ``total_generalized_cost`` and

@@ -84,6 +84,27 @@ def _second_order(mu, a: float, b4: float, b5: float, growth=None):
     return growth * (head + curv * mu / 2.0)
 
 
+def _second_order_slope(mu, a: float, b4: float, b5: float, growth=None):
+    """d/dmu of ``_second_order``, analytic; ``growth`` as there.
+
+    With G = exp(b4 * mu1**b5) and c the curvature factor, a sum of three
+    powers of mu1, the expansion is G * (mu1**a + c * mu / 2), so its slope is
+    G * (b4*b5*mu1**(b5-1) * (mu1**a + c*mu/2) + a*mu1**(a-1) + c'*mu/2 + c/2).
+    """
+    mu1 = mu + 1.0
+    powers = (
+        (a * (a - 1.0), a - 2.0),
+        (b4 * b5 * (2.0 * a + b5 - 1.0), a + b5 - 2.0),
+        (b4 * b4 * b5 * b5, a + 2.0 * b5 - 2.0),
+    )
+    curv = sum(k * np.power(mu1, p) for k, p in powers)
+    dcurv = sum(k * p * np.power(mu1, p - 1.0) for k, p in powers)
+    if growth is None:
+        growth = np.exp(b4 * np.power(mu1, b5))
+    rate = b4 * b5 * np.power(mu1, b5 - 1.0)
+    return growth * (rate * (np.power(mu1, a) + curv * mu / 2.0) + a * np.power(mu1, a - 1.0) + dcurv * mu / 2.0 + curv / 2.0)
+
+
 def expected_weibull_power(law: OccupancyLaw, model: KStarModel, offset: float) -> float:
     """Second-order estimate of E[(Q+1)**(beta3+offset) * exp(beta4*(Q+1)**beta5)].
 
@@ -111,12 +132,14 @@ def expected_ff_wait_kernel(law: OccupancyLaw, model: KStarModel) -> float:
     )
 
 
-def _term_units(m: KStarModel, mu, S) -> tuple:
+def _term_units(m: KStarModel, mu, S, moment) -> tuple:
     """One term's (tour, rider) units: expected_weibull_power and
-    expected_ff_wait_kernel scaled by its size factor, sharing one growth factor."""
+    expected_ff_wait_kernel scaled by its size factor, sharing one growth
+    factor, with ``moment`` ``_second_order``; their slopes in mu with
+    ``_second_order_slope``."""
     growth = np.exp(m.beta4 * np.power(mu + 1.0, m.beta5))
-    tour = _second_order(mu, m.beta3 + TOUR_LENGTH_OFFSET, m.beta4, m.beta5, growth)
-    rider = _second_order(mu, m.beta3 + RIDER_WEIGHTED_OFFSET, m.beta4, m.beta5, growth)
+    tour = moment(mu, m.beta3 + TOUR_LENGTH_OFFSET, m.beta4, m.beta5, growth)
+    rider = moment(mu, m.beta3 + RIDER_WEIGHTED_OFFSET, m.beta4, m.beta5, growth)
     size = m.beta1 * S + m.beta2
     return size * tour, size * (rider - tour)
 
@@ -143,6 +166,13 @@ class WeibullTourLaw:
 
     terms: tuple[KStarModel, ...]
 
+    def __post_init__(self) -> None:
+        if not self.terms:
+            raise ValueError("a tour-length law needs at least one KStarModel term")
+        for term in self.terms:
+            if not isinstance(term, KStarModel):
+                raise ValueError(f"tour-law terms must be KStarModel instances, got {term!r}")
+
     def mean_tour_units(self, mu: float, S: float) -> float:
         return self.tour_units(mu, S)[0]
 
@@ -151,10 +181,17 @@ class WeibullTourLaw:
 
     def tour_units(self, mu, S: float) -> tuple:
         """(mean_tour_units, rider_tour_units) at once; ``mu`` may be an array."""
+        return self._add_terms(_second_order, mu, S)
+
+    def tour_slopes(self, mu, S: float) -> tuple:
+        """d/dmu of ``tour_units``, added term by term."""
+        return self._add_terms(_second_order_slope, mu, S)
+
+    def _add_terms(self, moment, mu, S: float) -> tuple:
         first, *rest = self.terms
-        mean, rider = _term_units(first, mu, S)
+        mean, rider = _term_units(first, mu, S, moment)
         for m in rest:
-            tour, ride = _term_units(m, mu, S)
+            tour, ride = _term_units(m, mu, S, moment)
             mean = mean + tour
             rider = rider + ride
         return mean, rider

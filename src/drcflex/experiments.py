@@ -210,6 +210,8 @@ def find_critical_density(
         space = SearchSpace()
     if not (0.0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
+    if not (math.isfinite(width) and width > 0.0):
+        raise ValueError(f"width must be finite and positive, got {width!r}")
 
     def gc_diff(lam: float) -> tuple[float, float, float]:
         params = apply_axis(base, "lambda", lam)

@@ -7,24 +7,25 @@ per-direction terms, and zones sharing a line-haul distance D have identical
 optima.  K and w0 enter those terms only through the kernel's inputs and the
 capacity caps, so the whole space is solved at once: one block per grid,
 with one lane per (K, w0, distinct D), each lane carrying its own zone
-geometry.  A semi-flexible lane's outbound cost is A/H + B + C*H, so one
-kernel call at three headways fits it and its headway is sqrt(A/C) clipped
-to its bounds (Newell's square-root rule).  For fully flexible lanes, kernel
-calls of ``_SCAN_LANES`` lanes each scan the outbound headways and a
-lane-parallel port of scipy's bounded Brent refines every local dip of every
-lane in one loop.  One more call enumerates the inbound sync multiple gamma
-over (lanes, gamma), and one pricing pass over (combination, zone,
-direction) checks and costs every solved combination as
-``total_generalized_cost`` would.  Spaces of more than ``_MAX_LANES`` lanes
-are solved in runs of whole grids, to bound memory.
-``optimize_zone_headway`` and ``optimize_zone_gamma`` are the same solves
-for a single zone.
+geometry.  Both strategies read a lane's outbound cost from the kernel at
+three headways under a tour law with no tour terms, where it is
+A/H + B + C*H.  A semi-flexible lane has no tour terms, so its headway is
+sqrt(A/C) clipped to its bounds (Newell's square-root rule).  A fully
+flexible lane adds (d*R + e*T)/H, R and T the law's expected tour units at
+the lane's occupancy; two more kernel headways give d and e.  Its candidate
+headways are the interval's ends and every minimum inside it, a root of
+the cost's closed-form derivative, and one kernel call prices them.  One
+more call enumerates the inbound sync multiple gamma over (lanes, gamma),
+and one pricing pass over (combination, zone, direction) checks and costs
+every solved combination as ``total_generalized_cost`` would.  Spaces of
+more than ``_MAX_LANES`` lanes are solved in runs of whole grids, to bound
+memory.  ``optimize_zone_headway`` and ``optimize_zone_gamma`` are the same
+solves for a single zone.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import time
 import warnings
@@ -73,9 +74,6 @@ from .expectations import WeibullTourLaw, as_tour_law
 from .params import ScenarioParams, ZoneGrid, ZoneIndex, line_haul_distance, make_grid
 from .tourlength import KStarModel, TABLE1_MODEL, feasible_swath_widths, swath_tour_length
 
-# Fully flexible headways are refined until the bracket is narrower than 0.1 s.
-HEADWAY_TOL_H = 0.1 / 3600.0
-
 # Relative slack for cost ties; broken by simpler designs.
 TIE_REL = 1e-9
 
@@ -96,7 +94,7 @@ class SearchSpace:
     def __post_init__(self) -> None:
         for name in ("K_range", "M_range", "N_range"):
             vals = getattr(self, name)
-            if not vals or min(vals) < 1:
+            if not vals or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in vals):
                 raise ValueError(f"{name} must be a nonempty range of positive integers")
         if self.strategy not in (FULLY_FLEXIBLE, SEMI_FLEXIBLE):
             raise ValueError(f"unknown strategy {self.strategy!r}")
@@ -145,103 +143,8 @@ class OptimizationResult:
 
 
 # ---------------------------------------------------------------------------
-# Lane-parallel bounded Brent
-# ---------------------------------------------------------------------------
-
-# Brent's constants as scipy's minimize_scalar(method="bounded") states them.
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
-
-
-def _bounded_brent(f, lo, hi, xatol: float, maxfun: int = 500):
-    """Minimize on many independent intervals at once by Brent's bounded method.
-
-    Lane i searches [lo[i], hi[i]] with the golden-section and parabolic
-    steps of Brent (1973, *Algorithms for Minimization without Derivatives*,
-    ch. 5) exactly as scipy's ``minimize_scalar(method="bounded")`` takes
-    them: the same constants, tolerances, acceptance test, sign rule and
-    update order, so every lane follows the path a scalar call would follow
-    on the same function values.  ``f(x, lanes)`` returns the objective at
-    ``x[j]`` for lane ``lanes[j]``.  Lanes drop out as they converge; all stop
-    after ``maxfun`` evaluations.  Returns arrays (x, fun, nfev).
-    """
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
-    lanes = np.arange(a.size)
-    xf = a + _GOLDEN_MEAN * (b - a)
-    fx = np.asarray(f(xf, lanes), dtype=float)
-    nfc, fulc, fnfc, ffulc = xf, xf, fx, fx
-    rat = e = np.zeros(a.size)
-    out_x, out_f, out_n = xf.copy(), fx.copy(), np.ones(a.size, dtype=int)
-    num = 1  # every running lane has made the same number of evaluations
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
-            xm = 0.5 * (a + b)
-            tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
-            tol2 = 2.0 * tol1
-            run = np.abs(xf - xm) > (tol2 - 0.5 * (b - a))
-            if not run.all():
-                done = lanes[~run]
-                out_x[done], out_f[done], out_n[done] = xf[~run], fx[~run], num
-                if not run.any():
-                    break
-                a, b, xf, fx, nfc, fnfc, fulc, ffulc, rat, e, xm, tol1, tol2, lanes = (
-                    v[run] for v in (a, b, xf, fx, nfc, fnfc, fulc, ffulc, rat, e, xm, tol1, tol2, lanes)
-                )
-            # parabolic fit through the three best points
-            fit = np.abs(e) > tol1
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            p = np.where(q > 0.0, -p, p)
-            q = np.abs(q)
-            accept = fit & (np.abs(p) < np.abs(0.5 * q * e)) & (p > q * (a - xf)) & (p < q * (b - xf))
-            e = np.where(fit, rat, e)
-            step = (p + 0.0) / q
-            x = xf + step
-            si = np.sign(xm - xf) + ((xm - xf) == 0)
-            step = np.where(((x - a) < tol2) | ((b - x) < tol2), tol1 * si, step)
-            # golden-section step wherever the parabola is not accepted
-            e = np.where(accept, e, np.where(xf >= xm, a - xf, b - xf))
-            rat = np.where(accept, step, _GOLDEN_MEAN * e)
-            si = np.sign(rat) + (rat == 0)
-            x = xf + si * np.maximum(np.abs(rat), tol1)
-            fu = np.asarray(f(x, lanes), dtype=float)
-            num += 1
-            lower = fu <= fx
-            right = x >= xf
-            a = np.where(lower == right, np.where(lower, xf, x), a)
-            b = np.where(lower != right, np.where(lower, xf, x), b)
-            near = ~lower & ((fu <= fnfc) | (nfc == xf))
-            far = ~lower & ~near & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
-            shift = lower | near
-            fulc = np.where(shift, nfc, np.where(far, x, fulc))
-            ffulc = np.where(shift, fnfc, np.where(far, fu, ffulc))
-            nfc = np.where(lower, xf, np.where(near, x, nfc))
-            fnfc = np.where(lower, fx, np.where(near, fu, fnfc))
-            xf, fx = np.where(lower, x, xf), np.where(lower, fu, fx)
-            if num >= maxfun:
-                out_x[lanes], out_f[lanes], out_n[lanes] = xf, fx, num
-                break
-    return out_x, out_f, out_n
-
-
-# ---------------------------------------------------------------------------
 # Per-zone, per-direction solves, many lanes at once
 # ---------------------------------------------------------------------------
-
-
-_N_STARTS = 20  # FF scan: fixed-seed interior points, next to 2 * _N_STARTS evenly spaced ones
-
-
-@functools.cache
-def _unit_starts() -> np.ndarray:
-    """The fixed-seed FF scan points on [0, 1), shared by every zone; drawn on first
-    use, so that importing the package does not load numpy.random."""
-    starts = np.random.default_rng(0xD5C0).random(_N_STARTS)
-    starts.flags.writeable = False
-    return starts
 
 
 def _headway_caps(params: ScenarioParams, grid: ZoneGrid, Ks: Sequence[int]) -> np.ndarray:
@@ -289,84 +192,102 @@ def _zone_lane(grid: ZoneGrid, z: ZoneIndex, K: int, w0: float | None) -> _Lanes
     )
 
 
-# The most lanes one FF scan call takes: a scan holds some 60 headways per
-# lane in each of the kernel's live temporaries, about 6 KB per lane at its peak.
-_SCAN_LANES = 128
-
-
-def _scan(books, lo: float, hi: np.ndarray, lanes: np.ndarray):
-    """Scan each lane's cost on [lo, hi[lane]] in one kernel call.
-
-    Returns the best scan point and its cost per lane, and the lane and
-    bracket (a, b) of every local dip, lane by lane in scan order.
-    """
-    starts = np.concatenate(
-        [np.linspace(lo, hi[lanes], 2 * _N_STARTS, axis=1), lo + (hi[lanes, None] - lo) * _unit_starts()],
-        axis=1,
-    )
-    starts.sort(axis=1)
-    vals = books(starts, lanes)
-    rows = np.arange(lanes.size)
-    i_best = vals.argmin(axis=1)
-    padded = np.pad(vals, ((0, 0), (1, 1)), constant_values=math.inf)
-    dip, i = np.nonzero((vals <= padded[:, :-2]) & (vals <= padded[:, 2:]))
-    last = starts.shape[1] - 1
-    a = np.where(i > 0, starts[dip, np.maximum(i - 1, 0)], lo)
-    b = np.where(i < last, starts[dip, np.minimum(i + 1, last)], hi[lanes[dip]])
-    return starts[rows, i_best], vals[rows, i_best], lanes[dip], a, b
-
-
-# Headways (h) at which an SF lane's cost is fitted, spread over the range for conditioning.
+# Headways (h) at which an outbound cost is fitted, spread over the range for conditioning.
 _FIT_H = np.array([0.03, 0.15, 0.6])
 
+# A tour-length law whose tour terms are exactly 0: the FF kernel under it is A/H + B + C*H.
+_ZERO_LAW = WeibullTourLaw((KStarModel(0.0, 0.0, 0.0, 0.0, 1.0),))
 
-def _outbound_headways(cost, strategy: str, lo: float, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# FF stationary points are bracketed on this many geometric points of each
+# lane's interval and refined to this relative width.
+_BRACKET_POINTS = 8
+_ROOT_RTOL = 1e-10
+
+
+def _illinois(phi, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """Roots of ``phi`` on many brackets at once, fa < 0 <= fb, by the Illinois
+    variant of regula falsi (Dowell & Jarratt 1971, *BIT* 11): the end kept
+    twice in a row has its value halved.  ``phi(x, j)`` is evaluated at x[j]
+    for brackets j.  Stops when every bracket is narrower than ``_ROOT_RTOL``
+    relative or has hit a zero; returns the last iterate of each."""
+    kept = np.zeros(a.size)  # +1: a was kept last step, -1: b was
+    c = b.copy()
+    live = np.arange(a.size)
+    for _ in range(100):
+        live = live[(b[live] - a[live] > _ROOT_RTOL * b[live]) & (fb[live] != 0.0)]
+        if not live.size:
+            break
+        al, bl, fal, fbl = a[live], b[live], fa[live], fb[live]
+        c[live] = cl = np.clip((al * fbl - bl * fal) / (fbl - fal), al, bl)
+        fc = phi(cl, live)
+        right = fc >= 0.0  # c replaces b
+        fa[live] = np.where(right & (kept[live] > 0), fal / 2.0, np.where(right, fal, fc))
+        fb[live] = np.where(~right & (kept[live] < 0), fbl / 2.0, np.where(right, fc, fbl))
+        a[live], b[live] = np.where(right, al, cl), np.where(right, cl, bl)
+        kept[live] = np.where(right, 1.0, -1.0)
+    return c
+
+
+def _outbound_headways(
+    params: ScenarioParams, strategy: str, model: KStarModel | WeibullTourLaw, lanes: _Lanes, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Minimize the outbound cost of many lanes; return (H_p, cost) per lane.
 
-    Lane i is searched on [lo, hi[i]].  A semi-flexible lane's cost is
-    A/H + B + C*H: one kernel call at the ``_FIT_H`` headways gives A and C
-    by divided differences of H*cost, and one more prices sqrt(A/C) clipped
-    to the interval.  A fully flexible lane is scanned, one kernel call per
-    ``_SCAN_LANES`` lanes, and one bounded Brent loop refines every local dip
-    of every lane; the scan's fixed-seed interior points guard against
-    multimodality of the expansion-based objective.
+    Lane i is searched on [H_min, hi[i]].  Without its tour terms the cost
+    is A/H + B + C*H: the kernel under ``_ZERO_LAW`` at the ``_FIT_H``
+    headways gives A and C by divided differences of H*cost.  A
+    semi-flexible lane has no tour terms, so its headway is sqrt(A/C)
+    clipped to the interval.  A fully flexible lane's cost adds
+    (d*R(mu) + e*T(mu))/H, with mu its occupancy and (T, R) the law's
+    ``tour_units``: the full kernel minus the zero-law one, times H, at two
+    headways gives d and e by a 2x2 solve.  Its stationary points are the
+    roots of phi(H) = H**2 * cost'(H) = C*H**2 - A + d*(mu*R' - R) +
+    e*(mu*T' - T); every rise of phi through 0 between ``_BRACKET_POINTS``
+    geometric points of the interval is refined by ``_illinois``.  H_min,
+    each such minimum and the cap are priced by the kernel, and the first
+    cheapest, in that order, wins.
     """
-
-    def books(H: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        return cost("outbound", H, lanes)
-
+    lo, idx = params.H_min, np.arange(hi.size)
+    cost = _lane_cost(params, strategy, model, lanes)
+    h = _FIT_H
+    bare = _lane_cost(params, strategy, _ZERO_LAW, lanes)("outbound", h[None, :], idx)
+    g = bare * h
+    slope = (g[:, 1] - g[:, 0]) / (h[1] - h[0])
+    C = ((g[:, 2] - g[:, 1]) / (h[2] - h[1]) - slope) / (h[2] - h[0])
+    A = g[:, 0] - h[0] * slope + C * h[0] * h[1]
     if strategy == SEMI_FLEXIBLE:
-        lanes, h = np.arange(hi.size), _FIT_H
-        g = books(h[None, :], lanes) * h
-        slope = (g[:, 1] - g[:, 0]) / (h[1] - h[0])
-        C = ((g[:, 2] - g[:, 1]) / (h[2] - h[1]) - slope) / (h[2] - h[0])
-        A = g[:, 0] - h[0] * slope + C * h[0] * h[1]
         bad = ~((A > 0.0) & (C > 0.0))
         if bad.any():
             i = bad.argmax()
             raise ValueError(f"lane {i}: outbound cost A/H + B + C*H is not convex (A = {A[i]!r}, C = {C[i]!r})")
         H = np.clip(np.sqrt(A / C), lo, hi)
-        return H, books(H, lanes)
-    H = np.full(hi.shape, lo)
-    val = np.empty(hi.shape)
-    narrow = hi - lo <= HEADWAY_TOL_H
-    if narrow.any():
-        val[narrow] = books(H[narrow], np.flatnonzero(narrow))
-    wide = np.flatnonzero(~narrow)
-    if not wide.size:
-        return H, val
-    scans = [_scan(books, lo, hi, wide[i:i + _SCAN_LANES]) for i in range(0, wide.size, _SCAN_LANES)]
-    best_H, best_val, lane, a, b = (np.concatenate(v) for v in zip(*scans))
-    H[wide], val[wide] = best_H, best_val
-    x, fun, _ = _bounded_brent(lambda x, j: books(x, lane[j]), a, b, HEADWAY_TOL_H / 2)
-    # a refinement replaces the lane's best only if strictly cheaper, dip by dip
+        return H, cost("outbound", H, idx)
+    hi = np.maximum(hi, lo)  # a cap may sit up to 1e-15 h below H_min
+    law = as_tour_law(model)
+    ends = [0, 2]
+    T, R = law.tour_units(occupancy(params, h[ends], lanes.area[:, None], "outbound"), lanes.S[:, None])
+    y = (cost("outbound", h[None, ends], idx) - bare[:, ends]) * h[ends]
+    det = R[:, 0] * T[:, 1] - R[:, 1] * T[:, 0]
+    d = (y[:, 0] * T[:, 1] - y[:, 1] * T[:, 0]) / det
+    e = (R[:, 0] * y[:, 1] - R[:, 1] * y[:, 0]) / det
+
+    def phi(H: np.ndarray, j: np.ndarray) -> np.ndarray:
+        shape = j.shape + (1,) * (H.ndim - j.ndim)
+        Aj, Cj, dj, ej, area, S = (v[j].reshape(shape) for v in (A, C, d, e, lanes.area, lanes.S))
+        mu = occupancy(params, H, area, "outbound")
+        (T, R), (dT, dR) = law.tour_units(mu, S), law.tour_slopes(mu, S)
+        return Cj * H * H - Aj + dj * (mu * dR - R) + ej * (mu * dT - T)
+
+    x = lo * (hi[:, None] / lo) ** np.linspace(0.0, 1.0, _BRACKET_POINTS)
+    f = phi(x, idx)
+    lane, k = np.nonzero((f[:, :-1] < 0.0) & (f[:, 1:] >= 0.0))
+    root = _illinois(lambda c, j: phi(c, lane[j]), x[lane, k], x[lane, k + 1], f[lane, k], f[lane, k + 1])
     rank = np.arange(lane.size) - np.searchsorted(lane, lane)
-    for r in range(rank.max(initial=-1) + 1):
-        at = rank == r
-        better = fun[at] < val[lane[at]]
-        H[lane[at][better]] = x[at][better]
-        val[lane[at][better]] = fun[at][better]
-    return H, val
+    cand = np.full((hi.size, rank.max(initial=-1) + 3), lo)
+    cand[lane, rank + 1], cand[:, -1] = root, hi
+    vals = cost("outbound", cand, idx)
+    best = vals.argmin(axis=1)
+    return cand[idx, best], vals[idx, best]
 
 
 def _admitted_multiples(params: ScenarioParams, grid: ZoneGrid, Ks: Sequence[int]) -> np.ndarray:
@@ -418,8 +339,7 @@ def optimize_zone_headway(
     if note:
         detail = f"outbound headway cap {hi[0]:.6f} h below the minimum headway {params.H_min:.6f} h"
         raise InfeasibleDesignError(note, z, detail)
-    cost = _lane_cost(params, strategy, model, _zone_lane(grid, z, K, w0_opt))
-    H, val = _outbound_headways(cost, strategy, params.H_min, hi)
+    H, val = _outbound_headways(params, strategy, model, _zone_lane(grid, z, K, w0_opt), hi)
     return float(H[0]), float(val[0])
 
 
@@ -446,10 +366,10 @@ def optimize_zone_gamma(
 # Exhaustive discrete search
 # ---------------------------------------------------------------------------
 
-# The most lanes one solve takes.  Past the scan, a solve and its pricing
-# pass hold about 0.5 KB per lane; a larger space is solved in runs of whole
-# grids, so a full-space search keeps the footprint of a small one (the
-# default semi-flexible space in one run peaks at 58 MB, in runs at 34 MB).
+# The most lanes one solve takes.  A solve and its pricing pass hold about
+# 1 KB per lane; a larger space is solved in runs of whole grids, so a
+# full-space search keeps the footprint of a small one (the default
+# semi-flexible space in one run peaks at 58 MB, in runs at 34 MB).
 _MAX_LANES = 4096
 
 
@@ -579,9 +499,8 @@ def _solve_space(
         lanes, hi, ok = zip(*(b.lanes() for b in run))
         lanes = _Lanes(*(None if v[0] is None else np.concatenate(v) for v in zip(*lanes)))
         if lanes.D.size:
-            cost = _lane_cost(params, space.strategy, model, lanes)
-            H_p, _ = _outbound_headways(cost, space.strategy, params.H_min, np.concatenate(hi))
-            gamma, H_in, _ = _inbound_sync(cost, params, np.concatenate(ok))
+            H_p, _ = _outbound_headways(params, space.strategy, model, lanes, np.concatenate(hi))
+            gamma, H_in, _ = _inbound_sync(_lane_cost(params, space.strategy, model, lanes), params, np.concatenate(ok))
             ends = np.cumsum([b.n_lanes for b in run])[:-1]
             for b, *solved in zip(run, *(np.split(v, ends) for v in (H_p, gamma, H_in))):
                 b.H_p, b.gamma, b.H_d = solved

@@ -21,6 +21,7 @@ from drcflex.expectations import (
     mc_expectation_oracle,
     poisson_moments,
     _second_order,
+    _second_order_slope,
 )
 
 
@@ -129,6 +130,41 @@ class TestWeibullTourLaw:
             OccupancyLaw(mu), TABLE1_MODEL, TOUR_LENGTH_OFFSET
         )
         assert law.mean_tour_units(mu, S) == pytest.approx(expected, abs=1e-15)
+
+    def test_rejects_an_empty_law_or_a_term_that_is_not_a_model(self) -> None:
+        with pytest.raises(ValueError, match="at least one KStarModel"):
+            WeibullTourLaw(())
+        with pytest.raises(ValueError, match="KStarModel instances, got 0.5"):
+            WeibullTourLaw((TABLE1_MODEL, 0.5))
+
+
+class TestSlopes:
+    """The analytic slope in mu of the expansion, against a central difference."""
+
+    LAWS = {
+        "fitted": WeibullTourLaw((TABLE1_MODEL,)),
+        "yang": YANG_TOUR_LAW,
+        "constant": WeibullTourLaw((KStarModel(0.0, 0.93, 0.0, 0.0, 1.0),)),
+    }
+
+    @pytest.mark.parametrize("name", LAWS)
+    def test_tour_slopes_match_a_central_difference(self, name: str) -> None:
+        law = self.LAWS[name]
+        mu = np.linspace(0.0, 40.0, 401)
+        step = 1e-5 * (1.0 + mu)
+        for S in (1.0, 1.5, 3.0):
+            up, down = law.tour_units(mu + step, S), law.tour_units(mu - step, S)
+            for slope, hi, lo in zip(law.tour_slopes(mu, S), up, down):
+                np.testing.assert_allclose(slope, (hi - lo) / (2.0 * step), rtol=1e-7)
+
+    def test_second_order_slope_at_each_exponent(self) -> None:
+        mu = np.linspace(0.0, 40.0, 401)
+        step = 1e-5 * (1.0 + mu)
+        for m in (TABLE1_MODEL, *YANG_TOUR_LAW.terms):
+            for offset in (TOUR_LENGTH_OFFSET, RIDER_WEIGHTED_OFFSET):
+                args = (m.beta3 + offset, m.beta4, m.beta5)
+                diff = (_second_order(mu + step, *args) - _second_order(mu - step, *args)) / (2.0 * step)
+                np.testing.assert_allclose(_second_order_slope(mu, *args), diff, rtol=1e-7)
 
 
 class TestTourUnits:

@@ -126,6 +126,11 @@ class TestFindCriticalDensity:
         with pytest.raises(ValueError, match="0 < lo < hi"):
             find_critical_density(table2, lo=10.0, hi=10.0)
 
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan])
+    def test_rejects_a_width_that_is_not_finite_and_positive(self, table2: ScenarioParams, width: float) -> None:
+        with pytest.raises(ValueError, match="width must be finite and positive"):
+            find_critical_density(table2, width=width)
+
     def test_no_sign_change_raises_with_both_endpoints(self, table2: ScenarioParams) -> None:
         space = SearchSpace(M_range=(1, 2), N_range=(1, 2), K_range=(4, 8))
         with pytest.raises(BracketError, match="does not change sign") as excinfo:
