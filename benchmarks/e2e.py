@@ -35,16 +35,17 @@ compared bit for bit as well as by speed:
 ``--record LABEL`` writes an entry (commit with a ``-dirty`` flag, source
 SHA-256, machine facts, and per workload its seconds and digests) into
 ``BENCH_e2e.json`` after every workload, replacing an entry of the same
-label.  ``--check``
-recomputes the digests and names every one that differs from the last
-recorded entry, or from the entry ``--against`` names; it exits 1 if any
-differs or is missing.  ``--only`` selects workloads.  Run it from the
-repository root::
+label and putting it last.  ``--check`` recomputes the digests and names
+every one that differs from the last recorded entry, or from the entry
+``--against`` names; it exits 1 if any differs or is missing.  ``--only``
+selects workloads.  The Tier-1 test checks ``compare`` against ``change``.
+Run it from the repository root, recording ``parent`` before ``change`` so
+that ``change`` is the last entry::
 
-    python benchmarks/e2e.py --check
-    python benchmarks/e2e.py --record change --only search,campaign
     git clone -q . /tmp/parent && git -C /tmp/parent checkout -q <commit>
     python benchmarks/e2e.py --record parent --src /tmp/parent/src
+    python benchmarks/e2e.py --record change
+    python benchmarks/e2e.py --check --against change
 
 ``--src`` selects the source tree ``drcflex`` is imported from, and with it
 the ``perfbench`` and ``tests`` next to it.  A full run takes a few minutes,

@@ -36,14 +36,16 @@ from simulator import median_time
 REPEATS = 3
 COMPARE_SPACE = json.loads((ROOT / "perfbench" / "references.json").read_text())["compare"]["space"]
 
-# One full-space SF search; prints the process's peak RSS in KiB (Linux ru_maxrss).
+# One full-space SF search; prints the process's peak RSS in KiB: Linux's
+# VmHWM, since ru_maxrss would also count the peak of the process that
+# started this one, which by then has timed every search.
 PEAK_RSS_SCRIPT = """
-import resource, sys
+import sys
 sys.path.insert(0, sys.argv[1])
 import drcflex
 space = drcflex.SearchSpace(strategy=drcflex.SEMI_FLEXIBLE)
 drcflex.search_design(drcflex.table2_params(), space, drcflex.TABLE1_MODEL)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
 """
 
 

@@ -414,12 +414,12 @@ def capacity_ok(mu, K):
     return mu + 2.0 * np.sqrt(mu) <= K + 1e-12
 
 
-def headway_cap_from_capacity(lam: float, l: float, w: float, K):
-    """Largest headway whose occupancy mean plus two sigmas still fits K; ``K`` may be an array.
+def headway_cap_from_capacity(lam: float, l, w, K):
+    """Largest headway whose occupancy mean plus two sigmas still fits K; ``l``, ``w`` and ``K`` may be arrays.
 
     Solves x + 2*sqrt(x) <= K for x = lam*H*l*w: x_max = (sqrt(K+1) - 1)**2.
     """
-    if lam * l * w <= 0:
+    if np.any(lam * l * w <= 0):
         raise ValueError("demand rate times zone area must be positive")
     K = np.asarray(K, dtype=float)
     if (K < 1).any():

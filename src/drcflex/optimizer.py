@@ -4,23 +4,14 @@ The discrete variables (grid shape M x N, vehicle capacity K, and for
 semi-flexible routing the swath width w0) are enumerated exhaustively.  For
 each combination the generalized cost separates into independent per-zone,
 per-direction terms, and zones sharing a line-haul distance D have identical
-optima.  K and w0 enter those terms only through the kernel's inputs and the
-capacity caps, so the whole space is solved at once: one block per grid,
-with one lane per (K, w0, distinct D), each lane carrying its own zone
-geometry.  Both strategies read a lane's outbound cost from the kernel at
-three headways under a tour law with no tour terms, where it is
-A/H + B + C*H.  A semi-flexible lane has no tour terms, so its headway is
-sqrt(A/C) clipped to its bounds (Newell's square-root rule).  A fully
-flexible lane adds (d*R + e*T)/H, R and T the law's expected tour units at
-the lane's occupancy; two more kernel headways give d and e.  Its candidate
-headways are the interval's ends and every minimum inside it, a root of
-the cost's closed-form derivative, and one kernel call prices them.  One
-more call enumerates the inbound sync multiple gamma over (lanes, gamma),
-and one pricing pass over (combination, zone, direction) checks and costs
-every solved combination as ``total_generalized_cost`` would.  Spaces of
-more than ``_MAX_LANES`` lanes are solved in runs of whole grids, to bound
-memory.  ``optimize_zone_headway`` and ``optimize_zone_gamma`` are the same
-solves for a single zone.
+optima.  The space is laid out once for every grid (``_Space``): a lane is a
+distinct (grid, w0, D), and K, which reaches the cost kernel only through the
+agency books, is the kernel's own leading axis.  Each lane's outbound cost in
+closed form and its inbound cost at each sync multiple come from the kernel
+at every K at once; each (lane, K) pair is then solved, and one pass prices
+every solved combination as ``total_generalized_cost`` would.
+``optimize_zone_headway`` and ``optimize_zone_gamma`` are the same solves for
+a single zone.
 """
 
 from __future__ import annotations
@@ -30,7 +21,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -100,8 +91,7 @@ class SearchSpace:
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
-@dataclass(frozen=True)
-class SearchLogEntry:
+class SearchLogEntry(NamedTuple):
     """Outcome of one discrete combination."""
 
     strategy: str
@@ -147,49 +137,41 @@ class OptimizationResult:
 # ---------------------------------------------------------------------------
 
 
-def _headway_caps(params: ScenarioParams, grid: ZoneGrid, Ks: Sequence[int]) -> np.ndarray:
-    """The upper end of the outbound headway interval for each capacity."""
-    return np.minimum(params.H_max, headway_cap_from_capacity(params.lambda_p, grid.l, grid.w, Ks))
+def _headway_caps(params: ScenarioParams, l, w, Ks: Sequence[int]) -> np.ndarray:
+    """The upper end of the outbound headway interval of l x w zones for each capacity; arrays broadcast."""
+    return np.minimum(params.H_max, headway_cap_from_capacity(params.lambda_p, l, w, Ks))
 
 
 class _Lanes(NamedTuple):
     """The kernel inputs of many zone solves, one entry per lane: a zone at
-    line-haul distance D served by capacity-K vehicles, with the zone's area
-    and aspect ratio S and, for semi-flexible routing, the swath width w0
-    (None for fully flexible)."""
+    line-haul distance D, with the zone's area and aspect ratio S and, for
+    semi-flexible routing, the swath width w0 (None for fully flexible).
+    The vehicle capacity K is not a lane input: each call passes its own."""
 
     D: np.ndarray
-    K: np.ndarray
     area: np.ndarray
     S: np.ndarray
     w0: np.ndarray | None
 
 
-def _lane_cost(
-    params: ScenarioParams, strategy: str, model: KStarModel | WeibullTourLaw, lanes: _Lanes
-):
-    """The cost kernel over lanes: ``cost(direction, H, idx, gamma)`` is every
-    book of lanes ``idx`` that depends on that direction's headway H, each
-    lane's inputs broadcast against the trailing axes of H."""
+def _lane_cost(params: ScenarioParams, strategy: str, model: KStarModel | WeibullTourLaw, lanes: _Lanes):
+    """The cost kernel over lanes: ``cost(direction, H, idx, K, gamma)`` is
+    every book of lanes ``idx`` at capacity ``K`` that depends on that
+    direction's headway H, each lane's inputs broadcast against the trailing
+    axes of H and the result against ``K``."""
 
-    def cost(direction: Direction, H: np.ndarray, idx: np.ndarray, gamma=1):
+    def cost(direction: Direction, H: np.ndarray, idx: np.ndarray, K, gamma=1):
         shape = idx.shape + (1,) * (H.ndim - idx.ndim)
-        D, K, area, S = (v[idx].reshape(shape) for v in lanes[:4])
+        D, area, S = (v[idx].reshape(shape) for v in lanes[:3])
         w0 = None if lanes.w0 is None else lanes.w0[idx].reshape(shape)
         return zone_books(params, ZoneShape(area, S), D, H, direction, strategy, model, w0, K, gamma).total
 
     return cost
 
 
-def _zone_lane(grid: ZoneGrid, z: ZoneIndex, K: int, w0: float | None) -> _Lanes:
+def _zone_lane(grid: ZoneGrid, z: ZoneIndex, w0: float | None) -> _Lanes:
     """The one lane of a single zone solve."""
-    return _Lanes(
-        np.array([line_haul_distance(grid, z)]),
-        np.array([K]),
-        np.array([grid.area]),
-        np.array([grid.S]),
-        None if w0 is None else np.array([w0]),
-    )
+    return _Lanes(*(None if v is None else np.array([v]) for v in (line_haul_distance(grid, z), grid.area, grid.S, w0)))
 
 
 # Headways (h) at which an outbound cost is fitted, spread over the range for conditioning.
@@ -228,92 +210,115 @@ def _illinois(phi, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray)
     return c
 
 
-def _outbound_headways(
-    params: ScenarioParams, strategy: str, model: KStarModel | WeibullTourLaw, lanes: _Lanes, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize the outbound cost of many lanes; return (H_p, cost) per lane.
+def _outbound_fit(params: ScenarioParams, strategy: str, model: KStarModel | WeibullTourLaw, lanes: _Lanes, K):
+    """The closed form of every lane's outbound cost at capacity ``K``, which
+    broadcasts against (lanes, headways): A and C, and for fully flexible
+    routing d and e, stacked on a leading axis.
 
-    Lane i is searched on [H_min, hi[i]].  Without its tour terms the cost
-    is A/H + B + C*H: the kernel under ``_ZERO_LAW`` at the ``_FIT_H``
-    headways gives A and C by divided differences of H*cost.  A
-    semi-flexible lane has no tour terms, so its headway is sqrt(A/C)
-    clipped to the interval.  A fully flexible lane's cost adds
-    (d*R(mu) + e*T(mu))/H, with mu its occupancy and (T, R) the law's
-    ``tour_units``: the full kernel minus the zero-law one, times H, at two
-    headways gives d and e by a 2x2 solve.  Its stationary points are the
-    roots of phi(H) = H**2 * cost'(H) = C*H**2 - A + d*(mu*R' - R) +
+    Without its tour terms the cost is A/H + B + C*H: the kernel under
+    ``_ZERO_LAW`` at the ``_FIT_H`` headways gives A and C by divided
+    differences of H*cost.  A fully flexible cost adds (d*R(mu) + e*T(mu))/H,
+    mu its occupancy and (T, R) the law's ``tour_units``: the full kernel
+    minus the zero-law one, times H, at two headways gives d and e.
+    """
+    h, idx = _FIT_H, np.arange(lanes.D.size)
+    bare = _lane_cost(params, strategy, _ZERO_LAW, lanes)("outbound", h[None, :], idx, K)
+    g = bare * h
+    slope = (g[..., 1] - g[..., 0]) / (h[1] - h[0])
+    C = ((g[..., 2] - g[..., 1]) / (h[2] - h[1]) - slope) / (h[2] - h[0])
+    A = g[..., 0] - h[0] * slope + C * h[0] * h[1]
+    if strategy == SEMI_FLEXIBLE:
+        return np.stack([A, C])
+    ends = [0, 2]
+    T, R = as_tour_law(model).tour_units(occupancy(params, h[ends], lanes.area[:, None], "outbound"), lanes.S[:, None])
+    y = (_lane_cost(params, strategy, model, lanes)("outbound", h[None, ends], idx, K) - bare[..., ends]) * h[ends]
+    det = R[:, 0] * T[:, 1] - R[:, 1] * T[:, 0]
+    d = (y[..., 0] * T[:, 1] - y[..., 1] * T[:, 0]) / det
+    e = (R[:, 0] * y[..., 1] - R[:, 1] * y[..., 0]) / det
+    return np.stack([A, C, d, e])
+
+
+def _outbound_headways(params: ScenarioParams, strategy: str, model: KStarModel | WeibullTourLaw, lanes: _Lanes,
+                       fit: np.ndarray, lane: np.ndarray, K: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Minimize the outbound cost of many (lane, capacity) pairs; return H_p per pair.
+
+    Pair i is lane ``lane[i]`` at capacity ``K[i]``, with the coefficients
+    ``fit[:, i]`` of ``_outbound_fit``, searched on [H_min, hi[i]].  A
+    semi-flexible pair has no tour terms, so its headway is sqrt(A/C)
+    clipped to the interval.  A fully flexible pair's stationary points are
+    the roots of phi(H) = H**2 * cost'(H) = C*H**2 - A + d*(mu*R' - R) +
     e*(mu*T' - T); every rise of phi through 0 between ``_BRACKET_POINTS``
     geometric points of the interval is refined by ``_illinois``.  H_min,
     each such minimum and the cap are priced by the kernel, and the first
     cheapest, in that order, wins.
     """
     lo, idx = params.H_min, np.arange(hi.size)
-    cost = _lane_cost(params, strategy, model, lanes)
-    h = _FIT_H
-    bare = _lane_cost(params, strategy, _ZERO_LAW, lanes)("outbound", h[None, :], idx)
-    g = bare * h
-    slope = (g[:, 1] - g[:, 0]) / (h[1] - h[0])
-    C = ((g[:, 2] - g[:, 1]) / (h[2] - h[1]) - slope) / (h[2] - h[0])
-    A = g[:, 0] - h[0] * slope + C * h[0] * h[1]
     if strategy == SEMI_FLEXIBLE:
+        A, C = fit
         bad = ~((A > 0.0) & (C > 0.0))
         if bad.any():
             i = bad.argmax()
-            raise ValueError(f"lane {i}: outbound cost A/H + B + C*H is not convex (A = {A[i]!r}, C = {C[i]!r})")
-        H = np.clip(np.sqrt(A / C), lo, hi)
-        return H, cost("outbound", H, idx)
+            raise ValueError(
+                f"lane {lane[i]} at K = {K[i]}: outbound cost A/H + B + C*H is not convex (A = {A[i]!r}, C = {C[i]!r})"
+            )
+        return np.clip(np.sqrt(A / C), lo, hi)
     hi = np.maximum(hi, lo)  # a cap may sit up to 1e-15 h below H_min
     law = as_tour_law(model)
-    ends = [0, 2]
-    T, R = law.tour_units(occupancy(params, h[ends], lanes.area[:, None], "outbound"), lanes.S[:, None])
-    y = (cost("outbound", h[None, ends], idx) - bare[:, ends]) * h[ends]
-    det = R[:, 0] * T[:, 1] - R[:, 1] * T[:, 0]
-    d = (y[:, 0] * T[:, 1] - y[:, 1] * T[:, 0]) / det
-    e = (R[:, 0] * y[:, 1] - R[:, 1] * y[:, 0]) / det
+    A, C, d, e = fit
+    area, S = lanes.area[lane], lanes.S[lane]
 
     def phi(H: np.ndarray, j: np.ndarray) -> np.ndarray:
         shape = j.shape + (1,) * (H.ndim - j.ndim)
-        Aj, Cj, dj, ej, area, S = (v[j].reshape(shape) for v in (A, C, d, e, lanes.area, lanes.S))
-        mu = occupancy(params, H, area, "outbound")
-        (T, R), (dT, dR) = law.tour_units(mu, S), law.tour_slopes(mu, S)
+        Aj, Cj, dj, ej, aj, Sj = (v[j].reshape(shape) for v in (A, C, d, e, area, S))
+        mu = occupancy(params, H, aj, "outbound")
+        (T, R), (dT, dR) = law.tour_units(mu, Sj), law.tour_slopes(mu, Sj)
         return Cj * H * H - Aj + dj * (mu * dR - R) + ej * (mu * dT - T)
 
     x = lo * (hi[:, None] / lo) ** np.linspace(0.0, 1.0, _BRACKET_POINTS)
     f = phi(x, idx)
-    lane, k = np.nonzero((f[:, :-1] < 0.0) & (f[:, 1:] >= 0.0))
-    root = _illinois(lambda c, j: phi(c, lane[j]), x[lane, k], x[lane, k + 1], f[lane, k], f[lane, k + 1])
-    rank = np.arange(lane.size) - np.searchsorted(lane, lane)
+    pair, k = np.nonzero((f[:, :-1] < 0.0) & (f[:, 1:] >= 0.0))
+    root = _illinois(lambda c, j: phi(c, pair[j]), x[pair, k], x[pair, k + 1], f[pair, k], f[pair, k + 1])
+    rank = np.arange(pair.size) - np.searchsorted(pair, pair)
     cand = np.full((hi.size, rank.max(initial=-1) + 3), lo)
-    cand[lane, rank + 1], cand[:, -1] = root, hi
-    vals = cost("outbound", cand, idx)
-    best = vals.argmin(axis=1)
-    return cand[idx, best], vals[idx, best]
+    cand[pair, rank + 1], cand[:, -1] = root, hi
+    vals = _lane_cost(params, strategy, model, lanes)("outbound", cand, lane, K[:, None])
+    return cand[idx, vals.argmin(axis=1)]
 
 
-def _admitted_multiples(params: ScenarioParams, grid: ZoneGrid, Ks: Sequence[int]) -> np.ndarray:
-    """Which ``SYNC_MULTIPLES`` each capacity admits, shaped (len(Ks), SYNC_MULTIPLES)."""
+def _admitted_multiples(params: ScenarioParams, area, Ks: Sequence[int]) -> np.ndarray:
+    """Which ``SYNC_MULTIPLES`` each capacity admits in zones of ``area``,
+    shaped area's shape + (len(Ks), SYNC_MULTIPLES)."""
     H_d = np.array(SYNC_MULTIPLES) * params.H_t
-    mu = occupancy(params, H_d, grid.area, "inbound")
+    mu = occupancy(params, H_d, np.asarray(area)[..., None, None], "inbound")
     return headway_ok(params, H_d, "inbound") & capacity_ok(mu, np.asarray(Ks)[:, None])
 
 
-def _ruled_out(params: ScenarioParams, hi=math.inf, admits=True):
+def _ruled_out(params: ScenarioParams, hi=math.inf, admits=True) -> np.ndarray:
     """The constraint that rules a capacity out before any solve, or "": its
     outbound headway cap ``hi`` below H_min, else no admitted sync multiple.
-    Given arrays, one note per entry, as a list."""
-    return np.where(hi < params.H_min - 1e-15, "capacity", np.where(admits, "", "inbound_sync")).tolist()
+    Given arrays, one note per entry."""
+    return np.where(hi < params.H_min - 1e-15, "capacity", np.where(admits, "", "inbound_sync"))
 
 
-def _inbound_sync(cost, params: ScenarioParams, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The cheapest admitted sync multiple of each lane: (gamma, H_d, inbound cost).
+def _sync_costs(params: ScenarioParams, strategy: str, model: KStarModel | WeibullTourLaw, lanes: _Lanes, K):
+    """The inbound cost of every lane at capacity ``K`` at each of the
+    ``SYNC_MULTIPLES``, on a last axis; ``K`` broadcasts as in ``_outbound_fit``."""
+    gammas = np.array(SYNC_MULTIPLES)
+    cost = _lane_cost(params, strategy, model, lanes)
+    return cost("inbound", gammas[None, :] * params.H_t, np.arange(lanes.D.size), K, gammas)
 
-    Lane i admits the ``SYNC_MULTIPLES`` ``ok[i]``, at least one.  A later
-    multiple wins only if it is cheaper by more than the tie slack, so ties
-    go to the smaller one.
+
+def _inbound_sync(
+    params: ScenarioParams, costs: np.ndarray, ok: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cheapest admitted sync multiple of each row: (gamma, H_d, inbound cost).
+
+    Row i has the ``_sync_costs`` ``costs[i]`` and admits the ``SYNC_MULTIPLES``
+    ``ok[i]``, at least one.  A later multiple wins only if it is cheaper by
+    more than the tie slack, so ties go to the smaller one.
     """
     gammas = np.array(SYNC_MULTIPLES)
     rows, H_d = np.arange(ok.shape[0]), gammas * params.H_t
-    costs = cost("inbound", H_d[None, :], rows, gammas)
     best = ok.argmax(axis=1)
     for i in range(gammas.size):
         cur = costs[rows, best]
@@ -321,44 +326,30 @@ def _inbound_sync(cost, params: ScenarioParams, ok: np.ndarray) -> tuple[np.ndar
     return gammas[best], H_d[best], costs[rows, best]
 
 
-def optimize_zone_headway(
-    params: ScenarioParams,
-    grid: ZoneGrid,
-    z: ZoneIndex,
-    K: int,
-    strategy: str,
-    model: KStarModel | WeibullTourLaw,
-    w0_opt: float | None = None,
-) -> tuple[float, float]:
-    """Minimize one zone's outbound cost over its feasible headway interval.
-
-    One lane of the search's own solve; returns (H_p, outbound cost).
-    """
-    hi = _headway_caps(params, grid, (K,))
-    note = _ruled_out(params, hi=hi[0])
+def optimize_zone_headway(params: ScenarioParams, grid: ZoneGrid, z: ZoneIndex, K: int, strategy: str,
+                          model: KStarModel | WeibullTourLaw, w0_opt: float | None = None) -> tuple[float, float]:
+    """Minimize one zone's outbound cost over its feasible headway interval,
+    as one pair of the search's own solve; returns (H_p, outbound cost)."""
+    hi = _headway_caps(params, grid.l, grid.w, (K,))
+    note = _ruled_out(params, hi=hi[0]).item()
     if note:
         detail = f"outbound headway cap {hi[0]:.6f} h below the minimum headway {params.H_min:.6f} h"
         raise InfeasibleDesignError(note, z, detail)
-    H, val = _outbound_headways(params, strategy, model, _zone_lane(grid, z, K, w0_opt), hi)
-    return float(H[0]), float(val[0])
+    lanes, lane, Ks = _zone_lane(grid, z, w0_opt), np.zeros(1, dtype=int), np.array([K])
+    fit = _outbound_fit(params, strategy, model, lanes, Ks[:, None])
+    H = _outbound_headways(params, strategy, model, lanes, fit, lane, Ks, hi)
+    return float(H[0]), float(_lane_cost(params, strategy, model, lanes)("outbound", H, lane, Ks)[0])
 
 
-def optimize_zone_gamma(
-    params: ScenarioParams,
-    grid: ZoneGrid,
-    z: ZoneIndex,
-    K: int,
-    strategy: str,
-    model: KStarModel | WeibullTourLaw,
-    w0_opt: float | None = None,
-) -> tuple[int, float, float]:
+def optimize_zone_gamma(params: ScenarioParams, grid: ZoneGrid, z: ZoneIndex, K: int, strategy: str,
+                        model: KStarModel | WeibullTourLaw, w0_opt: float | None = None) -> tuple[int, float, float]:
     """Enumerate the trunk-sync multiples ``SYNC_MULTIPLES``; return (gamma, H_d, inbound cost)."""
-    ok = _admitted_multiples(params, grid, (K,))
-    note = _ruled_out(params, admits=ok.any())
+    ok = _admitted_multiples(params, grid.area, (K,))
+    note = _ruled_out(params, admits=ok.any()).item()
     if note:
         raise InfeasibleDesignError(note, z, f"no feasible trunk-sync multiple in {SYNC_MULTIPLES} for K={K}")
-    cost = _lane_cost(params, strategy, model, _zone_lane(grid, z, K, w0_opt))
-    gamma, H, val = _inbound_sync(cost, params, ok)
+    costs = _sync_costs(params, strategy, model, _zone_lane(grid, z, w0_opt), K)
+    gamma, H, val = _inbound_sync(params, costs, ok)
     return int(gamma[0]), float(H[0]), float(val[0])
 
 
@@ -366,188 +357,197 @@ def optimize_zone_gamma(
 # Exhaustive discrete search
 # ---------------------------------------------------------------------------
 
-# The most lanes one solve takes.  A solve and its pricing pass hold about
-# 1 KB per lane; a larger space is solved in runs of whole grids, so a
-# full-space search keeps the footprint of a small one (the default
-# semi-flexible space in one run peaks at 58 MB, in runs at 34 MB).
-_MAX_LANES = 4096
+# The most pairs one run solves.  A run's pair solve and pricing pass hold
+# about 1 KB per pair, so a full-space search keeps the footprint of a small one.
+_MAX_PAIRS = 2048
 
 
-class _Block:
-    """One grid of the search space, solved for every (K, w0) at once.
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Groups of ``counts`` items end to end: each item's group and place in it, and the groups' starts and end."""
+    starts = np.append(0, np.cumsum(counts))
+    group = np.repeat(np.arange(counts.size), counts)
+    return group, np.arange(group.size) - starts[group], starts
 
-    Its combinations are the (K, w0) of ``K_range`` and the grid's swath
-    widths (None alone for fully flexible routing), K-major, as the search
-    log lists them.  Zones sharing a line-haul distance have identical
-    optima, so each combination that no constraint rules out before a solve
-    gets one lane per distinct distance, in combination order.  Once solved,
-    ``H_p``, ``gamma`` and ``H_d`` hold each lane's design and ``outcome``
-    each combination's (GC or None, search-log note).
+
+class _Space:
+    """The search space laid out as arrays once for every grid.
+
+    A combination is a (grid, K, w0), listed K-major grid by grid as the
+    search log lists them (``combos``).  A lane is a distinct (grid, w0, D);
+    a pair is a lane at one K.  Each combination that no constraint rules out
+    before a solve (``solved``) has one pair per distinct distance of its
+    grid, from ``pair_at``.  ``outcome`` holds each one's (GC or None, note).
     """
 
-    def __init__(self, params: ScenarioParams, space: SearchSpace, grid: ZoneGrid) -> None:
-        w0s = [c.w0 for c in feasible_swath_widths(grid.l, grid.w)] if space.strategy == SEMI_FLEXIBLE else [None]
-        self.strategy, self.grid, self.w0s = space.strategy, grid, w0s
-        self.Ks = np.asarray(space.K_range)  # per K: the outbound cap and admitted sync multiples
-        self.hi, self.ok = _headway_caps(params, grid, self.Ks), _admitted_multiples(params, grid, self.Ks)
-        self.combos = [(K, w0) for K in space.K_range for w0 in w0s]
-        # per combination: the constraint ruling it out before any solve, or ""
-        self.notes = [note for note in _ruled_out(params, self.hi, self.ok.any(axis=1)) for _ in w0s]
-        self.outcome = [(None, f"infeasible: {note}") if note else None for note in self.notes]
-        self.solved = np.flatnonzero([not note for note in self.notes])
-        m, n = np.divmod(np.arange(grid.M * grid.N), grid.N)  # zones in grid.zones() order, 0-based
-        self.zone_D = m * grid.w + n * grid.l
-        # each distinct distance's lane: its first zone, and the lane of every zone
-        _, first, lane = np.unique(self.zone_D.round(12), return_index=True, return_inverse=True)
-        self.distances = self.zone_D[first]
-        self.n_lanes = first.size * self.solved.size
-        # the lane of each zone (column) of each solved combination (row)
-        self.zone_lanes = first.size * np.arange(self.solved.size)[:, None] + lane
+    def __init__(self, params: ScenarioParams, space: SearchSpace) -> None:
+        self.strategy, self.Ks = space.strategy, np.asarray(space.K_range)
+        grids = self.grids = [make_grid(params, M, N) for M in space.M_range for N in space.N_range]
+        sf = space.strategy == SEMI_FLEXIBLE
+        w0s = [[c.w0 for c in feasible_swath_widths(g.l, g.w)] if sf else [None] for g in grids]
+        l, w, self.area, self.S, M, N = (np.array([getattr(g, f) for g in grids]) for f in "l w area S M N".split())
+        self.M, self.N, self.n_zones = M, N, M * N
+        # per grid and K: the outbound headway cap and the admitted sync multiples
+        self.hi = _headway_caps(params, l[:, None], w[:, None], self.Ks)
+        self.ok = _admitted_multiples(params, self.area, self.Ks)
+        n_w0 = np.array([len(v) for v in w0s])
+        self.cg, at, _ = _ragged(n_w0 * self.Ks.size)  # each combination's grid, K index and w0 index
+        self.ck, self.cj = np.divmod(at, n_w0[self.cg])
+        w0_at, w0 = np.cumsum(n_w0) - n_w0, np.array(sum(w0s, []))
+        self.w0 = w0[w0_at[self.cg] + self.cj] if sf else None
+        notes = _ruled_out(params, self.hi, self.ok.any(axis=2))[self.cg, self.ck]
+        self.solved = np.flatnonzero(notes == "")
+        self.outcome = [(None, f"infeasible: {note}") if note else None for note in notes.tolist()]
+        # zones in grid.zones() order, grid by grid, and their distances
+        zg, at, self.zone_at = _ragged(self.n_zones)
+        m, n = np.divmod(at, N[zg])
+        self.zone_D = m * w[zg] + n * l[zg]
+        D = self.zone_D.round(12)
+        order = np.lexsort((D, zg))  # by grid, then distance; ties keep zone order
+        new = (np.diff(zg[order], prepend=-1) != 0) | (np.diff(D[order], prepend=-1.0) != 0)
+        first, dist = order[new], np.empty_like(order)  # each distinct (grid, distance)'s first zone
+        dist[order] = np.cumsum(new) - 1
+        self.n_dist = np.bincount(zg[first], minlength=len(self.grids))
+        dist_at = np.cumsum(self.n_dist) - self.n_dist
+        self.zone_dist = dist - dist_at[zg]  # each zone's distinct distance, counted in its grid
+        # lanes: grid by grid, w0-major, then distinct distance
+        lg, at, self.lane_at = _ragged(n_w0 * self.n_dist)
+        j, d = np.divmod(at, self.n_dist[lg])
+        lane_D, lane_w0 = self.zone_D[first][dist_at[lg] + d], w0[w0_at[lg] + j] if sf else None
+        self.lanes = _Lanes(lane_D, self.area[lg], self.S[lg], lane_w0)
+        self.pair_at = np.append(0, np.cumsum(self.n_dist[self.cg[self.solved]]))
 
-    def lanes(self) -> tuple[_Lanes, np.ndarray, np.ndarray]:
-        """The kernel inputs of the block's lanes, with each lane's outbound
-        headway cap and admitted sync multiples."""
-        k, j = np.divmod(np.repeat(self.solved, self.distances.size), len(self.w0s))  # each lane's K and w0
-        w0 = None if self.w0s[0] is None else np.array(self.w0s)[j]
-        area, S = (np.full(k.size, v) for v in (self.grid.area, self.grid.S))
-        return _Lanes(np.tile(self.distances, self.solved.size), self.Ks[k], area, S, w0), self.hi[k], self.ok[k]
+    def combos(self) -> list[tuple]:
+        """Each combination's (M, N, K, w0), as the search log lists them."""
+        w0 = [None] * self.cg.size if self.w0 is None else self.w0.tolist()
+        return list(zip(self.M[self.cg].tolist(), self.N[self.cg].tolist(), self.Ks[self.ck].tolist(), w0))
 
-    def design(self, i: int) -> DesignSolution:
-        """The design of solved combination i."""
-        K, w0 = self.combos[i]
-        lanes = self.zone_lanes[np.searchsorted(self.solved, i)].tolist()
-        zones = tuple(
-            ZoneDesign(z=z, H_p=float(self.H_p[n]), H_d=float(self.H_d[n]), gamma=int(self.gamma[n]))
-            for z, n in zip(self.grid.zones(), lanes)
-        )
-        return DesignSolution(strategy=self.strategy, grid=self.grid, K=K, zones=zones, w0=w0)
+    def pairs(self, run: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The lanes, grids and K indices of the pairs of combinations ``solved[run]``."""
+        c = self.solved[run]
+        cs, d, _ = _ragged(self.n_dist[self.cg[c]])
+        c = c[cs]
+        g = self.cg[c]
+        return self.lane_at[g] + self.cj[c] * self.n_dist[g] + d, g, self.ck[c]
+
+    def zones(self, run: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The zones of combinations ``solved[run]``, each combination's in
+        grid.zones() order: each zone's combination, index and pair."""
+        c = self.solved[run]
+        cz, z, _ = _ragged(self.n_zones[self.cg[c]])
+        zone = self.zone_at[self.cg[c[cz]]] + z
+        return c[cz], zone, self.pair_at[run][cz] + self.zone_dist[zone]
+
+    def design(self, c: int, run: _Run) -> DesignSolution:
+        """The design of combination c, solved in ``run``."""
+        grid, K, w0 = self.grids[self.cg[c]], int(self.Ks[self.ck[c]]), None if self.w0 is None else float(self.w0[c])
+        s = np.searchsorted(self.solved, c)
+        pairs = self.zones(slice(s, s + 1))[2] - self.pair_at[run.s.start]
+        zones = tuple(ZoneDesign(z=z, H_p=float(run.H_p[p]), H_d=float(run.H_d[p]), gamma=int(run.gamma[p]))
+                      for z, p in zip(grid.zones(), pairs.tolist()))
+        return DesignSolution(strategy=self.strategy, grid=grid, K=K, zones=zones, w0=w0)
 
 
-def _runs(blocks: Iterable[_Block]):
-    """Consecutive runs of whole blocks of at most ``_MAX_LANES`` lanes; a larger block runs alone."""
-    run: list[_Block] = []
-    for b in blocks:
-        if run and sum(r.n_lanes for r in run) + b.n_lanes > _MAX_LANES:
-            yield run
-            run = []
-        run.append(b)
-    if run:
-        yield run
+class _Run(NamedTuple):
+    """The combinations ``solved[s]`` of a run of grids and their pairs' designs, from pair ``pair_at[s.start]``."""
+
+    s: slice
+    H_p: np.ndarray
+    H_d: np.ndarray
+    gamma: np.ndarray
 
 
-def _price(
-    params: ScenarioParams,
-    space: SearchSpace,
-    model: KStarModel | WeibullTourLaw,
-    run: Sequence[_Block],
-    lanes: _Lanes,
-) -> None:
-    """Price every solved combination of ``run`` in one pass over (combo, zone, direction).
+def _price(params: ScenarioParams, model: KStarModel | WeibullTourLaw, sp: _Space, run: _Run) -> None:
+    """Price the combinations ``sp.solved[run.s]`` in one pass over (combination, zone, direction).
 
     Follows ``total_generalized_cost`` through the same ``costs`` helpers:
     the failure matrix of ``validate_design``'s zone checks, naming the
     first one a combination fails; the low-occupancy flag; the nine books of
     ``cost_books`` added in ``add_books``' order, so each GC has the bits
-    that function reports for the combination.  Each zone is priced at its own line-haul distance.
-    Sets each solved combination's ``outcome``.
+    that function reports for the combination.  Each zone is priced at its
+    own line-haul distance.  Sets each combination's ``outcome``.
     """
-    offsets = np.cumsum([0] + [b.n_lanes for b in run])
-    # elements are the zones of every combination, combination-major
-    lane = np.concatenate([(off + b.zone_lanes).ravel() for b, off in zip(run, offsets)])
-    D = np.concatenate([np.tile(b.zone_D, b.solved.size) for b in run])
-    n_zones = np.concatenate([np.full(b.solved.size, b.zone_D.size) for b in run])
+    c, zone, pair = sp.zones(run.s)
+    g, D, pair = sp.cg[c], sp.zone_D[zone], pair - sp.pair_at[run.s.start]
     # each combination's elements in zone order, padded with a sentinel element
     # that fails no check, is not flagged and adds 0.0
+    n_zones = sp.n_zones[sp.cg[sp.solved[run.s]]]
     col = np.arange(n_zones.max())
     at = np.where(col < n_zones[:, None], (np.cumsum(n_zones) - n_zones)[:, None] + col, D.size)
-    H_p = np.concatenate([b.H_p for b in run])[lane]
-    H_d = np.concatenate([b.H_d for b in run])[lane]
-    gamma = np.concatenate([b.gamma for b in run])[lane]
-    K, area, S = lanes.K[lane], lanes.area[lane], lanes.S[lane]
-    w0 = None if lanes.w0 is None else lanes.w0[lane]
+    H_p, H_d, gamma = run.H_p[pair], run.H_d[pair], run.gamma[pair]
+    K, area, S = sp.Ks[sp.ck[c]], sp.area[g], sp.S[g]
+    w0 = None if sp.w0 is None else sp.w0[c]
 
     fail = zone_failures(params, H_p, H_d, gamma, area, K)
     fail = np.append(fail, np.zeros((1, len(ZONE_CHECKS)), dtype=bool), axis=0)[at].reshape(at.shape[0], -1)
     low = np.append(low_occupancy(params, H_p, H_d, area), False)[at].any(axis=1)
 
     books = np.zeros((len(ZoneCostTerms.FIELDS), D.size + 1))
-    books[:, :-1] = cost_books(params, ZoneShape(area, S), D, H_p, H_d, gamma, space.strategy, model, w0, K)
+    books[:, :-1] = cost_books(params, ZoneShape(area, S), D, H_p, H_d, gamma, sp.strategy, model, w0, K)
     gc = add_books(books[:, at])[1]
 
     first = fail.argmax(axis=1) % len(ZONE_CHECKS)
-    combos = [(b, i) for b in run for i in b.solved.tolist()]
-    for (b, i), value, bad, check, flagged in zip(
-        combos, gc.tolist(), fail.any(axis=1).tolist(), first.tolist(), low.tolist()
-    ):
-        b.outcome[i] = (None, f"infeasible: {ZONE_CHECKS[check]}") if bad else (
-            value, "low_occupancy" if flagged else ""
-        )
+    outcomes = zip(gc.tolist(), fail.any(axis=1).tolist(), first.tolist(), low.tolist())
+    for c, (value, bad, check, flagged) in zip(sp.solved[run.s].tolist(), outcomes):
+        note = f"infeasible: {ZONE_CHECKS[check]}" if bad else "low_occupancy" if flagged else ""
+        sp.outcome[c] = (None if bad else value, note)
 
 
-def _solve_space(
-    params: ScenarioParams, space: SearchSpace, model: KStarModel | WeibullTourLaw
-) -> Iterator[tuple[_Block, int]]:
-    """Solve and price the space one block per grid; yields (block, i) for
-    every combination i of every block, in search-log order.
-
-    Each run of blocks (all of them unless the space has more than
-    ``_MAX_LANES`` lanes) is one outbound solve of every lane, one call
-    picking every lane's sync multiple and one pricing pass.
-    """
-    grids = (make_grid(params, M, N) for M in space.M_range for N in space.N_range)
-    for run in _runs(_Block(params, space, grid) for grid in grids):
-        lanes, hi, ok = zip(*(b.lanes() for b in run))
-        lanes = _Lanes(*(None if v[0] is None else np.concatenate(v) for v in zip(*lanes)))
-        if lanes.D.size:
-            H_p, _ = _outbound_headways(params, space.strategy, model, lanes, np.concatenate(hi))
-            gamma, H_in, _ = _inbound_sync(_lane_cost(params, space.strategy, model, lanes), params, np.concatenate(ok))
-            ends = np.cumsum([b.n_lanes for b in run])[:-1]
-            for b, *solved in zip(run, *(np.split(v, ends) for v in (H_p, gamma, H_in))):
-                b.H_p, b.gamma, b.H_d = solved
-            _price(params, space, model, run, lanes)
-        yield from ((b, i) for b in run for i in range(len(b.combos)))
+def _solve_space(params: ScenarioParams, sp: _Space, model: KStarModel | WeibullTourLaw) -> Iterator[_Run]:
+    """Solve and price ``sp`` in runs of whole grids, each starting at the
+    first grid whose pairs open a new block of ``_MAX_PAIRS``, and yield each
+    run once priced.  Each lane is fitted once, at every K."""
+    K, n = sp.Ks[:, None, None], len(sp.grids)
+    s_at = np.searchsorted(sp.cg[sp.solved], np.arange(n + 1))  # each grid's first solved combination
+    starts = np.unique(sp.pair_at[s_at[:-1]] // _MAX_PAIRS, return_index=True)[1].tolist()
+    for g0, g1 in zip(starts, starts[1:] + [n]):
+        s = slice(s_at[g0], s_at[g1])
+        if s.start == s.stop:
+            continue
+        lanes = _Lanes(*(v if v is None else v[sp.lane_at[g0]:sp.lane_at[g1]] for v in sp.lanes))
+        lane, g, k = sp.pairs(s)
+        lane -= sp.lane_at[g0]
+        fit = _outbound_fit(params, sp.strategy, model, lanes, K)[:, k, lane]
+        H_p = _outbound_headways(params, sp.strategy, model, lanes, fit, lane, sp.Ks[k], sp.hi[g, k])
+        gamma, H_d, _ = _inbound_sync(params, _sync_costs(params, sp.strategy, model, lanes, K)[k, lane], sp.ok[g, k])
+        run = _Run(s, H_p, H_d, gamma)
+        _price(params, model, sp, run)
+        yield run
 
 
-def _tie_break_key(block: _Block, i: int) -> tuple:
-    design = block.design(i)
+def _tie_break_key(sp: _Space, c: int, run: _Run) -> tuple:
+    design = sp.design(c, run)
     mean_hp = sum(zd.H_p for zd in design.zones) / len(design.zones)
     total_gamma = sum(zd.gamma for zd in design.zones)
     return (design.K, design.grid.M * design.grid.N, total_gamma, -mean_hp)
 
 
 def search_design(
-    params: ScenarioParams,
-    space: SearchSpace,
-    model: KStarModel | WeibullTourLaw | None = None,
+    params: ScenarioParams, space: SearchSpace, model: KStarModel | WeibullTourLaw | None = None
 ) -> OptimizationResult:
     """Enumerate (M, N, K[, w0]); optimize each zone; keep the cheapest design."""
     if model is None:
         model = TABLE1_MODEL
     t0 = time.perf_counter()
 
-    log: list[SearchLogEntry] = []
-    best: tuple[_Block, int, float] | None = None
-    for block, i in _solve_space(params, space, model):
-        gc, note = block.outcome[i]
-        log.append(SearchLogEntry(space.strategy, block.grid.M, block.grid.N, *block.combos[i], gc, note))
-        if gc is None:
-            continue
-        if best is None or gc < best[2] * (1.0 - TIE_REL) or (
-            gc <= best[2] * (1.0 + TIE_REL) and _tie_break_key(block, i) < _tie_break_key(*best[:2])
-        ):
-            best = (block, i, gc)
+    sp = _Space(params, space)
+    best: tuple[int, _Run, float] | None = None  # (combination, its run, GC)
+    for run in _solve_space(params, sp, model):
+        for c in sp.solved[run.s].tolist():
+            gc = sp.outcome[c][0]
+            if gc is None:
+                continue
+            if best is None or gc < best[2] * (1.0 - TIE_REL) or (
+                gc <= best[2] * (1.0 + TIE_REL) and _tie_break_key(sp, c, run) < _tie_break_key(sp, *best[:2])
+            ):
+                best = (c, run, gc)
     if best is None:
         raise InfeasibleDesignError("search", None, "no feasible design in the search space")
-    winner = best[0].design(best[1])
+    winner = sp.design(*best[:2])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LowOccupancyWarning)
         cost = total_generalized_cost(params, winner, model)
-    return OptimizationResult(
-        best=winner,
-        cost=cost,
-        search_log=tuple(log),
-        wall_time_s=time.perf_counter() - t0,
-    )
+    log = tuple(SearchLogEntry(space.strategy, *combo, *outcome) for combo, outcome in zip(sp.combos(), sp.outcome))
+    return OptimizationResult(best=winner, cost=cost, search_log=log, wall_time_s=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,8 @@ class TestHeadwayCap:
             headway_cap_from_capacity(40.0, 1.0, 1.0, 0)
         with pytest.raises(ValueError, match="capacity"):
             headway_cap_from_capacity(40.0, 1.0, 1.0, np.array([8, 0, 12]))
+        with pytest.raises(ValueError, match="zone area"):
+            headway_cap_from_capacity(40.0, np.array([[1.0], [0.0]]), 1.0, np.array([8, 12]))
 
     @pytest.mark.parametrize("lam", [10.0, 21.8, 40.0])
     def test_array_of_capacities_matches_the_scalar_closed_form(self, table2: ScenarioParams, lam: float) -> None:
@@ -80,6 +82,14 @@ class TestHeadwayCap:
                 assert [_bits(c) for c in caps] == [
                     _bits(headway_cap_from_capacity(lam, grid.l, grid.w, K)) for K in Ks.tolist()
                 ]
+        # and every grid at once, as the search lays its space out
+        grids = [make_grid(table2, M, N) for M in range(1, 7) for N in range(1, 7)]
+        l, w = (np.array([[getattr(g, f)] for g in grids]) for f in ("l", "w"))
+        caps = headway_cap_from_capacity(lam, l, w, Ks)
+        assert caps.shape == (len(grids), Ks.size)
+        assert [[_bits(c) for c in row] for row in caps] == [
+            [_bits(headway_cap_from_capacity(lam, g.l, g.w, K)) for K in Ks.tolist()] for g in grids
+        ]
 
 
 class TestZoneHeadway:
@@ -131,7 +141,7 @@ class TestZoneGamma:
         # so every gamma >= 2 is silently skipped in favor of gamma = 1
         grid = make_grid(table2, 2, 2)
         assert SYNC_MULTIPLES == (1, 2, 3, 4, 5)
-        assert optimizer._admitted_multiples(table2, grid, (8,)).tolist() == [[True, False, False, False, False]]
+        assert optimizer._admitted_multiples(table2, grid.area, (8,)).tolist() == [[True, False, False, False, False]]
         gamma, _, _ = optimize_zone_gamma(table2, grid, ZoneIndex(1, 1), 8, FULLY_FLEXIBLE, TABLE1_MODEL)
         assert gamma == 1
 
@@ -264,49 +274,114 @@ class TestGroupSolve:
         )
         log = {(e.M, e.N, e.K, e.w0): e for e in search_design(table2, space, TABLE1_MODEL).search_log}
         notes = set()
-        combos = list(_solve_space(table2, space, TABLE1_MODEL))
-        blocks = list(dict.fromkeys(block for block, _ in combos))
-        assert [(b.grid.M, b.grid.N) for b in blocks] == [(M, N) for M in (1, 2) for N in (1, 2)]
-        for block in blocks:
-            grid = block.grid
+        sp = optimizer._Space(table2, space)
+        runs = _runs_by_combination(sp, _solve_space(table2, sp, TABLE1_MODEL))
+        assert [(g.M, g.N) for g in sp.grids] == [(M, N) for M in (1, 2) for N in (1, 2)]
+        combos = []
+        for grid in sp.grids:
             w0s = [None]
             if strategy == SEMI_FLEXIBLE:
                 w0s = [c.w0 for c in feasible_swath_widths(grid.l, grid.w)]
-            assert block.combos == [(K, w0) for K in space.K_range for w0 in w0s]
-        for block, i in combos:
-            grid, (K, w0), note = block.grid, block.combos[i], block.notes[i]
-            if note:
+            combos += [(grid.M, grid.N, K, w0) for K in space.K_range for w0 in w0s]
+        assert sp.combos() == combos
+        for c, (M, N, K, w0) in enumerate(combos):
+            grid = sp.grids[sp.cg[c]]
+            assert (grid.M, grid.N) == (M, N)
+            if c not in runs:
+                note = sp.outcome[c][1].removeprefix("infeasible: ")
                 notes.add(note)
-                assert log[(grid.M, grid.N, K, w0)].note == f"infeasible: {note}"
+                assert log[(M, N, K, w0)].note == f"infeasible: {note}"
                 for z in grid.zones():
                     with pytest.raises(InfeasibleDesignError, match=note):
                         optimize_zone_headway(table2, grid, z, K, strategy, TABLE1_MODEL, w0)
                         optimize_zone_gamma(table2, grid, z, K, strategy, TABLE1_MODEL, w0)
                 continue
-            for zd in block.design(i).zones:
+            for zd in sp.design(c, runs[c]).zones:
                 H_p, _ = optimize_zone_headway(table2, grid, zd.z, K, strategy, TABLE1_MODEL, w0)
                 gamma, H_d, _ = optimize_zone_gamma(table2, grid, zd.z, K, strategy, TABLE1_MODEL, w0)
                 assert (zd.H_p, zd.gamma, zd.H_d) == (H_p, gamma, H_d)
         assert notes == {"capacity", "inbound_sync"}
 
+    @staticmethod
+    def _runs(monkeypatch) -> list:
+        """Record the grids of every pricing pass, one array per run."""
+        runs = []
+        monkeypatch.setattr(
+            optimizer, "_price", lambda *a: runs.append(np.unique(a[2].cg[a[2].solved[a[3].s]])) or _price(*a)
+        )
+        return runs
+
     @pytest.mark.parametrize("strategy", [FULLY_FLEXIBLE, SEMI_FLEXIBLE])
     def test_lane_cap_splits_the_space_into_groups(
         self, table2: ScenarioParams, strategy: str, monkeypatch
     ) -> None:
-        # with a cap of one lane every grid is its own solve and pricing pass
+        # the compare space is one run; with a cap of one pair every grid is
+        # its own solve and pricing pass
         space = replace(COMPARE_SPACE, strategy=strategy)
+        runs = self._runs(monkeypatch)
         whole = search_design(table2, space, TABLE1_MODEL)
-        solves = []
-        monkeypatch.setattr(optimizer, "_MAX_LANES", 1)
-        monkeypatch.setattr(
-            optimizer, "_price", lambda *a: solves.append(sum(b.solved.size > 0 for b in a[3])) or _price(*a)
-        )
+        assert len(runs) == 1
+        runs.clear()
+        monkeypatch.setattr(optimizer, "_MAX_PAIRS", 1)
         split = search_design(table2, space, TABLE1_MODEL)
-        assert set(solves) == {1}
-        assert len(solves) > 1
+        assert [g.size for g in runs] == [1] * len(runs)
+        assert len(runs) > 1
         assert [(e, _bits(e.gc)) for e in split.search_log] == [(e, _bits(e.gc)) for e in whole.search_log]
         assert split.best == whole.best
         assert split.cost == whole.cost
+
+    @pytest.mark.parametrize("strategy", [FULLY_FLEXIBLE, SEMI_FLEXIBLE])
+    def test_fit_and_sync_see_each_lane_once(self, table2: ScenarioParams, strategy: str, monkeypatch) -> None:
+        # K reaches the outbound fit and the sync costs on a leading axis of
+        # its own, so each call evaluates each distinct (grid, w0, D) once,
+        # over several runs; on a 3 x 2 km region no two grids share a zone
+        # shape, so (area, S, w0, D) names a lane
+        params = table2.replace(L=3.0)
+        space = SearchSpace(strategy=strategy, M_range=(2, 3), N_range=(2, 3, 4), K_range=tuple(range(5, 13)))
+        lanes = []
+        for grid in (make_grid(params, M, N) for M in space.M_range for N in space.N_range):
+            w0s = [0.0] if strategy == FULLY_FLEXIBLE else [c.w0 for c in feasible_swath_widths(grid.l, grid.w)]
+            dists = {}
+            for z in grid.zones():
+                dists.setdefault(round(line_haul_distance(grid, z), 12), line_haul_distance(grid, z))
+            lanes += [(grid.area, grid.S, w0, D) for w0 in w0s for D in dists.values()]
+        seen = {}
+
+        def books(params, grid, D, H, direction, strategy, model, w0, K, gamma):
+            if np.ndim(K) == 3:  # a call over lanes at every K, not over pairs
+                assert np.shape(K) == (len(space.K_range), 1, 1)
+                cols = (grid.area.ravel(), grid.S.ravel(), np.zeros(D.size) if w0 is None else w0.ravel(), D.ravel())
+                seen.setdefault((direction, model is optimizer._ZERO_LAW), []).extend(zip(*(c.tolist() for c in cols)))
+            return zone_books(params, grid, D, H, direction, strategy, model, w0, K, gamma)
+
+        monkeypatch.setattr(optimizer, "zone_books", books)
+        monkeypatch.setattr(optimizer, "_MAX_PAIRS", 64)
+        runs = self._runs(monkeypatch)
+        sp = optimizer._Space(params, space)
+        for _ in _solve_space(params, sp, TABLE1_MODEL):
+            pass
+        assert len(runs) > 1
+        assert set(sp.cg[sp.solved].tolist()) == set(range(len(sp.grids)))  # every grid is solved
+        kinds = {("outbound", True), ("inbound", False)}
+        kinds |= {("outbound", False)} if strategy == FULLY_FLEXIBLE else set()
+        assert set(seen) == kinds
+        for kind in kinds:
+            assert sorted(seen[kind]) == sorted(lanes), kind
+
+    @pytest.mark.parametrize("strategy", [FULLY_FLEXIBLE, SEMI_FLEXIBLE])
+    def test_capacity_axis_matches_one_capacity_per_pair(self, table2: ScenarioParams, strategy: str) -> None:
+        # each pair's fit and sync costs from the K axis have the bits of a
+        # call with the pair's own lane and K
+        sp = optimizer._Space(table2, SearchSpace(strategy=strategy))
+        lane, _, k = sp.pairs(slice(0, sp.solved.size))
+        K = sp.Ks[k]
+        pairs = optimizer._Lanes(*(v if v is None else v[lane] for v in sp.lanes))
+        for call in (optimizer._outbound_fit, optimizer._sync_costs):
+            axis = call(table2, strategy, TABLE1_MODEL, sp.lanes, sp.Ks[:, None, None])
+            own = call(table2, strategy, TABLE1_MODEL, pairs, K[:, None])
+            if call is optimizer._sync_costs:
+                axis, own = np.moveaxis(axis, -1, 0), np.moveaxis(own, -1, 0)
+            assert np.array_equal(axis[:, k, lane], own)
 
     @pytest.mark.parametrize(
         "strategy, M, N, K, w0",
@@ -350,9 +425,9 @@ class TestGroupSolve:
                 assert abs(H - ref_H) <= tol
 
 
-def _sf_lanes(params: ScenarioParams, n: int, seed: int) -> optimizer._Lanes:
-    """``n`` random semi-flexible lanes: a zone of a grid of the default space,
-    one of its swath widths and a capacity of 1-20."""
+def _sf_lanes(params: ScenarioParams, n: int, seed: int) -> tuple[optimizer._Lanes, np.ndarray]:
+    """``n`` random semi-flexible lanes, a zone of a grid of the default space
+    and one of its swath widths, and a capacity of 1-20 for each."""
     rng = np.random.default_rng(seed)
     rows = []
     for _ in range(n):
@@ -362,7 +437,8 @@ def _sf_lanes(params: ScenarioParams, n: int, seed: int) -> optimizer._Lanes:
         widths = feasible_swath_widths(grid.l, grid.w)
         w0 = widths[rng.integers(len(widths))].w0
         rows.append((line_haul_distance(grid, z), int(rng.integers(1, 21)), grid.area, grid.S, w0))
-    return optimizer._Lanes(*(np.array(col) for col in zip(*rows)))
+    D, K, area, S, w0 = (np.array(col) for col in zip(*rows))
+    return optimizer._Lanes(D, area, S, w0), K
 
 
 class TestSemiFlexibleHeadway:
@@ -373,10 +449,10 @@ class TestSemiFlexibleHeadway:
     @pytest.mark.parametrize("lam", DEMANDS)
     def test_kernel_is_affine_in_inverse_headway_one_and_headway(self, table2: ScenarioParams, lam: float) -> None:
         params = table2.replace(lambda_p=lam, lambda_d=lam)
-        lanes = _sf_lanes(params, 60, seed=int(lam))
+        lanes, K = _sf_lanes(params, 60, seed=int(lam))
         cost = optimizer._lane_cost(params, SEMI_FLEXIBLE, TABLE1_MODEL, lanes)
         H = np.linspace(0.01, 1.0, 40)
-        vals = cost("outbound", H[None, :], np.arange(lanes.D.size))
+        vals = cost("outbound", H[None, :], np.arange(lanes.D.size), K[:, None])
         basis = np.stack([1.0 / H, np.ones_like(H), H], axis=1)
         for row in vals:
             A, B, C = np.linalg.lstsq(basis, row, rcond=None)[0]
@@ -386,25 +462,30 @@ class TestSemiFlexibleHeadway:
     @pytest.mark.parametrize("lam", DEMANDS)
     def test_square_root_headway_beats_a_dense_grid(self, table2: ScenarioParams, lam: float) -> None:
         params = table2.replace(lambda_p=lam, lambda_d=lam)
-        lanes = _sf_lanes(params, 60, seed=100 + int(lam))
+        lanes, K = _sf_lanes(params, 60, seed=100 + int(lam))
         lo = params.H_min
         hi = np.minimum(params.H_max, [
-            headway_cap_from_capacity(lam, 1.0, area, K) for area, K in zip(lanes.area, lanes.K.tolist())
+            headway_cap_from_capacity(lam, 1.0, area, k) for area, k in zip(lanes.area, K.tolist())
         ])
         keep = hi >= lo  # the others are ruled out before any solve
         assert keep.sum() > 40
-        lanes, hi = optimizer._Lanes(*(v[keep] for v in lanes)), hi[keep]
+        lanes, K, hi = optimizer._Lanes(*(v[keep] for v in lanes)), K[keep], hi[keep]
         cost = optimizer._lane_cost(params, SEMI_FLEXIBLE, TABLE1_MODEL, lanes)
-        H, val = optimizer._outbound_headways(params, SEMI_FLEXIBLE, TABLE1_MODEL, lanes, hi)
-        free, _ = optimizer._outbound_headways(params, SEMI_FLEXIBLE, TABLE1_MODEL, lanes, np.full(hi.size, 1e6))
+        lane = np.arange(hi.size)
+        fit = optimizer._outbound_fit(params, SEMI_FLEXIBLE, TABLE1_MODEL, lanes, K[:, None])
+        H = optimizer._outbound_headways(params, SEMI_FLEXIBLE, TABLE1_MODEL, lanes, fit, lane, K, hi)
+        free = optimizer._outbound_headways(
+            params, SEMI_FLEXIBLE, TABLE1_MODEL, lanes, fit, lane, K, np.full(hi.size, 1e6)
+        )
+        val = cost("outbound", H, lane, K)
         for i in range(hi.size):
-            dense = cost("outbound", np.linspace(lo, hi[i], 10_000), np.array([i]))
+            dense = cost("outbound", np.linspace(lo, hi[i], 10_000), np.array([i]), K[i])
             assert val[i] <= dense.min()
         # capped lanes sit exactly on their cap, which still fits the vehicle
         capped = free > hi
         assert capped.any() and (~capped).any()
         assert (H[capped] == hi[capped]).all()
-        assert capacity_ok(occupancy(params, H[capped], lanes.area[capped], "outbound"), lanes.K[capped]).all()
+        assert capacity_ok(occupancy(params, H[capped], lanes.area[capped], "outbound"), K[capped]).all()
         np.testing.assert_array_equal(H[~capped], np.clip(free[~capped], lo, None))
 
     @pytest.mark.parametrize(
@@ -413,13 +494,17 @@ class TestSemiFlexibleHeadway:
     )
     def test_non_convex_lane_is_named(self, table2: ScenarioParams, bad, monkeypatch) -> None:
         # lane 2 of four has the bad cost, the others 1/H + 2 + H
-        def cost(direction, H, idx, gamma=1):
+        def cost(direction, H, idx, K, gamma=1):
             lane = idx.reshape(idx.shape + (1,) * (H.ndim - idx.ndim))
             return np.where(lane == 2, bad(H), 1.0 / H + 2.0 + H)
 
         monkeypatch.setattr(optimizer, "_lane_cost", lambda *args: cost)
+        lanes, K = optimizer._Lanes(*np.ones((4, 4))), np.full(4, 8)
+        fit = optimizer._outbound_fit(table2, SEMI_FLEXIBLE, TABLE1_MODEL, lanes, K[:, None])
         with pytest.raises(ValueError, match="lane 2"):
-            optimizer._outbound_headways(table2, SEMI_FLEXIBLE, TABLE1_MODEL, None, np.full(4, 1.0))
+            optimizer._outbound_headways(
+                table2, SEMI_FLEXIBLE, TABLE1_MODEL, lanes, fit, np.arange(4), K, np.full(4, 1.0)
+            )
 
 
 class TestFullyFlexibleHeadway:
@@ -432,19 +517,19 @@ class TestFullyFlexibleHeadway:
         # the alpha = 0.3, theta = 5 scenarios hold the lanes with a dip
         # inside the interval besides the one at H_min
         params = dict(default_scenario_grid(table2))["lam40_a0.3_th5_2x2"]
-        space = SearchSpace()
-        blocks = [optimizer._Block(params, space, make_grid(params, M, N)) for M in space.M_range for N in space.N_range]
-        lanes, hi, _ = zip(*(b.lanes() for b in blocks))
-        lanes = optimizer._Lanes(*(np.concatenate(v) for v in list(zip(*lanes))[:4]), None)
-        hi = np.concatenate(hi)
+        sp = optimizer._Space(params, SearchSpace())
+        lane, g, k = sp.pairs(slice(0, sp.solved.size))
+        K, hi = sp.Ks[k], sp.hi[g, k]
         assert hi.size == 6017
-        H, val = optimizer._outbound_headways(params, FULLY_FLEXIBLE, TABLE1_MODEL, lanes, hi)
-        cost = optimizer._lane_cost(params, FULLY_FLEXIBLE, TABLE1_MODEL, lanes)
+        fit = optimizer._outbound_fit(params, FULLY_FLEXIBLE, TABLE1_MODEL, sp.lanes, sp.Ks[:, None, None])
+        H = optimizer._outbound_headways(params, FULLY_FLEXIBLE, TABLE1_MODEL, sp.lanes, fit[:, k, lane], lane, K, hi)
+        cost = optimizer._lane_cost(params, FULLY_FLEXIBLE, TABLE1_MODEL, sp.lanes)
+        val = cost("outbound", H, lane, K)
         assert ((params.H_min <= H) & (H <= np.maximum(hi, params.H_min))).all()
         for i in range(0, hi.size, 500):
             j = np.arange(i, min(i + 500, hi.size))
             grid = np.linspace(params.H_min, np.maximum(hi[j], params.H_min), 1000, axis=1)
-            best = cost("outbound", grid, j).min(axis=1)
+            best = cost("outbound", grid, lane[j], K[j, None]).min(axis=1)
             assert (val[j] <= best + self.SLACK_ULPS * np.spacing(best)).all()
 
 
@@ -455,9 +540,14 @@ def test_import_leaves_scipy_optimize_unloaded() -> None:
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
-def _reference(params: ScenarioParams, block, i: int) -> tuple[float | None, str]:
+def _runs_by_combination(sp, runs) -> dict:
+    """The run of each solved combination."""
+    return {c: run for run in runs for c in sp.solved[run.s].tolist()}
+
+
+def _reference(params: ScenarioParams, sp, c: int, run) -> tuple[float | None, str]:
     """What total_generalized_cost says of one solved combination: (GC or None, note)."""
-    design = block.design(i)
+    design = sp.design(c, run)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", LowOccupancyWarning)
         try:
@@ -493,22 +583,24 @@ class TestPricing:
         params = table2.replace(**demand)
         space = replace(space, strategy=strategy)
         result = search_design(params, space, TABLE1_MODEL)
-        log = iter(result.search_log)
         notes = set()
-        split_lanes = False  # some lane holds zones whose distances differ in bits
-        for block, i in _solve_space(params, space, TABLE1_MODEL):
-            entry = next(log)
-            assert (entry.M, entry.N, entry.K, entry.w0) == (block.grid.M, block.grid.N, *block.combos[i])
-            if block.notes[i]:
-                assert (entry.gc, entry.note) == (None, f"infeasible: {block.notes[i]}")
+        sp = optimizer._Space(params, space)
+        runs = _runs_by_combination(sp, _solve_space(params, sp, TABLE1_MODEL))
+        assert [(e.M, e.N, e.K, e.w0) for e in result.search_log] == sp.combos()
+        for c, entry in enumerate(result.search_log):
+            if c not in runs:
+                assert (entry.gc, entry.note) == sp.outcome[c]
+                assert entry.note in ("infeasible: capacity", "infeasible: inbound_sync")
                 continue
-            split_lanes |= np.unique(block.zone_D).size > block.zone_lanes[0].max() + 1
-            want = _reference(params, block, i)
+            want = _reference(params, sp, c, runs[c])
             _assert_same_outcome((entry.gc, entry.note), want)
             notes.add(want[1])
-        assert next(log, None) is None
         assert notes == expected_notes
-        # each zone is priced at its own distance, not at its lane's
+        # each zone is priced at its own distance, not at its lane's: some
+        # lane holds zones whose distances differ in bits
+        split_lanes = any(
+            np.unique(sp.zone_D[at:at + n]).size > n_dist for at, n, n_dist in zip(sp.zone_at, sp.n_zones, sp.n_dist)
+        )
         assert split_lanes or case != "large"
         # the reported cost is total_generalized_cost of the winner, field for field
         with warnings.catch_warnings():
@@ -517,22 +609,23 @@ class TestPricing:
 
     @pytest.mark.parametrize("strategy", [FULLY_FLEXIBLE, SEMI_FLEXIBLE])
     def test_names_the_first_failed_check(self, table2: ScenarioParams, strategy: str) -> None:
-        # Solved designs pass every check, so break some: lanes 1, 2, 3 and 4
+        # Solved designs pass every check, so break some: pairs 1, 2, 3 and 4
         # of every five leave the outbound bounds, leave the inbound bounds,
         # leave the trunk sync and overload the vehicle.  Zones of one
         # combination sit on different lanes, so the first failed zone decides.
         space = replace(COMPARE_SPACE, strategy=strategy)
         names = set()
-        for block in dict.fromkeys(b for b, _ in _solve_space(table2, space, TABLE1_MODEL)):
-            if not block.solved.size:
-                continue
-            kind = np.arange(block.H_p.size) % 5
-            block.H_p = np.where(kind == 1, table2.H_max + 0.01, np.where(kind == 4, table2.H_max, block.H_p))
-            block.H_d = np.where(kind == 2, table2.H_max + 0.5, np.where(kind == 3, block.H_d + 1e-6, block.H_d))
-            _price(table2, space, TABLE1_MODEL, [block], block.lanes()[0])
-            for i in block.solved:
-                want = _reference(table2, block, i)
-                _assert_same_outcome(block.outcome[i], want)
+        sp = optimizer._Space(table2, space)
+        for run in _solve_space(table2, sp, TABLE1_MODEL):
+            kind = np.arange(run.H_p.size) % 5
+            run = run._replace(
+                H_p=np.where(kind == 1, table2.H_max + 0.01, np.where(kind == 4, table2.H_max, run.H_p)),
+                H_d=np.where(kind == 2, table2.H_max + 0.5, np.where(kind == 3, run.H_d + 1e-6, run.H_d)),
+            )
+            _price(table2, TABLE1_MODEL, sp, run)
+            for c in sp.solved[run.s].tolist():
+                want = _reference(table2, sp, c, run)
+                _assert_same_outcome(sp.outcome[c], want)
                 names.add(want[1])
         broken = {"outbound_headway_bounds", "inbound_headway_bounds", "inbound_sync", "capacity"}
         assert {f"infeasible: {name}" for name in broken} <= names
