@@ -23,15 +23,14 @@ the outbound cost of many (grid, K, w0, D) lanes per call and prices their
 candidate headways.  The
 FF tour terms share one exp(beta4*(mu+1)**beta5) factor per call.
 ``cost_books`` prices many zones in one kernel call per direction, for the
-search's candidates and for ``total_generalized_cost`` and
-``zone_cost_terms`` alike, so a reported cost has its search-log bits.  The
-per-book functions (``ff_wait_cost_zone`` and the rest) are views of the
-kernel, and the simulator's validation reads its expected tour per dispatch.
+search's candidates and for ``total_generalized_cost`` alike, so a reported
+cost has its search-log bits.  The per-book functions (``ff_wait_cost_zone``
+and the rest) are views of the kernel, and the simulator's validation reads
+its expected tour per dispatch.
 """
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from typing import Any, Literal, NamedTuple
@@ -75,6 +74,7 @@ class InfeasibleDesignError(ValueError):
     def __init__(self, constraint: str, zone: ZoneIndex | None, detail: str):
         self.constraint = constraint
         self.zone = zone
+        self.detail = detail
         where = f" at zone {(zone.m, zone.n)}" if zone is not None else ""
         super().__init__(f"infeasible design: {constraint}{where}: {detail}")
 
@@ -163,23 +163,6 @@ class CostBreakdown(ZoneCostTerms):
     GC: float
     gc_per_patron_min: float
     per_zone: dict[tuple[int, int], ZoneCostTerms]
-
-    def to_csv(self, path) -> None:
-        """One row per zone per component, then an aggregate row."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["zone_m", "zone_n", *ZoneCostTerms.FIELDS, "total"])
-            for (m, n), terms in sorted(self.per_zone.items()):
-                writer.writerow(
-                    [m, n]
-                    + [f"{getattr(terms, f):.9f}" for f in ZoneCostTerms.FIELDS]
-                    + [f"{terms.total:.9f}"]
-                )
-            writer.writerow(
-                ["all", "all"]
-                + [f"{getattr(self, f):.9f}" for f in ZoneCostTerms.FIELDS]
-                + [f"{self.GC:.9f}"]
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -498,22 +481,6 @@ def add_books(books: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     sums = books.cumsum(axis=-1)[..., -1]
     return sums, sums.cumsum(axis=0)[-1]
-
-
-def zone_cost_terms(
-    params: ScenarioParams,
-    grid: ZoneGrid,
-    zd: ZoneDesign,
-    strategy: str,
-    K: int,
-    model: KStarModel | WeibullTourLaw,
-    w0: float | None = None,
-) -> ZoneCostTerms:
-    """All nine hourly books for one zone under the given strategy."""
-    if strategy == SEMI_FLEXIBLE and w0 is None:
-        raise InfeasibleDesignError("swath_width", zd.z, "semi-flexible cost needs w0")
-    D = line_haul_distance(grid, zd.z)
-    return ZoneCostTerms(*cost_books(params, grid, D, zd.H_p, zd.H_d, zd.gamma, strategy, model, w0, K).tolist())
 
 
 def total_generalized_cost(

@@ -50,12 +50,6 @@ class OccupancyLaw:
             raise ValueError(f"occupancy mean must be finite and non-negative, got {self.mean}")
 
 
-def poisson_moments(law: OccupancyLaw) -> tuple[float, float]:
-    """(E[Q], E[Q**2]) for the occupancy law; E[Q**2] = mu**2 + mu."""
-    mu = law.mean
-    return mu, mu * mu + mu
-
-
 def _second_order(mu, a: float, b4: float, b5: float, growth=None):
     """E[X**a * exp(b4 * X**b5)] for X = Q + 1, expanded around mu1 = mu + 1.
 

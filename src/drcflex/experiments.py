@@ -137,14 +137,10 @@ def _row_from_result(value: float, strategy: str, params: ScenarioParams, result
 
 def run_sweep(
     spec: SweepSpec,
-    model: KStarModel | WeibullTourLaw | None = None,
-    space: SearchSpace | None = None,
+    model: KStarModel | WeibullTourLaw = TABLE1_MODEL,
+    space: SearchSpace = SearchSpace(),
 ) -> list[SweepRow]:
     """Optimize every (value, strategy) pair; infeasible points become gap rows."""
-    if model is None:
-        model = TABLE1_MODEL
-    if space is None:
-        space = SearchSpace()
     rows: list[SweepRow] = []
     for value in spec.values:
         params = apply_axis(spec.base, spec.axis, value)
@@ -194,8 +190,8 @@ def find_critical_density(
     base: ScenarioParams,
     lo: float = 2.0,
     hi: float = 60.0,
-    model: KStarModel | WeibullTourLaw | None = None,
-    space: SearchSpace | None = None,
+    model: KStarModel | WeibullTourLaw = TABLE1_MODEL,
+    space: SearchSpace = SearchSpace(),
     width: float = 0.5,
 ) -> float:
     """Demand density where the fully and semi-flexible optimal GC curves cross.
@@ -204,10 +200,6 @@ def find_critical_density(
     ``width`` patrons/h/km² and returns the midpoint.  Both endpoints must
     produce opposite-signed GC differences (FF minus SF).
     """
-    if model is None:
-        model = TABLE1_MODEL
-    if space is None:
-        space = SearchSpace()
     if not (0.0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
     if not (math.isfinite(width) and width > 0.0):
@@ -304,16 +296,12 @@ def default_scenario_grid(base: ScenarioParams) -> list[tuple[str, ScenarioParam
 def run_validation_campaign(
     scenarios: list[tuple[str, ScenarioParams]],
     strategy: str,
-    model: KStarModel | WeibullTourLaw | None = None,
-    space: SearchSpace | None = None,
+    model: KStarModel | WeibullTourLaw = TABLE1_MODEL,
+    space: SearchSpace = SearchSpace(),
     min_runs: int = 1000,
     seed: int = 0,
 ) -> CampaignResult:
     """Optimize each scenario, freeze the design, and validate it by simulation."""
-    if model is None:
-        model = TABLE1_MODEL
-    if space is None:
-        space = SearchSpace()
     names = []
     reports = []
     for name, params in scenarios:
@@ -322,6 +310,8 @@ def run_validation_campaign(
                 params, dataclasses.replace(space, strategy=strategy), model
             )
             report = run_validation(params, result.best, model, min_runs=min_runs, seed=seed)
+        except InfeasibleDesignError as exc:
+            raise InfeasibleDesignError(exc.constraint, exc.zone, f"{exc.detail} (scenario {name!r})") from exc
         except Exception as exc:
             raise RuntimeError(f"validation campaign failed at scenario {name!r}: {exc}") from exc
         names.append(name)

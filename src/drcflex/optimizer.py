@@ -522,11 +522,9 @@ def _tie_break_key(sp: _Space, c: int, run: _Run) -> tuple:
 
 
 def search_design(
-    params: ScenarioParams, space: SearchSpace, model: KStarModel | WeibullTourLaw | None = None
+    params: ScenarioParams, space: SearchSpace, model: KStarModel | WeibullTourLaw = TABLE1_MODEL
 ) -> OptimizationResult:
     """Enumerate (M, N, K[, w0]); optimize each zone; keep the cheapest design."""
-    if model is None:
-        model = TABLE1_MODEL
     t0 = time.perf_counter()
 
     sp = _Space(params, space)
@@ -652,11 +650,9 @@ def _strategy_metrics(
 def compare_strategies(
     params: ScenarioParams,
     space: SearchSpace = SearchSpace(),
-    model: KStarModel | WeibullTourLaw | None = None,
+    model: KStarModel | WeibullTourLaw = TABLE1_MODEL,
 ) -> StrategyComparison:
     """Optimize both strategies and tabulate the headline metrics."""
-    if model is None:
-        model = TABLE1_MODEL
     ff = search_design(params, replace(space, strategy=FULLY_FLEXIBLE), model)
     sf = search_design(params, replace(space, strategy=SEMI_FLEXIBLE), model)
     ff_metrics = _strategy_metrics(params, ff, model)

@@ -589,6 +589,8 @@ def run_validation(
     served in chunks of at most ``_CHUNK_RUNS``, the first ``min_runs`` split
     as evenly as possible; the report equals serving them singly.
     """
+    if min_runs < 2:
+        raise ValueError(f"min_runs must be at least 2 to estimate a standard error, got {min_runs}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LowOccupancyWarning)
         analytic = total_generalized_cost(params, design, model)

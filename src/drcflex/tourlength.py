@@ -17,17 +17,12 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .tsp import closed_tour_lengths_batch
-
-
-class ExtrapolationWarning(UserWarning):
-    """Evaluation outside the calibrated (q, S) range."""
 
 
 @dataclass(frozen=True)
@@ -47,9 +42,6 @@ TABLE1_MODEL = KStarModel(
     beta1=0.1102, beta2=1.4569, beta3=-0.1472, beta4=-2.5508, beta5=-2.6396
 )
 
-CALIBRATED_Q_MAX = 15
-CALIBRATED_S_MAX = 3.0
-
 
 def kstar(model: KStarModel, q: float, S: float) -> float:
     """Tour-length coefficient k*(q, S); q may be fractional (expected counts)."""
@@ -62,21 +54,6 @@ def kstar(model: KStarModel, q: float, S: float) -> float:
         * q ** model.beta3
         * math.exp(model.beta4 * q ** model.beta5)
     )
-
-
-def expected_ff_tour_length(model: KStarModel, q: float, l: float, w: float) -> float:
-    """Expected optimal-tour length over q stops in an l-by-w zone."""
-    if l <= 0 or w <= 0:
-        raise ValueError("zone dimensions must be positive")
-    S = max(l, w) / min(l, w)
-    if q > CALIBRATED_Q_MAX or S > CALIBRATED_S_MAX:
-        warnings.warn(
-            f"k* evaluated outside the calibrated range (q={q}, S={S:.3g}); "
-            "treating as extrapolation",
-            ExtrapolationWarning,
-            stacklevel=2,
-        )
-    return kstar(model, q, S) * math.sqrt(q * l * w)
 
 
 # Constant k* of earlier studies: Chakraborti's large-q lattice estimate, Daganzo's serpentine optimum.
@@ -222,6 +199,12 @@ def constrained_swath_mape(l: float, w: float, q_values: Iterable[int]) -> list[
 # ---------------------------------------------------------------------------
 
 
+# A cell stops once, past min_instances, its running mean has drifted by at most
+# MEAN_DRIFT over the last batch and its standard error is at most SE_TARGET.
+MEAN_DRIFT = 0.01
+SE_TARGET = 0.005
+
+
 @dataclass(frozen=True)
 class CalibrationGrid:
     """Sampling plan for the k* calibration."""
@@ -230,8 +213,6 @@ class CalibrationGrid:
     aspect_ratios: tuple[float, ...] = (1.0, 1.5, 2.0, 3.0)
     min_instances: int = 500
     max_instances: int = 50_000
-    tolerance: float = 0.01  # running-mean drift allowed over the final batch
-    se_target: float = 0.005  # standard error of the cell mean at stop time
     batch_size: int = 250
 
     def __post_init__(self) -> None:
@@ -243,8 +224,8 @@ class CalibrationGrid:
             raise ValueError("aspect ratios must be at least 1")
         if self.min_instances < 1 or self.max_instances < self.min_instances:
             raise ValueError("need 1 <= min_instances <= max_instances")
-        if self.tolerance <= 0 or self.se_target <= 0 or self.batch_size < 1:
-            raise ValueError("tolerance, se_target, and batch_size must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be positive")
 
 
 @dataclass(frozen=True)
@@ -309,7 +290,7 @@ def _simulate_cell(q: int, S: float, grid: CalibrationGrid, rng: np.random.Gener
             break
         if n >= grid.min_instances and prev_mean is not None:
             se = float(ks.std(ddof=1)) / math.sqrt(n)
-            if abs(mean - prev_mean) <= grid.tolerance and se <= grid.se_target:
+            if abs(mean - prev_mean) <= MEAN_DRIFT and se <= SE_TARGET:
                 break
         prev_mean = mean
     return CalibrationCell(q=q, S=S, mean_kstar=mean, std_kstar=float(ks.std(ddof=1)), n_instances=n)
@@ -346,15 +327,13 @@ def grid_mape(predict: Callable[[float, float], float], cells: Sequence[Calibrat
     return 100.0 * float(np.mean(errs))
 
 
-def calibrate_kstar(grid: CalibrationGrid | None = None, seed: int = 0) -> CalibrationResult:
+def calibrate_kstar(grid: CalibrationGrid = CalibrationGrid(), seed: int = 0) -> CalibrationResult:
     """Monte Carlo calibration of k* over the (q, S) grid, then the model fit.
 
     Each cell draws from its own RNG stream derived from (seed, q-index,
     S-index), so cells converge to identical estimates regardless of the
     order in which they are evaluated.
     """
-    if grid is None:
-        grid = CalibrationGrid()
     cells = []
     for qi, q in enumerate(grid.q_values):
         for si, S in enumerate(grid.aspect_ratios):

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
-from drcflex.cli import main
+from drcflex.cli import main, resolve_model
+from drcflex.expectations import as_tour_law
 from drcflex.optimizer import METRIC_LABELS
 from drcflex.simulator import TABLE_ROW_LABELS
+from drcflex.tourlength import benchmark_kstar
 
 FAST = ["--max-grid", "2", "--max-k", "9"]
 
@@ -100,6 +103,17 @@ class TestValidate:
         assert [ln.split(",")[0] for ln in lines[1:]] == list(TABLE_ROW_LABELS)
 
 
+class TestInfeasibleSpace:
+    # optimize's exit code is TestOptimize::test_infeasible_space_exits_2
+    @pytest.mark.parametrize("command", ["compare", "validate", "critical"])
+    def test_exits_2(self, command: str, tmp_path, capsys) -> None:
+        config = tmp_path / "dense.cfg"
+        config.write_text("preset = table2\nlambda_p = 4000\nlambda_d = 4000\n", encoding="utf-8")
+        rc = run([command, "--config", str(config), "--max-grid", "1", "--max-k", "2"], tmp_path)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("infeasible: ")
+
+
 class TestSweep:
     def test_rejects_non_increasing_values(self, tmp_path, capsys) -> None:
         rc = run(
@@ -139,6 +153,20 @@ class TestCritical:
         assert rc == 1
         assert "does not change sign" in capsys.readouterr().err
         assert not (tmp_path / "critical_density.csv").exists()
+
+
+class TestKStarModes:
+    # Yang's law adds three terms, so it may round; a constant k* is one term and exact
+    @pytest.mark.parametrize("mode, published, rel", [
+        ("yang", "yang", 1e-15), ("chakraborti", "chakraborti", 0.0), ("daganzo115", "daganzo_swath", 0.0),
+    ])
+    def test_prior_laws_give_the_benchmark_kstar(self, mode: str, published: str, rel: float) -> None:
+        # a law's tour over q stops in a unit zone is k* * sqrt(q), with the k* of the published formula
+        law = as_tour_law(resolve_model(mode))
+        for q in range(2, 16):
+            for S in (1.0, 1.5, 2.0, 3.0):
+                got = law.tour_length_units(q, S) / math.sqrt(q)
+                assert got == pytest.approx(benchmark_kstar(published, q, S), rel=rel, abs=0), (q, S)
 
 
 class TestParser:

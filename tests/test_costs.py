@@ -34,6 +34,7 @@ from drcflex.costs import (
     ZoneDesign,
     ZoneShape,
     capacity_ok,
+    cost_books,
     ff_agency_cost_direction,
     ff_local_tour_cost_zone,
     ff_wait_cost_zone,
@@ -46,7 +47,6 @@ from drcflex.costs import (
     transfer_cost_zone,
     validate_design,
     zone_books,
-    zone_cost_terms,
 )
 from drcflex.expectations import as_tour_law
 from drcflex.params import line_haul_distance
@@ -136,14 +136,6 @@ class TestBookkeeping:
         patrons = (table2.lambda_p + table2.lambda_d) * table2.L * table2.W
         assert bd.gc_per_patron_min == pytest.approx(bd.GC * 60.0 / patrons)
 
-    def test_csv_layout(self, table2: ScenarioParams, sf_design: DesignSolution, tmp_path) -> None:
-        bd = total_generalized_cost(table2, sf_design, TABLE1_MODEL)
-        path = tmp_path / "books.csv"
-        bd.to_csv(path)
-        lines = path.read_text(encoding="utf-8").strip().splitlines()
-        assert lines[0].startswith("zone_m,zone_n,C_W,")
-        assert len(lines) == 1 + 4 + 1
-        assert lines[-1].startswith("all,all,")
 
 
 class TestBuiltinResults:
@@ -170,9 +162,6 @@ class TestBuiltinResults:
 
         grid, zd, K, w0 = design.grid, design.zone(ZoneIndex(2, 2)), design.K, design.w0
         views = {
-            "zone_cost_terms": dataclasses.astuple(
-                zone_cost_terms(table2, grid, zd, design.strategy, K, TABLE1_MODEL, w0)
-            ),
             "wait": (
                 ff_wait_cost_zone(table2, grid, zd, TABLE1_MODEL) if which == "ff"
                 else sf_wait_cost_zone(table2, grid, zd, w0),
@@ -353,13 +342,6 @@ class TestValidateDesign:
         )
         with pytest.raises(InfeasibleDesignError, match="swath_width"):
             validate_design(table2, bad)
-
-    def test_zone_cost_terms_requires_w0_for_sf(
-        self, table2: ScenarioParams, sf_design: DesignSolution
-    ) -> None:
-        zd = sf_design.zone(ZoneIndex(1, 1))
-        with pytest.raises(InfeasibleDesignError, match="swath_width"):
-            zone_cost_terms(table2, sf_design.grid, zd, SEMI_FLEXIBLE, 8, TABLE1_MODEL, w0=None)
 
 
 class TestLowOccupancyWarning:
@@ -560,7 +542,7 @@ class TestKernel:
         D = line_haul_distance(grid, zd.z)
         out = scalar_books(BASE, grid, D, zd.H_p, "outbound", strategy, w0, 8, 1)
         inb = scalar_books(BASE, grid, D, zd.H_d, "inbound", strategy, w0, 8, 2)
-        terms = zone_cost_terms(BASE, grid, zd, strategy, 8, TABLE1_MODEL, w0)
+        terms = ZoneCostTerms(*cost_books(BASE, grid, D, zd.H_p, zd.H_d, zd.gamma, strategy, TABLE1_MODEL, w0, 8))
         want = {
             "C_W": out["wait"],
             "C_Tp": out["tour"],
@@ -583,7 +565,3 @@ class TestKernel:
             zone_books(BASE, grid, 0.0, 0.1, "outbound", "fixed_route", TABLE1_MODEL)
         with pytest.raises(ValueError, match="tour-length law"):
             zone_books(BASE, grid, 0.0, 0.1, "outbound", FULLY_FLEXIBLE, model=None)
-        zd = ZoneDesign(ZoneIndex(1, 1), 0.1, BASE.H_t, 1)
-        for strategy in ("fixed_route", None):
-            with pytest.raises(ValueError, match="unknown strategy"):
-                zone_cost_terms(BASE, grid, zd, strategy, 9, TABLE1_MODEL)

@@ -19,7 +19,6 @@ from drcflex.expectations import (
     expected_ff_wait_kernel,
     expected_weibull_power,
     mc_expectation_oracle,
-    poisson_moments,
     _second_order,
     _second_order_slope,
 )
@@ -36,11 +35,6 @@ def weibull_f(model: KStarModel, offset: float):
 
 
 class TestOccupancyLaw:
-    def test_moments(self) -> None:
-        mu, m2 = poisson_moments(OccupancyLaw(3.5))
-        assert mu == 3.5
-        assert m2 == pytest.approx(3.5**2 + 3.5)
-
     @pytest.mark.parametrize("mean", [-0.5, float("nan"), float("inf")])
     def test_invalid_mean(self, mean: float) -> None:
         with pytest.raises(ValueError):

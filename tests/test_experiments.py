@@ -10,6 +10,7 @@ from drcflex import (
     FULLY_FLEXIBLE,
     SEMI_FLEXIBLE,
     BracketError,
+    InfeasibleDesignError,
     ScenarioParams,
     SearchSpace,
     SweepSpec,
@@ -193,5 +194,5 @@ class TestValidationCampaign:
 
     def test_failure_names_the_scenario(self, table2: ScenarioParams) -> None:
         scenarios = [("dense", table2.replace(lambda_p=4000.0, lambda_d=4000.0))]
-        with pytest.raises(RuntimeError, match="scenario 'dense'"):
+        with pytest.raises(InfeasibleDesignError, match="scenario 'dense'"):
             run_validation_campaign(scenarios, FULLY_FLEXIBLE, space=TINY_SPACE, min_runs=10)

@@ -31,3 +31,12 @@ def test_tracer_patch_targets_exist(workload: str) -> None:
         t.restore()
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, attr
+
+
+@pytest.mark.parametrize("workload", ["compare", "calibrate", "validate"])
+def test_workload_setup_runs_and_passes_its_checks(workload: str) -> None:
+    # setup() makes the package calls its workload times, with the same arguments, so
+    # a dropped name or keyword fails here rather than in a benchmark run
+    bench = _load("workloads").WORKLOADS[workload]()
+    failed = [(name, detail) for name, passed, detail in bench.setup(seed=0) if not passed]
+    assert not failed

@@ -549,6 +549,18 @@ class TestRunValidation:
         with pytest.raises(ValidationConvergenceError, match="standard error .* after 60 runs"):
             run_validation(table2, sf_design, TABLE1_MODEL, min_runs=50, seed=4)
 
+    @pytest.mark.parametrize("min_runs", [0, 1])
+    def test_rejects_fewer_than_two_runs(
+        self, table2: ScenarioParams, sf_design: DesignSolution, min_runs: int
+    ) -> None:
+        # the stop rule's standard error needs two runs; one would take std(ddof=1) of one value
+        from drcflex import TABLE1_MODEL
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="min_runs"):
+                run_validation(table2, sf_design, TABLE1_MODEL, min_runs=min_runs, seed=4)
+
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 
 import pytest
 
@@ -12,10 +11,8 @@ from drcflex import CalibrationGrid, KStarModel, TABLE1_MODEL, calibrate_kstar, 
 from drcflex.tourlength import (
     BENCHMARKS,
     CalibrationCell,
-    ExtrapolationWarning,
     benchmark_kstar,
     constrained_swath_mape,
-    expected_ff_tour_length,
     feasible_swath_widths,
     fit_kstar_model,
     grid_mape,
@@ -45,21 +42,6 @@ class TestKStar:
             kstar(TABLE1_MODEL, 0.5, 1.0)
         with pytest.raises(ValueError, match="aspect"):
             kstar(TABLE1_MODEL, 4.0, 0.8)
-
-    def test_expected_tour_scales_with_zone(self) -> None:
-        got = expected_ff_tour_length(TABLE1_MODEL, 4.0, 1.0, 1.0)
-        assert got == pytest.approx(kstar(TABLE1_MODEL, 4.0, 1.0) * 2.0)
-        # quadrupling the area doubles the length at fixed aspect ratio
-        assert expected_ff_tour_length(TABLE1_MODEL, 4.0, 2.0, 2.0) == pytest.approx(2 * got)
-
-    def test_extrapolation_warns(self) -> None:
-        with pytest.warns(ExtrapolationWarning):
-            expected_ff_tour_length(TABLE1_MODEL, 16.5, 1.0, 1.0)
-        with pytest.warns(ExtrapolationWarning):
-            expected_ff_tour_length(TABLE1_MODEL, 4.0, 4.0, 1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            expected_ff_tour_length(TABLE1_MODEL, 15.0, 3.0, 1.0)
 
 
 class TestBenchmarks:
