@@ -9,7 +9,10 @@ flexible validation solves (the last three are its large-tour tail, where
 each row of a layer is narrow).  Each figure is the median
 of ``--repeats`` timed calls on fresh seeded instances, after one untimed
 call that builds any lazy tables (its time is kept as ``first_ms`` for
-the single tours and the length batches).  The entry, with the machine facts, is
+the single tours and the length batches).  The DP keeps one index table,
+built for the largest q so far, and serves every smaller q from it, so the
+length batches, which follow the q = 16 single tour, build no table: their
+``first_ms`` is a cold call, not a build.  The entry, with the machine facts, is
 written into ``BENCH_layers.json`` as layer ``tour_dp`` under ``--label``,
 replacing an entry of the same layer and label.
 

@@ -8,7 +8,8 @@ The tour-length calibration uses it through ``closed_tour_lengths_batch``
 (lengths only); the simulator through ``closed_tours_batch`` (lengths and
 visit orders, read back from the kept layers), of which ``exact_tour`` is
 the B = 1 use.  A permutation brute force is the independent cross-check.  All
-take their distances from ``_manhattan``, in the DP's (q, q, B) layout.
+take their distances from ``_manhattan``, in the DP's (q, 20, B) layout, and
+the DP its index tables from ``_layers``, one table for every q.
 """
 
 from __future__ import annotations
@@ -63,49 +64,67 @@ class PointSet:
         return len(self.points)
 
 
-@functools.cache
+# n -> _layers(n): the largest n's own tables, and prefix views of them for each smaller n in use
+_held: dict[int, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]] = {}
+
+
 def _layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Index tables of the subset sizes k = 2..n over the free nodes 1..n.
 
     Subsets of each size are taken in increasing bitmask order, and a size's
     pairs (subset S, last node j) run over the members j of S in increasing
     order, so pair p of the r-th subset has index r*k + p.  Per size: the
-    (P, k-1) int16 rows i*q + j of d(i, j) for the candidates i in S - j, the
-    (P,) int16 last nodes j, and the (P,) int32 ranks of S - j one size down.
-    Built on first use and kept for the process, one entry per n: 11 MB at n = 16,
-    120 MB at n = 19.
+    (P, k-1) int16 rows i*MAX_EXACT_POINTS + j of d(i, j) for the candidates
+    i in S - j, the (P,) int16 last nodes j, and the (P,) int32 ranks of S - j
+    one size down.  The subsets of 1..n come first in bitmask order, so every
+    n's tables are prefixes of a larger n's: one table is kept, built for the
+    largest n so far (4.7 MiB at n = 15, 114 MiB at n = 19), the old one dropped first.
     """
-    q = n + 1
+    if n in _held:
+        return _held[n]
+    top = max(_held, default=0)
+    if n <= top:
+        counts = (math.comb(n, k) * k for k in range(2, n + 1))
+        _held[n] = tuple(tuple(t[:c] for t in layer) for layer, c in zip(_held[top], counts))
+        return _held[n]
+    _held.clear()  # the old table goes before the larger one is built
     masks = np.arange(1 << n)
     size = sum((masks >> b) & 1 for b in range(n))
     by_size = np.argsort(size, kind="stable")  # sizes ascending, masks ascending within
     starts = np.concatenate(([0], np.cumsum(np.bincount(size, minlength=n + 1))))
     rank = np.empty(1 << n, dtype=np.int32)
     rank[by_size] = np.arange(1 << n) - starts[size[by_size]]
-    below = np.arange(1, q, dtype=np.int16)[:, None]  # the members of the size-1 subsets
+    below = np.arange(1, n + 1, dtype=np.int16)[:, None]  # the members of the size-1 subsets
     layers = []
     for k in range(2, n + 1):
         subsets = by_size[starts[k]:starts[k + 1]]
         members = np.nonzero((subsets[:, None] >> np.arange(n)) & 1)[1].reshape(-1, k)
         prev = rank[subsets[:, None] ^ (1 << members)].ravel()
         last = (members.ravel() + 1).astype(np.int16)
-        layer = (below[prev] * q + last[:, None], last, prev)
+        layer = (below[prev] * MAX_EXACT_POINTS + last[:, None], last, prev)
         for table in layer:
             table.flags.writeable = False
         layers.append(layer)
         below = last.reshape(-1, k)
-    return tuple(layers)
+    _held[n] = layers = tuple(layers)
+    return layers
 
 
 def _manhattan(points: np.ndarray) -> np.ndarray:
-    """The contiguous (q, q, B) distances |x_i - x_j| + |y_i - y_j| of (B, q, 2) points:
-    row i*q + j of its (q*q, B) view holds d(i, j) of every instance."""
+    """The contiguous (q, max(q, MAX_EXACT_POINTS), B) distances |x_i - x_j| + |y_i - y_j|
+    of (B, q, 2) points: row i*MAX_EXACT_POINTS + j of its (q*MAX_EXACT_POINTS, B) view
+    holds d(i, j) of every instance when q <= MAX_EXACT_POINTS.  Columns j >= q are left unset."""
     x, y = np.ascontiguousarray(points.T)  # each (q, B)
-    return np.abs(x[:, None] - x[None]) + np.abs(y[:, None] - y[None])
+    q = len(x)
+    dist = np.empty((q, max(q, MAX_EXACT_POINTS), x.shape[1]), dtype=x.dtype)
+    d = dist[:, :q]
+    np.abs(np.subtract(x[:, None], x[None], out=d), out=d)
+    d += np.abs(y[:, None] - y[None])
+    return dist
 
 
 def _held_karp(dist: np.ndarray, visit_order: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """Shortest closed tours from node 0 over a (q, q, B) distance array, q >= 2.
+    """Shortest closed tours from node 0 over a ``_manhattan`` distance array, 2 <= q <= 20.
 
     Each candidate is ``dp[S - j, i] + d(i, j)`` over i in S - j; a layer step
     folds them in one column c (the c-th member of S - j) at a time with
@@ -114,8 +133,8 @@ def _held_karp(dist: np.ndarray, visit_order: bool = False) -> tuple[np.ndarray,
     0: every layer is kept, and each chosen pair's candidates are recomputed
     from the same operands and their argmin taken, so ties go to the smallest i.
     """
-    q, B = dist.shape[0], dist.shape[2]
-    d = dist.reshape(q * q, B)  # row i*q + j holds d(i, j) of every instance
+    q, stride, B = dist.shape
+    d = dist.reshape(q * stride, B)  # row i*stride + j holds d(i, j) of every instance
     dp = d[1:q]  # size 1: the leg from node 0 to each free node
     layers = _layers(q - 1)
     kept = [dp]
@@ -133,7 +152,7 @@ def _held_karp(dist: np.ndarray, visit_order: bool = False) -> tuple[np.ndarray,
                 np.minimum(best, cand, out=best)
         if visit_order:
             kept.append(dp)
-    finish = dp + d[q::q]  # close the tour: d(j, 0)
+    finish = dp + d[stride::stride]  # close the tour: d(j, 0)
     if not visit_order:
         return finish.min(axis=0), None
     batch = np.arange(B)
@@ -223,7 +242,7 @@ def closed_tours_batch(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     B, q = len(points), _instance_size(points, "closed_tours_batch")
     pairs = sum(len(last) for _, last, _ in _layers(q - 1))
-    step = max(1, _BATCH_BYTES // ((q * q + q - 1 + pairs) * 8))
+    step = max(1, _BATCH_BYTES // ((q * MAX_EXACT_POINTS + q - 1 + pairs) * 8))
     lengths = np.empty(B)
     orders = np.empty((B, q), dtype=np.intp)
     for lo in range(0, B, step):

@@ -453,7 +453,10 @@ class TestRunValidation:
     }
 
     @pytest.mark.parametrize("design_name", sorted(PINNED))
-    @pytest.mark.parametrize("chunk_runs", [None, 1], ids=["default_chunks", "one_run_chunks"])
+    # min_runs = 50 fits one default chunk; 32-run chunks keep a multi-chunk pin
+    @pytest.mark.parametrize(
+        "chunk_runs", [None, 1, 32], ids=["default_chunks", "one_run_chunks", "32_run_chunks"]
+    )
     def test_report_pinned_field_for_field(
         self, table2: ScenarioParams, request, design_name: str, chunk_runs, monkeypatch
     ) -> None:

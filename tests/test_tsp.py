@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -274,6 +275,56 @@ class TestBatchSolver:
         assert exc.value.limit == MAX_EXACT_POINTS
         lengths, orders = closed_tours_batch(np.zeros((0, 6, 2)))
         assert lengths.shape == (0,) and orders.shape == (0, 6)
+
+
+def held_bytes() -> int:
+    """Bytes of the distinct arrays behind every index table ``tsp`` holds."""
+    owners = {}
+    for layers in tsp._held.values():
+        for table in (t for layer in layers for t in layer):
+            while table.base is not None:
+                table = table.base
+            owners[id(table)] = table.nbytes
+    return sum(owners.values())
+
+
+def table_bytes(n: int) -> int:
+    """Bytes of the index table for n free nodes: per subset size k, C(n, k)*k
+    pairs of k-1 int16 rows, an int16 last node and an int32 rank."""
+    return sum(math.comb(n, k) * k * (2 * (k - 1) + 2 + 4) for k in range(2, n + 1))
+
+
+class TestOneTable:
+    """Every q is served from one index table, built for the largest q so far."""
+
+    def test_smaller_q_match_a_freshly_built_table(self, monkeypatch) -> None:
+        rng = np.random.default_rng(85)
+        sizes = range(2, 18)
+        # B = 1 and 2 uniform, B = 33 on the integer grid, where ties test the orders
+        batches = {q: [rng.random((1, q, 2)), rng.random((2, q, 2)), rng.integers(0, 4, (33, q, 2)) * 1.0]
+                   for q in sizes}
+
+        def solve(q: int) -> list[bytes]:
+            return [a.tobytes() for pts in batches[q] for a in closed_tours_batch(pts)]
+
+        monkeypatch.setattr(tsp, "_held", {})
+        fresh = {}
+        for q in sizes:  # each q grows the table, so each is solved on a freshly built one
+            fresh[q] = solve(q)
+            assert max(tsp._held) == q - 1
+        for q in reversed(sizes):  # all from prefix views of the q = 17 table
+            assert solve(q) == fresh[q], f"descending q={q}"
+        monkeypatch.setattr(tsp, "_held", {})
+        for q in (10, 4, 13, 2, 16, 7, 11, 3, 17, 5, 14, 8, 12, 6, 15, 9):  # growth between views
+            assert solve(q) == fresh[q], f"interleaved q={q}"
+
+    def test_one_table_is_held_after_growth(self, monkeypatch) -> None:
+        monkeypatch.setattr(tsp, "_held", {})
+        rng = np.random.default_rng(86)
+        for q in (7, 3, 12, 9, 16, 2, 14):
+            exact_tour(random_points(rng, q))
+        assert held_bytes() == table_bytes(15) == sum(t.nbytes for layer in tsp._held[15] for t in layer)
+        assert sorted(tsp._held) == [1, 13, 15] and held_bytes() < 5e6  # views cleared at each rebuild
 
 
 class TestSizeLimits:
