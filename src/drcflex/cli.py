@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .costs import FULLY_FLEXIBLE, SEMI_FLEXIBLE, DesignSolution, InfeasibleDesignError
-from .expectations import YANG_TOUR_LAW, WeibullTourLaw
+from .expectations import PRIOR_LAWS, WeibullTourLaw
 from .experiments import (
     SweepSpec,
     default_scenario_grid,
@@ -29,9 +29,9 @@ from .experiments import (
 )
 from .optimizer import OptimizationResult, SearchSpace, compare_strategies, search_design
 from .params import PRESETS, ScenarioParams, load_scenario
-from .tourlength import CONSTANT_KSTAR, CalibrationGrid, KStarModel, TABLE1_MODEL, calibrate_kstar
+from .tourlength import CalibrationGrid, KStarModel, TABLE1_MODEL, calibrate_kstar
 
-KSTAR_MODES = ("calibrated", "chakraborti", "daganzo115", "yang")
+KSTAR_MODES = ("calibrated", *PRIOR_LAWS)
 
 STRATEGY_FLAGS = {"ff": FULLY_FLEXIBLE, "sf": SEMI_FLEXIBLE}
 
@@ -51,12 +51,8 @@ def resolve_model(mode: str) -> KStarModel | WeibullTourLaw:
     """The tour-length law behind a --kstar-mode flag value."""
     if mode == "calibrated":
         return TABLE1_MODEL
-    if mode == "chakraborti":
-        return KStarModel(0.0, CONSTANT_KSTAR["chakraborti"], 0.0, 0.0, 1.0)
-    if mode == "daganzo115":
-        return KStarModel(0.0, CONSTANT_KSTAR["daganzo_swath"], 0.0, 0.0, 1.0)
-    if mode == "yang":
-        return YANG_TOUR_LAW
+    if mode in PRIOR_LAWS:
+        return PRIOR_LAWS[mode]
     raise ValueError(f"kstar-mode must be one of {KSTAR_MODES}, got {mode!r}")
 
 

@@ -53,10 +53,11 @@ DIRECTIONS: tuple[Direction, Direction] = ("outbound", "inbound")
 # expectation; callers are warned once.  For TABLE1_MODEL the error leaves
 # the 2% band below mean 1.75 (tour-length term) and 1.86 (rider-weighted
 # term) and reaches 15% at mean 0.75; from mean 2 to 12 it stays under 1.9%.
-# expectations.expected_ff_wait_kernel, their difference, is less accurate:
-# -2.16% at mean 2.0, -1.99% at 2.11, -1.85% at 2.2.  So zones at means 2.0
-# to 2.11 are within 2% on both moments but not on their difference.  The
-# flag stays at 2.0 because the base FF optimum's H_min zones sit at mean 2.0.
+# The FF wait kernel E[Q * f(Q+1)] behind WeibullTourLaw.rider_tour_units,
+# the difference of the two moments, is less accurate: -2.16% at mean 2.0,
+# -1.99% at 2.11, -1.85% at 2.2.  So zones at means 2.0 to 2.11 are within 2%
+# on both moments but not on their difference.  The flag stays at 2.0
+# because the base FF optimum's H_min zones sit at mean 2.0.
 LOW_OCCUPANCY_MEAN = 2.0
 
 

@@ -11,8 +11,11 @@ to second order around mu + 1 where mu = E[Q]; with Var[Q] = mu for Poisson
 arrivals the expansion needs nothing beyond the mean.
 
 Every tour-length law is one ``WeibullTourLaw``, a sum of such terms, one
-per ``KStarModel``: the fitted k* law is one term, each constant k* of
-earlier studies one term, and Yang's regression three terms with beta4 = 0.
+per ``KStarModel``: the fitted k* law is one term, and the laws of earlier
+studies, ``PRIOR_LAWS`` by ``--kstar-mode`` name, are one term for each
+constant k* and three with beta4 = 0 for Yang's regression.  The expansion's
+one entry point is ``WeibullTourLaw.tour_units``; ``KStarModel.units``
+evaluates each term at an exact stop count.
 
 The expansion is promised within 2% of the exact expectation for means of 2
 and up (worst 1.8% on [2, 12] for TABLE1_MODEL).  Below that it degrades:
@@ -21,14 +24,16 @@ rider-weighted term, and the error reaches 15% at mean 0.75.  The cost model
 flags every design with a zone below ``costs.LOW_OCCUPANCY_MEAN`` (2.0) with
 a ``LowOccupancyWarning`` and a "low_occupancy" search-log note.
 
-A brute-force Monte Carlo oracle is included so the expansion's accuracy can
-be audited for any occupancy mean.
+A brute-force Monte Carlo oracle, ``mc_expectation_oracle``, is included so
+the expansion's accuracy can be audited for any occupancy mean.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -39,15 +44,13 @@ RIDER_WEIGHTED_OFFSET = 1.5  # exponent offset for E[Q * (Q+1)**(beta3+1/2) ...]
 TOUR_LENGTH_OFFSET = 0.5  # exponent offset for plain expected tour length
 
 
-@dataclass(frozen=True)
-class OccupancyLaw:
-    """Poisson request count per dispatch, parameterized by its mean."""
-
-    mean: float
-
-    def __post_init__(self) -> None:
-        if self.mean < 0 or not math.isfinite(self.mean):
-            raise ValueError(f"occupancy mean must be finite and non-negative, got {self.mean}")
+def _curvature_terms(a: float, b4: float, b5: float) -> tuple:
+    """(coefficient, power of mu1) of the three terms of the expansion's curvature factor."""
+    return (
+        (a * (a - 1.0), a - 2.0),
+        (b4 * b5 * (2.0 * a + b5 - 1.0), a + b5 - 2.0),
+        (b4 * b4 * b5 * b5, a + 2.0 * b5 - 2.0),
+    )
 
 
 def _second_order(mu, a: float, b4: float, b5: float, growth=None):
@@ -67,15 +70,11 @@ def _second_order(mu, a: float, b4: float, b5: float, growth=None):
     exp(b4 * mu1**b5), which every moment of one law shares.
     """
     mu1 = mu + 1.0
-    head = np.power(mu1, a)
-    curv = (
-        a * (a - 1.0) * np.power(mu1, a - 2.0)
-        + b4 * b5 * (2.0 * a + b5 - 1.0) * np.power(mu1, a + b5 - 2.0)
-        + b4 * b4 * b5 * b5 * np.power(mu1, a + 2.0 * b5 - 2.0)
-    )
+    (k1, p1), (k2, p2), (k3, p3) = _curvature_terms(a, b4, b5)
+    curv = k1 * np.power(mu1, p1) + k2 * np.power(mu1, p2) + k3 * np.power(mu1, p3)
     if growth is None:
         growth = np.exp(b4 * np.power(mu1, b5))
-    return growth * (head + curv * mu / 2.0)
+    return growth * (np.power(mu1, a) + curv * mu / 2.0)
 
 
 def _second_order_slope(mu, a: float, b4: float, b5: float, growth=None):
@@ -86,11 +85,7 @@ def _second_order_slope(mu, a: float, b4: float, b5: float, growth=None):
     G * (b4*b5*mu1**(b5-1) * (mu1**a + c*mu/2) + a*mu1**(a-1) + c'*mu/2 + c/2).
     """
     mu1 = mu + 1.0
-    powers = (
-        (a * (a - 1.0), a - 2.0),
-        (b4 * b5 * (2.0 * a + b5 - 1.0), a + b5 - 2.0),
-        (b4 * b4 * b5 * b5, a + 2.0 * b5 - 2.0),
-    )
+    powers = _curvature_terms(a, b4, b5)
     curv = sum(k * np.power(mu1, p) for k, p in powers)
     dcurv = sum(k * p * np.power(mu1, p - 1.0) for k, p in powers)
     if growth is None:
@@ -99,47 +94,14 @@ def _second_order_slope(mu, a: float, b4: float, b5: float, growth=None):
     return growth * (rate * (np.power(mu1, a) + curv * mu / 2.0) + a * np.power(mu1, a - 1.0) + dcurv * mu / 2.0 + curv / 2.0)
 
 
-def expected_weibull_power(law: OccupancyLaw, model: KStarModel, offset: float) -> float:
-    """Second-order estimate of E[(Q+1)**(beta3+offset) * exp(beta4*(Q+1)**beta5)].
-
-    ``offset`` selects the term: 1/2 for expected tour length, 3/2 for the
-    rider-weighted variant.  At mean 0 the value is exact (Q is surely 0).
-    Within 2% of the exact expectation for means >= 2; below that it may be
-    up to 15% off, and the cost model flags such zones (see module notes).
-    """
-    if offset not in (RIDER_WEIGHTED_OFFSET, TOUR_LENGTH_OFFSET):
-        raise ValueError(f"offset must be 0.5 or 1.5, got {offset}")
-    return float(_second_order(law.mean, model.beta3 + offset, model.beta4, model.beta5))
-
-
-def expected_ff_wait_kernel(law: OccupancyLaw, model: KStarModel) -> float:
-    """Second-order estimate of E[Q * (Q+1)**(beta3+1/2) * exp(beta4*(Q+1)**beta5)].
-
-    Follows from Q * f(Q+1) = (Q+1) * f(Q+1) - f(Q+1): the rider-weighted
-    moment minus the tour-length moment.  The difference is a little less
-    accurate than either moment: for TABLE1_MODEL it is 2.16% below the
-    exact Poisson sum at mean 2.0, 1.99% below at 2.11 and 1.85% below at
-    2.2, and 19% off at mean 0.5, below the low-occupancy flag.
-    """
-    return expected_weibull_power(law, model, RIDER_WEIGHTED_OFFSET) - expected_weibull_power(
-        law, model, TOUR_LENGTH_OFFSET
-    )
-
-
 def _term_units(m: KStarModel, mu, S, moment) -> tuple:
-    """One term's (tour, rider) units: expected_weibull_power and
-    expected_ff_wait_kernel scaled by its size factor, sharing one growth
-    factor, with ``moment`` ``_second_order``; their slopes in mu with
-    ``_second_order_slope``."""
+    """One term's (tour, rider) units: its size times the tour-length moment and times the rider-weighted
+    moment less it, as Q*f(Q+1) = (Q+1)*f(Q+1) - f(Q+1); their slopes with ``_second_order_slope``."""
     growth = np.exp(m.beta4 * np.power(mu + 1.0, m.beta5))
     tour = moment(mu, m.beta3 + TOUR_LENGTH_OFFSET, m.beta4, m.beta5, growth)
     rider = moment(mu, m.beta3 + RIDER_WEIGHTED_OFFSET, m.beta4, m.beta5, growth)
     size = m.beta1 * S + m.beta2
     return size * tour, size * (rider - tour)
-
-
-def _term_length(m: KStarModel, q: float, S: float) -> float:
-    return (m.beta1 * S + m.beta2) * q ** (m.beta3 + 0.5) * math.exp(m.beta4 * q ** m.beta5)
 
 
 @dataclass(frozen=True)
@@ -151,7 +113,7 @@ class WeibullTourLaw:
     (beta1*S + beta2) * q**(beta3 + 1/2) * exp(beta4 * q**beta5),
     i.e. k*(q, S) * sqrt(q*l*w) with k* a sum of terms.  The fitted k* law is
     one term, a constant k* one term with only beta2 set, and Yang's
-    regression three terms with beta4 = 0 (``YANG_TOUR_LAW``).
+    regression three terms with beta4 = 0 (``PRIOR_LAWS``).
 
     Every method returns lengths in units of sqrt(zone area), adding the
     terms in order: ``mean_tour_units`` is E[L(Q+1)] / sqrt(l*w) and
@@ -184,27 +146,26 @@ class WeibullTourLaw:
     def _add_terms(self, moment, mu, S: float) -> tuple:
         first, *rest = self.terms
         mean, rider = _term_units(first, mu, S, moment)
-        for m in rest:
-            tour, ride = _term_units(m, mu, S, moment)
-            mean = mean + tour
-            rider = rider + ride
+        for tour, ride in (_term_units(m, mu, S, moment) for m in rest):
+            mean, rider = mean + tour, rider + ride
         return mean, rider
 
     def tour_length_units(self, q: float, S: float) -> float:
         """Deterministic L(q) / sqrt(l*w) at an exact stop count q."""
-        first, *rest = self.terms
-        length = _term_length(first, q, S)
-        for m in rest:
-            length = length + _term_length(m, q, S)
-        return length
+        return float(reduce(operator.add, (m.units(q, S, TOUR_LENGTH_OFFSET) for m in self.terms)))
 
 
-# k* = 1.1055 - 0.008*q + 1.0297*S/q, times sqrt(q): terms q**0.5, q**1.5 and S*q**-0.5
-YANG_TOUR_LAW = WeibullTourLaw((
-    KStarModel(0.0, 1.1055, 0.0, 0.0, 1.0),
-    KStarModel(0.0, -0.008, 1.0, 0.0, 1.0),
-    KStarModel(1.0297, 0.0, -1.0, 0.0, 1.0),
-))
+# Laws of earlier studies by --kstar-mode name: Chakraborti's and Daganzo's constant k*, and Yang's
+# k* = 1.1055 - 0.008*q + 1.0297*S/q, whose tour k* * sqrt(q) has terms q**0.5, q**1.5 and S*q**-0.5.
+PRIOR_LAWS = {
+    "chakraborti": WeibullTourLaw((KStarModel(0.0, 0.93, 0.0, 0.0, 1.0),)),
+    "daganzo115": WeibullTourLaw((KStarModel(0.0, 1.15, 0.0, 0.0, 1.0),)),
+    "yang": WeibullTourLaw((
+        KStarModel(0.0, 1.1055, 0.0, 0.0, 1.0),
+        KStarModel(0.0, -0.008, 1.0, 0.0, 1.0),
+        KStarModel(1.0297, 0.0, -1.0, 0.0, 1.0),
+    )),
+}
 
 
 def as_tour_law(model_or_law: KStarModel | WeibullTourLaw) -> WeibullTourLaw:
@@ -215,17 +176,19 @@ def as_tour_law(model_or_law: KStarModel | WeibullTourLaw) -> WeibullTourLaw:
 
 
 def mc_expectation_oracle(
-    law: OccupancyLaw,
+    mean: float,
     f: Callable[[np.ndarray], np.ndarray],
     n_draws: int = 100_000,
     seed: int = 0,
 ) -> float:
-    """Monte Carlo E[f(Q)] under the occupancy law, for auditing the expansions.
+    """Monte Carlo E[f(Q)] for Q Poisson with this mean, for auditing the expansions.
 
     ``f`` must be vectorized over an integer array of Poisson draws.
     """
+    if not (math.isfinite(mean) and mean >= 0):
+        raise ValueError(f"occupancy mean must be finite and non-negative, got {mean}")
     if n_draws < 10_000:
         raise ValueError("need at least 10000 draws for a stable estimate")
     rng = np.random.default_rng(seed)
-    draws = rng.poisson(law.mean, size=n_draws)
+    draws = rng.poisson(mean, size=n_draws)
     return float(np.mean(f(draws)))

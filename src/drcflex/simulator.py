@@ -66,6 +66,11 @@ class ValidationConvergenceError(RuntimeError):
     """The mean GC's standard error stayed at or above ``VALIDATION_SE_TARGET`` through ``MAX_VALIDATION_RUNS`` runs."""
 
 
+def _check_horizon(horizon: float) -> None:
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+
+
 @dataclass(frozen=True)
 class DemandRealization:
     """One horizon of requests: rows are (x, y, request time)."""
@@ -75,6 +80,7 @@ class DemandRealization:
     horizon: float = 1.0
 
     def __post_init__(self) -> None:
+        _check_horizon(self.horizon)
         for arr in (self.outbound, self.inbound):
             if arr.ndim != 2 or arr.shape[1] != 3:
                 raise ValueError("demand arrays must have shape (n, 3)")
@@ -84,6 +90,7 @@ def generate_demand(
     params: ScenarioParams, rng_seed: int, horizon: float = 1.0
 ) -> DemandRealization:
     """Spatial Poisson demand over the region and the given horizon (hours)."""
+    _check_horizon(horizon)
     rng = np.random.default_rng(rng_seed)
     lists = []
     for lam in (params.lambda_p, params.lambda_d):

@@ -7,6 +7,9 @@ ratio S:
 
     k*(q, S) = (beta1*S + beta2) * q**beta3 * exp(beta4 * q**beta5)
 
+``KStarModel.units`` evaluates that term for ``kstar``, the fit and every
+tour-length law; the laws of earlier studies are ``expectations.PRIOR_LAWS``.
+
 The module calibrates those coefficients by solving exact closed tours over
 uniform points in unit-area rectangles, and also provides the serpentine
 (swath) tour-length model used by semi-flexible routing, including the
@@ -35,6 +38,15 @@ class KStarModel:
     beta4: float
     beta5: float
 
+    def units(self, q, S, offset: float = 0.0):
+        """(beta1*S + beta2) * q**(beta3 + offset) * exp(beta4 * q**beta5), with numpy.
+
+        ``q`` and ``S`` may be floats or arrays.  Offset 0 is k*(q, S); offset
+        1/2 is the tour over q stops in units of sqrt(zone area).
+        """
+        size = self.beta1 * S + self.beta2
+        return size * np.power(q, self.beta3 + offset) * np.exp(self.beta4 * np.power(q, self.beta5))
+
 
 # Coefficients fitted to the Manhattan-metric calibration grid (q = 2..15,
 # S = 1..3).  These are the values used by all base-case experiments.
@@ -45,34 +57,11 @@ TABLE1_MODEL = KStarModel(
 
 def kstar(model: KStarModel, q: float, S: float) -> float:
     """Tour-length coefficient k*(q, S); q may be fractional (expected counts)."""
-    if q < 1:
-        raise ValueError(f"q must be at least 1, got {q}")
-    if S < 1:
-        raise ValueError(f"aspect ratio S must be at least 1, got {S}")
-    return (
-        (model.beta1 * S + model.beta2)
-        * q ** model.beta3
-        * math.exp(model.beta4 * q ** model.beta5)
-    )
-
-
-# Constant k* of earlier studies: Chakraborti's large-q lattice estimate, Daganzo's serpentine optimum.
-CONSTANT_KSTAR = {"chakraborti": 0.93, "daganzo_swath": 1.15}
-
-BENCHMARKS = ("yang", *CONSTANT_KSTAR)
-
-
-def benchmark_kstar(benchmark: str, q: float, S: float) -> float:
-    """k* according to earlier studies, reported raw (no clamping).
-
-    ``yang``: k* = 1.1055 - 0.008*q + 1.0297*S/q (Euclidean regression).
-    ``chakraborti``, ``daganzo_swath``: their constant in ``CONSTANT_KSTAR``.
-    """
-    if benchmark == "yang":
-        return 1.1055 - 0.008 * q + 1.0297 * S / q
-    if benchmark in CONSTANT_KSTAR:
-        return CONSTANT_KSTAR[benchmark]
-    raise ValueError(f"unknown benchmark {benchmark!r}; expected one of {BENCHMARKS}")
+    if not (math.isfinite(q) and q >= 1):
+        raise ValueError(f"q must be finite and at least 1, got {q}")
+    if not (math.isfinite(S) and S >= 1):
+        raise ValueError(f"aspect ratio S must be finite and at least 1, got {S}")
+    return float(model.units(q, S))
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +296,7 @@ def fit_kstar_model(cells: Sequence[CalibrationCell], x0: KStarModel = TABLE1_MO
     ys = np.array([c.mean_kstar for c in cells], dtype=float)
 
     def residuals(beta: np.ndarray) -> np.ndarray:
-        b1, b2, b3, b4, b5 = beta
-        pred = (b1 * ss + b2) * qs ** b3 * np.exp(b4 * qs ** b5)
-        return pred / ys - 1.0
+        return KStarModel(*beta).units(qs, ss) / ys - 1.0
 
     # imported here so that ``import drcflex`` does not load scipy.optimize
     from scipy.optimize import least_squares

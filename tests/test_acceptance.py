@@ -8,6 +8,7 @@ flaky tests; see the assertion message for the offending numbers.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -28,16 +29,16 @@ from drcflex import (
 )
 from drcflex.costs import LOW_OCCUPANCY_MEAN, STRATEGIES, InfeasibleDesignError
 from drcflex.expectations import (
+    PRIOR_LAWS,
     RIDER_WEIGHTED_OFFSET,
     TOUR_LENGTH_OFFSET,
-    OccupancyLaw,
-    expected_weibull_power,
+    WeibullTourLaw,
     mc_expectation_oracle,
 )
 from drcflex.optimizer import headway_cap_from_capacity
 from drcflex.tourlength import (
     CalibrationGrid,
-    benchmark_kstar,
+    KStarModel,
     calibrate_kstar,
     constrained_swath_mape,
     feasible_swath_widths,
@@ -128,7 +129,8 @@ def test_criterion_2_fit_beats_prior_formulas(calibration, capsys) -> None:
     worst_cell = None
     for c in result.cells:
         if c.q <= 5 and c.S <= 3.0:
-            ape = abs(benchmark_kstar("yang", c.q, c.S) / c.mean_kstar - 1.0) * 100.0
+            yang = PRIOR_LAWS["yang"].tour_length_units(c.q, c.S) / math.sqrt(c.q)
+            ape = abs(yang / c.mean_kstar - 1.0) * 100.0
             if ape > worst_yang:
                 worst_yang, worst_cell = ape, (c.q, c.S)
     ok = fit_mape < 5.0 and worst_yang > 40.0
@@ -260,17 +262,20 @@ def test_criterion_7b_taylor_accuracy_band(capsys) -> None:
     # LowOccupancyWarning and the search log notes "low_occupancy".
     band_floor = 2.0
     rows = []
+    b = TABLE1_MODEL
+    # with size factor 1, a law's tour units are the tour-length moment and the wait
+    # kernel, which added give the rider-weighted moment: (Q+1)*f(Q+1) = f(Q+1) + Q*f(Q+1)
+    unit = WeibullTourLaw((KStarModel(0.0, 1.0, b.beta3, b.beta4, b.beta5),))
     for mean in (0.5, 1.0, 2.0, 10.0 / 3.0, 5.0, 8.0, 12.0):
-        law = OccupancyLaw(mean)
+        tour, kernel = unit.tour_units(mean, 1.0)
         for offset in (TOUR_LENGTH_OFFSET, RIDER_WEIGHTED_OFFSET):
-            b = TABLE1_MODEL
 
             def f(draws: np.ndarray) -> np.ndarray:
                 x = draws + 1.0
                 return x ** (b.beta3 + offset) * np.exp(b.beta4 * x**b.beta5)
 
-            mc = mc_expectation_oracle(law, f, n_draws=10**6, seed=int(mean * 100) + int(offset))
-            taylor = expected_weibull_power(law, b, offset)
+            mc = mc_expectation_oracle(mean, f, n_draws=10**6, seed=int(mean * 100) + int(offset))
+            taylor = tour if offset == TOUR_LENGTH_OFFSET else tour + kernel
             rows.append((mean, offset, abs(taylor / mc - 1.0) * 100.0))
     in_band = [r for r in rows if r[0] >= band_floor]
     worst = max(in_band, key=lambda r: r[2])

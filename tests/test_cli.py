@@ -11,7 +11,6 @@ from drcflex.cli import main, resolve_model
 from drcflex.expectations import as_tour_law
 from drcflex.optimizer import METRIC_LABELS
 from drcflex.simulator import TABLE_ROW_LABELS
-from drcflex.tourlength import benchmark_kstar
 
 FAST = ["--max-grid", "2", "--max-k", "9"]
 
@@ -155,6 +154,14 @@ class TestCritical:
         assert not (tmp_path / "critical_density.csv").exists()
 
 
+# k* of earlier studies as published: Yang's Euclidean regression, Chakraborti's and Daganzo's constants
+PUBLISHED_KSTAR = {
+    "yang": lambda q, S: 1.1055 - 0.008 * q + 1.0297 * S / q,
+    "chakraborti": lambda q, S: 0.93,
+    "daganzo_swath": lambda q, S: 1.15,
+}
+
+
 class TestKStarModes:
     # Yang's law adds three terms, so it may round; a constant k* is one term and exact
     @pytest.mark.parametrize("mode, published, rel", [
@@ -166,7 +173,7 @@ class TestKStarModes:
         for q in range(2, 16):
             for S in (1.0, 1.5, 2.0, 3.0):
                 got = law.tour_length_units(q, S) / math.sqrt(q)
-                assert got == pytest.approx(benchmark_kstar(published, q, S), rel=rel, abs=0), (q, S)
+                assert got == pytest.approx(PUBLISHED_KSTAR[published](q, S), rel=rel, abs=0), (q, S)
 
 
 class TestParser:

@@ -10,18 +10,17 @@ from scipy.stats import poisson
 
 from drcflex import TABLE1_MODEL, KStarModel
 from drcflex.expectations import (
+    PRIOR_LAWS,
     RIDER_WEIGHTED_OFFSET,
     TOUR_LENGTH_OFFSET,
-    YANG_TOUR_LAW,
-    OccupancyLaw,
     WeibullTourLaw,
     as_tour_law,
-    expected_ff_wait_kernel,
-    expected_weibull_power,
     mc_expectation_oracle,
     _second_order,
     _second_order_slope,
 )
+
+YANG_TOUR_LAW = PRIOR_LAWS["yang"]
 
 
 def weibull_f(model: KStarModel, offset: float):
@@ -34,17 +33,43 @@ def weibull_f(model: KStarModel, offset: float):
     return f
 
 
+def unit_moments(mean) -> tuple:
+    """The expansion's moments of TABLE1_MODEL at an occupancy mean, read from ``tour_units``.
+
+    With size factor 1 (beta1 = 0, beta2 = 1) a law's tour units are
+    E[(Q+1)**(beta3+1/2) * exp(beta4*(Q+1)**beta5)] and the wait kernel
+    E[Q * (Q+1)**(beta3+1/2) * exp(beta4*(Q+1)**beta5)].
+    """
+    b = TABLE1_MODEL
+    return WeibullTourLaw((KStarModel(0.0, 1.0, b.beta3, b.beta4, b.beta5),)).tour_units(mean, 1.0)
+
+
+def weibull_power(mean, offset: float) -> float:
+    """E[(Q+1)**(beta3+offset) * exp(beta4*(Q+1)**beta5)] for TABLE1_MODEL, offset 1/2 or 3/2.
+
+    The rider-weighted moment (3/2) is the tour-length moment plus the wait
+    kernel, since (Q+1) * f(Q+1) = f(Q+1) + Q * f(Q+1).
+    """
+    tour, kernel = unit_moments(mean)
+    return tour if offset == TOUR_LENGTH_OFFSET else tour + kernel
+
+
+def ff_wait_kernel(mean) -> float:
+    return unit_moments(mean)[1]
+
+
 class TestOccupancyLaw:
     @pytest.mark.parametrize("mean", [-0.5, float("nan"), float("inf")])
     def test_invalid_mean(self, mean: float) -> None:
-        with pytest.raises(ValueError):
-            OccupancyLaw(mean)
+        # the oracle samples Q ~ Poisson(mean), so the mean must be finite and non-negative
+        with pytest.raises(ValueError, match="occupancy mean"):
+            mc_expectation_oracle(mean, lambda q: q)
 
 
 class TestWeibullPower:
     def test_exact_at_zero_mean(self) -> None:
         # Q is surely 0, so the expectation collapses to exp(beta4).
-        got = expected_weibull_power(OccupancyLaw(0.0), TABLE1_MODEL, TOUR_LENGTH_OFFSET)
+        got = weibull_power(0.0, TOUR_LENGTH_OFFSET)
         assert got == pytest.approx(math.exp(TABLE1_MODEL.beta4), abs=1e-12)
 
     @pytest.mark.parametrize("mean", [2.0, 10 / 3, 8.0])
@@ -52,29 +77,22 @@ class TestWeibullPower:
     def test_tracks_monte_carlo_at_moderate_means(self, mean: float, offset: float) -> None:
         # The second-order expansion is only trusted for means around 2 and up;
         # the acceptance suite documents how it degrades below that.
-        got = expected_weibull_power(OccupancyLaw(mean), TABLE1_MODEL, offset)
-        ref = mc_expectation_oracle(
-            OccupancyLaw(mean), weibull_f(TABLE1_MODEL, offset), n_draws=400_000
-        )
+        got = weibull_power(mean, offset)
+        ref = mc_expectation_oracle(mean, weibull_f(TABLE1_MODEL, offset), n_draws=400_000)
         assert got == pytest.approx(ref, rel=0.02)
 
-    def test_offset_whitelist(self) -> None:
-        with pytest.raises(ValueError, match="offset"):
-            expected_weibull_power(OccupancyLaw(1.0), TABLE1_MODEL, 2.5)
-
     def test_wait_kernel_is_difference_of_moments(self) -> None:
-        law = OccupancyLaw(4.2)
-        expected = expected_weibull_power(
-            law, TABLE1_MODEL, RIDER_WEIGHTED_OFFSET
-        ) - expected_weibull_power(law, TABLE1_MODEL, TOUR_LENGTH_OFFSET)
-        assert expected_ff_wait_kernel(law, TABLE1_MODEL) == pytest.approx(expected, abs=1e-15)
+        args = (TABLE1_MODEL.beta4, TABLE1_MODEL.beta5)
+        expected = _second_order(4.2, TABLE1_MODEL.beta3 + RIDER_WEIGHTED_OFFSET, *args) - _second_order(
+            4.2, TABLE1_MODEL.beta3 + TOUR_LENGTH_OFFSET, *args
+        )
+        assert ff_wait_kernel(4.2) == pytest.approx(expected, abs=1e-15)
 
     def test_wait_kernel_positive_and_tracks_mc(self) -> None:
-        law = OccupancyLaw(10 / 3)
-        kernel = expected_ff_wait_kernel(law, TABLE1_MODEL)
+        kernel = ff_wait_kernel(10 / 3)
         assert kernel > 0.0
         base = weibull_f(TABLE1_MODEL, TOUR_LENGTH_OFFSET)
-        ref = mc_expectation_oracle(law, lambda q: q * base(q), n_draws=400_000)
+        ref = mc_expectation_oracle(10 / 3, lambda q: q * base(q), n_draws=400_000)
         assert kernel == pytest.approx(ref, rel=0.02)
 
 
@@ -92,17 +110,16 @@ class TestWaitKernelBand:
     def test_within_two_percent_from_mean_2_2(self, mean: float) -> None:
         base = weibull_f(TABLE1_MODEL, TOUR_LENGTH_OFFSET)
         exact = poisson_sum(mean, lambda q: q * base(q))
-        got = expected_ff_wait_kernel(OccupancyLaw(mean), TABLE1_MODEL)
+        got = ff_wait_kernel(mean)
         assert got == pytest.approx(exact, rel=0.02)
 
     def test_at_mean_2_only_the_difference_leaves_the_band(self) -> None:
-        law = OccupancyLaw(2.0)
         for offset in (TOUR_LENGTH_OFFSET, RIDER_WEIGHTED_OFFSET):
             exact = poisson_sum(2.0, weibull_f(TABLE1_MODEL, offset))
-            assert expected_weibull_power(law, TABLE1_MODEL, offset) == pytest.approx(exact, rel=0.02)
+            assert weibull_power(2.0, offset) == pytest.approx(exact, rel=0.02)
         base = weibull_f(TABLE1_MODEL, TOUR_LENGTH_OFFSET)
         exact = poisson_sum(2.0, lambda q: q * base(q))
-        error = expected_ff_wait_kernel(law, TABLE1_MODEL) / exact - 1.0
+        error = ff_wait_kernel(2.0) / exact - 1.0
         assert -0.022 < error < -0.02
 
 
@@ -120,9 +137,7 @@ class TestWeibullTourLaw:
     def test_mean_matches_scaled_expectation(self) -> None:
         law = WeibullTourLaw((TABLE1_MODEL,))
         mu, S = 3.0, 1.5
-        expected = (TABLE1_MODEL.beta1 * S + TABLE1_MODEL.beta2) * expected_weibull_power(
-            OccupancyLaw(mu), TABLE1_MODEL, TOUR_LENGTH_OFFSET
-        )
+        expected = (TABLE1_MODEL.beta1 * S + TABLE1_MODEL.beta2) * weibull_power(mu, TOUR_LENGTH_OFFSET)
         assert law.mean_tour_units(mu, S) == pytest.approx(expected, abs=1e-15)
 
     def test_rejects_an_empty_law_or_a_term_that_is_not_a_model(self) -> None:
@@ -167,10 +182,8 @@ class TestTourUnits:
         for mu, S in ((0.4, 1.0), (10 / 3, 1.5), (9.0, 3.0)):
             size = TABLE1_MODEL.beta1 * S + TABLE1_MODEL.beta2
             mean, rider = law.tour_units(mu, S)
-            assert mean == size * expected_weibull_power(
-                OccupancyLaw(mu), TABLE1_MODEL, TOUR_LENGTH_OFFSET
-            )
-            assert rider == size * expected_ff_wait_kernel(OccupancyLaw(mu), TABLE1_MODEL)
+            assert mean == size * weibull_power(mu, TOUR_LENGTH_OFFSET)
+            assert rider == size * ff_wait_kernel(mu)
 
     @pytest.mark.parametrize("law", [WeibullTourLaw((TABLE1_MODEL,)), YANG_TOUR_LAW])
     def test_takes_arrays(self, law) -> None:
@@ -195,7 +208,7 @@ class TestPolynomialTourLaw:
             x = q + 1.0
             return 1.1055 * x**0.5 - 0.008 * x**1.5 + 1.0297 * S * x**-0.5
 
-        ref = mc_expectation_oracle(OccupancyLaw(mu), f, n_draws=400_000)
+        ref = mc_expectation_oracle(mu, f, n_draws=400_000)
         assert YANG_TOUR_LAW.mean_tour_units(mu, S) == pytest.approx(ref, rel=0.02)
 
     def test_rider_weighting_tracks_monte_carlo(self) -> None:
@@ -205,7 +218,7 @@ class TestPolynomialTourLaw:
             x = q + 1.0
             return q * (1.1055 * x**0.5 - 0.008 * x**1.5 + 1.0297 * S * x**-0.5)
 
-        ref = mc_expectation_oracle(OccupancyLaw(mu), f, n_draws=400_000)
+        ref = mc_expectation_oracle(mu, f, n_draws=400_000)
         assert YANG_TOUR_LAW.rider_tour_units(mu, S) == pytest.approx(ref, rel=0.02)
 
     def test_keeps_the_bits_of_the_polynomial_arithmetic(self) -> None:
@@ -246,12 +259,11 @@ class TestAsTourLaw:
 
 class TestMonteCarloOracle:
     def test_deterministic_given_seed(self) -> None:
-        law = OccupancyLaw(2.0)
-        a = mc_expectation_oracle(law, lambda q: q.astype(float), seed=5)
-        b = mc_expectation_oracle(law, lambda q: q.astype(float), seed=5)
+        a = mc_expectation_oracle(2.0, lambda q: q.astype(float), seed=5)
+        b = mc_expectation_oracle(2.0, lambda q: q.astype(float), seed=5)
         assert a == b
         assert a == pytest.approx(2.0, rel=0.02)
 
     def test_rejects_tiny_samples(self) -> None:
         with pytest.raises(ValueError, match="draws"):
-            mc_expectation_oracle(OccupancyLaw(1.0), lambda q: q, n_draws=100)
+            mc_expectation_oracle(1.0, lambda q: q, n_draws=100)

@@ -124,6 +124,15 @@ class TestGenerateDemand:
         with pytest.raises(ValueError, match="shape"):
             DemandRealization(outbound=np.zeros((3, 2)), inbound=np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
+    def test_horizon_must_be_finite_and_positive(self, table2: ScenarioParams, horizon: float) -> None:
+        # a negative horizon would give the base optimum a negative GC and a zero one would
+        # divide by zero; generate_demand checks before it draws
+        with pytest.raises(ValueError, match="horizon"):
+            DemandRealization(outbound=np.empty((0, 3)), inbound=np.empty((0, 3)), horizon=horizon)
+        with pytest.raises(ValueError, match="horizon"):
+            generate_demand(table2, rng_seed=0, horizon=horizon)
+
 
 class TestSimulateConservation:
     def test_ff_serves_everyone_once(self, table2: ScenarioParams, ff_design: DesignSolution) -> None:

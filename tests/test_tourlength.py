@@ -8,10 +8,10 @@ import math
 import pytest
 
 from drcflex import CalibrationGrid, KStarModel, TABLE1_MODEL, calibrate_kstar, kstar
+from drcflex.cli import KSTAR_MODES, resolve_model
+from drcflex.expectations import PRIOR_LAWS
 from drcflex.tourlength import (
-    BENCHMARKS,
     CalibrationCell,
-    benchmark_kstar,
     constrained_swath_mape,
     feasible_swath_widths,
     fit_kstar_model,
@@ -43,24 +43,45 @@ class TestKStar:
         with pytest.raises(ValueError, match="aspect"):
             kstar(TABLE1_MODEL, 4.0, 0.8)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_a_count_or_aspect_ratio_that_is_not_finite(self, bad: float) -> None:
+        # NaN compares False with 1, so a lower bound alone would pass it on as a NaN k*
+        with pytest.raises(ValueError, match="q must be finite"):
+            kstar(TABLE1_MODEL, bad, 1.0)
+        with pytest.raises(ValueError, match="aspect ratio S must be finite"):
+            kstar(TABLE1_MODEL, 4.0, bad)
+
 
 class TestBenchmarks:
+    """The k* of earlier studies, a prior law's tour over q stops in a unit zone over sqrt(q)."""
+
+    GRID = [(q, S) for q in range(2, 16) for S in (1.0, 1.5, 2.0, 3.0)]
+
+    @staticmethod
+    def prior_kstar(name: str, q: float, S: float) -> float:
+        return PRIOR_LAWS[name].tour_length_units(q, S) / math.sqrt(q)
+
     def test_yang(self) -> None:
-        assert benchmark_kstar("yang", 5.0, 2.0) == pytest.approx(
-            1.1055 - 0.04 + 1.0297 * 2 / 5
-        )
+        # the published Euclidean regression; the law adds three terms, so it may round
+        for q, S in self.GRID:
+            published = 1.1055 - 0.008 * q + 1.0297 * S / q
+            assert self.prior_kstar("yang", q, S) == pytest.approx(published, rel=1e-15, abs=0), (q, S)
 
     def test_constants(self) -> None:
-        assert benchmark_kstar("chakraborti", 9.0, 2.5) == 0.93
-        assert benchmark_kstar("daganzo_swath", 3.0, 1.0) == 1.15
+        # Chakraborti's large-q lattice estimate and Daganzo's serpentine optimum, exactly
+        for q, S in self.GRID:
+            assert self.prior_kstar("chakraborti", q, S) == 0.93, (q, S)
+            assert self.prior_kstar("daganzo115", q, S) == 1.15, (q, S)
 
     def test_unknown_benchmark(self) -> None:
-        with pytest.raises(ValueError, match="unknown benchmark"):
-            benchmark_kstar("euclid", 2.0, 1.0)
+        with pytest.raises(ValueError, match="kstar-mode must be one of"):
+            resolve_model("euclid")
 
     def test_registry_is_exhaustive(self) -> None:
-        for name in BENCHMARKS:
-            assert benchmark_kstar(name, 4.0, 1.5) > 0
+        assert KSTAR_MODES == ("calibrated", "chakraborti", "daganzo115", "yang")
+        for name in PRIOR_LAWS:
+            assert resolve_model(name) is PRIOR_LAWS[name]
+            assert self.prior_kstar(name, 4.0, 1.5) > 0
 
 
 class TestSwathGeometry:
