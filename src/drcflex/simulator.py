@@ -81,9 +81,12 @@ class DemandRealization:
 
     def __post_init__(self) -> None:
         _check_horizon(self.horizon)
-        for arr in (self.outbound, self.inbound):
+        for name in ("outbound", "inbound"):
+            arr = getattr(self, name)
             if arr.ndim != 2 or arr.shape[1] != 3:
-                raise ValueError("demand arrays must have shape (n, 3)")
+                raise ValueError(f"demand array {name} must have shape (n, 3)")
+            if not ((arr[:, 2] >= 0) & (arr[:, 2] < self.horizon)).all():
+                raise ValueError(f"{name} request times must lie in [0, {self.horizon}) h")
 
 
 def generate_demand(
@@ -464,6 +467,10 @@ def _simulate_region(
 ) -> SimRun:
     """Serve a given region realization; schedule stretched to whole windows."""
     validate_design(params, design)
+    for name in ("outbound", "inbound"):
+        xy = getattr(demand, name)[:, :2]
+        if not ((xy >= 0) & (xy <= (params.L, params.W))).all():
+            raise ValueError(f"{name} request positions must lie in the {params.L} x {params.W} km region")
     grid = design.grid
     horizon = demand.horizon
     # span 2*i + d serves design.zones[i] in direction DIRECTIONS[d], as _Spans orders them

@@ -261,8 +261,8 @@ def _simulate_cell(q: int, S: float, grid: CalibrationGrid, rng: np.random.Gener
     # The cap fixes the RNG draw sizes and so each cell's stopping point.  The DP's two
     # live float32 layers (at widest C(q-1, q/2)*q/2 pairs a tour), its (q, q, B) distance
     # rows and the ~0.5 MB of temporaries of one piece of a candidate column stay under
-    # 27 MB up to q = 17 and reach 240 MB at q = 20; the index tables kept per q for the
-    # process add 11 MB at q = 17 and 120 MB at q = 20.
+    # 27 MB up to q = 17 and reach 240 MB at q = 20; the one index table, kept for the
+    # process and built for the largest q so far, adds 10.5 MiB at q = 17 and 114 MiB at q = 20.
     batch_cap = max(32, (1 << 22) >> q)
     samples: list[np.ndarray] = []
     n = 0
@@ -285,12 +285,88 @@ def _simulate_cell(q: int, S: float, grid: CalibrationGrid, rng: np.random.Gener
     return CalibrationCell(q=q, S=S, mean_kstar=mean, std_kstar=float(ks.std(ddof=1)), n_instances=n)
 
 
-def fit_kstar_model(cells: Sequence[CalibrationCell], x0: KStarModel = TABLE1_MODEL) -> KStarModel:
-    """Least-squares fit of the five k* coefficients to grid means.
+# Relative step of the fit's forward differences.  The residuals are model/mean - 1,
+# so their rounding error is absolute, about 1e-16.  With MINPACK's default step,
+# sqrt(machine epsilon), that error moves the fitted coefficients of a 10-cell grid
+# by about 1e-6; with 1e-7 they land within about 1e-7 of the optimum.
+_DIFF_STEP = 1e-7
+# Stop once a step changes the scaled coefficients, or the sum of squares, by at most this.
+_FIT_TOL = 1e-12
 
-    Residuals are relative, so the optimizer targets the same MAPE-style
-    objective the fit is judged by.
+
+def _levenberg_marquardt(residuals: Callable[[np.ndarray], np.ndarray], x0: np.ndarray) -> np.ndarray:
+    """Coefficients that minimize the sum of squared ``residuals``, starting from ``x0``.
+
+    Levenberg-Marquardt as MINPACK's lmdif runs it (Moré 1978): a forward-difference
+    Jacobian J, each column scaled by the largest norm it has had (D), and damping mu
+    adapted to the gain ratio (Nielsen's rule).  Each step solves [J; sqrt(mu) D] p = [-f; 0]
+    by least squares, which stays well posed where J's columns are dependent, as
+    beta1 and beta2 are on a grid with one aspect ratio.  The solve stops once a step
+    moves D*x by at most ``_FIT_TOL`` of its norm, or an accepted step reduces the sum
+    of squares by at most ``_FIT_TOL`` of it (as predicted and as found), or after
+    100*(n+1) evaluations of the residuals, the starting point's included; as in
+    scipy's ``lm``, the Jacobian's evaluations are not counted.
     """
+    n = x0.size
+    max_nfev = 100 * (n + 1)
+    x = x0.astype(float)
+    f = residuals(x)
+    if not np.isfinite(f).all():
+        raise ValueError("the fit's residuals are not finite at its starting point")
+    nfev = 1
+    cost = f @ f
+    col_max = np.zeros(n)
+    mu, nu = 1e-3, 2.0
+    while nfev < max_nfev:
+        h = _DIFF_STEP * np.maximum(np.abs(x), 1.0)
+        jac = np.empty((f.size, n))
+        for j in range(n):
+            xj = x.copy()
+            xj[j] += h[j]
+            jac[:, j] = (residuals(xj) - f) / (xj[j] - x[j])
+        col_max = np.maximum(col_max, np.linalg.norm(jac, axis=0))
+        d = np.where(col_max > 0, col_max, 1.0)
+        while nfev < max_nfev:
+            damped = np.vstack((jac, np.diag(math.sqrt(mu) * d)))
+            step = np.linalg.lstsq(damped, np.concatenate((-f, np.zeros(n))), rcond=None)[0]
+            f_new = residuals(x + step)
+            nfev += 1
+            cost_new = f_new @ f_new
+            predicted = cost - np.sum((f + jac @ step) ** 2)
+            small_step = np.linalg.norm(d * step) <= _FIT_TOL * np.linalg.norm(d * x)
+            if predicted > 0 and cost_new < cost:  # false for non-finite residuals too
+                gain = (cost - cost_new) / predicted
+                small_cut = max(cost - cost_new, predicted) <= _FIT_TOL * cost
+                x, f, cost = x + step, f_new, cost_new
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+                nu = 2.0
+                if small_step or small_cut:
+                    return x
+                break
+            if small_step:
+                return x
+            mu *= nu
+            nu *= 2.0
+    return x
+
+
+def fit_kstar_model(cells: Sequence[CalibrationCell], x0: KStarModel = TABLE1_MODEL) -> KStarModel:
+    """Least-squares fit of the five k* coefficients to grid means, starting from ``x0``.
+
+    Residuals are relative (model / mean - 1), so the fit targets the same
+    MAPE-style objective it is judged by.  The solver is Levenberg-Marquardt with a
+    forward-difference Jacobian and MINPACK's column scaling; it stops once a step
+    changes the scaled coefficients or the sum of squares by at most 1e-12 relative,
+    or after 600 evaluations of the residuals outside the Jacobian
+    (``_levenberg_marquardt``).
+    """
+    if not cells:
+        raise ValueError("the k* fit needs at least one calibration cell")
+    for c in cells:
+        if not (math.isfinite(c.mean_kstar) and c.mean_kstar > 0):
+            raise ValueError(
+                f"mean_kstar of cell (q={c.q}, S={c.S}) must be finite and positive, got {c.mean_kstar}"
+            )
     qs = np.array([c.q for c in cells], dtype=float)
     ss = np.array([c.S for c in cells], dtype=float)
     ys = np.array([c.mean_kstar for c in cells], dtype=float)
@@ -298,14 +374,8 @@ def fit_kstar_model(cells: Sequence[CalibrationCell], x0: KStarModel = TABLE1_MO
     def residuals(beta: np.ndarray) -> np.ndarray:
         return KStarModel(*beta).units(qs, ss) / ys - 1.0
 
-    # imported here so that ``import drcflex`` does not load scipy.optimize
-    from scipy.optimize import least_squares
-
     start = np.array([x0.beta1, x0.beta2, x0.beta3, x0.beta4, x0.beta5])
-    # lm needs at least as many residuals as parameters; tiny grids fall back
-    method = "lm" if len(cells) >= 5 else "trf"
-    sol = least_squares(residuals, start, method=method, xtol=1e-12, ftol=1e-12)
-    return KStarModel(*(float(v) for v in sol.x))
+    return KStarModel(*(float(v) for v in _levenberg_marquardt(residuals, start)))
 
 
 def grid_mape(predict: Callable[[float, float], float], cells: Sequence[CalibrationCell]) -> float:

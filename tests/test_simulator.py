@@ -133,6 +133,16 @@ class TestGenerateDemand:
         with pytest.raises(ValueError, match="horizon"):
             generate_demand(table2, rng_seed=0, horizon=horizon)
 
+    @pytest.mark.parametrize("name", ["outbound", "inbound"])
+    @pytest.mark.parametrize("t", [-1e-9, 1.0, 5.5, float("nan")])
+    def test_request_times_must_lie_in_the_horizon(self, table2: ScenarioParams, name: str, t: float) -> None:
+        # requests shifted 5 h past a 1 h horizon gave the base FF optimum a GC of -4.37 min/patron
+        demand = generate_demand(table2, rng_seed=3)
+        arrays = {"outbound": demand.outbound.copy(), "inbound": demand.inbound.copy()}
+        arrays[name][0, 2] = t
+        with pytest.raises(ValueError, match=f"{name} request times"):
+            DemandRealization(**arrays, horizon=1.0)
+
 
 class TestSimulateConservation:
     def test_ff_serves_everyone_once(self, table2: ScenarioParams, ff_design: DesignSolution) -> None:
@@ -178,6 +188,27 @@ class TestSimulateConservation:
         tiny_bus = uniform_design(table2, 2, 2, 2)
         with pytest.raises(InfeasibleDesignError, match="capacity"):
             simulate_ff_hour(table2, tiny_bus, empty_demand())
+
+    @pytest.mark.parametrize("name", ["outbound", "inbound"])
+    @pytest.mark.parametrize("scale", [10.0, -1.0])
+    def test_positions_outside_the_region_are_rejected(
+        self, table2: ScenarioParams, ff_design: DesignSolution, name: str, scale: float
+    ) -> None:
+        # positions scaled 10x outside the region were served at 157.8 min/patron
+        demand = generate_demand(table2, rng_seed=3)
+        arrays = {"outbound": demand.outbound.copy(), "inbound": demand.inbound.copy()}
+        arrays[name][:, :2] *= scale
+        with pytest.raises(ValueError, match=f"{name} request positions"):
+            simulate_ff_hour(table2, ff_design, DemandRealization(**arrays))
+
+    def test_a_request_at_time_zero_on_the_far_corner_is_served(
+        self, table2: ScenarioParams, ff_design: DesignSolution
+    ) -> None:
+        demand = generate_demand(table2, rng_seed=3)
+        outbound = demand.outbound.copy()
+        outbound[0] = (table2.L, table2.W, 0.0)
+        run = simulate_ff_hour(table2, ff_design, DemandRealization(outbound, demand.inbound))
+        assert run.served == len(outbound) + len(demand.inbound)
 
 
 class TestEmptyDemand:

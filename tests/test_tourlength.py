@@ -5,13 +5,16 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from drcflex import CalibrationGrid, KStarModel, TABLE1_MODEL, calibrate_kstar, kstar
 from drcflex.cli import KSTAR_MODES, resolve_model
 from drcflex.expectations import PRIOR_LAWS
 from drcflex.tourlength import (
     CalibrationCell,
+    _levenberg_marquardt,
     constrained_swath_mape,
     feasible_swath_widths,
     fit_kstar_model,
@@ -147,6 +150,18 @@ class TestConstrainedSwathGap:
             constrained_swath_mape(1.0, 1.0, [0])
 
 
+PINNED_GRID = CalibrationGrid(
+    q_values=(3, 5, 7, 9, 11), aspect_ratios=(1.0, 2.0), min_instances=500, max_instances=2000, batch_size=250
+)
+# perfbench's calibrate parts and its warm-up
+PERFBENCH_Q = tuple(range(2, 13))
+PERFBENCH_SQUARE = CalibrationGrid(q_values=PERFBENCH_Q, aspect_ratios=(1.0, 1.5), min_instances=750)
+PERFBENCH_ELONGATED = CalibrationGrid(q_values=PERFBENCH_Q, aspect_ratios=(2.0, 3.0), min_instances=750)
+PERFBENCH_WARMUP = CalibrationGrid(
+    q_values=(2, 3, 4, 5, 6, 7), aspect_ratios=(1.0, 2.0), min_instances=64, max_instances=128, batch_size=64
+)
+
+
 @pytest.fixture(scope="module")
 def mini_grid() -> CalibrationGrid:
     return CalibrationGrid(
@@ -210,20 +225,15 @@ class TestCalibration:
         (11, 1.0, 1.1036537591127646, 0.11486725643036565, 750),
         (11, 2.0, 1.1571557603621903, 0.12247134492302438, 750),
     )
+    # The model and MAPE are the numpy Levenberg-Marquardt's; TestModelFit checks them
+    # against scipy's least_squares.
     PINNED_MODEL = (
-        0.07996847502631532, 1.5855646365193123, -0.16805796746101948, -2.436926549705555, -2.3800642958544724
+        0.07996847495552668, 1.5855646355276023, -0.1680579671412056, -2.4369265327620577, -2.3800642914040213
     )
-    PINNED_MAPE = 0.1779441224550212
+    PINNED_MAPE = 0.17794412257102918
 
     def test_result_pinned(self) -> None:
-        grid = CalibrationGrid(
-            q_values=(3, 5, 7, 9, 11),
-            aspect_ratios=(1.0, 2.0),
-            min_instances=500,
-            max_instances=2000,
-            batch_size=250,
-        )
-        result = calibrate_kstar(grid, seed=5)
+        result = calibrate_kstar(PINNED_GRID, seed=5)
         assert tuple(dataclasses.astuple(c) for c in result.cells) == self.PINNED_CELLS
         assert dataclasses.astuple(result.model) == self.PINNED_MODEL
         assert result.fit_mape_pct == self.PINNED_MAPE
@@ -253,9 +263,84 @@ class TestModelFit:
         assert fitted.beta3 == pytest.approx(TABLE1_MODEL.beta3, abs=1e-6)
         assert grid_mape(lambda q, S: kstar(fitted, q, S), cells) == pytest.approx(0.0, abs=1e-6)
 
+    # (grid, seeds, well posed): two or more aspect ratios and five or more cells whose
+    # fit converges.  The warm-up grid's fit does not converge at seed 1 (scipy's
+    # neither), and with one aspect ratio beta1 and beta2 cannot be told apart.
+    ORACLE_GRIDS = {
+        "pinned": (PINNED_GRID, (5,), True),
+        "perfbench_square": (PERFBENCH_SQUARE, (0, 7), True),
+        "perfbench_elongated": (PERFBENCH_ELONGATED, (0, 7), True),
+        "default": (CalibrationGrid(), (0,), True),
+        "perfbench_warmup": (PERFBENCH_WARMUP, (0, 1, 2, 3), False),
+        "one_aspect_ratio_1": (dataclasses.replace(PERFBENCH_SQUARE, aspect_ratios=(1.0,)), (0,), False),
+        "one_aspect_ratio_3": (dataclasses.replace(PERFBENCH_SQUARE, aspect_ratios=(3.0,)), (0,), False),
+    }
+
+    @pytest.mark.parametrize("name,seed", [(name, s) for name, (_, seeds, _) in ORACLE_GRIDS.items() for s in seeds])
+    def test_matches_scipy_least_squares(self, name: str, seed: int) -> None:
+        # the oracle is the fit as it ran on scipy's MINPACK Levenberg-Marquardt
+        grid, _, well_posed = self.ORACLE_GRIDS[name]
+        result = calibrate_kstar(grid, seed=seed)
+        residuals = _relative_residuals(result.cells)
+        start = np.array(dataclasses.astuple(TABLE1_MODEL))
+        want = least_squares(residuals, start, method="lm", xtol=1e-12, ftol=1e-12).x
+        got = np.array(dataclasses.astuple(result.model))
+        assert np.isfinite(got).all()
+        assert _ssq(residuals, got) <= _ssq(residuals, want) * (1 + 1e-10)
+        if well_posed:
+            np.testing.assert_allclose(got, want, rtol=1e-6, atol=0)
+
+    @pytest.mark.parametrize("n_cells", [1, 2, 3, 4])
+    def test_grids_of_fewer_cells_than_coefficients(self, mini_result, n_cells: int) -> None:
+        cells = mini_result.cells[:n_cells]
+        fitted = np.array(dataclasses.astuple(fit_kstar_model(cells)))
+        residuals = _relative_residuals(cells)
+        assert np.isfinite(fitted).all()
+        assert _ssq(residuals, fitted) <= _ssq(residuals, np.array(dataclasses.astuple(TABLE1_MODEL)))
+
+    def test_a_solve_that_does_not_converge_stops_at_the_evaluation_cap(self) -> None:
+        # exp(-x) has its least square at infinity: every step is accepted, and none is
+        # small against x or cuts the sum of squares by as little as 1e-12 of it
+        calls = 0
+
+        def residuals(x: np.ndarray) -> np.ndarray:
+            nonlocal calls
+            calls += 1
+            return np.exp(-x)
+
+        x = _levenberg_marquardt(residuals, np.array([1.0]))
+        # 100*(n+1) = 200 evaluations at the start and the trial points, plus one
+        # forward difference before each of the 199 trials
+        assert calls == 200 + 199
+        assert np.isfinite(x).all() and x[0] > 10.0
+
+    def test_rejects_an_empty_grid(self) -> None:
+        with pytest.raises(ValueError, match="at least one calibration cell"):
+            fit_kstar_model([])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.1, math.nan, math.inf])
+    def test_rejects_a_mean_that_is_not_finite_and_positive(self, mini_result, bad: float) -> None:
+        cells = list(mini_result.cells)
+        cells[2] = dataclasses.replace(cells[2], mean_kstar=bad)
+        with pytest.raises(ValueError, match=r"mean_kstar of cell \(q=3, S=1.0\)"):
+            fit_kstar_model(cells)
+
     def test_grid_mape_of_biased_predictor(self) -> None:
         cells = [
             CalibrationCell(q=q, S=1.0, mean_kstar=1.0, std_kstar=0.1, n_instances=1)
             for q in range(2, 6)
         ]
         assert grid_mape(lambda q, S: 1.1, cells) == pytest.approx(10.0)
+
+
+def _relative_residuals(cells):
+    """The fit's objective: k* over each cell's mean, minus 1, as a function of the coefficients."""
+    qs = np.array([c.q for c in cells], dtype=float)
+    ss = np.array([c.S for c in cells], dtype=float)
+    ys = np.array([c.mean_kstar for c in cells])
+    return lambda beta: KStarModel(*beta).units(qs, ss) / ys - 1.0
+
+
+def _ssq(residuals, beta: np.ndarray) -> float:
+    r = residuals(beta)
+    return float(r @ r)
