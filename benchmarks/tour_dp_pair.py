@@ -8,10 +8,13 @@ batched float32 lengths at B = 250 and the batched visit orders at its
 trees back to back, the tree that goes first alternating from call to
 call.  So a drift in the host's speed, which on a shared VM moves separate
 runs of ``tour_dp.py`` by up to 2x, reaches both sides alike, and a change
-of a few percent shows.  Per shape the entry records each side's median
-time per tour, their ratio and the number of calls the change won, after
-one untimed call per side that builds the index tables.  It is written
-into ``BENCH_layers.json`` as layer ``tour_dp_pair`` under ``--label``.
+of a few percent shows.  The length batches run as a calibration runs
+them: each side inside its tree's ``_resident_layers`` for the shape, where
+the tree has one.  Per shape the entry records each side's median time per
+tour and mean minor page faults per call (``ru_minflt`` before and after
+it), their time ratio and the number of calls the change won, after one
+untimed call per side that builds the index tables.  It is written into
+``BENCH_layers.json`` as layer ``tour_dp_pair`` under ``--label``.
 
 Run it from the repository root::
 
@@ -24,8 +27,10 @@ Only the standard library and numpy are used.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import importlib.util
+import resource
 import sys
 import time
 from pathlib import Path
@@ -62,18 +67,28 @@ def solve(tsp, kind: str, pts: np.ndarray) -> None:
         tsp.closed_tours_batch(pts)
 
 
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def measure(base, change, calls: int, seed: int) -> list[dict]:
     rows = []
     for kind, q, B in shapes():
         rng = np.random.default_rng((seed, 300 + q, B))
         times = {"base": [], "change": []}
-        for i in range(calls + 1):
-            pts = rng.random((B, q, 2))
-            for side in ("base", "change") if i % 2 else ("change", "base"):
-                t0 = time.perf_counter()
-                solve(base if side == "base" else change, kind, pts)
-                if i:  # the first call of each side builds the index tables
-                    times[side].append(time.perf_counter() - t0)
+        faults = {"base": [], "change": []}
+        with contextlib.ExitStack() as scopes:
+            for tsp in (base, change):
+                if kind == "lengths" and hasattr(tsp, "_resident_layers"):
+                    scopes.enter_context(tsp._resident_layers([(q, B)], np.float32))
+            for i in range(calls + 1):
+                pts = rng.random((B, q, 2))
+                for side in ("base", "change") if i % 2 else ("change", "base"):
+                    f0, t0 = minor_faults(), time.perf_counter()
+                    solve(base if side == "base" else change, kind, pts)
+                    if i:  # the first call of each side builds the index tables
+                        times[side].append(time.perf_counter() - t0)
+                        faults[side].append(minor_faults() - f0)
         old, new = np.array(times["base"]), np.array(times["change"])
         row = {
             "kind": kind, "q": q, "B": B,
@@ -81,12 +96,15 @@ def measure(base, change, calls: int, seed: int) -> list[dict]:
             "change_us_per_tour": float(np.median(new)) / B * 1e6,
             "ratio": float(np.median(new) / np.median(old)),
             "change_faster": int((new < old).sum()),
+            "base_faults_per_call": float(np.mean(faults["base"])),
+            "change_faults_per_call": float(np.mean(faults["change"])),
             "calls": calls,
         }
         rows.append(row)
         print(f"{kind:8s} q={q:2d} B={B:3d}: base {row['base_us_per_tour']:10.3f} us, change "
               f"{row['change_us_per_tour']:10.3f} us per tour, ratio {row['ratio']:.3f}, "
-              f"change faster in {row['change_faster']}/{calls}", flush=True)
+              f"change faster in {row['change_faster']}/{calls}; minor faults per call: base "
+              f"{row['base_faults_per_call']:.1f}, change {row['change_faults_per_call']:.1f}", flush=True)
     return rows
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .tsp import closed_tour_lengths_batch
+from .tsp import _resident_layers, closed_tour_lengths_batch
 
 
 @dataclass(frozen=True)
@@ -209,8 +209,8 @@ class CalibrationGrid:
             raise ValueError("q_values must all be at least 2")
         if max(self.q_values) > 20:
             raise ValueError("q_values beyond 20 exceed the exact solver capacity")
-        if not self.aspect_ratios or min(self.aspect_ratios) < 1:
-            raise ValueError("aspect ratios must be at least 1")
+        if not self.aspect_ratios or not all(math.isfinite(S) and S >= 1 for S in self.aspect_ratios):
+            raise ValueError(f"aspect_ratios must be finite and at least 1, got {self.aspect_ratios}")
         if self.min_instances < 1 or self.max_instances < self.min_instances:
             raise ValueError("need 1 <= min_instances <= max_instances")
         if self.batch_size < 1:
@@ -252,25 +252,38 @@ class CalibrationResult:
                 writer.writerow([name, "", f"{getattr(self.model, name):.6f}", ""])
 
 
+# The DP's precision for calibration tours: float32 halves its memory at a ~1e-6
+# relative accuracy cost.
+_TOUR_DTYPE = np.float32
+
+
+def _cell_batch(q: int, grid: CalibrationGrid) -> int:
+    """Tours per DP call of a q-stop cell, the last call of a cell excepted.
+
+    The cap fixes the RNG draw sizes and so each cell's stopping point.  At the cap
+    the DP's two live float32 layers (at widest C(q-1, q/2)*q/2 pairs a tour; resident
+    for a whole calibration, see ``calibrate_kstar``) and its (q, 20, B) distance rows
+    stay under 27 MB up to q = 17 and reach 237 MB at q = 20; each piece of a candidate
+    column adds two temporaries of under 128 KiB.  The one index table, kept for the
+    process and built for the largest q so far, adds 10.5 MiB at q = 17 and 114 MiB
+    at q = 20.
+    """
+    return min(grid.batch_size, max(32, (1 << 22) >> q), grid.max_instances)
+
+
 def _simulate_cell(q: int, S: float, grid: CalibrationGrid, rng: np.random.Generator) -> CalibrationCell:
     """Run exact tours over unit-area aspect-S rectangles until the mean settles."""
     long_side = math.sqrt(S)
     short_side = 1.0 / long_side
     scale = np.array([long_side, short_side])
     sqrt_q = math.sqrt(q)
-    # The cap fixes the RNG draw sizes and so each cell's stopping point.  The DP's two
-    # live float32 layers (at widest C(q-1, q/2)*q/2 pairs a tour), its (q, q, B) distance
-    # rows and the ~0.5 MB of temporaries of one piece of a candidate column stay under
-    # 27 MB up to q = 17 and reach 240 MB at q = 20; the one index table, kept for the
-    # process and built for the largest q so far, adds 10.5 MiB at q = 17 and 114 MiB at q = 20.
-    batch_cap = max(32, (1 << 22) >> q)
     samples: list[np.ndarray] = []
     n = 0
     prev_mean = None
     while True:
-        batch = min(grid.batch_size, batch_cap, grid.max_instances - n)
+        batch = min(_cell_batch(q, grid), grid.max_instances - n)
         pts = rng.random((batch, q, 2)) * scale
-        lengths = closed_tour_lengths_batch(pts, dtype=np.float32)
+        lengths = closed_tour_lengths_batch(pts, dtype=_TOUR_DTYPE)
         samples.append(lengths.astype(np.float64) / sqrt_q)
         n += batch
         ks = np.concatenate(samples) if len(samples) > 1 else samples[0]
@@ -389,13 +402,16 @@ def calibrate_kstar(grid: CalibrationGrid = CalibrationGrid(), seed: int = 0) ->
 
     Each cell draws from its own RNG stream derived from (seed, q-index,
     S-index), so cells converge to identical estimates regardless of the
-    order in which they are evaluated.
+    order in which they are evaluated.  The DP's layers stay resident while
+    the cells run, in one buffer sized for the grid's widest layer (5.5 MB on
+    q = 2..12, 24.6 MB on the default grid), released before the fit.
     """
     cells = []
-    for qi, q in enumerate(grid.q_values):
-        for si, S in enumerate(grid.aspect_ratios):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, qi, si)))
-            cells.append(_simulate_cell(q, S, grid, rng))
+    with _resident_layers(((q, _cell_batch(q, grid)) for q in grid.q_values), _TOUR_DTYPE):
+        for qi, q in enumerate(grid.q_values):
+            for si, S in enumerate(grid.aspect_ratios):
+                rng = np.random.default_rng(np.random.SeedSequence((seed, qi, si)))
+                cells.append(_simulate_cell(q, S, grid, rng))
     model = fit_kstar_model(cells)
     mape = grid_mape(lambda q, S: kstar(model, q, S), cells)
     return CalibrationResult(cells=tuple(cells), model=model, fit_mape_pct=mape, seed=seed)

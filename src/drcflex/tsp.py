@@ -10,25 +10,37 @@ visit orders, read back from the kept layers), of which ``exact_tour`` is
 the B = 1 use.  A permutation brute force is the independent cross-check.  All
 take their distances from ``_manhattan``, in the DP's (q, 20, B) layout, and
 the DP its index tables from ``_layers``, one table for every q.
+
+Memory is part of the DP's speed.  glibc serves an allocation of 128 KiB or
+more with a fresh ``mmap``, whose pages fault in on first touch and go back
+to the OS when freed.  So the lengths-only DP keeps its two live layers
+resident while a calibration runs (``_resident_layers``, one buffer sized for
+the calibration's widest layer, its halves used in turns), and a layer step
+folds its candidate columns in pieces whose temporaries stay under 128 KiB,
+so that they come from the heap.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 MAX_EXACT_POINTS = 20  # 2^(q-1) DP states; beyond this the DP is impractical
 MAX_BRUTE_POINTS = 9
 
-# Bytes of one candidate column (pairs, B) a layer step folds at a time: larger
-# layers are solved in cache-sized pieces, which also caps the temporaries' memory.
-# At B = 250 float32, 2^18 beats 2^19 by 10-25% at q = 10-14; 2^17 wins at q = 10 but loses at q = 12.
-_CHUNK_BYTES = 1 << 18
+# Bytes of one piece of a candidate column (pairs, B) that a layer step folds at a
+# time, and so of each of its gathered temporaries.  It stays, with malloc's header,
+# below glibc's default 128 KiB mmap threshold, so the temporaries come from the heap:
+# at 2^18, with the layers resident, q = 9-10 calls at B = 250 float32 faulted 96-196
+# pages in per call and ran 18-22% slower.  No other size is more than 2.4% faster at any q = 9..13.
+_CHUNK_BYTES = (1 << 17) - 4096
 # Bytes of distance rows and kept float64 layers one batched visit-order DP
 # call may hold (from q = 16 one instance alone exceeds it).
 _BATCH_BYTES = 1 << 20
@@ -110,6 +122,35 @@ def _layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     return layers
 
 
+# The lengths-only DP's layer buffer while ``_resident_layers`` is entered, else None
+_resident: ContextVar[np.ndarray | None] = ContextVar("_resident", default=None)
+
+
+def _widest_layer(q: int) -> int:
+    """Pairs (subset S, last node j) in the widest DP layer of a q-point tour: max C(q-1, k)*k."""
+    return max((math.comb(q - 1, k) * k for k in range(2, q)), default=0)
+
+
+@contextlib.contextmanager
+def _resident_layers(shapes: Iterable[tuple[int, int]], dtype) -> Iterator[None]:
+    """Solve the lengths-only DP's layers in one buffer while the block runs.
+
+    The buffer has two halves, each as large as the widest layer of the (q, B)
+    batch shapes at ``dtype``; layer k is written to half k % 2 while it reads
+    layer k - 1 from the other.  So a calibration maps its layer memory once,
+    not on every call.  A layer that does not fit is allocated as outside the
+    block.  Results never alias the buffer, and it is dropped when the block
+    exits, an exception included.
+    """
+    half = max((_widest_layer(q) * B for q, B in shapes), default=0) * np.dtype(dtype).itemsize
+    half = -(-half // 64) * 64  # the second half starts on a 64-byte boundary
+    token = _resident.set(np.empty(2 * half, dtype=np.uint8))
+    try:
+        yield
+    finally:
+        _resident.reset(token)
+
+
 def _manhattan(points: np.ndarray) -> np.ndarray:
     """The contiguous (q, max(q, MAX_EXACT_POINTS), B) distances |x_i - x_j| + |y_i - y_j|
     of (B, q, 2) points: row i*MAX_EXACT_POINTS + j of its (q*MAX_EXACT_POINTS, B) view
@@ -132,16 +173,24 @@ def _held_karp(dist: np.ndarray, visit_order: bool = False) -> tuple[np.ndarray,
     tour lengths and, with ``visit_order``, the (B, q) visit orders from node
     0: every layer is kept, and each chosen pair's candidates are recomputed
     from the same operands and their argmin taken, so ties go to the smallest i.
+    Without ``visit_order``, inside ``_resident_layers``, the layers are views of
+    its buffer.
     """
     q, stride, B = dist.shape
     d = dist.reshape(q * stride, B)  # row i*stride + j holds d(i, j) of every instance
     dp = d[1:q]  # size 1: the leg from node 0 to each free node
     layers = _layers(q - 1)
     kept = [dp]
-    for edges, _, prev in layers:
+    space = None if visit_order else _resident.get()
+    for turn, (edges, _, prev) in enumerate(layers):
         pairs, width = edges.shape
         below = dp  # frees the layer two sizes down before the next one is allocated
-        dp = np.empty((pairs, B), dtype=d.dtype)
+        size = pairs * B * d.itemsize
+        if space is not None and 2 * size <= len(space):
+            start = turn % 2 * (len(space) // 2)
+            dp = space[start:start + size].view(d.dtype).reshape(pairs, B)
+        else:
+            dp = np.empty((pairs, B), dtype=d.dtype)
         step = max(1, _CHUNK_BYTES // (max(B, 1) * d.itemsize))
         for lo in range(0, pairs, step):
             rows, legs, best = prev[lo:lo + step] * width, edges[lo:lo + step], dp[lo:lo + step]

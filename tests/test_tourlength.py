@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
-from drcflex import CalibrationGrid, KStarModel, TABLE1_MODEL, calibrate_kstar, kstar
+from drcflex import CalibrationGrid, KStarModel, TABLE1_MODEL, calibrate_kstar, kstar, tourlength, tsp
 from drcflex.cli import KSTAR_MODES, resolve_model
 from drcflex.expectations import PRIOR_LAWS
 from drcflex.tourlength import (
@@ -247,6 +248,33 @@ class TestCalibration:
             CalibrationGrid(aspect_ratios=(0.5,))
         with pytest.raises(ValueError):
             CalibrationGrid(min_instances=100, max_instances=50)
+
+    @pytest.mark.parametrize("ratios", [(math.nan,), (1.0, math.nan), (math.inf,)])
+    def test_grid_rejects_aspect_ratios_that_are_not_finite(self, ratios: tuple[float, ...]) -> None:
+        with pytest.raises(ValueError, match="aspect_ratios"):
+            CalibrationGrid(aspect_ratios=ratios)
+
+    @pytest.mark.parametrize("fail_at", [None, 3], ids=["returns", "raises"])
+    def test_no_layer_buffer_is_held_after_calibrating(self, monkeypatch, fail_at: int | None) -> None:
+        buffers, ids = [], set()
+        solve = tourlength.closed_tour_lengths_batch
+
+        def spy(pts, dtype):  # binds no local to the buffer: the raise keeps this frame alive
+            buffers.append(weakref.ref(tsp._resident.get()))
+            ids.add(id(tsp._resident.get()))
+            if len(buffers) == fail_at:
+                raise RuntimeError("a cell failed")
+            return solve(pts, dtype=dtype)
+
+        monkeypatch.setattr(tourlength, "closed_tour_lengths_batch", spy)
+        if fail_at is None:
+            calibrate_kstar(PERFBENCH_WARMUP)
+        else:
+            with pytest.raises(RuntimeError, match="a cell failed"):
+                calibrate_kstar(PERFBENCH_WARMUP)
+        assert buffers and len(ids) == 1  # one buffer for the whole calibration
+        assert all(ref() is None for ref in buffers)
+        assert tsp._resident.get() is None
 
 
 class TestModelFit:

@@ -327,6 +327,40 @@ class TestOneTable:
         assert sorted(tsp._held) == [1, 13, 15] and held_bytes() < 5e6  # views cleared at each rebuild
 
 
+class TestResidentLayers:
+    """Inside ``_resident_layers`` the lengths-only DP writes its layers to one buffer, in turns."""
+
+    @pytest.mark.parametrize("plan", [[(13, 250)], [(9, 7)]], ids=["every layer fits", "small layers fit"])
+    def test_reuse_leaks_nothing_between_calls(self, plan: list[tuple[int, int]]) -> None:
+        # where only the small layers fit, layers from the buffer and fresh ones alternate
+        rng = np.random.default_rng(87)
+        calls = [(rng.random((B, q, 2)), dtype) for q in range(2, 14) for dtype in (np.float32, np.float64)
+                 for B in (1, 7, 250)]
+        narrow = {q: rng.random((2, q, 2)) for q in range(2, 14)}
+        first = [closed_tour_lengths_batch(pts, dtype=dtype).tobytes() for pts, dtype in calls]
+        tours = {q: [a.tobytes() for a in closed_tours_batch(pts)] for q, pts in narrow.items()}
+        kept = []
+        with tsp._resident_layers(plan, np.float64):
+            space = tsp._resident.get()
+            space.fill(0xFF)  # NaN in every float: a stale read would show
+            for i in rng.permutation(len(calls)):
+                pts, dtype = calls[i]
+                lengths = closed_tour_lengths_batch(pts, dtype=dtype)
+                assert lengths.tobytes() == first[i]
+                assert not np.shares_memory(lengths, space)
+                kept.append((lengths, first[i]))
+                q = pts.shape[1]
+                assert [a.tobytes() for a in closed_tours_batch(narrow[q])] == tours[q]
+            assert not np.isnan(space.view(np.float64)).all()  # the buffer was used
+        assert tsp._resident.get() is None
+        assert all(lengths.tobytes() == bits for lengths, bits in kept)  # earlier results unchanged
+
+    def test_buffer_is_sized_for_the_widest_layer(self) -> None:
+        assert [tsp._widest_layer(q) for q in (2, 3, 4, 12, 15)] == [0, 2, 6, 2772, 24024]
+        with tsp._resident_layers([(15, 128), (12, 250), (2, 1000)], np.float32):
+            assert tsp._resident.get().nbytes == 2 * 24024 * 128 * 4
+
+
 class TestSizeLimits:
     def test_point_set_bounds(self) -> None:
         with pytest.raises(ValueError, match="at least 2"):
