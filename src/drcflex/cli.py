@@ -284,6 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed < 0:  # before any work: numpy rejects it only when it first draws
+        parser.error(f"argument --seed: must be a non-negative integer, got {args.seed}")
     outdir: Path = args.out
     outdir.mkdir(parents=True, exist_ok=True)
     try:

@@ -3,10 +3,11 @@
 Each run realizes spatial Poisson demand, executes the dispatch rules zone
 by zone, and accumulates the same cost books the analytical model predicts:
 waits, in-vehicle times, transfers, vehicle distance and time, dwell losses,
-and overcapacity events.  Validation repeats runs with independent seeds
-until, from ``min_runs`` on, the standard error of the mean generalized
-cost is below ``VALIDATION_SE_TARGET``, then reports the percentage gap
-between the analytical and simulated figures.
+and overcapacity events.  Validation repeats independent runs, drawn in
+blocks of 64 with one random stream per block, until, from ``min_runs`` on,
+the standard error of the mean generalized cost is below
+``VALIDATION_SE_TARGET``, then reports the percentage gap between the
+analytical and simulated figures.
 
 Two conventions keep the comparison unbiased.  Validation simulates each
 zone and direction over its own horizon of round(1/H) whole headways, so no
@@ -51,6 +52,9 @@ MAX_VALIDATION_RUNS = 100_000
 # but hold more requests.  Against 64, perfbench validate's FF part took 5% / 10% less time at
 # 96 / 128 runs, and its peak RSS rose by 1.7 / 3.1 MB (5 alternating runs each).
 _CHUNK_RUNS = 64
+# Runs per random stream: block b of a validation's runs draws from SeedSequence((seed, b)).
+# It defines the stream, so changing it moves every report; the chunk size moves none.
+_BLOCK_RUNS = 64
 
 TABLE_ROW_LABELS = (
     "Errors in GC",
@@ -94,15 +98,13 @@ def generate_demand(
 ) -> DemandRealization:
     """Spatial Poisson demand over the region and the given horizon (hours)."""
     _check_horizon(horizon)
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")
     rng = np.random.default_rng(rng_seed)
     lists = []
     for lam in (params.lambda_p, params.lambda_d):
         n = rng.poisson(lam * params.L * params.W * horizon)
-        xyt = np.empty((n, 3))
-        xyt[:, 0] = rng.random(n) * params.L
-        xyt[:, 1] = rng.random(n) * params.W
-        xyt[:, 2] = rng.random(n) * horizon
-        lists.append(xyt)
+        lists.append(np.stack((rng.random(n) * params.L, rng.random(n) * params.W, rng.random(n) * horizon), axis=1))
     return DemandRealization(outbound=lists[0], inbound=lists[1], horizon=horizon)
 
 
@@ -133,44 +135,39 @@ def _staging_draws(design: DesignSolution, n_windows: np.ndarray) -> np.ndarray:
 
 
 def _pack(
-    design: DesignSolution, columns: tuple, n_points: np.ndarray, draws: np.ndarray,
-    requests: tuple | None = None,
+    design: DesignSolution, columns: tuple, n_points: np.ndarray, requests: tuple, staging: np.ndarray
 ) -> _Spans:
-    """Pack spans from their (zone, outbound, H_sched, n_windows) columns and
-    uniform draws, scaling each kind of draw once.  Per span in order,
-    ``draws`` holds its n requests' xy (2n) and times (n), then its staging
-    draws; only the staging draws when ``requests`` gives every (xy, t).
+    """Pack spans from their (zone, outbound, H_sched, n_windows) columns, their
+    requests' (xy, t) and their uniform staging draws, which become an (l, w)
+    point per fully flexible window or a w0 offset per semi-flexible one.
     """
-    zone, outbound, H_sched, n_windows = columns
     ff = design.strategy == FULLY_FLEXIBLE
-    scale = np.array([design.grid.l, design.grid.w])
-    if requests is None:
-        sizes = np.stack((2 * n_points, n_points, _staging_draws(design, n_windows)), axis=1)
-        kind = np.repeat(np.tile(np.arange(3, dtype=np.int8), len(n_points)), sizes.ravel())
-        xy = draws[kind == 0].reshape(-1, 2) * scale
-        t = draws[kind == 1] * np.repeat(n_windows * H_sched, n_points)  # span lengths
-        draws = draws[kind == 2]
-    else:
-        xy, t = requests
-    staging = draws.reshape(-1, 2) * scale if ff else draws * design.w0
-    return _Spans(zone, outbound, H_sched, n_windows, n_points, xy, t, staging)
+    staging = staging.reshape(-1, 2) * np.array([design.grid.l, design.grid.w]) if ff else staging * design.w0
+    return _Spans(*columns, n_points, *requests, staging)
 
 
 def _draw_runs(
-    design: DesignSolution, layout: tuple[np.ndarray, ...], means: list[float], seed: int, runs: range
+    design: DesignSolution, layout: tuple[np.ndarray, ...], means: np.ndarray, seed: int, runs: range
 ) -> _Spans:
-    """The spans of validation ``runs``, drawn as ``run_validation`` states,
-    from one run's (zone, outbound, H, n_windows) columns and mean request counts."""
-    sizes = _staging_draws(design, layout[3]).tolist()
-    n_points, draws = [], []
-    for run in runs:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, run))))  # default_rng's stream
-        for mean, s in zip(means, sizes):
-            n = rng.poisson(mean)
-            n_points.append(n)
-            draws.append(rng.random(3 * n + s))
-    columns = tuple(np.tile(c, len(runs)) for c in layout)
-    return _pack(design, columns, np.array(n_points), np.concatenate(draws))
+    """The spans of validation ``runs``, sliced from the blocks of runs they
+    touch, each drawn whole as ``run_validation`` states, given one run's
+    (zone, outbound, H, n_windows) columns and mean request counts."""
+    first = runs.start // _BLOCK_RUNS
+    spans, draws = len(means), _staging_draws(design, layout[3]).sum()  # per run
+    n, xy, t, staging = [], [], [], []
+    for block in range(first, (runs.stop - 1) // _BLOCK_RUNS + 1):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))  # default_rng's stream
+        n.append(rng.poisson(np.tile(means, _BLOCK_RUNS)))
+        xy.append(rng.random((n[-1].sum(), 2)))
+        t.append(rng.random(n[-1].sum()))
+        staging.append(rng.random(_BLOCK_RUNS * draws))
+    n, xy, t, staging = map(np.concatenate, (n, xy, t, staging))
+    lo, hi = runs.start - first * _BLOCK_RUNS, runs.stop - first * _BLOCK_RUNS
+    r_lo, r_hi = np.concatenate(([0], np.cumsum(n)))[[lo * spans, hi * spans]]  # the runs' requests
+    n, columns = n[lo * spans : hi * spans], tuple(np.tile(c, len(runs)) for c in layout)
+    span_h = np.repeat(columns[2] * columns[3], n)  # each request's span length
+    requests = (xy[r_lo:r_hi] * np.array([design.grid.l, design.grid.w]), t[r_lo:r_hi] * span_h)
+    return _pack(design, columns, n, requests, staging[lo * draws : hi * draws])
 
 
 class _Tally(NamedTuple):
@@ -219,13 +216,7 @@ class SimRun:
 
 def _gc_hours(params: ScenarioParams, K: int, out: _Tally, inb: _Tally) -> float:
     """Assemble the generalized cost from raw totals (over the span)."""
-    user = (
-        params.alpha * out.wait_h
-        + out.invehicle_h
-        + inb.invehicle_h
-        + out.transfer_h
-        + inb.transfer_h
-    )
+    user = params.alpha * out.wait_h + out.invehicle_h + inb.invehicle_h + out.transfer_h + inb.transfer_h
     dist = out.dist_km + inb.dist_km
     veh_time = out.veh_time_h + inb.veh_time_h
     return user + params.pi_v(K) / params.theta * dist + params.pi_m(K) / params.theta * veh_time
@@ -488,7 +479,7 @@ def _simulate_region(
     xy = (xyt[:, :2] - np.stack((n_idx * grid.l, m_idx * grid.w), axis=1))[order]
     staging = rng.random(int(_staging_draws(design, n_w).sum()))
     n_points = np.bincount(request_span, minlength=len(n_w))
-    spans = _pack(design, columns, n_points, staging, (xy, xyt[order, 2]))
+    spans = _pack(design, columns, n_points, (xy, xyt[order, 2]), staging)
     tally, tours = _serve(params, design, spans)
     out = _merged(tally, spans.outbound)
     inb = _merged(tally, ~spans.outbound)
@@ -595,16 +586,19 @@ def run_validation(
 
     Every zone-direction is simulated over its own whole number of headways
     (round(1/H) windows) per run, so realized rates are directly comparable
-    to the hourly analytical model.  Run r draws from its own
-    ``SeedSequence((seed, r))`` stream, span by span (zone by zone, outbound
-    first): a Poisson request count n, then in one call 3n + s uniforms, the
-    requests' xy (n rows of 2) and times, then the span's s staging draws
-    (an (l, w) pair per FF window, a w0 offset per SF window).  Runs are
-    served in chunks of at most ``_CHUNK_RUNS``, the first ``min_runs`` split
-    as evenly as possible; the report equals serving them singly.
+    to the hourly analytical model.  Runs come in blocks of ``_BLOCK_RUNS``;
+    block b draws from its own ``SeedSequence((seed, b))`` stream in four
+    calls: the Poisson request counts of its spans (run by run, zone by zone,
+    outbound first), every request's xy (N rows of 2), every request's time,
+    then every staging draw (an (l, w) pair per FF window, a w0 offset per
+    SF window).  Runs are served in chunks on a grid of ``_CHUNK_RUNS`` runs,
+    cut at ``min_runs``; chunks bound memory only, and the report is the same
+    whatever their size.
     """
-    if min_runs < 2:
-        raise ValueError(f"min_runs must be at least 2 to estimate a standard error, got {min_runs}")
+    if not 2 <= min_runs <= MAX_VALIDATION_RUNS:  # two runs estimate a standard error
+        raise ValueError(f"min_runs must lie in [2, MAX_VALIDATION_RUNS = {MAX_VALIDATION_RUNS}], got {min_runs}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LowOccupancyWarning)
         analytic = total_generalized_cost(params, design, model)
@@ -628,7 +622,7 @@ def run_validation(
     ref_tour_out = tour_sum["outbound"] / windows["outbound"]
     ref_tour_in = tour_sum["inbound"] / windows["inbound"]
     zone, outbound, lam, H, n_w = map(np.array, zip(*layout))
-    means = (lam * grid.l * grid.w * (n_w * H)).tolist()  # requests per span
+    means = lam * grid.l * grid.w * (n_w * H)  # requests per span
     scale = 1.0 / (n_w * H)  # per hour of span
     c_dist = params.pi_v(design.K) / params.theta
     c_time = params.pi_m(design.K) / params.theta
@@ -638,13 +632,13 @@ def run_validation(
     run = 0
     converged = False
     while not converged:
-        left = min_runs - run  # split evenly over the fewest chunks that hold them
-        size = -(-left // -(-left // _CHUNK_RUNS)) if left > 0 else _CHUNK_RUNS
+        # chunks on a grid of _CHUNK_RUNS runs, cut at min_runs: while _CHUNK_RUNS
+        # divides _BLOCK_RUNS, no chunk straddles two blocks and draws both
+        size = min(_CHUNK_RUNS - run % _CHUNK_RUNS, min_runs - run if run < min_runs else _CHUNK_RUNS)
         spans = _draw_runs(design, (zone, outbound, H, n_w), means, seed, range(run, run + size))
         tally = _Tally(*(f.reshape(size, len(layout)) for f in _serve(params, design, spans)[0]))
         waits = params.alpha * tally.wait_h * scale
-        books = tally.invehicle_h + tally.transfer_h + c_dist * tally.dist_km + c_time * tally.veh_time_h
-        rest = books * scale
+        rest = (tally.invehicle_h + tally.transfer_h + c_dist * tally.dist_km + c_time * tally.veh_time_h) * scale
         gc = np.zeros(size)
         for s, is_out in enumerate(outbound):  # zone-directions in order, as hourly rates
             if is_out:

@@ -406,6 +406,8 @@ def calibrate_kstar(grid: CalibrationGrid = CalibrationGrid(), seed: int = 0) ->
     the cells run, in one buffer sized for the grid's widest layer (5.5 MB on
     q = 2..12, 24.6 MB on the default grid), released before the fit.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     cells = []
     with _resident_layers(((q, _cell_batch(q, grid)) for q in grid.q_values), _TOUR_DTYPE):
         for qi, q in enumerate(grid.q_values):

@@ -181,3 +181,15 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["validate", "--runs", "20", *FAST], ["calibrate"]], ids=["validate", "calibrate"]
+    )
+    def test_negative_seed_is_a_usage_error(self, argv: list[str], tmp_path, capsys) -> None:
+        # numpy used to reject it after the search had run, and the command exited 1
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            run([*argv, "--seed", "-1"], out)
+        assert excinfo.value.code == 2
+        assert "argument --seed" in capsys.readouterr().err
+        assert not out.exists()

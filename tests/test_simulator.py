@@ -120,6 +120,10 @@ class TestGenerateDemand:
         assert demand.horizon == 2.0
         assert np.all(demand.outbound[:, 2] <= 2.0)
 
+    def test_rejects_a_negative_seed(self, table2: ScenarioParams) -> None:
+        with pytest.raises(ValueError, match="rng_seed must be non-negative"):
+            generate_demand(table2, rng_seed=-1)
+
     def test_shape_validation(self) -> None:
         with pytest.raises(ValueError, match="shape"):
             DemandRealization(outbound=np.zeros((3, 2)), inbound=np.zeros((0, 3)))
@@ -384,116 +388,113 @@ class TestRunValidation:
         assert report.gc_error_pct < 3.0
         assert report.outbound_tour_error_pct < 3.0
 
-    # Reports at min_runs=50, seed=11.  "ff" and "sf_line" were recorded from
-    # the simulator that served one run and one window at a time, before runs
-    # were served in chunks and tours solved in batches by stop count; the
-    # other SF designs from the sweep that walked each window's riders one at
-    # a time, before windows were grouped by load.
+    # Reports at min_runs=50, seed=11, recorded from the stream that draws
+    # runs in blocks of 64; every chunking below gave these same reports.
     PINNED = {
         "ff": {
-            "n_runs": 408,
+            "n_runs": 375,
             "analytic_gc_min_per_patron": 18.3976398939045,
-            "sim_gc_min_per_patron": 18.4225047911571,
-            "sim_gc_std": 1.0081708642604148,
-            "sim_gc_se": 0.049911895207406,
-            "gc_error_pct": 0.13497023089137,
-            "outbound_tour_error_pct": 1.4809127198215217,
-            "inbound_tour_error_pct": 1.7665840625260043,
-            "pickup_loss_error_pct": 1.3107170393215677,
-            "dropoff_loss_error_pct": 0.4021338292864275,
-            "overcapacity_pct": 0.8042279411764706,
+            "sim_gc_min_per_patron": 18.374404633658074,
+            "sim_gc_std": 0.9667698453895777,
+            "sim_gc_se": 0.04992378014412471,
+            "gc_error_pct": 0.12645449313696183,
+            "outbound_tour_error_pct": 1.826707056180637,
+            "inbound_tour_error_pct": 1.5484118634530284,
+            "pickup_loss_error_pct": 0.10356869222366356,
+            "dropoff_loss_error_pct": 0.5119806534068085,
+            "overcapacity_pct": 0.7944444444444445,
             "analytic_outbound_tour_km": 2.3554432440365765,
-            "sim_outbound_tour_km": 2.3210702199138824,
+            "sim_outbound_tour_km": 2.313188074261316,
             "analytic_inbound_tour_km": 2.3554432440365765,
-            "sim_inbound_tour_km": 2.314554689768675,
-            "mean_occupancy_out": 3.3565665849673203,
-            "mean_occupancy_in": 3.3264399509803924,
+            "sim_inbound_tour_km": 2.3195274064983122,
+            "mean_occupancy_out": 3.3309444444444445,
+            "mean_occupancy_in": 3.3378888888888887,
             "heuristic_dispatches": 0,
         },
         "sf_line": {
             "n_runs": 269,
             "analytic_gc_min_per_patron": 17.94036155555556,
-            "sim_gc_min_per_patron": 17.93604080723138,
-            "sim_gc_std": 0.8199097315691105,
-            "sim_gc_se": 0.049990778626306936,
-            "gc_error_pct": 0.024089755206385174,
-            "outbound_tour_error_pct": 0.055729750729408986,
-            "inbound_tour_error_pct": 0.03212897433158582,
-            "pickup_loss_error_pct": 0.5920244792141905,
-            "dropoff_loss_error_pct": 0.3996332986212065,
-            "overcapacity_pct": 0.6466852540272614,
+            "sim_gc_min_per_patron": 17.927252097959155,
+            "sim_gc_std": 0.8199896309044015,
+            "sim_gc_se": 0.0499956501747581,
+            "gc_error_pct": 0.07312586181512927,
+            "outbound_tour_error_pct": 0.15231201543595776,
+            "inbound_tour_error_pct": 0.20680973265490876,
+            "pickup_loss_error_pct": 0.393782088255618,
+            "dropoff_loss_error_pct": 0.6919512304854463,
+            "overcapacity_pct": 0.7396220570012392,
             "analytic_outbound_tour_km": 2.8055555555555554,
-            "sim_outbound_tour_km": 2.803992897303418,
+            "sim_outbound_tour_km": 2.8098352722892095,
             "analytic_inbound_tour_km": 2.8055555555555554,
-            "sim_inbound_tour_km": 2.806457241482298,
-            "mean_occupancy_out": 3.3286090458488227,
-            "mean_occupancy_in": 3.334495043370508,
+            "sim_inbound_tour_km": 2.7997653682824457,
+            "mean_occupancy_out": 3.3396840148698885,
+            "mean_occupancy_in": 3.315133209417596,
             "heuristic_dispatches": 0,
         },
         "sf": {
-            "n_runs": 328,
+            "n_runs": 320,
             "analytic_gc_min_per_patron": 18.94083455555556,
-            "sim_gc_min_per_patron": 20.29988343807676,
-            "sim_gc_std": 0.9044891808574343,
-            "sim_gc_se": 0.049942060280137174,
-            "gc_error_pct": 6.694860523051139,
-            "outbound_tour_error_pct": 15.09801779103408,
-            "inbound_tour_error_pct": 15.00943245676558,
-            "pickup_loss_error_pct": 0.6877416688803173,
-            "dropoff_loss_error_pct": 0.5372873912826125,
-            "overcapacity_pct": 0.666920731707317,
+            "sim_gc_min_per_patron": 20.317897549292418,
+            "sim_gc_std": 0.8942869673636649,
+            "sim_gc_se": 0.04999216126043226,
+            "gc_error_pct": 6.777586068617684,
+            "outbound_tour_error_pct": 15.181369174047049,
+            "inbound_tour_error_pct": 15.019698512781302,
+            "pickup_loss_error_pct": 0.39655817433606066,
+            "dropoff_loss_error_pct": 0.1375085378659172,
+            "overcapacity_pct": 0.7649739583333333,
             "analytic_outbound_tour_km": 2.8055555555555554,
-            "sim_outbound_tour_km": 3.30446413918859,
+            "sim_outbound_tour_km": 3.3077114405590082,
             "analytic_inbound_tour_km": 2.8055555555555554,
-            "sim_inbound_tour_km": 3.301019909213312,
-            "mean_occupancy_out": 3.328760162601626,
-            "mean_occupancy_in": 3.3205030487804876,
+            "sim_inbound_tour_km": 3.3014186893388695,
+            "mean_occupancy_out": 3.336197916666667,
+            "mean_occupancy_in": 3.324348958333333,
             "heuristic_dispatches": 0,
         },
         "sf_2x1": {
-            "n_runs": 551,
+            "n_runs": 544,
             "analytic_gc_min_per_patron": 20.391895611111114,
-            "sim_gc_min_per_patron": 21.425402667835307,
-            "sim_gc_std": 1.1730609797606109,
-            "sim_gc_se": 0.04997407789454474,
-            "gc_error_pct": 4.823746245272377,
-            "outbound_tour_error_pct": 8.584127677905622,
-            "inbound_tour_error_pct": 8.387462012943152,
-            "pickup_loss_error_pct": 1.9874835472015957,
-            "dropoff_loss_error_pct": 0.7562883237430565,
-            "overcapacity_pct": 2.268602540834846,
+            "sim_gc_min_per_patron": 21.477015384859513,
+            "sim_gc_std": 1.16500280740369,
+            "sim_gc_se": 0.04994908328919589,
+            "gc_error_pct": 5.052470067667633,
+            "outbound_tour_error_pct": 8.570147297571236,
+            "inbound_tour_error_pct": 8.599030041429184,
+            "pickup_loss_error_pct": 1.8177199123289227,
+            "dropoff_loss_error_pct": 0.4968892851939708,
+            "overcapacity_pct": 2.3207720588235294,
             "analytic_outbound_tour_km": 5.361111111111111,
-            "sim_outbound_tour_km": 5.864529840312402,
+            "sim_outbound_tour_km": 5.863633105217391,
             "analytic_inbound_tour_km": 5.361111111111111,
-            "sim_inbound_tour_km": 5.851940388190682,
-            "mean_occupancy_out": 6.674606775559589,
-            "mean_occupancy_in": 6.642770719903206,
+            "sim_inbound_tour_km": 5.865486015674816,
+            "mean_occupancy_out": 6.669960171568627,
+            "mean_occupancy_in": 6.682061887254902,
             "heuristic_dispatches": 0,
         },
         "sf_dense": {
-            "n_runs": 1058,
+            "n_runs": 1042,
             "analytic_gc_min_per_patron": 23.345670722222224,
-            "sim_gc_min_per_patron": 24.232524809984845,
-            "sim_gc_std": 1.6260239315952192,
-            "sim_gc_se": 0.049990110800112626,
-            "gc_error_pct": 3.659767583925879,
-            "outbound_tour_error_pct": 7.245950319435815,
-            "inbound_tour_error_pct": 7.228132760672751,
-            "pickup_loss_error_pct": 0.5347780649167391,
-            "dropoff_loss_error_pct": 0.6384819489000927,
-            "overcapacity_pct": 0.9845620667926905,
+            "sim_gc_min_per_patron": 24.212872981174005,
+            "sim_gc_std": 1.6136731031689884,
+            "sim_gc_se": 0.04998983470458547,
+            "gc_error_pct": 3.581575220858957,
+            "outbound_tour_error_pct": 7.259492745230404,
+            "inbound_tour_error_pct": 7.234108293549844,
+            "pickup_loss_error_pct": 0.4963274764774466,
+            "dropoff_loss_error_pct": 0.3018774197163365,
+            "overcapacity_pct": 0.9676903390914907,
             "analytic_outbound_tour_km": 6.472222222222221,
-            "sim_outbound_tour_km": 6.977832498432055,
+            "sim_outbound_tour_km": 6.978851435912713,
             "analytic_inbound_tour_km": 6.472222222222221,
-            "sim_inbound_tour_km": 6.97649235142112,
-            "mean_occupancy_out": 13.369250157529931,
-            "mean_occupancy_in": 13.375866414618777,
+            "sim_inbound_tour_km": 6.9769417435268375,
+            "mean_occupancy_out": 13.364123480486244,
+            "mean_occupancy_in": 13.348288547664747,
             "heuristic_dispatches": 0,
         },
     }
 
     @pytest.mark.parametrize("design_name", sorted(PINNED))
-    # min_runs = 50 fits one default chunk; 32-run chunks keep a multi-chunk pin
+    # min_runs = 50 ends the first default chunk; 32-run chunks split the first block
     @pytest.mark.parametrize(
         "chunk_runs", [None, 1, 32], ids=["default_chunks", "one_run_chunks", "32_run_chunks"]
     )
@@ -515,8 +516,8 @@ class TestRunValidation:
     # chunks.  The report pins above absorb last-bit changes in the
     # per-window sums; these catch them.
     PINNED_WINDOWS = {
-        "ff": ("_ff_windows", "230b61ea573dd1d594365fa86b214e1192ba5097a437746b7df748f9bbb1c636"),
-        "sf": ("_sf_windows", "0d43d0fb5bc15bc6ca3865c9fb511d6aa0e163c65563680276cb4abf47326360"),
+        "ff": ("_ff_windows", "cd16e1c9aa5fe0a0c03269f5014daca1311cc9f8ecb5da97e8719201e20ae7bd"),
+        "sf": ("_sf_windows", "23901599a1aaf72a5cac7df37bf907b885fc9e0ee54a33d566a5e2a40c60f2ad"),
     }
 
     @pytest.mark.parametrize("design_name", sorted(PINNED_WINDOWS))
@@ -592,6 +593,23 @@ class TestRunValidation:
         with pytest.raises(ValidationConvergenceError, match="standard error .* after 60 runs"):
             run_validation(table2, sf_design, TABLE1_MODEL, min_runs=50, seed=4)
 
+    def test_rejects_min_runs_above_the_run_cap(
+        self, table2: ScenarioParams, sf_design: DesignSolution, monkeypatch
+    ) -> None:
+        # it used to serve all 100 runs, then fail to converge "after 100 runs"
+        from drcflex import TABLE1_MODEL
+        from drcflex import simulator
+
+        monkeypatch.setattr(simulator, "MAX_VALIDATION_RUNS", 60)
+        with pytest.raises(ValueError, match="min_runs must lie in \\[2, MAX_VALIDATION_RUNS = 60\\], got 100"):
+            run_validation(table2, sf_design, TABLE1_MODEL, min_runs=100, seed=4)
+
+    def test_rejects_a_negative_seed(self, table2: ScenarioParams, sf_design: DesignSolution) -> None:
+        from drcflex import TABLE1_MODEL
+
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            run_validation(table2, sf_design, TABLE1_MODEL, min_runs=50, seed=-1)
+
     @pytest.mark.parametrize("min_runs", [0, 1])
     def test_rejects_fewer_than_two_runs(
         self, table2: ScenarioParams, sf_design: DesignSolution, min_runs: int
@@ -610,38 +628,49 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def stream_order_spans(params: ScenarioParams, design: DesignSolution, seed: int, runs: range):
-    """The validation spans drawn call by call: one generator per run and,
-    per zone-direction, a Poisson count, then the xy, time and staging
-    draws as separate calls, each scaled on its own."""
+    """The validation spans drawn call by call: one generator per block of
+    runs, a scalar Poisson count per run and zone-direction in span order,
+    then the block's xy, time and staging draws as one call each, scaled
+    span by span and kept for ``runs`` only."""
+    from drcflex.simulator import _BLOCK_RUNS
+
     grid = design.grid
+    ff = design.strategy == FULLY_FLEXIBLE
     rows = []
-    for run in runs:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
-        for i, zd in enumerate(design.zones):
-            for outbound in (True, False):
-                lam = params.lambda_p if outbound else params.lambda_d
-                H = zd.H_p if outbound else zd.H_d
-                n_w = max(1, round(1.0 / H))
-                span = n_w * H
-                n = rng.poisson(lam * grid.l * grid.w * span)
-                xy = rng.random((n, 2)) * np.array([grid.l, grid.w])
-                t = rng.random(n) * span
-                if design.strategy == FULLY_FLEXIBLE:
-                    staging = rng.random((n_w, 2)) * np.array([grid.l, grid.w])
-                else:
-                    staging = rng.random(n_w) * design.w0
-                rows.append((i, outbound, H, n_w, n, xy, t, staging))
+    for block in range(runs.start // _BLOCK_RUNS, (runs.stop - 1) // _BLOCK_RUNS + 1):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, block)))
+        spans = []
+        for run in range(block * _BLOCK_RUNS, (block + 1) * _BLOCK_RUNS):
+            for i, zd in enumerate(design.zones):
+                for outbound in (True, False):
+                    lam = params.lambda_p if outbound else params.lambda_d
+                    H = zd.H_p if outbound else zd.H_d
+                    n_w = max(1, round(1.0 / H))
+                    n = rng.poisson(lam * grid.l * grid.w * (n_w * H))
+                    spans.append((run, i, outbound, H, n_w, n))
+        n = np.array([s[5] for s in spans])
+        n_w = np.array([s[4] for s in spans])
+        xy = np.split(rng.random((n.sum(), 2)), np.cumsum(n)[:-1])
+        t = np.split(rng.random(n.sum()), np.cumsum(n)[:-1])
+        staging = np.split(rng.random((n_w.sum(), 2) if ff else n_w.sum()), np.cumsum(n_w)[:-1])
+        for (run, i, outbound, H, n_w, n), span_xy, span_t, span_staging in zip(spans, xy, t, staging):
+            if run in runs:
+                scale = np.array([grid.l, grid.w])
+                span_staging = span_staging * scale if ff else span_staging * design.w0
+                rows.append((i, outbound, H, n_w, n, span_xy * scale, span_t * (n_w * H), span_staging))
     zone, outbound, H, n_w, n, xy, t, staging = zip(*rows)
     return (*map(np.array, (zone, outbound, H, n_w, n)), *map(np.concatenate, (xy, t, staging)))
 
 
 class TestChunkDraws:
-    """Validation draws each chunk's runs as arrays; every number must be the
-    one the call-by-call draws give."""
+    """Validation draws each block of runs as arrays and serves chunks sliced
+    from the blocks they touch; every number must be the one the call-by-call
+    draws give."""
 
-    # where the chunks of a 40-run validation start and end: the 40 runs split
-    # as evenly as possible over the fewest chunks of at most chunk_runs
-    BOUNDS = {1: list(range(41)), 7: [0, 7, 14, 21, 28, 34, 40], 32: [0, 20, 40]}
+    # where the chunks of a 100-run validation start and end: on a grid of
+    # chunk_runs runs, cut at min_runs; 7- and 100-run chunks straddle the
+    # first block's end at run 64
+    BOUNDS = {1: list(range(101)), 7: [*range(0, 100, 7), 100], 32: [0, 32, 64, 96, 100], 100: [0, 100]}
 
     @pytest.mark.parametrize("chunk_runs", sorted(BOUNDS))
     @pytest.mark.parametrize("design_name", ["ff", "sf", "sparse_ff", "sparse_sf"])
@@ -666,8 +695,8 @@ class TestChunkDraws:
         monkeypatch.setattr(simulator, "_draw_runs", recorded)
         monkeypatch.setattr(simulator, "_CHUNK_RUNS", chunk_runs)
         monkeypatch.setattr(simulator, "VALIDATION_SE_TARGET", np.inf)  # stop at min_runs
-        report = run_validation(params, design, TABLE1_MODEL, min_runs=40, seed=5)
-        assert report.n_runs == 40
+        report = run_validation(params, design, TABLE1_MODEL, min_runs=100, seed=5)
+        assert report.n_runs == 100
         bounds = self.BOUNDS[chunk_runs]
         assert [(r.start, r.stop) for r, _ in chunks] == list(zip(bounds[:-1], bounds[1:]))
         sparse = 0

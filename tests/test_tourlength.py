@@ -239,6 +239,10 @@ class TestCalibration:
         assert dataclasses.astuple(result.model) == self.PINNED_MODEL
         assert result.fit_mape_pct == self.PINNED_MAPE
 
+    def test_rejects_a_negative_seed(self) -> None:
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            calibrate_kstar(PINNED_GRID, seed=-1)
+
     def test_grid_validation(self) -> None:
         with pytest.raises(ValueError):
             CalibrationGrid(q_values=(1, 2))
