@@ -12,9 +12,14 @@ call that builds any lazy tables (its time is kept as ``first_ms`` for
 the single tours and the length batches).  The DP keeps one index table,
 built for the largest q so far, and serves every smaller q from it, so the
 length batches, which follow the q = 16 single tour, build no table: their
-``first_ms`` is a cold call, not a build.  The entry, with the machine facts, is
-written into ``BENCH_layers.json`` as layer ``tour_dp`` under ``--label``,
-replacing an entry of the same layer and label.
+``first_ms`` is a cold call, not a build.  Last, it solves one q = 20 tour
+twice: the first call builds the index table, and the second runs under
+``tracemalloc``, which reads the float64 layers the tour keeps (see
+``layer_bytes``) and the call's peak.  The kept layers are checked against
+``LAYER_BOUND_MB``, the bound ROADMAP item 9 sets; the script exits 1 if
+they are above it.  The entry, with the machine facts,
+is written into ``BENCH_layers.json`` as layer ``tour_dp`` under
+``--label``, replacing an entry of the same layer and label.
 
 Run it from the repository root::
 
@@ -38,6 +43,7 @@ import platform
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -51,6 +57,8 @@ BATCH_Q = (10, 12)
 BATCH_SIZE = 250
 ORDER_BATCHES = ((6, 400), (9, 45), (11, 6), (12, 2), (13, 1))  # (q, B) of the visit-order timings
 SEED = 0
+LAYER_Q = 20
+LAYER_BOUND_MB = 24.0  # layers one q = 20 visit-order tour may keep (ROADMAP item 9)
 
 
 def cpu_model() -> str:
@@ -122,6 +130,37 @@ def time_calls(call, make_input, repeats: int) -> tuple[float, float]:
     return first, float(np.median(times))
 
 
+def layer_bytes(tsp, q: int, seed: int) -> tuple[float, int, int]:
+    """Memory of one visit-order tour at ``q``, after a first call that builds the
+    index table: (seconds of that first call, bytes held when the DP starts its
+    half-tour join, peak bytes of the call), both from ``tracemalloc``.  At the
+    join every layer is built and kept and no layer piece is live, so the held
+    bytes are the kept layers and the distance rows.  A tree without ``_join``
+    keeps every layer to the end; for it the held bytes are the peak."""
+    rng = np.random.default_rng((seed, 300 + q))
+    t0 = time.perf_counter()
+    tsp.exact_tour(tsp.PointSet(rng.random((q, 2))))
+    first = time.perf_counter() - t0
+    ps = tsp.PointSet(rng.random((q, 2)))
+    join, held = getattr(tsp, "_join", None), []
+
+    def probe(n: int):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return join(n)
+
+    if join is not None:
+        tsp._join = probe
+    tracemalloc.start()
+    try:
+        tsp.exact_tour(ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        if join is not None:
+            tsp._join = join
+    return first, held[0] if held else peak, peak
+
+
 def measure(tsp, repeats: int, single_q: tuple[int, ...], seed: int) -> dict:
     single, single_first, batch, batch_first = {}, {}, {}, {}
     for q in single_q:
@@ -148,6 +187,9 @@ def measure(tsp, repeats: int, single_q: tuple[int, ...], seed: int) -> dict:
         _, med = time_calls(tsp.closed_tours_batch, lambda: rng.random((size, q, 2)), repeats)
         orders[str(q)] = med / size * 1e3
         print(f"orders     q={q:2d}: {med / size * 1e3:10.4f} ms per tour (B={size}, float64)", flush=True)
+    first, kept, peak = layer_bytes(tsp, LAYER_Q, seed)
+    print(f"layers     q={LAYER_Q:2d}: {kept / 1e6:10.3f} MB of layers kept by one tour (bound {LAYER_BOUND_MB} MB), "
+          f"peak {peak / 1e6:.3f} MB; first call {first:.3f} s", flush=True)
     return {
         "single_tour_ms": single,
         "single_tour_first_ms": single_first,
@@ -155,6 +197,11 @@ def measure(tsp, repeats: int, single_q: tuple[int, ...], seed: int) -> dict:
         "batch_first_ms_per_tour": batch_first,
         "order_batch_sizes": {str(q): size for q, size in ORDER_BATCHES},
         "order_batch_ms_per_tour": orders,
+        "layer_q": LAYER_Q,
+        "layer_first_s": first,
+        "layer_kept_mb": kept / 1e6,
+        "layer_peak_mb": peak / 1e6,
+        "layer_bound_mb": LAYER_BOUND_MB,
     }
 
 
@@ -190,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         **results,
     }
     write_entry(args.out, entry)
-    return 0
+    return int(results["layer_kept_mb"] > LAYER_BOUND_MB)
 
 
 if __name__ == "__main__":

@@ -264,9 +264,9 @@ def _cell_batch(q: int, grid: CalibrationGrid) -> int:
     the DP's two live float32 layers (at widest C(q-1, q/2)*q/2 pairs a tour; resident
     for a whole calibration, see ``calibrate_kstar``) and its (q, 20, B) distance rows
     stay under 27 MB up to q = 17 and reach 237 MB at q = 20; each piece of a candidate
-    column adds two temporaries of under 128 KiB.  The one index table, kept for the
-    process and built for the largest q so far, adds 10.5 MiB at q = 17 and 114 MiB
-    at q = 20.
+    column or of the half-tour join adds two temporaries of under 128 KiB.  The one
+    index table, kept for the process and built for the largest q so far, adds 6.6 MiB
+    at q = 17 and 59.6 MiB at q = 20, and each q's join index 0.4 and 3.5 MiB.
     """
     return min(grid.batch_size, max(32, (1 << 22) >> q), grid.max_instances)
 

@@ -212,26 +212,26 @@ class TestCalibration:
         assert len(lines) == 1 + len(mini_result.cells) + 5
         assert lines[-5].startswith("beta1,")
 
-    # One small calibration as the distance rows built from a (B, q, q, 2)
-    # array gave it: every cell, the fitted model and its MAPE, bit for bit.
+    # One small calibration as the half-tour join's float32 lengths give it:
+    # every cell, the fitted model and its MAPE, bit for bit.
     PINNED_CELLS = (
         (3, 1.0, 1.1623707281896873, 0.36174136922674516, 2000),
         (3, 2.0, 1.2102075822424376, 0.4031925381774147, 2000),
-        (5, 1.0, 1.2043844384090678, 0.22210766038387536, 2000),
-        (5, 2.0, 1.2645584146809565, 0.2550419218498503, 2000),
-        (7, 1.0, 1.173694955321293, 0.1685335057297258, 1250),
-        (7, 2.0, 1.2271912758393793, 0.1831724152475147, 1500),
-        (9, 1.0, 1.133209627787272, 0.13580775640224252, 750),
-        (9, 2.0, 1.195489904999733, 0.1487346518239268, 1000),
-        (11, 1.0, 1.1036537591127646, 0.11486725643036565, 750),
-        (11, 2.0, 1.1571557603621903, 0.12247134492302438, 750),
+        (5, 1.0, 1.2043844488582227, 0.22210766217971234, 2000),
+        (5, 2.0, 1.2645584261163838, 0.25504192432578665, 2000),
+        (7, 1.0, 1.173694972514997, 0.16853350496129038, 1250),
+        (7, 2.0, 1.2271912910986411, 0.18317241801931083, 1500),
+        (9, 1.0, 1.133209646119012, 0.13580775572774006, 750),
+        (9, 2.0, 1.1954899231990177, 0.1487346522265694, 1000),
+        (11, 1.0, 1.1036537778031004, 0.11486725715297973, 750),
+        (11, 2.0, 1.157155782598897, 0.1224713462803707, 750),
     )
     # The model and MAPE are the numpy Levenberg-Marquardt's; TestModelFit checks them
     # against scipy's least_squares.
     PINNED_MODEL = (
-        0.07996847495552668, 1.5855646355276023, -0.1680579671412056, -2.4369265327620577, -2.3800642914040213
+        0.07996847499321734, 1.5855646399291687, -0.16805796028025438, -2.4369264992308732, -2.380064227037712
     )
-    PINNED_MAPE = 0.17794412257102918
+    PINNED_MAPE = 0.1779441627115038
 
     def test_result_pinned(self) -> None:
         result = calibrate_kstar(PINNED_GRID, seed=5)

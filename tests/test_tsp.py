@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,18 +63,23 @@ class TestFixedInstances:
 
 
 def walked_length(ps: PointSet, order: list[int]) -> float:
-    """Manhattan length around ``order``, summed leg by leg from its start."""
-    pts = ps.points
-    total = 0.0
-    for a, b in zip(order, order[1:] + order[:1]):
-        total += abs(pts[a][0] - pts[b][0]) + abs(pts[a][1] - pts[b][1])
-    return total
+    """Manhattan length around ``order`` in the DP's order of addition: the legs
+    from node 0 forward to the stop at position ceil(q/2), summed from node 0,
+    plus the legs from node 0 backward to that stop, summed from node 0."""
+    pts, meet = ps.points, (len(order) + 1) // 2
+    halves = []
+    for path in (order[:meet + 1], order[:1] + order[:meet - 1:-1]):
+        total = 0.0
+        for a, b in zip(path, path[1:]):
+            total += abs(pts[a][0] - pts[b][0]) + abs(pts[a][1] - pts[b][1])
+        halves.append(total)
+    return halves[0] + halves[1]
 
 
 class TestVisitOrders:
     def test_orders_are_tours_of_the_reported_length(self) -> None:
-        # The DP adds the legs in visiting order from the start, so walking
-        # the order reproduces the reported length bit for bit.
+        # The DP adds the legs of each half-tour from node 0 on, then the two
+        # halves, so walking the order that way reproduces the length bit for bit.
         rng = np.random.default_rng(21)
         for q in range(2, 15):
             for _ in range(3 if q < 12 else 1):
@@ -79,13 +89,13 @@ class TestVisitOrders:
                 assert order[0] == 0
                 assert walked_length(ps, order) == length, f"q={q}"
 
-    # Lengths and orders of three fixed instances, as the pure-Python
-    # bitmask Held-Karp solver reported them before the layered core
-    # replaced it.
+    # Lengths and orders of three fixed instances, as the half-tour join
+    # reports them: each the tour the full-depth DP found, walked the other
+    # way, its length summed as two halves (q = 10 and 14 one ulp lower).
     PINNED = {
-        5: (6.057364757227699, [0, 2, 4, 3, 1]),
-        10: (8.861616528660742, [0, 9, 8, 2, 1, 7, 3, 5, 6, 4]),
-        14: (8.925369718639518, [0, 6, 13, 7, 2, 9, 5, 11, 10, 12, 3, 1, 8, 4]),
+        5: (6.057364757227699, [0, 1, 3, 4, 2]),
+        10: (8.86161652866074, [0, 4, 6, 5, 3, 7, 1, 2, 8, 9]),
+        14: (8.925369718639516, [0, 4, 8, 1, 3, 12, 10, 11, 5, 9, 2, 7, 13, 6]),
     }
 
     @pytest.mark.parametrize("q", sorted(PINNED))
@@ -218,8 +228,9 @@ class TestBatchSolver:
             assert [a.tobytes() for a in again] == [a.tobytes() for a in first]
 
     # SHA-256 of the lengths and orders of integer-grid (tie-heavy) batches,
-    # as the core that read orders from int8 argmin parents returned them.
-    PINNED_TIES = "657464ec00f2291c7fd2a4c61ce5ea6b01b58d548fd11eb491293a2d5864e1de"
+    # as the half-tour join returns them (first shortest join pair, ties in
+    # each half's read-back to the smallest predecessor).
+    PINNED_TIES = "f4b8487e629890b2b3277993dfcc0f63cebee39ff7ce41371d276b71776f9d10"
 
     def test_tie_rule_pinned(self) -> None:
         rng = np.random.default_rng(81)
@@ -232,8 +243,8 @@ class TestBatchSolver:
 
     # SHA-256 of closed_tour_lengths_batch lengths in float32 and float64, on
     # uniform and integer-grid batches of B = 1, 7 and 250 at q = 2..14, as
-    # the distance rows built from a (B, q, q, 2) array gave them.
-    PINNED_LENGTHS = "a43d4088e7843b09a366186e068ad8ab99494d5eaf87ab80fe1cc6efb3a1e4f7"
+    # the half-tour join sums them.
+    PINNED_LENGTHS = "acd804335837e9f5c934e5d76a59457618fbd246c866586af13473d7f76d65dc"
 
     def test_lengths_pinned(self) -> None:
         rng = np.random.default_rng(82)
@@ -289,9 +300,9 @@ def held_bytes() -> int:
 
 
 def table_bytes(n: int) -> int:
-    """Bytes of the index table for n free nodes: per subset size k, C(n, k)*k
-    pairs of k-1 int16 rows, an int16 last node and an int32 rank."""
-    return sum(math.comb(n, k) * k * (2 * (k - 1) + 2 + 4) for k in range(2, n + 1))
+    """Bytes of the index table for n free nodes: per subset size k = 2..ceil((n+1)/2),
+    C(n, k)*k pairs of k-1 int16 rows, an int16 last node and an int32 rank."""
+    return sum(math.comb(n, k) * k * (2 * (k - 1) + 2 + 4) for k in range(2, math.ceil((n + 1) / 2) + 1))
 
 
 class TestOneTable:
@@ -325,6 +336,68 @@ class TestOneTable:
             exact_tour(random_points(rng, q))
         assert held_bytes() == table_bytes(15) == sum(t.nbytes for layer in tsp._held[15] for t in layer)
         assert sorted(tsp._held) == [1, 13, 15] and held_bytes() < 5e6  # views cleared at each rebuild
+
+
+def brute_length(points: np.ndarray, orders: np.ndarray | None = None) -> float:
+    """The shortest closed tour over ``points``: ``brute_force_tour_length`` up to
+    its limit, else the shortest of ``orders``, every visit order from point 0."""
+    if orders is None:
+        return brute_force_tour_length(PointSet(points))
+    dist = np.abs(points[:, None] - points[None]).sum(axis=2)
+    return float(dist[orders, np.roll(orders, -1, axis=1)].sum(axis=1).min())
+
+
+class TestHalfTourJoin:
+    """Every tour is two paths from node 0 that meet at its ceil(q/2)-th stop."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_join_index_matches_a_brute_force_construction(self, m: int) -> None:
+        def pairs(size: int) -> list[tuple[frozenset, int]]:
+            """(subset, last node) pairs of a layer in the DP's order: subsets by bitmask, then members."""
+            subsets = sorted(itertools.combinations(range(1, m + 1), size), key=lambda s: sum(1 << j for j in s))
+            return [(frozenset(s), j) for s in subsets for j in s]
+
+        t, stops = math.ceil((m + 1) / 2), frozenset(range(1, m + 1))
+        other = pairs(m + 1 - t)
+        where = {pair: i for i, pair in enumerate(other)}
+        join = tsp._join(m)
+        assert join.dtype == np.int32 and not join.flags.writeable
+        assert join.tolist() == [where[(stops - T | {k}, k)] for T, k in pairs(t)]
+        for (T, k), i in zip(pairs(t), join.tolist()):
+            U, last = other[i]
+            assert len(T) == t and last == k and T | U == stops and T & U == {k}
+
+    def test_tie_heavy_orders_are_shortest_tours(self) -> None:
+        rng = np.random.default_rng(88)
+        every = np.array([(0,) + p for p in itertools.permutations(range(1, 10))])  # visit orders at q = 10
+        for q in range(2, 11):
+            pts = rng.integers(0, 3, (24 if q <= MAX_BRUTE_POINTS else 3, q, 2)).astype(float)
+            lengths, orders = closed_tours_batch(pts)
+            for p, length, order in zip(pts, lengths.tolist(), orders.tolist()):
+                assert order[0] == 0 and sorted(order) == list(range(q)), f"q={q}"
+                best = brute_length(p, None if q <= MAX_BRUTE_POINTS else every)
+                assert length == pytest.approx(best, abs=1e-9), f"q={q}"
+                assert walked_length(PointSet(p), order) == length, f"q={q}"
+
+    def test_layers_stop_at_half_the_tour(self, monkeypatch) -> None:
+        for n in range(1, 16):  # each built afresh
+            monkeypatch.setattr(tsp, "_held", {})
+            sizes = [edges.shape[1] + 1 for edges, _, _ in tsp._layers(n)]
+            assert sizes == list(range(2, math.ceil((n + 1) / 2) + 1)), f"n={n}"
+        assert held_bytes() == table_bytes(15)
+        for n in range(1, 15):  # prefix views of the n = 15 table
+            assert max((edges.shape[1] + 1 for edges, _, _ in tsp._layers(n)), default=1) == math.ceil((n + 1) / 2)
+
+    def test_import_builds_no_join_index(self) -> None:
+        code = (
+            "import importlib, pkgutil, drcflex\n"
+            "for info in pkgutil.walk_packages(drcflex.__path__, 'drcflex.'):\n"
+            "    importlib.import_module(info.name)\n"
+            "from drcflex import tsp\n"
+            "assert tsp._join.cache_info().currsize == 0 and not tsp._held\n"
+        )
+        src = str(Path(tsp.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
 
 
 class TestResidentLayers:
