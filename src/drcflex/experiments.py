@@ -96,22 +96,7 @@ class SweepRow:
     note: str = ""
 
 
-SWEEP_CSV_HEADER = (
-    "axis_value",
-    "strategy",
-    "feasible",
-    "gc_per_patron_min",
-    "M",
-    "N",
-    "zone_aspect",
-    "K",
-    "w0",
-    "mean_H_p_min",
-    "mean_H_d_min",
-    "mean_occupancy_out",
-    "mean_occupancy_in",
-    "note",
-)
+SWEEP_CSV_HEADER = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 
 def _row_from_result(value: float, strategy: str, params: ScenarioParams, result: OptimizationResult) -> SweepRow:
@@ -157,29 +142,22 @@ def run_sweep(
     return rows
 
 
+def _csv_cell(name: str, value: object) -> object:
+    """One CSV cell: empty for None, 0/1 for the flag, %g for the axis value, 6 decimals for other floats."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return f"{value:g}" if name == "axis_value" else f"{value:.6f}"
+    return value
+
+
 def sweep_to_csv(rows: list[SweepRow], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_CSV_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    f"{r.axis_value:g}",
-                    r.strategy,
-                    int(r.feasible),
-                    "" if r.gc_per_patron_min is None else f"{r.gc_per_patron_min:.6f}",
-                    "" if r.M is None else r.M,
-                    "" if r.N is None else r.N,
-                    "" if r.zone_aspect is None else f"{r.zone_aspect:.6f}",
-                    "" if r.K is None else r.K,
-                    "" if r.w0 is None else f"{r.w0:.6f}",
-                    "" if r.mean_H_p_min is None else f"{r.mean_H_p_min:.6f}",
-                    "" if r.mean_H_d_min is None else f"{r.mean_H_d_min:.6f}",
-                    "" if r.mean_occupancy_out is None else f"{r.mean_occupancy_out:.6f}",
-                    "" if r.mean_occupancy_in is None else f"{r.mean_occupancy_in:.6f}",
-                    r.note,
-                ]
-            )
+        writer.writerows([_csv_cell(name, getattr(r, name)) for name in SWEEP_CSV_HEADER] for r in rows)
 
 
 class BracketError(ValueError):

@@ -3,9 +3,9 @@
 Each run realizes spatial Poisson demand, executes the dispatch rules zone
 by zone, and accumulates the same cost books the analytical model predicts:
 waits, in-vehicle times, transfers, vehicle distance and time, dwell losses,
-and overcapacity events.  Validation repeats independent runs, drawn in
-blocks of 64 with one random stream per block, until, from ``min_runs`` on,
-the standard error of the mean generalized cost is below
+and overcapacity events.  Validation repeats independent runs, drawn and
+served in blocks of 64 with one random stream per block, until, from
+``min_runs`` on, the standard error of the mean generalized cost is below
 ``VALIDATION_SE_TARGET``, then reports the percentage gap between the
 analytical and simulated figures.
 
@@ -48,12 +48,10 @@ from .tsp import exact_tour  # noqa: F401
 
 VALIDATION_SE_TARGET = 0.05  # standard error of mean GC, min/patron
 MAX_VALIDATION_RUNS = 100_000
-# Most runs per validation chunk: larger chunks amortize the batched tour DP over more windows
-# but hold more requests.  Against 64, perfbench validate's FF part took 5% / 10% less time at
-# 96 / 128 runs, and its peak RSS rose by 1.7 / 3.1 MB (5 alternating runs each).
-_CHUNK_RUNS = 64
 # Runs per random stream: block b of a validation's runs draws from SeedSequence((seed, b)).
-# It defines the stream, so changing it moves every report; the chunk size moves none.
+# It defines the stream, so changing it moves every report.  It also bounds the runs served at
+# once: against 64, perfbench validate's FF part took 5% / 10% less time with 96 / 128 runs per
+# chunk, and its peak RSS rose by 1.7 / 3.1 MB (5 alternating runs each).
 _BLOCK_RUNS = 64
 
 TABLE_ROW_LABELS = (
@@ -149,20 +147,17 @@ def _pack(
 def _draw_runs(
     design: DesignSolution, layout: tuple[np.ndarray, ...], means: np.ndarray, seed: int, runs: range
 ) -> _Spans:
-    """The spans of validation ``runs``, sliced from the blocks of runs they
-    touch, each drawn whole as ``run_validation`` states, given one run's
-    (zone, outbound, H, n_windows) columns and mean request counts."""
-    first = runs.start // _BLOCK_RUNS
+    """The spans of validation ``runs``, which must lie in one block of
+    ``_BLOCK_RUNS`` runs: the block is drawn whole as ``run_validation``
+    states, given one run's (zone, outbound, H, n_windows) columns and mean
+    request counts, and cut to ``runs``."""
+    block, lo = divmod(runs.start, _BLOCK_RUNS)
+    hi = lo + len(runs)
     spans, draws = len(means), _staging_draws(design, layout[3]).sum()  # per run
-    n, xy, t, staging = [], [], [], []
-    for block in range(first, (runs.stop - 1) // _BLOCK_RUNS + 1):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))  # default_rng's stream
-        n.append(rng.poisson(np.tile(means, _BLOCK_RUNS)))
-        xy.append(rng.random((n[-1].sum(), 2)))
-        t.append(rng.random(n[-1].sum()))
-        staging.append(rng.random(_BLOCK_RUNS * draws))
-    n, xy, t, staging = map(np.concatenate, (n, xy, t, staging))
-    lo, hi = runs.start - first * _BLOCK_RUNS, runs.stop - first * _BLOCK_RUNS
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))  # default_rng's stream
+    n = rng.poisson(np.tile(means, _BLOCK_RUNS))
+    xy, t = rng.random((n.sum(), 2)), rng.random(n.sum())
+    staging = rng.random(_BLOCK_RUNS * draws)
     r_lo, r_hi = np.concatenate(([0], np.cumsum(n)))[[lo * spans, hi * spans]]  # the runs' requests
     n, columns = n[lo * spans : hi * spans], tuple(np.tile(c, len(runs)) for c in layout)
     span_h = np.repeat(columns[2] * columns[3], n)  # each request's span length
@@ -246,10 +241,8 @@ def _serve(
     loss = tau_w * qf * qf
     loss[np.repeat(~spans.outbound | (not ff), n_w)] /= 2.0  # FF pick-ups lose the whole dwell
     span_of = np.repeat(np.arange(len(n_w)), n_w)
-    column = np.arange(len(q)) - np.repeat(np.cumsum(n_w) - n_w, n_w) + 1  # after a zero column (0.0 + b0)
-    padded = np.zeros((_BOOKS, len(n_w), 1 + int(n_w.max())))
-    padded[:, span_of, column] = wait, inveh, transfer, dist, veh, loss, tour
-    totals = np.add.accumulate(padded, axis=2, out=padded)[:, :, -1].copy()  # window order, not sum()'s; no view kept
+    # bincount adds each span's windows in window order from 0.0, not pairwise as sum() does
+    totals = (np.bincount(span_of, b, len(n_w)) for b in (wait, inveh, transfer, dist, veh, loss, tour))
     flagged = (q > design.K, ff & (q >= MAX_EXACT_POINTS))  # overcapacity, heuristic tour
     overcapacity, heuristic = (np.bincount(span_of[f], minlength=len(n_w)) for f in flagged)
     return _Tally(*totals, n_w, spans.n_points, overcapacity, heuristic), tour
@@ -591,9 +584,8 @@ def run_validation(
     calls: the Poisson request counts of its spans (run by run, zone by zone,
     outbound first), every request's xy (N rows of 2), every request's time,
     then every staging draw (an (l, w) pair per FF window, a w0 offset per
-    SF window).  Runs are served in chunks on a grid of ``_CHUNK_RUNS`` runs,
-    cut at ``min_runs``; chunks bound memory only, and the report is the same
-    whatever their size.
+    SF window).  Runs are served a block at a time, the first block that
+    reaches ``min_runs`` cut there.
     """
     if not 2 <= min_runs <= MAX_VALIDATION_RUNS:  # two runs estimate a standard error
         raise ValueError(f"min_runs must lie in [2, MAX_VALIDATION_RUNS = {MAX_VALIDATION_RUNS}], got {min_runs}")
@@ -632,18 +624,14 @@ def run_validation(
     run = 0
     converged = False
     while not converged:
-        # chunks on a grid of _CHUNK_RUNS runs, cut at min_runs: while _CHUNK_RUNS
-        # divides _BLOCK_RUNS, no chunk straddles two blocks and draws both
-        size = min(_CHUNK_RUNS - run % _CHUNK_RUNS, min_runs - run if run < min_runs else _CHUNK_RUNS)
+        # the rest of the current block, cut at min_runs
+        size = min(_BLOCK_RUNS - run % _BLOCK_RUNS, min_runs - run if run < min_runs else _BLOCK_RUNS)
         spans = _draw_runs(design, (zone, outbound, H, n_w), means, seed, range(run, run + size))
         tally = _Tally(*(f.reshape(size, len(layout)) for f in _serve(params, design, spans)[0]))
         waits = params.alpha * tally.wait_h * scale
         rest = (tally.invehicle_h + tally.transfer_h + c_dist * tally.dist_km + c_time * tally.veh_time_h) * scale
-        gc = np.zeros(size)
-        for s, is_out in enumerate(outbound):  # zone-directions in order, as hourly rates
-            if is_out:
-                gc = gc + waits[:, s]
-            gc = gc + rest[:, s]
+        # zone-directions in order, as hourly rates; inbound waits are 0.0, and x + 0.0 == x
+        gc = np.add.accumulate(np.stack((waits, rest), axis=2).reshape(size, -1), axis=1)[:, -1]
         gcs = np.concatenate((gcs, gc * 60.0 / params.patrons_per_h))
         for used in range(1, size + 1):
             run += 1

@@ -13,6 +13,7 @@ from drcflex import (
     InfeasibleDesignError,
     ScenarioParams,
     SearchSpace,
+    SweepRow,
     SweepSpec,
     apply_axis,
     default_scenario_grid,
@@ -120,6 +121,34 @@ class TestRunSweep:
         lines = p1.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0].startswith("axis_value,strategy,feasible,")
         assert len(lines) == 5
+
+    def test_csv_bytes_pinned(self, tmp_path) -> None:
+        # None -> "", the flag -> 0/1, axis_value -> %g, other floats -> 6 decimals, ints and notes as they are
+        rows = [
+            SweepRow(
+                axis_value=20.0, strategy=FULLY_FLEXIBLE, feasible=True, gc_per_patron_min=18.123456789,
+                M=2, N=1, zone_aspect=0.5, K=8, mean_H_p_min=12.0, mean_H_d_min=7.5000004,
+                mean_occupancy_out=3.25, mean_occupancy_in=1 / 3,
+            ),
+            SweepRow(
+                axis_value=0.125, strategy=SEMI_FLEXIBLE, feasible=True, gc_per_patron_min=21.5,
+                M=1, N=3, zone_aspect=2.0 / 3.0, K=12, w0=0.4, mean_H_p_min=9.87654321,
+                mean_H_d_min=10.0, mean_occupancy_out=6.5, mean_occupancy_in=6.0000005,
+            ),
+            SweepRow(
+                axis_value=1234567.0, strategy=FULLY_FLEXIBLE, feasible=False,
+                note="no feasible design: headway, capacity",
+            ),
+        ]
+        path = tmp_path / "sweep.csv"
+        sweep_to_csv(rows, path)
+        assert path.read_bytes() == (
+            b"axis_value,strategy,feasible,gc_per_patron_min,M,N,zone_aspect,K,w0,"
+            b"mean_H_p_min,mean_H_d_min,mean_occupancy_out,mean_occupancy_in,note\r\n"
+            b"20,fully_flexible,1,18.123457,2,1,0.500000,8,,12.000000,7.500000,3.250000,0.333333,\r\n"
+            b"0.125,semi_flexible,1,21.500000,1,3,0.666667,12,0.400000,9.876543,10.000000,6.500000,6.000000,\r\n"
+            b'1.23457e+06,fully_flexible,0,,,,,,,,,,,"no feasible design: headway, capacity"\r\n'
+        )
 
 
 class TestFindCriticalDensity:

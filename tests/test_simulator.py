@@ -495,27 +495,18 @@ class TestRunValidation:
     }
 
     @pytest.mark.parametrize("design_name", sorted(PINNED))
-    # min_runs = 50 ends the first default chunk; 32-run chunks split the first block
-    @pytest.mark.parametrize(
-        "chunk_runs", [None, 1, 32], ids=["default_chunks", "one_run_chunks", "32_run_chunks"]
-    )
-    def test_report_pinned_field_for_field(
-        self, table2: ScenarioParams, request, design_name: str, chunk_runs, monkeypatch
-    ) -> None:
+    def test_report_pinned_field_for_field(self, table2: ScenarioParams, request, design_name: str) -> None:
         from drcflex import TABLE1_MODEL
-        from drcflex import simulator
 
-        if chunk_runs is not None:
-            monkeypatch.setattr(simulator, "_CHUNK_RUNS", chunk_runs)
         design = request.getfixturevalue(f"{design_name}_design")
         report = run_validation(table2, design, TABLE1_MODEL, min_runs=50, seed=11)
         assert dataclasses.asdict(report) == self.PINNED[design_name]
 
     # SHA-256 over the (tour, q, wait, inveh) arrays of each strategy's window
     # accounting during run_validation(min_runs=50, seed=11), each array
-    # over the windows of the report's n_runs runs in run order, whatever the
-    # chunks.  The report pins above absorb last-bit changes in the
-    # per-window sums; these catch them.
+    # over the windows of the report's n_runs runs in run order.  The report
+    # pins above absorb last-bit changes in the per-window sums; these catch
+    # them.
     PINNED_WINDOWS = {
         "ff": ("_ff_windows", "d32e9d30caec773eb7a8672bfe5a2530367f37d2f84ea68e2d2803306c67d4fc"),
         "sf": ("_sf_windows", "23901599a1aaf72a5cac7df37bf907b885fc9e0ee54a33d566a5e2a40c60f2ad"),
@@ -663,28 +654,54 @@ def stream_order_spans(params: ScenarioParams, design: DesignSolution, seed: int
     return (*map(np.array, (zone, outbound, H, n_w, n)), *map(np.concatenate, (xy, t, staging)))
 
 
+SIM_DESIGNS = ["ff", "sf", "sparse_ff", "sparse_sf"]
+
+
+def sim_design(params: ScenarioParams, design_name: str, minutes=None) -> tuple[ScenarioParams, DesignSolution]:
+    """A 2 x 2 design named ff, sf, sparse_ff or sparse_sf, at five-minute
+    headways or at the given (H_p, H_d) minutes per zone."""
+    strategy, w0 = (FULLY_FLEXIBLE, None) if design_name.endswith("ff") else (SEMI_FLEXIBLE, 0.5)
+    # at 0.2 requests per zone-hour most spans are empty
+    params = params.replace(lambda_p=0.2, lambda_d=0.2) if design_name.startswith("sparse") else params
+    design = uniform_design(params, 2, 2, 8, strategy=strategy, w0=w0)
+    if minutes is not None:
+        zones = tuple(ZoneDesign(zd.z, H_p / 60, H_d / 60, 1) for zd, (H_p, H_d) in zip(design.zones, minutes))
+        design = dataclasses.replace(design, zones=zones)
+    return params, design
+
+
+def validation_layout(params: ScenarioParams, design: DesignSolution):
+    """One run's (zone, outbound, H, n_windows) columns and mean request counts, as validation lays them out."""
+    H = np.array([h for zd in design.zones for h in (zd.H_p, zd.H_d)])
+    zone, outbound = np.arange(len(H)) // 2, np.arange(len(H)) % 2 == 0
+    n_w = np.maximum(1, np.round(1.0 / H)).astype(int)
+    lam = np.where(outbound, params.lambda_p, params.lambda_d)
+    return (zone, outbound, H, n_w), lam * design.grid.l * design.grid.w * (n_w * H)
+
+
+def assert_stream_order(params: ScenarioParams, design: DesignSolution, seed: int, runs: range, spans) -> None:
+    want = stream_order_spans(params, design, seed, runs)
+    for field, got, expected in zip(spans._fields, spans, want):
+        assert same_bits(got, expected), (runs, field)
+
+
 class TestChunkDraws:
-    """Validation draws each block of runs as arrays and serves chunks sliced
-    from the blocks they touch; every number must be the one the call-by-call
-    draws give."""
+    """Validation serves each block of runs whole, or cut at ``min_runs``;
+    every number must be the one the call-by-call draws give."""
 
-    # where the chunks of a 100-run validation start and end: on a grid of
-    # chunk_runs runs, cut at min_runs; 7- and 100-run chunks straddle the
-    # first block's end at run 64
-    BOUNDS = {1: list(range(101)), 7: [*range(0, 100, 7), 100], 32: [0, 32, 64, 96, 100], 100: [0, 100]}
+    # where the chunks of a validation stopped at min_runs start and end:
+    # at block ends (64, 128) and at min_runs
+    BOUNDS = {2: [0, 2], 7: [0, 7], 64: [0, 64], 100: [0, 64, 100], 130: [0, 64, 128, 130]}
 
-    @pytest.mark.parametrize("chunk_runs", sorted(BOUNDS))
-    @pytest.mark.parametrize("design_name", ["ff", "sf", "sparse_ff", "sparse_sf"])
+    @pytest.mark.parametrize("min_runs", sorted(BOUNDS))
+    @pytest.mark.parametrize("design_name", SIM_DESIGNS)
     def test_chunk_spans_match_call_by_call_draws(
-        self, table2: ScenarioParams, design_name: str, chunk_runs: int, monkeypatch
+        self, table2: ScenarioParams, design_name: str, min_runs: int, monkeypatch
     ) -> None:
         from drcflex import TABLE1_MODEL
         from drcflex import simulator
 
-        strategy, w0 = (FULLY_FLEXIBLE, None) if design_name.endswith("ff") else (SEMI_FLEXIBLE, 0.5)
-        # at 0.2 requests per zone-hour most spans are empty
-        params = table2.replace(lambda_p=0.2, lambda_d=0.2) if design_name.startswith("sparse") else table2
-        design = uniform_design(params, 2, 2, 8, strategy=strategy, w0=w0)
+        params, design = sim_design(table2, design_name)
         chunks = []
 
         def recorded(*args):
@@ -694,19 +711,51 @@ class TestChunkDraws:
 
         draw_runs = simulator._draw_runs
         monkeypatch.setattr(simulator, "_draw_runs", recorded)
-        monkeypatch.setattr(simulator, "_CHUNK_RUNS", chunk_runs)
         monkeypatch.setattr(simulator, "VALIDATION_SE_TARGET", np.inf)  # stop at min_runs
-        report = run_validation(params, design, TABLE1_MODEL, min_runs=100, seed=5)
-        assert report.n_runs == 100
-        bounds = self.BOUNDS[chunk_runs]
+        report = run_validation(params, design, TABLE1_MODEL, min_runs=min_runs, seed=5)
+        assert report.n_runs == min_runs
+        bounds = self.BOUNDS[min_runs]
         assert [(r.start, r.stop) for r, _ in chunks] == list(zip(bounds[:-1], bounds[1:]))
-        sparse = 0
         for runs, spans in chunks:
-            want = stream_order_spans(params, design, 5, runs)
-            for field, got, expected in zip(spans._fields, spans, want):
-                assert same_bits(got, expected), (runs, field)
-            sparse += int((spans.n_points == 0).sum())
+            assert_stream_order(params, design, 5, runs, spans)
+        sparse = sum(int((spans.n_points == 0).sum()) for _, spans in chunks)
         assert (sparse > 0) == design_name.startswith("sparse")
+
+    # within one block: inside it, up to its end, all of it, one run of it
+    @pytest.mark.parametrize(
+        "runs", [range(3, 10), range(50, 64), range(64, 128), range(130, 131)], ids=lambda r: f"runs_{r.start}_{r.stop}"
+    )
+    @pytest.mark.parametrize("design_name", SIM_DESIGNS)
+    def test_draw_runs_cuts_one_block(self, table2: ScenarioParams, design_name: str, runs: range) -> None:
+        from drcflex.simulator import _draw_runs
+
+        params, design = sim_design(table2, design_name)
+        assert_stream_order(params, design, 5, runs, _draw_runs(design, *validation_layout(params, design), 5, runs))
+
+
+class TestServeGrouping:
+    """Each span's totals add its windows' books in window order, so spans
+    served together give the bits they give served one per call."""
+
+    # (H_p, H_d) minutes per zone: 20, 6, 15, 8, 12, 10, 10 and 12 windows an hour
+    MINUTES = ((3.0, 10.0), (4.0, 7.5), (5.0, 6.0), (6.0, 5.0))
+
+    @pytest.mark.parametrize("design_name", SIM_DESIGNS)
+    def test_spans_served_together_or_one_per_call_agree(self, table2: ScenarioParams, design_name: str) -> None:
+        from drcflex.simulator import _draw_runs, _serve, _Spans
+
+        params, design = sim_design(table2, design_name, self.MINUTES)
+        spans = _draw_runs(design, *validation_layout(params, design), 3, range(8))
+        together, tours = _serve(params, design, spans)
+        p, w = (np.concatenate(([0], np.cumsum(c))) for c in (spans.n_points, spans.n_windows))
+        for i in range(len(spans.n_windows)):
+            requests = (spans.xy[p[i] : p[i + 1]], spans.t[p[i] : p[i + 1]])
+            one = _Spans(*(f[i : i + 1] for f in spans[:5]), *requests, spans.staging[w[i] : w[i + 1]])
+            alone, alone_tours = _serve(params, design, one)
+            for field, got, want in zip(together._fields, together, alone):
+                assert same_bits(got[i : i + 1], want), (i, field)
+            assert same_bits(tours[w[i] : w[i + 1]], alone_tours), i
+        assert (spans.n_points == 0).any() == design_name.startswith("sparse")
 
 
 def lexsort_groups(spans, local, minor=None):
