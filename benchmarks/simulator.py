@@ -4,9 +4,9 @@ Times ``drcflex.run_validation`` at the base-case optima (fully flexible:
 2 x 2 zones, K = 8; semi-flexible: 1 x 4 zones, K = 9, w0 = 0.5) with
 ``min_runs=MIN_RUNS`` and a fixed seed, and reports the wall time per
 simulated run (one simulated hour of every zone-direction).  It also times
-the exact visit-order tours the fully flexible simulator solves, one
-``tsp.closed_tours_batch`` call on B = 1000 seeded instances of q = 4, 6 and
-8 points.  Each figure is the median of ``REPEATS`` timed calls after one
+the exact tours the fully flexible simulator solves, lengths only: one
+float64 ``tsp._held_karp(tsp._manhattan(points))`` call on B = 1000 seeded
+instances of q = 4, 6 and 8 points.  Each figure is the median of ``REPEATS`` timed calls after one
 untimed call.  The entry, with the machine facts, is written into
 ``BENCH_layers.json`` as layer ``simulator`` under ``--label``, replacing an
 entry of the same layer and label.
@@ -29,7 +29,7 @@ import time
 from pathlib import Path
 
 # tour_dp pins the BLAS threads, so it must load before numpy
-from tour_dp import ROOT, git_commit, machine, source_digest, write_entry
+from tour_dp import ROOT, git_commit, machine, source_digest, window_lengths, write_entry
 
 import numpy as np
 
@@ -70,7 +70,7 @@ def measure(drcflex, tsp, repeats: int) -> dict:
     tour_us = {}
     for q in TOUR_Q:
         pts = np.random.default_rng((SEED, q)).random((TOUR_BATCH, q, 2))
-        sec, _ = median_time(lambda: tsp.closed_tours_batch(pts), repeats)
+        sec, _ = median_time(lambda: window_lengths(tsp)(pts), repeats)
         tour_us[str(q)] = sec / TOUR_BATCH * 1e6
         print(f"tour q={q}: {tour_us[str(q)]:8.2f} us per tour", flush=True)
     return {

@@ -2,11 +2,11 @@
 
 Times ``drcflex.tsp.exact_tour`` on one closed tour at q = 9, 12, 14 and 16
 points, ``closed_tour_lengths_batch`` on B = 250 float32 tours at q = 10
-and 12, and ``closed_tours_batch`` (lengths and visit orders, the
-simulator's path) on B = 400 tours at q = 6, B = 45 at q = 9, B = 6 at
-q = 11, B = 2 at q = 12 and B = 1 at q = 13, near the group sizes a fully
-flexible validation solves (the last three are its large-tour tail, where
-each row of a layer is narrow).  Each figure is the median
+and 12, and the float64 lengths-only DP as the simulator calls it
+(``_held_karp(_manhattan(points))``) on B = 400 tours at q = 6, B = 45 at
+q = 9, B = 6 at q = 11, B = 2 at q = 12 and B = 1 at q = 13, near the group
+sizes a fully flexible validation solves (the last three are its large-tour
+tail, where each row of a layer is narrow).  Each figure is the median
 of ``--repeats`` timed calls on fresh seeded instances, after one untimed
 call that builds any lazy tables (its time is kept as ``first_ms`` for
 the single tours and the length batches).  The DP keeps one index table,
@@ -55,7 +55,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SINGLE_Q = (9, 12, 14, 16)
 BATCH_Q = (10, 12)
 BATCH_SIZE = 250
-ORDER_BATCHES = ((6, 400), (9, 45), (11, 6), (12, 2), (13, 1))  # (q, B) of the visit-order timings
+WINDOW_BATCHES = ((6, 400), (9, 45), (11, 6), (12, 2), (13, 1))  # (q, B) of the simulator's tour timings
 SEED = 0
 LAYER_Q = 20
 LAYER_BOUND_MB = 24.0  # layers one q = 20 visit-order tour may keep (ROADMAP item 9)
@@ -161,6 +161,11 @@ def layer_bytes(tsp, q: int, seed: int) -> tuple[float, int, int]:
     return first, held[0] if held else peak, peak
 
 
+def window_lengths(tsp):
+    """The simulator's tour solve: float64 lengths of a (B, q, 2) batch, no visit orders."""
+    return lambda pts: tsp._held_karp(tsp._manhattan(pts))[0]
+
+
 def measure(tsp, repeats: int, single_q: tuple[int, ...], seed: int) -> dict:
     single, single_first, batch, batch_first = {}, {}, {}, {}
     for q in single_q:
@@ -181,12 +186,12 @@ def measure(tsp, repeats: int, single_q: tuple[int, ...], seed: int) -> dict:
         )
         batch[str(q)], batch_first[str(q)] = med / BATCH_SIZE * 1e3, first / BATCH_SIZE * 1e3
         print(f"batched    q={q:2d}: {med / BATCH_SIZE * 1e3:10.4f} ms per tour (B={BATCH_SIZE}, float32)", flush=True)
-    orders = {}
-    for q, size in ORDER_BATCHES:
+    windows = {}
+    for q, size in WINDOW_BATCHES:
         rng = np.random.default_rng((seed, 200 + q))
-        _, med = time_calls(tsp.closed_tours_batch, lambda: rng.random((size, q, 2)), repeats)
-        orders[str(q)] = med / size * 1e3
-        print(f"orders     q={q:2d}: {med / size * 1e3:10.4f} ms per tour (B={size}, float64)", flush=True)
+        _, med = time_calls(window_lengths(tsp), lambda: rng.random((size, q, 2)), repeats)
+        windows[str(q)] = med / size * 1e3
+        print(f"windows    q={q:2d}: {med / size * 1e3:10.4f} ms per tour (B={size}, float64)", flush=True)
     first, kept, peak = layer_bytes(tsp, LAYER_Q, seed)
     print(f"layers     q={LAYER_Q:2d}: {kept / 1e6:10.3f} MB of layers kept by one tour (bound {LAYER_BOUND_MB} MB), "
           f"peak {peak / 1e6:.3f} MB; first call {first:.3f} s", flush=True)
@@ -195,8 +200,8 @@ def measure(tsp, repeats: int, single_q: tuple[int, ...], seed: int) -> dict:
         "single_tour_first_ms": single_first,
         "batch_ms_per_tour": batch,
         "batch_first_ms_per_tour": batch_first,
-        "order_batch_sizes": {str(q): size for q, size in ORDER_BATCHES},
-        "order_batch_ms_per_tour": orders,
+        "window_batch_sizes": {str(q): size for q, size in WINDOW_BATCHES},
+        "window_batch_ms_per_tour": windows,
         "layer_q": LAYER_Q,
         "layer_first_s": first,
         "layer_kept_mb": kept / 1e6,

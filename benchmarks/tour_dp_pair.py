@@ -3,9 +3,9 @@
 Loads ``drcflex/tsp.py`` from a base tree (``--base``) and from this tree
 (``--src``) under two module names, and times both on the shapes of
 ``tour_dp.py``: one tour (B = 1, visit orders) at its single-tour q, the
-batched float32 lengths at B = 250 and the batched visit orders at its
-(q, B) pairs.  Each call's instances are drawn once and solved by both
-trees back to back, the tree that goes first alternating from call to
+batched float32 lengths at B = 250 and the simulator's float64 lengths-only
+tours at its (q, B) pairs.  Each call's instances are drawn once and solved
+by both trees back to back, the tree that goes first alternating from call to
 call.  So a drift in the host's speed, which on a shared VM moves separate
 runs of ``tour_dp.py`` by up to 2x, reaches both sides alike, and a change
 of a few percent shows.  The length batches run as a calibration runs
@@ -37,7 +37,8 @@ from pathlib import Path
 
 # tour_dp pins the BLAS threads, so it must load before numpy
 from tour_dp import (
-    BATCH_Q, BATCH_SIZE, ORDER_BATCHES, ROOT, SEED, SINGLE_Q, git_commit, machine, source_digest, write_entry,
+    BATCH_Q, BATCH_SIZE, ROOT, SEED, SINGLE_Q, WINDOW_BATCHES, git_commit, machine, source_digest, window_lengths,
+    write_entry,
 )
 
 import numpy as np
@@ -56,15 +57,17 @@ def shapes() -> list[tuple[str, int, int]]:
     return (
         [("one tour", q, 1) for q in SINGLE_Q]
         + [("lengths", q, BATCH_SIZE) for q in BATCH_Q]
-        + [("orders", q, B) for q, B in ORDER_BATCHES]
+        + [("windows", q, B) for q, B in WINDOW_BATCHES]
     )
 
 
 def solve(tsp, kind: str, pts: np.ndarray) -> None:
     if kind == "lengths":
         tsp.closed_tour_lengths_batch(pts, dtype=np.float32)
+    elif kind == "windows":
+        window_lengths(tsp)(pts)
     else:
-        tsp.closed_tours_batch(pts)
+        tsp._held_karp(tsp._manhattan(pts), visit_order=True)  # exact_tour's solve
 
 
 def minor_faults() -> int:

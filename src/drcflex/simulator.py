@@ -9,17 +9,21 @@ served in blocks of 64 with one random stream per block, until, from
 ``VALIDATION_SE_TARGET``, then reports the percentage gap between the
 analytical and simulated figures.
 
-Two conventions keep the comparison unbiased.  Validation simulates each
+Three conventions keep the comparison unbiased.  Validation simulates each
 zone and direction over its own horizon of round(1/H) whole headways, so no
 dispatch window is ever truncated (a clipped window would distort occupancy
 and dispatch-rate statistics by several percent, swamping the model errors
-being measured).  And fully-flexible tours are closed cycles through a
+being measured).  Fully-flexible tours are closed cycles through a
 dispatch point drawn uniformly in the zone, the same construction the
-tour-length coefficients were calibrated on.
+tour-length coefficients were calibrated on.  And a fully-flexible window's
+riders are charged the mean of its shortest tour's two walks, as the model's
+half tour prices them, so no tie or direction choice of the tour solver
+moves a report, and only tour lengths are solved.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -41,9 +45,9 @@ from .costs import (
 from .expectations import WeibullTourLaw
 from .params import ScenarioParams, ZoneGrid, line_haul_distance
 from .tourlength import KStarModel, feasible_swath_widths
-from .tsp import MAX_EXACT_POINTS, _manhattan, closed_tours_batch
+from .tsp import MAX_EXACT_POINTS, _held_karp, _manhattan, _widest_layer
 # Bound here only for perfbench/tracer.py, which wraps it by name; the
-# simulator solves its tours with closed_tours_batch.
+# simulator solves tour lengths only and never calls it.
 from .tsp import exact_tour  # noqa: F401
 
 VALIDATION_SE_TARGET = 0.05  # standard error of mean GC, min/patron
@@ -53,6 +57,9 @@ MAX_VALIDATION_RUNS = 100_000
 # once: against 64, perfbench validate's FF part took 5% / 10% less time with 96 / 128 runs per
 # chunk, and its peak RSS rose by 1.7 / 3.1 MB (5 alternating runs each).
 _BLOCK_RUNS = 64
+# Bytes of the two widest float64 layers one lengths-only DP call of a load group may hold, and
+# at least one tour per call: 1.6 MB for a 17-point tour, 14.8 MB for a 20-point one.
+_LAYER_BYTES = 1 << 23
 
 TABLE_ROW_LABELS = (
     "Errors in GC",
@@ -144,20 +151,30 @@ def _pack(
     return _Spans(*columns, n_points, *requests, staging)
 
 
+@functools.lru_cache(maxsize=1)  # a validation that passes min_runs inside a block serves its rest from one draw
+def _draw_block(means: bytes, draws: int, seed: int, block: int) -> tuple[np.ndarray, ...]:
+    """Block ``block`` of a validation's runs as ``run_validation`` states it: the
+    request counts of its spans, unit xy and times of its requests, and its
+    staging draws, given one run's float64 mean request counts and staging draws."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))  # default_rng's stream
+    n = rng.poisson(np.tile(np.frombuffer(means), _BLOCK_RUNS))
+    drawn = (n, rng.random((n.sum(), 2)), rng.random(n.sum()), rng.random(_BLOCK_RUNS * draws))
+    for a in drawn:
+        a.flags.writeable = False  # shared by the calls the cache serves
+    return drawn
+
+
 def _draw_runs(
     design: DesignSolution, layout: tuple[np.ndarray, ...], means: np.ndarray, seed: int, runs: range
 ) -> _Spans:
     """The spans of validation ``runs``, which must lie in one block of
-    ``_BLOCK_RUNS`` runs: the block is drawn whole as ``run_validation``
-    states, given one run's (zone, outbound, H, n_windows) columns and mean
-    request counts, and cut to ``runs``."""
+    ``_BLOCK_RUNS`` runs: the block is drawn whole by ``_draw_block``, given
+    one run's (zone, outbound, H, n_windows) columns and mean request counts,
+    and cut to ``runs``."""
     block, lo = divmod(runs.start, _BLOCK_RUNS)
     hi = lo + len(runs)
-    spans, draws = len(means), _staging_draws(design, layout[3]).sum()  # per run
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))  # default_rng's stream
-    n = rng.poisson(np.tile(means, _BLOCK_RUNS))
-    xy, t = rng.random((n.sum(), 2)), rng.random(n.sum())
-    staging = rng.random(_BLOCK_RUNS * draws)
+    spans, draws = len(means), int(_staging_draws(design, layout[3]).sum())  # per run
+    n, xy, t, staging = _draw_block(np.asarray(means, dtype=float).tobytes(), draws, seed, block)
     r_lo, r_hi = np.concatenate(([0], np.cumsum(n)))[[lo * spans, hi * spans]]  # the runs' requests
     n, columns = n[lo * spans : hi * spans], tuple(np.tile(c, len(runs)) for c in layout)
     span_h = np.repeat(columns[2] * columns[3], n)  # each request's span length
@@ -253,8 +270,8 @@ def _serve(
 # ---------------------------------------------------------------------------
 
 
-def _heuristic_closed_tour(dist: np.ndarray) -> tuple[float, list[int]]:
-    """Nearest neighbour plus 2-opt for batches beyond the exact solver."""
+def _heuristic_tour_length(dist: np.ndarray) -> float:
+    """Nearest neighbour plus 2-opt for batches beyond the exact solver: the closed tour's length."""
     n = dist.shape[0]
     unvisited = set(range(1, n))
     order = [0]
@@ -275,8 +292,7 @@ def _heuristic_closed_tour(dist: np.ndarray) -> tuple[float, list[int]]:
                 if dist[a, b] + dist[c, d] > dist[a, c] + dist[b, d] + 1e-12:
                     order[i : j + 1] = reversed(order[i : j + 1])
                     improved = True
-    length = sum(dist[order[i], order[(i + 1) % n]] for i in range(n))
-    return float(length), order
+    return float(sum(dist[order[i], order[(i + 1) % n]] for i in range(n)))
 
 
 def _load_groups(
@@ -313,8 +329,14 @@ def _ff_windows(
 
     Returns per window: the tour length, the load q, and the summed waits
     and in-vehicle times of its riders.  Windows are solved grouped by q,
-    one batched exact DP per group, and each group's riders are accounted
-    as one (windows, q) array; q >= 20 falls back to a heuristic per window.
+    one batched lengths-only DP per group, split so that its two live
+    float64 layers stay within ``_LAYER_BYTES``; q >= 20 falls back to a
+    heuristic per window.
+
+    Each window is charged the mean of its tour's two walks (conditional
+    Monte Carlo), where its riders' positions along a tour of length L sum to
+    q*L/2: the waits sum to q*dispatch - sum(t) + q*L/(2v) + tau*q^2/2, and
+    the rides to q*L/(2v) + tau*q^2/2 + q*D/v in both directions.
 
     The dispatch point is drawn uniformly in the zone per dispatch (the
     vehicle's staging position when the window closes is unmodeled), which
@@ -326,30 +348,21 @@ def _ff_windows(
     first = np.cumsum(n_w) - n_w  # each span's first window
     local = np.minimum((spans.t / np.repeat(spans.H_sched, n_pts)).astype(int), np.repeat(n_w - 1, n_pts))
     q, groups = _load_groups(spans, local)
-    tour, wait, inveh = np.zeros(len(q)), np.zeros(len(q)), np.zeros(len(q))
-    for w, s, stops in groups:
-        k, row = stops.shape[1], np.arange(len(w))[:, None]
+    tour = np.zeros(len(q))
+    for w, _, stops in groups:
+        k = stops.shape[1]
         nodes = np.concatenate((spans.staging.take(w[:, None], axis=0), spans.xy.take(stops, axis=0)), axis=1)
         if k < MAX_EXACT_POINTS:
-            length, order = closed_tours_batch(nodes)
+            step = max(1, _LAYER_BYTES // (2 * 8 * max(_widest_layer(k + 1), 1)))
+            tour[w] = np.concatenate([_held_karp(_manhattan(nodes[lo:lo + step]))[0] for lo in range(0, len(w), step)])
         else:
-            tours = (_heuristic_closed_tour(d) for d in _manhattan(nodes).transpose(2, 0, 1))
-            length, order = map(np.array, zip(*tours))
-        path = nodes.reshape(-1, 2).take(row * (k + 1) + order, axis=0)
-        steps = np.abs(path[:, 1:] - path[:, :-1])
-        positions = np.add.accumulate(steps[:, :, 0] + steps[:, :, 1], axis=1)
-        t_visit = spans.t.take(stops.take(row * k + order[:, 1:] - 1))
-        dispatch = (w[:, None] - first[s] + 1) * spans.H_sched[s]
-        ranks = np.arange(1, k + 1, dtype=float)  # visit order 1..q
-        ride = (ranks - 0.5) * tau[s]
-        waits = (dispatch - t_visit) + positions / v + ride
-        ahead = (length[:, None] - positions) / v + (k - ranks + 0.5) * tau[s] + D[s] / v
-        behind = D[s] / v + positions / v + ride
-        out = spans.outbound[s[:, 0]]
-        tour[w] = length
-        wait[w] = np.where(out, waits.sum(axis=1), 0.0)
-        inveh[w] = np.where(out, ahead.sum(axis=1), behind.sum(axis=1))
-    return tour, q, wait, inveh
+            tour[w] = [_heuristic_tour_length(d) for d in _manhattan(nodes).transpose(2, 0, 1)]
+    sum_t = np.bincount(np.repeat(first, n_pts) + local, spans.t, len(q))
+    qf = q.astype(float)
+    dispatch = (np.arange(len(q)) - np.repeat(first, n_w) + 1) * np.repeat(spans.H_sched, n_w)
+    ride = qf * tour / (2.0 * v) + np.repeat(tau, n_w) * qf * qf / 2.0
+    wait = np.where(np.repeat(spans.outbound, n_w), qf * dispatch - sum_t + ride, 0.0)
+    return tour, q, wait, ride + qf * np.repeat(D / v, n_w)
 
 
 # ---------------------------------------------------------------------------

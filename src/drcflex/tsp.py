@@ -8,11 +8,11 @@ closes each tour by joining the two paths from node 0 that share its
 ceil(q/2)-th stop: 1.82x fewer candidate evaluations than the full depth at
 q = 12 and 1.92x at q = 20, where a tour keeps 23.6 MB of float64 layers, not 39.8.
 The tour-length calibration uses it through ``closed_tour_lengths_batch``
-(lengths only); the simulator through ``closed_tours_batch`` (lengths and
-visit orders, read back from the kept layers), of which ``exact_tour`` is
-the B = 1 use.  A permutation brute force is the independent cross-check.  All
-take their distances from ``_manhattan``, in the DP's (q, 20, B) layout, and
-the DP its index tables from ``_layers``, one table for every q, and ``_join``.
+and the simulator directly, both for lengths only; ``exact_tour`` adds the
+visit order of one tour, read back from the kept layers.  A permutation
+brute force is the independent cross-check.  All take their distances from
+``_manhattan``, in the DP's (q, 20, B) layout, and the DP its index tables
+from ``_layers``, one table for every q, and ``_join``.
 
 Memory is part of the DP's speed.  glibc serves an allocation of 128 KiB or
 more with a fresh ``mmap``, whose pages fault in on first touch and go back
@@ -44,9 +44,6 @@ MAX_BRUTE_POINTS = 9
 # at 2^18, with the layers resident, q = 9-10 calls at B = 250 float32 faulted 96-196
 # pages in per call and ran 18-22% slower.  No other size is more than 2.4% faster at any q = 9..13.
 _CHUNK_BYTES = (1 << 17) - 4096
-# Bytes of distance rows and kept float64 layers one batched visit-order DP
-# call may hold (from q = 16 one instance alone exceeds it).
-_BATCH_BYTES = 1 << 20
 
 
 class TourSizeError(ValueError):
@@ -328,21 +325,3 @@ def closed_tour_lengths_batch(points: np.ndarray, dtype=np.float64) -> np.ndarra
         return dist[0, 1] + dist[1, 2] + dist[2, 0]
     return _held_karp(dist)[0]
 
-
-def closed_tours_batch(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact closed tours and visit orders for a batch of same-size instances.
-
-    ``points`` has shape (B, q, 2), 2 <= q <= 20; returns the (B,) lengths and
-    the (B, q) visit orders from point 0, each row equal to ``exact_tour`` on
-    that instance.  Each DP call takes as many instances as keep its distance
-    rows and every layer within ``_BATCH_BYTES``, and at least one.
-    """
-    B, q = len(points), _instance_size(points, "closed_tours_batch")
-    pairs = sum(len(last) for _, last, _ in _layers(q - 1))
-    step = max(1, _BATCH_BYTES // ((q * MAX_EXACT_POINTS + q - 1 + pairs) * 8))
-    lengths = np.empty(B)
-    orders = np.empty((B, q), dtype=np.intp)
-    for lo in range(0, B, step):
-        dist = _manhattan(np.asarray(points[lo:lo + step], dtype=np.float64))
-        lengths[lo:lo + step], orders[lo:lo + step] = _held_karp(dist, visit_order=True)
-    return lengths, orders

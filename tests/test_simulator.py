@@ -278,10 +278,11 @@ class TestFullyFlexibleTours:
         assert total_events >= 1
 
     # simulate_ff_hour on the oversized design below with demand seed 2,
-    # recorded before the fully flexible windows gathered with ndarray.take.
+    # recorded when each window's riders were first charged the mean of the
+    # tour's two walks (the tours are those of the walk read back before).
     PINNED_OVERSIZED = {
-        "gc_hours": 15.924389554421506,
-        "gc_min_per_patron": 26.540649257369175,
+        "gc_hours": 16.145780723422753,
+        "gc_min_per_patron": 26.909634539037924,
         "horizon": 1.0,
         "tours_out": (5.788335897288795,),
         "tours_in": (
@@ -389,27 +390,27 @@ class TestRunValidation:
         assert report.outbound_tour_error_pct < 3.0
 
     # Reports at min_runs=50, seed=11, recorded from the stream that draws
-    # runs in blocks of 64 (FF: with the half-tour join's visit orders); every
-    # chunking below gave these same reports.
+    # runs in blocks of 64 (FF: each window charged the mean of its tour's two
+    # walks); every chunking below gave these same reports.
     PINNED = {
         "ff": {
-            "n_runs": 377,
+            "n_runs": 376,
             "analytic_gc_min_per_patron": 18.3976398939045,
-            "sim_gc_min_per_patron": 18.378905752054006,
-            "sim_gc_std": 0.969801136097137,
-            "sim_gc_se": 0.0499472996425136,
-            "gc_error_pct": 0.10193284683665436,
-            "outbound_tour_error_pct": 1.8101866798903794,
-            "inbound_tour_error_pct": 1.5377355239308745,
-            "pickup_loss_error_pct": 0.08104399987216086,
-            "dropoff_loss_error_pct": 0.5222783361687302,
-            "overcapacity_pct": 0.8012820512820512,
+            "sim_gc_min_per_patron": 18.376532544483528,
+            "sim_gc_std": 0.9675418562994436,
+            "sim_gc_se": 0.04989716136159592,
+            "gc_error_pct": 0.11486034903417645,
+            "outbound_tour_error_pct": 1.8209112253623423,
+            "inbound_tour_error_pct": 1.5583121231120065,
+            "pickup_loss_error_pct": 0.11380059422065646,
+            "dropoff_loss_error_pct": 0.47783567797321325,
+            "overcapacity_pct": 0.792331560283688,
             "analytic_outbound_tour_km": 2.3554432440365765,
-            "sim_outbound_tour_km": 2.3135634270493144,
+            "sim_outbound_tour_km": 2.313319745119178,
             "analytic_inbound_tour_km": 2.3554432440365765,
-            "sim_inbound_tour_km": 2.319771296732765,
-            "mean_occupancy_out": 3.3311781609195403,
-            "mean_occupancy_in": 3.3383620689655173,
+            "sim_inbound_tour_km": 2.319301290849771,
+            "mean_occupancy_out": 3.3310616134751774,
+            "mean_occupancy_in": 3.3374889184397163,
             "heuristic_dispatches": 0,
         },
         "sf_line": {
@@ -508,7 +509,7 @@ class TestRunValidation:
     # pins above absorb last-bit changes in the per-window sums; these catch
     # them.
     PINNED_WINDOWS = {
-        "ff": ("_ff_windows", "d32e9d30caec773eb7a8672bfe5a2530367f37d2f84ea68e2d2803306c67d4fc"),
+        "ff": ("_ff_windows", "eef5c86840e0d4d8aa53fed8e070386376ca19e08b8e5c6c3d221e873c40426e"),
         "sf": ("_sf_windows", "23901599a1aaf72a5cac7df37bf907b885fc9e0ee54a33d566a5e2a40c60f2ad"),
     }
 
@@ -731,6 +732,135 @@ class TestChunkDraws:
 
         params, design = sim_design(table2, design_name)
         assert_stream_order(params, design, 5, runs, _draw_runs(design, *validation_layout(params, design), 5, runs))
+
+    def test_each_block_is_drawn_once(self, table2: ScenarioParams, ff_design: DesignSolution) -> None:
+        # min_runs = 50 cuts block 0; the chunk after it serves the rest of that block from the same draw
+        from drcflex import TABLE1_MODEL
+        from drcflex import simulator
+
+        simulator._draw_block.cache_clear()
+        report = run_validation(table2, ff_design, TABLE1_MODEL, min_runs=50, seed=11)
+        blocks = -(-report.n_runs // simulator._BLOCK_RUNS)
+        assert blocks > 1
+        # (hits, misses): every block drawn once, and block 0's second chunk served from its draw
+        assert simulator._draw_block.cache_info()[:2] == (1, blocks)
+
+
+def ff_spans(rng: np.random.Generator, design: DesignSolution, loads: list[list[int]], H: float = FIVE_MIN):
+    """Fully flexible spans, one per row of ``loads``, zones in turn and outbound
+    first: each window of a span gets the given number of requests, at uniform
+    times within it and uniform points in the zone, its staging point too."""
+    from drcflex.simulator import _Spans
+
+    scale = np.array([design.grid.l, design.grid.w])
+    n_w = np.array([len(row) for row in loads])
+    window = np.concatenate([np.repeat(np.arange(len(row)), row) for row in loads])
+    n_points = np.array([sum(row) for row in loads])
+    S = len(loads)
+    return _Spans(
+        np.arange(S) // 2 % len(design.zones), np.arange(S) % 2 == 0, np.full(S, H), n_w, n_points,
+        rng.random((len(window), 2)) * scale, (window + rng.random(len(window))) * H,
+        rng.random((int(n_w.sum()), 2)) * scale,
+    )
+
+
+def rider_books(params: ScenarioParams, spans, D: np.ndarray, tau: np.ndarray) -> list[tuple]:
+    """Per window (tour, q, wait, in-vehicle time), each rider charged one at a
+    time along ``exact_tour``'s visit order and along its reverse, and the two
+    walks averaged."""
+    from drcflex.tsp import MAX_BRUTE_POINTS, brute_force_tour_length, exact_tour
+
+    v, books, p, w = params.v_l, [], 0, 0
+    for s, (n_w, n) in enumerate(zip(spans.n_windows.tolist(), spans.n_points.tolist())):
+        t, xy = spans.t[p:p + n], spans.xy[p:p + n]
+        local = np.minimum((t / spans.H_sched[s]).astype(int), n_w - 1)
+        for j in range(n_w):
+            riders = np.flatnonzero(local == j)
+            q = len(riders)
+            if q == 0:
+                books.append((0.0, 0, 0.0, 0.0))
+                continue
+            nodes = np.vstack((spans.staging[w + j], xy[riders]))
+            length, order = exact_tour(PointSet(nodes))
+            if q + 1 <= MAX_BRUTE_POINTS:
+                assert length == pytest.approx(brute_force_tour_length(PointSet(nodes)), abs=1e-12)
+            wait = ride = 0.0
+            for walk in (order, order[:1] + order[:0:-1]):
+                pos = 0.0
+                for r, (a, b) in enumerate(zip(walk, walk[1:]), start=1):
+                    pos += float(np.abs(nodes[a] - nodes[b]).sum())
+                    if spans.outbound[s]:
+                        wait += (j + 1) * spans.H_sched[s] - t[riders[b - 1]] + pos / v + (r - 0.5) * tau[s]
+                        ride += (length - pos) / v + (q - r + 0.5) * tau[s] + D[s] / v
+                    else:
+                        ride += D[s] / v + pos / v + (r - 0.5) * tau[s]
+            books.append((length, q, wait / 2.0, ride / 2.0))
+        p, w = p + n, w + n_w
+    return books
+
+
+class TestFullyFlexibleBooks:
+    """Each fully flexible window is charged the mean of its tour's two walks."""
+
+    @staticmethod
+    def windows(params: ScenarioParams, spans) -> tuple[np.ndarray, ...]:
+        from drcflex.simulator import _ff_windows
+
+        D, tau = np.arange(1.0, len(spans.zone) + 1), np.where(spans.outbound, params.tau_p, params.tau_d)
+        return _ff_windows(params, None, spans, D, tau), D, tau
+
+    def test_books_equal_both_walks_rider_by_rider(
+        self, table2: ScenarioParams, ff_design: DesignSolution, monkeypatch
+    ) -> None:
+        from drcflex import tsp
+
+        rng = np.random.default_rng(90)
+        spans = ff_spans(rng, ff_design, rng.integers(0, 9, (8, 4)).tolist())
+
+        def no_visit_order(*args):
+            raise AssertionError("the simulator read a visit order")
+
+        monkeypatch.setattr(tsp, "_path", no_visit_order)
+        (tour, q, wait, inveh), D, tau = self.windows(table2, spans)
+        monkeypatch.undo()
+        want = rider_books(table2, spans, D, tau)
+        assert q.tolist() == [b[1] for b in want] and (q >= 1).sum() > 20
+        for got, field in ((tour, 0), (wait, 2), (inveh, 3)):
+            np.testing.assert_allclose(got, [b[field] for b in want], rtol=1e-12, atol=0)
+
+    def test_relabeled_stops_leave_the_books(self, table2: ScenarioParams, ff_design: DesignSolution) -> None:
+        rng = np.random.default_rng(91)
+        spans = ff_spans(rng, ff_design, rng.integers(0, 12, (8, 6)).tolist())
+        starts = np.cumsum(spans.n_points) - spans.n_points
+        perm = np.concatenate([s + rng.permutation(n) for s, n in zip(starts, spans.n_points)])
+        relabeled = spans._replace(xy=spans.xy[perm], t=spans.t[perm])
+        (tour, q, wait, inveh), _, _ = self.windows(table2, spans)
+        (tour2, q2, wait2, inveh2), _, _ = self.windows(table2, relabeled)
+        assert same_bits(q, q2)
+        for got, want in ((tour2, tour), (wait2, wait), (inveh2, inveh)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_large_groups_split_to_the_same_bits(
+        self, table2: ScenarioParams, ff_design: DesignSolution, monkeypatch
+    ) -> None:
+        from drcflex import simulator, tsp
+
+        spans = ff_spans(np.random.default_rng(92), ff_design, [[16, 17, 17], [17, 16, 16]])
+        held_karp, widths = simulator._held_karp, []
+
+        def recorded(dist):
+            widths.append((dist.shape[0], dist.shape[2]))
+            return held_karp(dist)
+
+        monkeypatch.setattr(simulator, "_held_karp", recorded)
+        books = [self.windows(table2, spans)[0]]
+        assert all(2 * 8 * tsp._widest_layer(q) * B <= simulator._LAYER_BYTES for q, B in widths)
+        assert widths == [(17, 3), (18, 2), (18, 1)]  # the 18-point tours are split
+        for limit in (1, 1 << 40):  # one tour per DP call; each group whole
+            monkeypatch.setattr(simulator, "_LAYER_BYTES", limit)
+            books.append(self.windows(table2, spans)[0])
+        for other in books[1:]:
+            assert all(same_bits(a, b) for a, b in zip(books[0], other))
 
 
 class TestServeGrouping:

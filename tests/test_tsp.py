@@ -23,7 +23,6 @@ from drcflex.tsp import (
     TourSizeError,
     brute_force_tour_length,
     closed_tour_lengths_batch,
-    closed_tours_batch,
     exact_tour,
     exact_tour_length,
 )
@@ -34,6 +33,15 @@ point_lists = st.lists(st.tuples(coord, coord), min_size=2, max_size=7)
 
 def random_points(rng: np.random.Generator, q: int) -> PointSet:
     return PointSet(rng.random((q, 2)) * 2.0)
+
+
+def window_tours(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (B,) lengths of a (B, q, 2) batch from the lengths-only DP, as the
+    simulator solves its windows, and the (B, q) visit orders of ``exact_tour``
+    on each instance."""
+    lengths = tsp._held_karp(tsp._manhattan(np.asarray(pts, dtype=np.float64)))[0]
+    orders = np.array([exact_tour(PointSet(p))[1] for p in pts], dtype=np.intp).reshape(pts.shape[:2])
+    return lengths, orders
 
 
 class TestFixedInstances:
@@ -186,19 +194,16 @@ class TestBatchSolver:
             single = [exact_tour_length(PointSet(p)) for p in pts]
             assert batch.tolist() == single, f"q={q}"
 
-    def test_visit_orders_equal_single_tours_bit_for_bit(self, monkeypatch) -> None:
-        # Integer-grid instances have many equal-length tours, so they check
-        # that every row breaks ties as a single tour does.
+    def test_window_lengths_equal_single_tours_bit_for_bit(self) -> None:
+        # The simulator's lengths-only DP, q = 3 included; integer-grid
+        # instances have many equal-length tours.
         rng = np.random.default_rng(80)
         for q in range(2, 15):
             for pts in (rng.random((12, q, 2)) * 2.0, rng.integers(0, 3, (12, q, 2)).astype(float)):
-                lengths, orders = closed_tours_batch(pts)
-                single = [exact_tour(PointSet(p)) for p in pts]
-                assert [(l, o) for l, o in zip(lengths.tolist(), orders.tolist())] == single, f"q={q}"
-                monkeypatch.setattr(tsp, "_BATCH_BYTES", 1)  # one instance per DP call
-                split = closed_tours_batch(pts)
-                monkeypatch.undo()
-                assert split[0].tolist() == lengths.tolist() and split[1].tolist() == orders.tolist()
+                lengths = window_tours(pts)[0]
+                assert lengths.tolist() == [exact_tour_length(PointSet(p)) for p in pts], f"q={q}"
+                split = [window_tours(pts[i:i + 1])[0] for i in range(len(pts))]  # one instance per DP call
+                assert np.concatenate(split).tobytes() == lengths.tobytes(), f"q={q}"
 
     def test_layer_pieces_do_not_change_results(self, monkeypatch) -> None:
         # B = 1 and 2 are the narrow rows of a validation's large tours
@@ -210,7 +215,7 @@ class TestBatchSolver:
         def solve() -> list:
             return [
                 (closed_tour_lengths_batch(p).tolist(), closed_tour_lengths_batch(p, dtype=np.float32).tolist(),
-                 *(a.tolist() for a in closed_tours_batch(p)))
+                 *(a.tolist() for a in window_tours(p)))
                 for p in batches
             ]
 
@@ -223,20 +228,22 @@ class TestBatchSolver:
         # a narrow batch, a wide one at another q, then the narrow one again
         rng = np.random.default_rng(84)
         narrow, wide = rng.random((2, 12, 2)), rng.random((300, 5, 2))
-        for solve in (closed_tours_batch, lambda p: (closed_tour_lengths_batch(p),)):
+        for solve in (window_tours, lambda p: (closed_tour_lengths_batch(p),)):
             first, _, again = solve(narrow), solve(wide), solve(narrow)
             assert [a.tobytes() for a in again] == [a.tobytes() for a in first]
 
     # SHA-256 of the lengths and orders of integer-grid (tie-heavy) batches,
     # as the half-tour join returns them (first shortest join pair, ties in
-    # each half's read-back to the smallest predecessor).
+    # each half's read-back to the smallest predecessor), recorded from one
+    # batched visit-order DP per batch: the lengths-only DP's lengths and
+    # exact_tour's orders give the same bytes.
     PINNED_TIES = "f4b8487e629890b2b3277993dfcc0f63cebee39ff7ce41371d276b71776f9d10"
 
     def test_tie_rule_pinned(self) -> None:
         rng = np.random.default_rng(81)
         digest = hashlib.sha256()
         for q in range(2, 15):
-            lengths, orders = closed_tours_batch(rng.integers(0, 3, (30, q, 2)).astype(float))
+            lengths, orders = window_tours(rng.integers(0, 3, (30, q, 2)).astype(float))
             digest.update(lengths.astype("<f8").tobytes())
             digest.update(orders.astype("<i8").tobytes())
         assert digest.hexdigest() == self.PINNED_TIES
@@ -274,19 +281,6 @@ class TestBatchSolver:
             closed_tour_lengths_batch(np.zeros((1, MAX_EXACT_POINTS + 1, 2)))
         assert closed_tour_lengths_batch(np.zeros((0, 6, 2))).shape == (0,)
 
-    def test_visit_order_shape_validation(self) -> None:
-        # checked before any index table is built: q = 21 would take ~260 MB
-        for bad in (np.zeros((4, 3)), np.zeros((4, 5, 3))):
-            with pytest.raises(ValueError, match="shape"):
-                closed_tours_batch(bad)
-        with pytest.raises(ValueError, match="at least 2"):
-            closed_tours_batch(np.zeros((4, 1, 2)))
-        with pytest.raises(TourSizeError) as exc:
-            closed_tours_batch(np.zeros((1, MAX_EXACT_POINTS + 1, 2)))
-        assert exc.value.limit == MAX_EXACT_POINTS
-        lengths, orders = closed_tours_batch(np.zeros((0, 6, 2)))
-        assert lengths.shape == (0,) and orders.shape == (0, 6)
-
 
 def held_bytes() -> int:
     """Bytes of the distinct arrays behind every index table ``tsp`` holds."""
@@ -316,7 +310,7 @@ class TestOneTable:
                    for q in sizes}
 
         def solve(q: int) -> list[bytes]:
-            return [a.tobytes() for pts in batches[q] for a in closed_tours_batch(pts)]
+            return [a.tobytes() for pts in batches[q] for a in window_tours(pts)]
 
         monkeypatch.setattr(tsp, "_held", {})
         fresh = {}
@@ -372,7 +366,7 @@ class TestHalfTourJoin:
         every = np.array([(0,) + p for p in itertools.permutations(range(1, 10))])  # visit orders at q = 10
         for q in range(2, 11):
             pts = rng.integers(0, 3, (24 if q <= MAX_BRUTE_POINTS else 3, q, 2)).astype(float)
-            lengths, orders = closed_tours_batch(pts)
+            lengths, orders = window_tours(pts)
             for p, length, order in zip(pts, lengths.tolist(), orders.tolist()):
                 assert order[0] == 0 and sorted(order) == list(range(q)), f"q={q}"
                 best = brute_length(p, None if q <= MAX_BRUTE_POINTS else every)
@@ -411,7 +405,7 @@ class TestResidentLayers:
                  for B in (1, 7, 250)]
         narrow = {q: rng.random((2, q, 2)) for q in range(2, 14)}
         first = [closed_tour_lengths_batch(pts, dtype=dtype).tobytes() for pts, dtype in calls]
-        tours = {q: [a.tobytes() for a in closed_tours_batch(pts)] for q, pts in narrow.items()}
+        tours = {q: [a.tobytes() for a in window_tours(pts)] for q, pts in narrow.items()}
         kept = []
         with tsp._resident_layers(plan, np.float64):
             space = tsp._resident.get()
@@ -423,7 +417,7 @@ class TestResidentLayers:
                 assert not np.shares_memory(lengths, space)
                 kept.append((lengths, first[i]))
                 q = pts.shape[1]
-                assert [a.tobytes() for a in closed_tours_batch(narrow[q])] == tours[q]
+                assert [a.tobytes() for a in window_tours(narrow[q])] == tours[q]
             assert not np.isnan(space.view(np.float64)).all()  # the buffer was used
         assert tsp._resident.get() is None
         assert all(lengths.tobytes() == bits for lengths, bits in kept)  # earlier results unchanged
