@@ -2,7 +2,7 @@
 
 Loads ``drcflex/tsp.py`` from a base tree (``--base``) and from this tree
 (``--src``) under two module names, and times both on the shapes of
-``tour_dp.py``: one tour (B = 1, visit orders) at its single-tour q, the
+``tour_dp.py``: one tour with its visit order (``exact_tour``) at its single-tour q, the
 batched float32 lengths at B = 250 and the simulator's float64 lengths-only
 tours at its (q, B) pairs.  Each call's instances are drawn once and solved
 by both trees back to back, the tree that goes first alternating from call to
@@ -67,7 +67,7 @@ def solve(tsp, kind: str, pts: np.ndarray) -> None:
     elif kind == "windows":
         window_lengths(tsp)(pts)
     else:
-        tsp._held_karp(tsp._manhattan(pts), visit_order=True)  # exact_tour's solve
+        tsp.exact_tour(tsp.PointSet(pts[0]))
 
 
 def minor_faults() -> int:

@@ -18,7 +18,8 @@ dispatch point drawn uniformly in the zone, the same construction the
 tour-length coefficients were calibrated on.  And a fully-flexible window's
 riders are charged the mean of its shortest tour's two walks, as the model's
 half tour prices them, so no tie or direction choice of the tour solver
-moves a report, and only tour lengths are solved.
+moves a report, and only tour lengths are solved.  A semi-flexible window's
+riders are booked in closed form, from one sort of the requests into sweep order.
 """
 
 from __future__ import annotations
@@ -295,30 +296,20 @@ def _heuristic_tour_length(dist: np.ndarray) -> float:
     return float(sum(dist[order[i], order[(i + 1) % n]] for i in range(n)))
 
 
-def _load_groups(
-    spans: _Spans, local: np.ndarray, minor: np.ndarray | None = None
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Group every window of the spans by its load q.
-
-    ``local`` is each request's window within its span.  Returns the load of
-    every window and, per distinct q > 0, the windows of that load, their
-    spans (as a column) and their (windows, q) requests.  A window's
-    requests are ordered by ``minor`` when given, else kept in span order.
-    """
+def _load_groups(spans: _Spans, local: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Group every window of the spans by its load q.  ``local`` is each request's window
+    within its span.  Returns the load of every window and, per distinct q > 0, the windows
+    of that load and their (windows, q) requests, kept in span order."""
     n_w = spans.n_windows
     window = np.repeat(np.cumsum(n_w) - n_w, spans.n_points) + local
     q = np.bincount(window, minlength=int(n_w.sum()))
     # stable, so span order within a window; numpy radix-sorts keys of 16 bits or less
     by_window = np.argsort(window.astype(np.min_scalar_type(len(q) - 1)), kind="stable")
     start = np.cumsum(q) - q
-    span_of = np.repeat(np.arange(len(n_w)), n_w)
     groups = []
     for k in np.unique(q[q > 0]):
         w = np.flatnonzero(q == k)
-        stops = by_window[start[w, None] + np.arange(k)]
-        if minor is not None:
-            stops = np.take_along_axis(stops, np.argsort(minor[stops], axis=1, kind="stable"), axis=1)
-        groups.append((w, span_of[w, None], stops))
+        groups.append((w, by_window[start[w, None] + np.arange(k)]))
     return q, groups
 
 
@@ -349,7 +340,7 @@ def _ff_windows(
     local = np.minimum((spans.t / np.repeat(spans.H_sched, n_pts)).astype(int), np.repeat(n_w - 1, n_pts))
     q, groups = _load_groups(spans, local)
     tour = np.zeros(len(q))
-    for w, _, stops in groups:
+    for w, stops in groups:
         k = stops.shape[1]
         nodes = np.concatenate((spans.staging.take(w[:, None], axis=0), spans.xy.take(stops, axis=0)), axis=1)
         if k < MAX_EXACT_POINTS:
@@ -407,48 +398,61 @@ def _sf_progress(serp: _Serpentine, xy: np.ndarray) -> tuple[np.ndarray, np.ndar
     return progress, c
 
 
+def _sweep_order(window: np.ndarray, progress: np.ndarray, n_windows: int) -> np.ndarray:
+    """The requests by window, then sweep progress, then span order.  A permutation that
+    sorts distinct keys is unique, so the default argsort by progress needs replacing by a
+    stable one only on ties; a stable (radix, for 16-bit ids) sort by window follows."""
+    order = np.argsort(progress)
+    ordered = progress.take(order)
+    if (ordered[1:] == ordered[:-1]).any():
+        order = np.argsort(progress, kind="stable")
+    return order.take(np.argsort(window.take(order).astype(np.min_scalar_type(n_windows - 1)), kind="stable"))
+
+
 def _sf_windows(
     params: ScenarioParams, design: DesignSolution, spans: _Spans, D: np.ndarray, tau: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """Sweep buses through every semi-flexible window of the spans.
 
-    Returns per window: the tour length, the load q, and the summed waits
-    and in-vehicle times of its riders.  Every request's sweep progress,
-    lateral offset and window are computed in one pass: an outbound request
-    hails the first bus whose sweep has not yet passed it, an inbound one
-    boards at the terminal in its departure window.  Windows are then
-    grouped by q, and each group is one (windows, q) array of requests in
-    sweep order: the lateral legs run from the window's staging offset
-    through its riders' offsets, the tour adds them to the fixed sweep, and
-    the rides and waits take running sums of the legs along each row.
+    Returns per window: the tour length, the load q, and the summed waits and in-vehicle
+    times of its riders.  Every request's sweep progress, lateral offset and window are
+    computed in one pass: an outbound request hails the first bus whose sweep has not yet
+    passed it, an inbound one boards at the terminal in its departure window.  Sorted once
+    into sweep order, each rider's lateral leg runs from the previous rider's offset in its
+    window, or from the window's staging offset; the tour adds the legs to the fixed sweep.
+    With rank rho = 0..q-1 in sweep order, the lateral distance ahead of the riders sums to
+    sum(rho*leg), behind them to sum((q - rho)*leg), and their dwells to tau*q^2/2, so the
+    books are ``np.bincount`` sums per window: waits sum(nominal - t) + lateral/v, outbound
+    rides (q*end - sum(progress) + sum(rho*leg) + lateral/2)/v + tau*q^2/2 + q*D/v, inbound
+    rides (sum(progress) + sum((q - rho)*leg) - lateral/2)/v + tau*q^2/2 + q*D/v.
     """
-    v, n_pts = params.v_l, spans.n_points
+    v, n_pts, n_w = params.v_l, spans.n_points, spans.n_windows
     serp = _serpentine_for(design.grid, design.w0)
     end_fixed = serp.fixed_path + design.w0 / 2.0  # sweep, connections, end leg
     progress, lat = _sf_progress(serp, spans.xy)
-    H_sched, n_windows = np.repeat(spans.H_sched, n_pts), np.repeat(spans.n_windows, n_pts)
+    H_sched, n_windows = np.repeat(spans.H_sched, n_pts), np.repeat(n_w, n_pts)
     passage = progress / v
     bus = np.maximum(np.ceil((spans.t - passage) / H_sched - 1e-12).astype(int), 0)
     nominal = bus * H_sched + passage
     depart = np.minimum((spans.t / H_sched).astype(int), n_windows - 1)
     local = np.where(np.repeat(spans.outbound, n_pts), bus % n_windows, depart)
-    q, groups = _load_groups(spans, local, minor=progress)
-    tour, wait, inveh = np.full(len(q), end_fixed), np.zeros(len(q)), np.zeros(len(q))
-    for w, s, stops in groups:
-        k = stops.shape[1]
-        c = lat[stops]
-        legs = np.abs(c - np.concatenate((spans.staging[w, None], c[:, :-1]), axis=1))
-        lateral, swept = legs.sum(axis=1), np.cumsum(legs, axis=1)
-        ranks = np.arange(1, k + 1, dtype=float)  # sweep order 1..q
-        remaining_lat = (lateral[:, None] - swept) + legs / 2.0
-        waits = (nominal[stops] - spans.t[stops]) + legs / v
-        ahead = (end_fixed - progress[stops]) / v + remaining_lat / v + (k - ranks + 0.5) * tau[s] + D[s] / v
-        behind = D[s] / v + (progress[stops] + swept - legs / 2.0) / v + (ranks - 0.5) * tau[s]
-        out = spans.outbound[s[:, 0]]
-        tour[w] = end_fixed + lateral
-        wait[w] = np.where(out, waits.sum(axis=1), 0.0)
-        inveh[w] = np.where(out, ahead.sum(axis=1), behind.sum(axis=1))
-    return tour, q, wait, inveh
+    window, waits = np.repeat(np.cumsum(n_w) - n_w, n_pts) + local, nominal - spans.t
+    del H_sched, n_windows, passage, bus, nominal, depart, local  # before the sort, at the peak of memory
+    q = np.bincount(window, minlength=int(n_w.sum()))
+    order = _sweep_order(window, progress, len(q))
+    w, c, first = window.take(order), lat.take(order), np.cumsum(q) - q  # first: each window's first rider
+    leg = np.roll(c, 1)  # legs from the previous rider's offset, or from the window's staging offset
+    leg[first[q > 0]] = spans.staging[q > 0]
+    leg = np.abs(np.subtract(c, leg, out=leg), out=leg)
+    rank, outbound = np.arange(len(w)) - first.take(w), np.repeat(spans.outbound, n_w)
+    ranked = np.where(outbound.take(w), rank, q.take(w) - rank) * leg  # rho*leg outbound, (q - rho)*leg inbound
+    lateral, along, waited, swept = (
+        np.bincount(w, x, len(q)) for x in (leg, progress.take(order), waits.take(order), ranked)
+    )
+    qf = q.astype(float)
+    ahead, behind = (qf * end_fixed - along + swept + lateral / 2.0) / v, (along + swept - lateral / 2.0) / v
+    inveh = np.where(outbound, ahead, behind) + (np.repeat(tau, n_w) * qf * qf / 2.0 + qf * np.repeat(D / v, n_w))
+    return end_fixed + lateral, q, np.where(outbound, waited + lateral / v, 0.0), inveh
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,7 @@ def _manhattan(points: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _held_karp(dist: np.ndarray, visit_order: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+def _held_karp(dist: np.ndarray, visit_order: bool = False) -> tuple[np.ndarray, list[int] | None]:
     """Shortest closed tours from node 0 over a ``_manhattan`` distance array, 2 <= q <= 20.
 
     Each candidate is ``dp[S - j, i] + d(i, j)`` over i in S - j; a layer step
@@ -192,11 +192,11 @@ def _held_karp(dist: np.ndarray, visit_order: bool = False) -> tuple[np.ndarray,
     ``np.minimum``, on rows gathered by a bounds-checked ``take``.  The layers
     stop at t = ceil(q/2): a tour's length is ``dp[T, k] + dp[U, k]`` for the
     pair ``_join`` matches to (T, k), |T| = t, folded in pieces as a layer is.
-    Returns the B tour lengths and, with ``visit_order``, the (B, q) visit
-    orders from node 0: every layer is kept, the first shortest pair is taken,
-    and its T path and reversed U path are read back by ``_path``.  Without
-    ``visit_order``, inside ``_resident_layers``, the layers are views of its
-    buffer.
+    Returns the B tour lengths and, with ``visit_order`` (one instance, B = 1),
+    its visit order from node 0: every layer is kept, the first shortest pair
+    is taken, and its T path and reversed U path are read back by ``_path``.
+    Without ``visit_order``, inside ``_resident_layers``, the layers are views
+    of its buffer.
     """
     q, stride, B = dist.shape
     d = dist.reshape(q * stride, B)  # row i*stride + j holds d(i, j) of every instance
@@ -225,48 +225,39 @@ def _held_karp(dist: np.ndarray, visit_order: bool = False) -> tuple[np.ndarray,
             kept.append(dp)
     join = _join(q - 1)
     half = dp if q % 2 == 0 else below  # the layer of size q - t: the top one at even q, one below at odd q
-    batch = np.arange(B)
     length = np.full(B, np.inf, dtype=d.dtype)
-    pair = np.zeros(B, dtype=np.intp)
+    pair = 0
     for lo in range(0, len(join), step):
         tours = half.take(join[lo:lo + step], axis=0)
         tours += dp[lo:lo + step]
-        if visit_order:  # the first shortest pair
-            at = tours.argmin(axis=0)
-            low = tours[at, batch]
-            pair = np.where(low < length, lo + at, pair)
-        else:
-            low = tours.min(axis=0)
+        low = tours.min(axis=0)
+        if visit_order and low[0] < length[0]:  # the first shortest pair
+            pair = lo + int(tours.argmin())
         np.minimum(length, low, out=length)
     if not visit_order:
         return length, None
     t = len(kept)
-    orders = np.zeros((B, q), dtype=np.intp)
-    orders[:, 1:t + 1] = _path(kept, layers, d, pair)
-    orders[:, t + 1:] = _path(kept[:q - t], layers, d, join[pair])[:, -2::-1]
-    return length, orders
+    return length, [0] + _path(kept, layers, d, pair) + _path(kept[:q - t], layers, d, int(join[pair]))[-2::-1]
 
 
-def _path(kept: list[np.ndarray], layers, d: np.ndarray, pair: np.ndarray) -> np.ndarray:
-    """The (B, len(kept)) free stops, from node 0 on, of the shortest paths that end
-    at ``pair`` of the top kept layer.  Each step recomputes the chosen pair's
-    candidates from the layer step's operands, so ties go to the smallest i."""
-    batch = np.arange(d.shape[1])
-    stops = np.empty((len(batch), len(kept)), dtype=np.intp)
+def _path(kept: list[np.ndarray], layers, d: np.ndarray, pair: int) -> list[int]:
+    """The len(kept) free stops, from node 0 on, of one instance's shortest path that ends at
+    ``pair`` of the top kept layer.  Each step recomputes the chosen pair's candidates from
+    the layer step's operands, so ties go to the smallest i."""
+    stops = []
     for k in range(len(kept) - 1, 0, -1):  # the pair's subset has k + 1 members
-        (edges, last, prev), below, width = layers[k - 1], kept[k - 1], k
-        stops[:, k] = last[pair]
-        rows = prev[pair]
-        cand = below.reshape(-1, width, len(batch))[rows, :, batch] + d[edges[pair], batch[:, None]]
-        pair = rows * width + cand.argmin(axis=1)
-    stops[:, 0] = pair + 1
-    return stops
+        edges, last, prev = layers[k - 1]
+        rows = int(prev[pair]) * k
+        stops.append(int(last[pair]))
+        cand = kept[k - 1][rows:rows + k, 0] + d[edges[pair], 0]
+        pair = rows + int(cand.argmin())
+    return [pair + 1] + stops[::-1]
 
 
 def exact_tour(ps: PointSet) -> tuple[float, list[int]]:
     """Optimal closed tour length and visit order, starting at point 0."""
-    length, orders = _held_karp(_manhattan(np.array(ps.points)[None]), visit_order=True)
-    return float(length[0]), orders[0].tolist()
+    length, order = _held_karp(_manhattan(np.array(ps.points)[None]), visit_order=True)
+    return float(length[0]), order
 
 
 def exact_tour_length(ps: PointSet) -> float:

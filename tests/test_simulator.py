@@ -320,13 +320,14 @@ class TestFullyFlexibleTours:
 class TestSemiFlexibleTours:
     # simulate_sf_hour on sf_dense_design with demand seed 5 and staging seed
     # 2, recorded from the sweep that walked each window's riders one at a
-    # time, before windows were grouped by load.
+    # time, before windows were grouped by load; the second outbound tour
+    # moved by 1 ulp when each window's legs were added in sweep order.
     PINNED_HOUR = {
         "gc_hours": 147.90662624912395,
         "gc_min_per_patron": 27.73249242171074,
         "horizon": 1.0,
         "tours_out": (
-            9.40029682105069, 8.953823804242177, 8.616554509043457, 8.464868363763493,
+            9.40029682105069, 8.953823804242175, 8.616554509043457, 8.464868363763493,
             6.190208484652881, 6.84354776627768, 6.673988911360186, 6.406856004122967,
             5.818668558871302, 7.105508287904825, 6.796188283048053, 7.803507930359255,
         ),
@@ -437,8 +438,8 @@ class TestRunValidation:
             "n_runs": 320,
             "analytic_gc_min_per_patron": 18.94083455555556,
             "sim_gc_min_per_patron": 20.317897549292418,
-            "sim_gc_std": 0.8942869673636649,
-            "sim_gc_se": 0.04999216126043226,
+            "sim_gc_std": 0.8942869673636648,
+            "sim_gc_se": 0.04999216126043225,
             "gc_error_pct": 6.777586068617684,
             "outbound_tour_error_pct": 15.181369174047049,
             "inbound_tour_error_pct": 15.019698512781302,
@@ -510,7 +511,7 @@ class TestRunValidation:
     # them.
     PINNED_WINDOWS = {
         "ff": ("_ff_windows", "eef5c86840e0d4d8aa53fed8e070386376ca19e08b8e5c6c3d221e873c40426e"),
-        "sf": ("_sf_windows", "23901599a1aaf72a5cac7df37bf907b885fc9e0ee54a33d566a5e2a40c60f2ad"),
+        "sf": ("_sf_windows", "0b8af1bf14840472f8f348e2a45492f224ea8aa7b56a53cd711b513baf04a3d9"),
     }
 
     @pytest.mark.parametrize("design_name", sorted(PINNED_WINDOWS))
@@ -746,10 +747,11 @@ class TestChunkDraws:
         assert simulator._draw_block.cache_info()[:2] == (1, blocks)
 
 
-def ff_spans(rng: np.random.Generator, design: DesignSolution, loads: list[list[int]], H: float = FIVE_MIN):
-    """Fully flexible spans, one per row of ``loads``, zones in turn and outbound
-    first: each window of a span gets the given number of requests, at uniform
-    times within it and uniform points in the zone, its staging point too."""
+def window_spans(rng: np.random.Generator, design: DesignSolution, loads: list[list[int]], H: float = FIVE_MIN):
+    """Spans, one per row of ``loads``, zones in turn and outbound first: each
+    window of a span gets the given number of requests, at uniform times
+    within it and uniform points in the zone, and its staging draw too (a
+    point for a fully flexible design, a w0 offset for a semi-flexible one)."""
     from drcflex.simulator import _Spans
 
     scale = np.array([design.grid.l, design.grid.w])
@@ -757,10 +759,11 @@ def ff_spans(rng: np.random.Generator, design: DesignSolution, loads: list[list[
     window = np.concatenate([np.repeat(np.arange(len(row)), row) for row in loads])
     n_points = np.array([sum(row) for row in loads])
     S = len(loads)
+    ff = design.strategy == FULLY_FLEXIBLE
     return _Spans(
         np.arange(S) // 2 % len(design.zones), np.arange(S) % 2 == 0, np.full(S, H), n_w, n_points,
         rng.random((len(window), 2)) * scale, (window + rng.random(len(window))) * H,
-        rng.random((int(n_w.sum()), 2)) * scale,
+        rng.random((int(n_w.sum()), 2)) * scale if ff else rng.random(int(n_w.sum())) * design.w0,
     )
 
 
@@ -815,7 +818,7 @@ class TestFullyFlexibleBooks:
         from drcflex import tsp
 
         rng = np.random.default_rng(90)
-        spans = ff_spans(rng, ff_design, rng.integers(0, 9, (8, 4)).tolist())
+        spans = window_spans(rng, ff_design, rng.integers(0, 9, (8, 4)).tolist())
 
         def no_visit_order(*args):
             raise AssertionError("the simulator read a visit order")
@@ -830,7 +833,7 @@ class TestFullyFlexibleBooks:
 
     def test_relabeled_stops_leave_the_books(self, table2: ScenarioParams, ff_design: DesignSolution) -> None:
         rng = np.random.default_rng(91)
-        spans = ff_spans(rng, ff_design, rng.integers(0, 12, (8, 6)).tolist())
+        spans = window_spans(rng, ff_design, rng.integers(0, 12, (8, 6)).tolist())
         starts = np.cumsum(spans.n_points) - spans.n_points
         perm = np.concatenate([s + rng.permutation(n) for s, n in zip(starts, spans.n_points)])
         relabeled = spans._replace(xy=spans.xy[perm], t=spans.t[perm])
@@ -845,7 +848,7 @@ class TestFullyFlexibleBooks:
     ) -> None:
         from drcflex import simulator, tsp
 
-        spans = ff_spans(np.random.default_rng(92), ff_design, [[16, 17, 17], [17, 16, 16]])
+        spans = window_spans(np.random.default_rng(92), ff_design, [[16, 17, 17], [17, 16, 16]])
         held_karp, widths = simulator._held_karp, []
 
         def recorded(dist):
@@ -861,6 +864,109 @@ class TestFullyFlexibleBooks:
             books.append(self.windows(table2, spans)[0])
         for other in books[1:]:
             assert all(same_bits(a, b) for a, b in zip(books[0], other))
+
+
+def sweep_rider_books(params: ScenarioParams, design: DesignSolution, spans, D: np.ndarray, tau: np.ndarray) -> list[tuple]:
+    """Per window (tour, q, wait, in-vehicle time), each rider charged one at a
+    time along the sweep: an outbound rider boards the first bus whose sweep
+    has not passed it, an inbound one the bus of its departure window, and a
+    window's riders are swept by progress, ties in span order."""
+    import math
+
+    from drcflex.simulator import _serpentine_for
+
+    serp = _serpentine_for(design.grid, design.w0)
+    v, end = params.v_l, serp.fixed_path + design.w0 / 2.0
+    books, p, w = [], 0, 0
+    for s, (n_w, n) in enumerate(zip(spans.n_windows.tolist(), spans.n_points.tolist())):
+        H, riders = float(spans.H_sched[s]), [[] for _ in range(n_w)]
+        for (x, y), t in zip(spans.xy[p:p + n].tolist(), spans.t[p:p + n].tolist()):
+            lon, lat = (x, y) if serp.along_l else (y, x)
+            strip = min(int(lat / serp.w0), serp.n_strips - 1)
+            progress = strip * (serp.strip_len + serp.w0) + (lon if strip % 2 == 0 else serp.strip_len - lon)
+            bus = max(math.ceil((t - progress / v) / H - 1e-12), 0)
+            j = bus % n_w if spans.outbound[s] else min(int(t / H), n_w - 1)
+            riders[j].append((progress, lat - strip * serp.w0, t, bus * H + progress / v))
+        for j in range(n_w):
+            sweep = sorted(riders[j], key=lambda rider: rider[0])  # sorted() is stable
+            offsets = [float(spans.staging[w + j])] + [c for _, c, _, _ in sweep]
+            legs = [abs(b - a) for a, b in zip(offsets, offsets[1:])]
+            q, lateral, swept, wait, ride = len(sweep), sum(legs), 0.0, 0.0, 0.0
+            for r, ((progress, _, t, nominal), leg) in enumerate(zip(sweep, legs), start=1):
+                swept += leg
+                if spans.outbound[s]:
+                    wait += nominal - t + leg / v
+                    ride += (end - progress + lateral - swept + leg / 2.0) / v + (q - r + 0.5) * tau[s] + D[s] / v
+                else:
+                    ride += D[s] / v + (progress + swept - leg / 2.0) / v + (r - 0.5) * tau[s]
+            books.append((end + lateral, q, wait, ride))
+        p, w = p + n, w + n_w
+    return books
+
+
+def ties_reversed(argsort):
+    """``np.argsort`` whose default kind puts equal keys in reverse order, as a
+    sort kernel free to order them may; the other kinds are left alone."""
+
+    def patched(a, axis=-1, kind=None, **kwargs):
+        if kind is not None:
+            return argsort(a, axis=axis, kind=kind, **kwargs)
+        order = argsort(a, kind="stable")
+        ordered = np.asarray(a)[order]
+        run = np.concatenate(([0], np.cumsum(ordered[1:] != ordered[:-1])))
+        return order[np.lexsort((-np.arange(len(order)), run))]
+
+    return patched
+
+
+class TestSemiFlexibleBooks:
+    """Each semi-flexible window's books are its riders' sums in closed form."""
+
+    @staticmethod
+    def windows(params: ScenarioParams, design: DesignSolution, spans) -> tuple[np.ndarray, ...]:
+        from drcflex.simulator import _sf_windows
+
+        D, tau = np.arange(1.0, len(spans.zone) + 1), np.where(spans.outbound, params.tau_p, params.tau_d)
+        return _sf_windows(params, design, spans, D, tau), D, tau
+
+    @staticmethod
+    def assert_books(got: tuple[np.ndarray, ...], want: list[tuple]) -> None:
+        tour, q, wait, inveh = got
+        assert q.tolist() == [b[1] for b in want]
+        for books, field in ((tour, 0), (wait, 2), (inveh, 3)):
+            np.testing.assert_allclose(books, [b[field] for b in want], rtol=1e-12, atol=0)
+
+    # multi-strip zones along l, one-strip zones across l, multi-strip square zones
+    @pytest.mark.parametrize("design_name", ["sf_2x1", "sf_line", "sf"])
+    def test_books_equal_the_sweep_rider_by_rider(self, table2: ScenarioParams, request, design_name: str) -> None:
+        design = request.getfixturevalue(f"{design_name}_design")
+        rng = np.random.default_rng(93)
+        spans = window_spans(rng, design, rng.integers(0, 17, (8, 6)).tolist())
+        got, D, tau = self.windows(table2, design, spans)
+        self.assert_books(got, sweep_rider_books(table2, design, spans, D, tau))
+        q = got[1].reshape(-1, 6)  # both directions carry loaded windows
+        assert (q[0::2] >= 2).sum() > 10 and (q[1::2] >= 2).sum() > 10
+
+    @pytest.mark.parametrize("design_name", ["sf_2x1", "sf_line"])
+    def test_equal_progress_keeps_span_order(
+        self, table2: ScenarioParams, request, design_name: str, monkeypatch
+    ) -> None:
+        # every other request takes its predecessor's progress and time at another
+        # lateral offset in the same strip, so their legs depend on which goes first
+        from drcflex.simulator import _serpentine_for
+
+        design = request.getfixturevalue(f"{design_name}_design")
+        rng = np.random.default_rng(94)
+        spans = window_spans(rng, design, rng.integers(2, 9, (4, 3)).tolist())
+        lon, lat = (0, 1) if _serpentine_for(design.grid, design.w0).along_l else (1, 0)
+        xy, t = spans.xy.copy(), spans.t.copy()
+        xy[1::2, lon], t[1::2] = xy[0:-1:2, lon], t[0:-1:2]
+        xy[1::2, lat] = (xy[0:-1:2, lat] // design.w0 + rng.random(len(xy) // 2)) * design.w0
+        spans = spans._replace(xy=xy, t=t)
+        want = sweep_rider_books(table2, design, spans, *self.windows(table2, design, spans)[1:])
+        self.assert_books(self.windows(table2, design, spans)[0], want)
+        monkeypatch.setattr(np, "argsort", ties_reversed(np.argsort))
+        self.assert_books(self.windows(table2, design, spans)[0], want)
 
 
 class TestServeGrouping:
@@ -888,22 +994,24 @@ class TestServeGrouping:
         assert (spans.n_points == 0).any() == design_name.startswith("sparse")
 
 
-def lexsort_groups(spans, local, minor=None):
-    """Load groups ordered by one lexsort over (window, minor)."""
+def lexsort_groups(spans, local):
+    """Load groups ordered by one lexsort over the windows."""
     n_w = spans.n_windows
     window = np.repeat(np.cumsum(n_w) - n_w, spans.n_points) + local
-    by_window = np.lexsort((window,) if minor is None else (minor, window))
+    by_window = np.lexsort((window,))
     q = np.bincount(window, minlength=int(n_w.sum()))
     start = np.cumsum(q) - q
-    span_of = np.repeat(np.arange(len(n_w)), n_w)
     groups = []
     for k in np.unique(q[q > 0]):
         w = np.flatnonzero(q == k)
-        groups.append((w, span_of[w, None], by_window[start[w, None] + np.arange(k)]))
+        groups.append((w, by_window[start[w, None] + np.arange(k)]))
     return q, groups
 
 
 class TestLoadGroups:
+    """Requests grouped by window, in span order (fully flexible load groups)
+    or by sweep progress (the semi-flexible sweep order)."""
+
     @staticmethod
     def spans(n_windows: np.ndarray, n_points: np.ndarray):
         from drcflex.simulator import _Spans
@@ -922,22 +1030,31 @@ class TestLoadGroups:
             for a, b in zip(g, w):
                 assert same_bits(a, b)
 
+    @classmethod
+    def assert_ordered(cls, spans, local: np.ndarray, progress: np.ndarray | None) -> None:
+        from drcflex.simulator import _load_groups, _sweep_order
+
+        if progress is None:
+            cls.assert_same_groups(_load_groups(spans, local), lexsort_groups(spans, local))
+            return
+        n_w = spans.n_windows
+        window = np.repeat(np.cumsum(n_w) - n_w, spans.n_points) + local
+        assert same_bits(_sweep_order(window, progress, int(n_w.sum())), np.lexsort((progress, window)))
+
     @pytest.mark.parametrize("keys", ["none", "random", "ties"])
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_lexsort(self, keys: str, seed: int) -> None:
-        from drcflex.simulator import _load_groups
-
         rng = np.random.default_rng((seed, 29))
         n_windows = rng.integers(1, 21, size=256)
         n_points = rng.poisson(3.0 * n_windows)
         spans = self.spans(n_windows, n_points)
         local = (rng.random(int(n_points.sum())) * np.repeat(n_windows, n_points)).astype(int)
-        minor = {
+        progress = {
             "none": None,
             "random": rng.random(len(local)),
             "ties": rng.integers(0, 3, size=len(local)).astype(float),  # repeats within windows
         }[keys]
-        self.assert_same_groups(_load_groups(spans, local, minor), lexsort_groups(spans, local, minor))
+        self.assert_ordered(spans, local, progress)
 
     @pytest.mark.parametrize("with_minor", [False, True])
     def test_window_ids_beyond_16_bits(self, with_minor: bool) -> None:
@@ -951,8 +1068,10 @@ class TestLoadGroups:
         rng = np.random.default_rng(31)
         local = rng.integers(0, 20, size=int(n_points.sum()))
         local[-8:] = 19
-        minor = rng.integers(0, 2, size=len(local)).astype(float) if with_minor else None
         spans = self.spans(n_windows, n_points)
-        got = _load_groups(spans, local, minor)
-        assert int(got[1][-1][0].max()) >= 65_536
-        self.assert_same_groups(got, lexsort_groups(spans, local, minor))
+        if not with_minor:
+            assert int(_load_groups(spans, local)[1][-1][0].max()) >= 65_536
+            self.assert_ordered(spans, local, None)
+            return
+        for progress in (rng.random(len(local)), rng.integers(0, 2, size=len(local)).astype(float)):
+            self.assert_ordered(spans, local, progress)
